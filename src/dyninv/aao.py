@@ -18,11 +18,9 @@ from .problem import ProblemDefinition
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    apply_stiffness,
-    evolve_backward,
-    evolve_forward,
     inner_dual_load,
     inner_observation,
+    march_modes,
     solve_stiffness,
     zero_trajectory,
 )
@@ -139,47 +137,35 @@ class AllAtOnceOperator:
         return self._adjoint_masked(point, resid, weighted=None, include_initial=True)
 
     def _adjoint_masked(self, point, resid, weighted, include_initial):
-        u = point.state.values
+        # every channel but the initial one is read at nodes 1..N only
+        u = point.state.values[1:]
+        t = self._t[1:]
         theta = point.theta
-        tau = self.grid.tau
-        t = self._t
         jac = self.problem.apply_jac
-        w = resid.model.values.copy()
-        z = resid.observation.values.copy()
-        w[0] = 0.0
+        w = resid.model.values[1:]
+        z = resid.observation.values[1:]
         if weighted is not None:
             mask = np.zeros(self.grid.node_count, dtype=bool)
             mask[weighted] = True
-            w[~mask] = 0.0
-            z[~mask] = 0.0
+            w = np.where(mask[1:, None], w, 0.0)
+            z = np.where(mask[1:, None], z, 0.0)
         h = resid.initial if include_initial else np.zeros_like(resid.initial)
 
-        iw = np.zeros_like(w)
-        iw[1:] = solve_stiffness(self.triple, w[1:])
-        rows = (
-            -w[1:]
-            - jac("f_u", "adjoint", t[1:], u[1:], theta, iw[1:])
-            + jac("g_u", "adjoint", t[1:], u[1:], theta, z[1:])
+        iw = solve_stiffness(self.triple, w)
+        rows = -w - jac("f_u", "adjoint", t, u, theta, iw) + jac("g_u", "adjoint", t, u, theta, z)
+        # both sweeps run in the eigenbasis of K, which diagonalizes their
+        # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
+        # marched on the time-reversed nodes and flipped back (ph[m] is p^m).
+        q = self.triple.eigenvectors
+        ph = march_modes(self.triple, self.grid, 0.0, rows[::-1] @ q)[::-1]
+        # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
+        dh = march_modes(
+            self.triple, self.grid, ph[0] + h @ q, w @ q + self.triple.eigenvalues * ph[:-1]
         )
-        # backward source lives one node above: src^m drives the step onto node m
-        src = np.zeros_like(w)
-        src[:-1] = rows
-        p = evolve_backward(
-            self.triple, self.grid, np.zeros(w.shape[1]), Trajectory(self.grid, src, "dual_load")
-        )
+        dstate = Trajectory(self.grid, dh @ q.T, "state")
 
-        fwd = np.zeros_like(w)
-        fwd[1:] = w[1:] + apply_stiffness(self.triple, p.values[:-1])
-        dstate = evolve_forward(
-            self.triple,
-            self.grid,
-            p.values[0] + h,
-            Trajectory(self.grid, fwd, "dual_load"),
-        )
-
-        dtheta = tau * np.sum(
-            -jac("f_theta", "adjoint", t[1:], u[1:], theta, iw[1:])
-            + jac("g_theta", "adjoint", t[1:], u[1:], theta, z[1:]),
+        dtheta = self.grid.tau * np.sum(
+            -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
             axis=0,
         )
         dtheta = dtheta - jac("u0", "adjoint", None, None, theta, h)

@@ -485,8 +485,9 @@ class DenseOracle:
 
     # -- reduced operator matrices --------------------------------------------------
 
-    def reduced_derivative_matrix(self, theta, state, slab=None) -> np.ndarray:
-        op = self.instance.reduced
+    def reduced_derivative_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
+        """Columns of the reduced derivative of ``op`` (default: the instance's)."""
+        op = self.instance.reduced if op is None else op
         cols = np.empty((self.grid.step_count * self.width, self.n_theta))
         for i in range(self.n_theta):
             unit = np.zeros(self.n_theta)
@@ -498,8 +499,8 @@ class DenseOracle:
             cols[:, i] = self.flatten_obs(out)
         return cols
 
-    def reduced_adjoint_matrix(self, theta, state, slab=None) -> np.ndarray:
-        jac = self.reduced_derivative_matrix(theta, state, slab=slab)
+    def reduced_adjoint_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
+        jac = self.reduced_derivative_matrix(theta, state, slab=slab, op=op)
         return np.linalg.solve(self.gram_theta, jac.T @ self.gram_obs)
 
 
@@ -541,19 +542,19 @@ def selftest(verbose=True, rng_seed=7) -> bool:
         checks.append((f"slab {j} adjoint vs dense", gap, 1e-11))
 
     newton = ReducedOperator(inst.problem, inst.triple, inst.grid, inst.partition, policy="newton")
-    state = newton.solve_state(theta0)
-    jac_r = oracle.reduced_derivative_matrix(theta0, state)
-    adj_r = oracle.reduced_adjoint_matrix(theta0, state)
-    zf = rng.standard_normal(oracle.grid.step_count * oracle.width)
-    gap = _relerr(newton.adjoint(theta0, state, oracle.unflatten_obs(zf)), adj_r @ zf)
-    checks.append(("reduced adjoint vs dense", gap, 1e-11))
+    for op in (inst.reduced, newton):
+        state = op.solve_state(theta0)
+        adj_r = oracle.reduced_adjoint_matrix(theta0, state, op=op)
+        zf = rng.standard_normal(oracle.grid.step_count * oracle.width)
+        gap = _relerr(op.adjoint(theta0, state, oracle.unflatten_obs(zf)), adj_r @ zf)
+        checks.append((f"reduced adjoint vs dense ({op.policy})", gap, 1e-11))
 
     xi = 0.1 * rng.standard_normal(inst.problem.n_theta)
+    y0, s0 = newton.forward(theta0)
+    lin = newton.derivative(theta0, s0, xi)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         y1, _ = newton.forward(theta0 + eps * xi)
-        y0, s0 = newton.forward(theta0)
-        lin = newton.derivative(theta0, s0, xi)
         diff = Trajectory(inst.grid, y1.values - y0.values - eps * lin.values, "observation")
         errs.append(norm_observation(inst.triple, diff))
     order = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))

@@ -28,9 +28,12 @@ def signed_square_slope(x, gain: float = 10.0):
 class ProblemDefinition:
     """Interface for model/observation functions and their linearizations.
 
-    Subclasses implement ``f``, ``g``, ``u0``, ``apply_jac`` and
-    ``f_u_matrix``; every forward/adjoint pair must be an exact transpose
-    under the measure-weighted pairings (checked by the dot-product tests).
+    Subclasses implement ``f``, ``g``, ``u0``, ``apply_jac``, ``reaction``
+    (the explicitly integrated part of f), its diagonal slope
+    ``reaction_slope`` (linearizes the 'imex' step) and ``f_u_matrix`` (the
+    dense Jacobian that linearizes the 'newton' step); every forward/adjoint
+    pair must be an exact transpose under the measure-weighted pairings
+    (checked by the dot-product tests).
     """
 
     n_theta: int
@@ -53,6 +56,10 @@ class ProblemDefinition:
 
     def reaction(self, t, u, theta):
         """f plus the stiffness part, i.e. the explicitly-integrated remainder."""
+        raise NotImplementedError
+
+    def reaction_slope(self, t, u, theta):
+        """Diagonal of d(reaction)/du, nodal and batched like ``reaction``."""
         raise NotImplementedError
 
     def inner_theta(self, a, b) -> float:
@@ -107,6 +114,8 @@ class SemilinearDiffusion(ProblemDefinition):
 
     def restrict_theta(self, v):
         v = np.asarray(v, dtype=float)
+        if self.n_theta == self.triple.interior_points:
+            return v
         return v[..., self.source_nodes]
 
     def inner_theta(self, a, b) -> float:
@@ -127,6 +136,11 @@ class SemilinearDiffusion(ProblemDefinition):
         u = np.asarray(u, dtype=float)
         self._check_state(u)
         return -signed_square(u, self.gain) + self.embed_theta(theta)
+
+    def reaction_slope(self, t, u, theta):
+        u = np.asarray(u, dtype=float)
+        self._check_state(u)
+        return -signed_square_slope(u, self.gain)
 
     def g(self, t, u, theta):
         u = np.asarray(u, dtype=float)

@@ -1,9 +1,18 @@
 """Reduced formulation: parameter-to-state map, sensitivities and adjoints.
 
-The state solve eliminates the model equation; the derivative solves the
-linearized evolution with coefficients frozen at the new time level, and the
-adjoint is its exact discrete transpose (a backward sweep with the transposed
-step matrices, followed by right-endpoint quadrature of the parameter terms).
+The state solve eliminates the model equation.  The derivative is the exact
+derivative of the step the state solve runs under the operator's policy:
+
+- 'imex': v^k = R (v^{k-1} + tau r_u(u^{k-1}) v^{k-1} + tau f_theta xi) with
+  the constant resolvent R = (I + tau K)^{-1}, applied spectrally, and the
+  diagonal reaction slope r_u taken at the old time level, as the step takes
+  the reaction;
+- 'newton': (I - tau f_u(u^k)) v^k = v^{k-1} + tau f_theta xi, the fully
+  implicit step with coefficients frozen at the new time level.
+
+The adjoint is its exact discrete transpose (a backward sweep with the
+transposed step maps, followed by right-endpoint quadrature of the parameter
+terms).
 """
 
 import numpy as np
@@ -48,6 +57,12 @@ class ReducedOperator:
         self.policy = policy
         self.perturbation = perturbation
         self._t = grid.nodes()
+        self._denom = 1.0 + grid.tau * triple.eigenvalues
+
+    def _resolve(self, rows):
+        """Apply the resolvent (I + tau K)^{-1} to rows, in the eigenbasis of K."""
+        q = self.triple.eigenvectors
+        return ((rows @ q) / self._denom) @ q.T
 
     # -- nonlinear state solve ---------------------------------------------------
 
@@ -58,8 +73,6 @@ class ReducedOperator:
         pvals = pert.values if pert is not None else None
         n = self.triple.interior_points
         steps, tau = self.grid.step_count, self.grid.tau
-        q, lam = self.triple.eigenvectors, self.triple.eigenvalues
-        denom = 1.0 + tau * lam
         out = np.empty((steps + 1, n))
         out[0] = self.problem.u0(theta)
         u = out[0]
@@ -69,7 +82,7 @@ class ReducedOperator:
             rhs = u + tau * self.problem.reaction(self._t[k], u, theta)
             if pvals is not None:
                 rhs = rhs + tau * pvals[k]
-            u_next = (((rhs @ q) / denom) @ q.T)
+            u_next = self._resolve(rhs)
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
                 u_next = self._newton_step(k, base, u_next, theta, tau, eye)
@@ -111,6 +124,15 @@ class ReducedOperator:
         out = np.empty_like(u)
         out[0] = jac("u0", "forward", None, None, theta, xi)
         v = out[0]
+        if self.policy == "imex":
+            slope = tau * self.problem.reaction_slope(self._t[1:], u[:-1], theta)
+            src = np.broadcast_to(
+                tau * jac("f_theta", "forward", self._t[1:], u[:-1], theta, xi), slope.shape
+            )
+            for k in range(1, self.grid.step_count + 1):
+                v = self._resolve(v + slope[k - 1] * v + src[k - 1])
+                out[k] = v
+            return Trajectory(self.grid, out, "state")
         eye = np.eye(u.shape[1])
         for k in range(1, self.grid.step_count + 1):
             rhs = v + tau * jac("f_theta", "forward", self._t[k], u[k], theta, xi)
@@ -122,9 +144,11 @@ class ReducedOperator:
     def solve_adjoint(self, theta, state: Trajectory, z_src: Trajectory) -> Trajectory:
         """Backward sweep transposed against :meth:`solve_sensitivity`.
 
-        Node n holds the multiplier of the step onto node n (n = 1..N); the
-        initial slot repeats node 1, which is the weight of the
-        initial-condition term in the parameter assembly.
+        Node n holds the multiplier of the step onto node n (n = 1..N).  The
+        initial slot holds the weight of the initial-condition term in the
+        parameter assembly: under 'imex' the multiplier of node 1 carried back
+        through the explicit reaction step, (I + tau r_u(u^0)) p^1; under
+        'newton' a copy of node 1.
         """
         self._check_state(state)
         theta = np.asarray(theta, dtype=float)
@@ -133,6 +157,16 @@ class ReducedOperator:
         tau = self.grid.tau
         jac = self.problem.apply_jac
         out = np.zeros_like(u)
+        if self.policy == "imex":
+            slope = tau * self.problem.reaction_slope(self._t[1:], u[:-1], theta)
+            load = tau * jac("g_u", "adjoint", self._t[1:], u[1:], theta, z[1:])
+            carry = np.zeros(u.shape[1])
+            for k in range(self.grid.step_count, 0, -1):
+                p = self._resolve(load[k - 1] + carry)
+                out[k] = p
+                carry = p + slope[k - 1] * p
+            out[0] = carry
+            return Trajectory(self.grid, out, "state")
         p = np.zeros(u.shape[1])
         eye = np.eye(u.shape[1])
         for k in range(self.grid.step_count, 0, -1):
@@ -161,8 +195,10 @@ class ReducedOperator:
         u = state.values
         tau = self.grid.tau
         jac = self.problem.apply_jac
+        # the imex step takes f at the old state, the newton step at the new one
+        u_f = u[:-1] if self.policy == "imex" else u[1:]
         terms = jac("g_theta", "adjoint", self._t[1:], u[1:], theta, z.values[1:]) + jac(
-            "f_theta", "adjoint", self._t[1:], u[1:], theta, p.values[1:]
+            "f_theta", "adjoint", self._t[1:], u_f, theta, p.values[1:]
         )
         out = tau * np.sum(terms, axis=0)
         return out + jac("u0", "adjoint", None, None, theta, p.values[0])

@@ -132,26 +132,14 @@ def evolve_forward(
     One step reads (I + tau*K) v^{n+1} = v^n + tau * s^{n+1}; the source is
     sampled at the right endpoint of each step (its node-0 value is unused).
     """
-    n = triple.interior_points
     v0 = np.asarray(v0, dtype=float)
     _check_width(triple, v0, "initial value")
-    steps, tau = grid.step_count, grid.tau
-    q, lam = triple.eigenvectors, triple.eigenvalues
-    denom = 1.0 + tau * lam
-    out = np.empty((steps + 1, n))
-    vh = v0 @ q
-    out[0] = vh
-    if source is None:
-        for k in range(steps):
-            vh = vh / denom
-            out[k + 1] = vh
-    else:
+    q = triple.eigenvectors
+    loads = 0.0
+    if source is not None:
         _same_grid_source(grid, source)
-        sh = source.values @ q
-        for k in range(steps):
-            vh = (vh + tau * sh[k + 1]) / denom
-            out[k + 1] = vh
-    return Trajectory(grid, out @ q.T, "state")
+        loads = source.values[1:] @ q
+    return Trajectory(grid, march_modes(triple, grid, v0 @ q, loads) @ q.T, "state")
 
 
 def evolve_backward(
@@ -166,26 +154,39 @@ def evolve_backward(
     sampled at the left node (its node-N value is unused).  This is the exact
     time-reversed transpose of the one-step map of :func:`evolve_forward`.
     """
-    n = triple.interior_points
     v_final = np.asarray(v_final, dtype=float)
     _check_width(triple, v_final, "terminal value")
-    steps, tau = grid.step_count, grid.tau
-    q, lam = triple.eigenvectors, triple.eigenvalues
-    denom = 1.0 + tau * lam
-    out = np.empty((steps + 1, n))
-    ph = v_final @ q
-    out[steps] = ph
-    if source is None:
-        for k in range(steps - 1, -1, -1):
-            ph = ph / denom
-            out[k] = ph
-    else:
+    q = triple.eigenvectors
+    loads = 0.0
+    if source is not None:
         _same_grid_source(grid, source)
-        sh = source.values @ q
-        for k in range(steps - 1, -1, -1):
-            ph = (ph + tau * sh[k]) / denom
-            out[k] = ph
+        loads = source.values[-2::-1] @ q
+    # the backward march is a forward one on the time-reversed nodes
+    out = march_modes(triple, grid, v_final @ q, loads)[::-1]
     return Trajectory(grid, out @ q.T, "state")
+
+
+def march_modes(triple: DiscreteGelfandTriple, grid: TimeGrid, start, loads) -> np.ndarray:
+    """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
+
+    Returns c of shape (node_count, width) with c^0 = start and
+    c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam) for k = 1..N; start
+    and the rows of loads are modal coefficients (nodal rows times the
+    eigenvectors), loads may be a scalar.  Instead of one pass per step the
+    recursion takes ceil(log2(N + 1)) vectorised doubling passes: after the
+    pass with shift h, row k holds the decayed sum of inputs k - 2h + 1 .. k.
+    """
+    denom = 1.0 + grid.tau * triple.eigenvalues
+    c = np.empty((grid.node_count, triple.interior_points))
+    c[0] = start
+    c[1:] = loads * (grid.tau / denom)
+    decay = 1.0 / denom
+    shift = 1
+    while shift < grid.node_count:
+        c[shift:] += decay * c[:-shift]
+        shift *= 2
+        decay = decay * decay
+    return c
 
 
 def _same_grid_source(grid: TimeGrid, source: Trajectory):

@@ -247,19 +247,27 @@ def test_criterion_4_taylor_orders():
     aao_order = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))
     assert aao_order >= 1.9
 
-    # reduced operator under the fully implicit solve (its exact derivative)
+    # reduced operator under the fully implicit solve and under the imex
+    # solve; each derivative is the exact derivative of the steps it runs
     theta = 0.4 + 0.2 * np.sin(2 * np.pi * truth_nodes(inst.triple)) ** 2
     xi = 0.1 + 0.05 * rng.random(50)
-    y0, s0 = inst.reduced.forward(theta)
-    lin = inst.reduced.derivative(theta, s0, xi)
-    errs = []
-    for eps in (1e-1, 1e-2, 1e-3):
-        y1, _ = inst.reduced.forward(theta + eps * xi)
-        diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
-        errs.append(norm_observation(inst.triple, diff))
-    red_order = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))
-    assert red_order >= 1.9
-    _report("criterion 4", f"Taylor orders: joint {aao_order:.3f}, reduced {red_order:.3f} (>= 1.9)")
+    imex = ReducedOperator(inst.problem, inst.triple, grid, policy="imex")
+    red_orders = {}
+    for op in (inst.reduced, imex):
+        y0, s0 = op.forward(theta)
+        lin = op.derivative(theta, s0, xi)
+        errs = []
+        for eps in (1e-1, 1e-2, 1e-3):
+            y1, _ = op.forward(theta + eps * xi)
+            diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
+            errs.append(norm_observation(inst.triple, diff))
+        red_orders[op.policy] = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))
+        assert red_orders[op.policy] >= 1.9, f"{op.policy} reduced order {red_orders[op.policy]:.3f}"
+    _report(
+        "criterion 4",
+        f"Taylor orders: joint {aao_order:.3f}, reduced newton {red_orders['newton']:.3f}, "
+        f"reduced imex {red_orders['imex']:.3f} (>= 1.9)",
+    )
 
 
 # -- criterion 5: dense-oracle equivalence ---------------------------------------------
@@ -321,19 +329,28 @@ def test_criterion_5_residual_and_linearizations(dense_setup, rng):
             v = v - np.linalg.solve(eye + tau * a + tau * 20.0 * np.abs(v) * eye, res)
         u_dense[n] = v
     assert np.max(np.abs(state.values - u_dense)) <= 1e-11
-    jac_r = oracle.reduced_derivative_matrix(theta, state)
-    adj_r = oracle.reduced_adjoint_matrix(theta, state)
+    # linear applications of the fully implicit (fixture) and the imex
+    # reduced operators, full and per slab
+    imex = ReducedOperator(inst.problem, triple, grid, inst.partition, policy="imex")
     worst_r = 0.0
-    for _ in range(20):
-        xi = rng.standard_normal(8)
-        worst_r = max(
-            worst_r,
-            _maxgap(oracle.flatten_obs(inst.reduced.derivative(theta, state, xi)), jac_r @ xi),
-        )
-        zf = rng.standard_normal(oracle.grid.step_count * 8)
-        worst_r = max(
-            worst_r, _maxgap(inst.reduced.adjoint(theta, state, oracle.unflatten_obs(zf)), adj_r @ zf)
-        )
+    for op in (inst.reduced, imex):
+        state = op.solve_state(theta)
+        for slab in (None, 0, 1):
+            jac_r = oracle.reduced_derivative_matrix(theta, state, slab=slab, op=op)
+            adj_r = oracle.reduced_adjoint_matrix(theta, state, slab=slab, op=op)
+            for _ in range(20 if slab is None else 5):
+                xi = rng.standard_normal(8)
+                zf = rng.standard_normal(oracle.grid.step_count * 8)
+                if slab is None:
+                    dxi = op.derivative(theta, state, xi)
+                    grad = op.adjoint(theta, state, oracle.unflatten_obs(zf))
+                else:
+                    dxi = op.slab_derivative(theta, state, xi, slab)
+                    zj = op.slab_restrict(oracle.unflatten_obs(zf), slab)
+                    grad = op.slab_adjoint(theta, state, zj, slab)
+                    zf = oracle.flatten_obs(zj)
+                worst_r = max(worst_r, _maxgap(oracle.flatten_obs(dxi), jac_r @ xi))
+                worst_r = max(worst_r, _maxgap(grad, adj_r @ zf))
     assert worst_r <= 1e-12
     _report("criterion 5a", f"matrix-free vs dense linear applications, worst gap {max(worst, worst_r):.1e}")
 

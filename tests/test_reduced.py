@@ -282,3 +282,97 @@ def test_perturbation_field_used_as_default(rng):
     np.testing.assert_array_equal(with_field.values, by_arg.values)
     clean = inst.reduced.solve_state(theta)
     assert np.max(np.abs(with_field.values - clean.values)) > 0.0
+
+
+def test_imex_linearization_runs_no_dense_solve(monkeypatch):
+    """The imex sweeps apply the spectral resolvent only: no n x n matrix, no LU."""
+    inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
+    op = inst.reduced
+    assert op.policy == "imex"
+    theta = positive_theta(inst.triple)
+    state = op.solve_state(theta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense solve or dense Jacobian under the imex policy")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(SemilinearDiffusion, "f_u_matrix", forbidden)
+    op.solve_sensitivity(theta, state, np.ones(8))
+    z = Trajectory(inst.grid, np.ones((inst.grid.node_count, 8)), "observation")
+    op.solve_adjoint(theta, state, z)
+    op.slab_adjoint(theta, state, z, 1)
+
+
+class _SeededStart(SemilinearDiffusion):
+    """Benchmark problem whose initial value is u0(theta) = 0.5 * theta."""
+
+    def u0(self, theta):
+        return 0.5 * self.embed_theta(theta)
+
+    def apply_jac(self, which, mode, t, u, theta, arg):
+        if which != "u0":
+            return super().apply_jac(which, mode, t, u, theta, arg)
+        arg = np.asarray(arg, dtype=float)
+        return 0.5 * (self.embed_theta(arg) if mode == "forward" else self.restrict_theta(arg))
+
+
+def _assert_exact_linearization(op, theta, rng):
+    """Adjoint dot-product gap <= 1e-12 and reduced Taylor order >= 1.9."""
+    grid, triple = op.grid, op.triple
+    y0, state = op.forward(theta)
+    xi = rng.standard_normal(op.problem.n_theta)
+    zv = np.zeros((grid.node_count, triple.interior_points))
+    zv[1:] = rng.standard_normal((grid.step_count, triple.interior_points))
+    z = Trajectory(grid, zv, "observation")
+    lin = op.derivative(theta, state, xi)
+    lhs = inner_observation(triple, lin, z)
+    rhs = op.problem.inner_theta(xi, op.adjoint(theta, state, z))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+    errs = []
+    for eps in (1e-2, 1e-3):
+        y1, _ = op.forward(theta + eps * xi)
+        diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
+        errs.append(norm_observation(triple, diff))
+    assert np.log10(errs[0] / errs[1]) >= 1.9
+
+
+@pytest.mark.parametrize("policy", ["imex", "newton"])
+def test_initial_slot_of_adjoint_with_parameter_dependent_start(policy, rng):
+    """The node-0 adjoint slot weights the initial-value term of the parameter."""
+    triple = build_triple(10)
+    grid = make_time_grid(0.05, 12)
+    op = ReducedOperator(_SeededStart(triple, gain=10.0), triple, grid, policy=policy)
+    _assert_exact_linearization(op, positive_theta(triple), rng)
+
+
+class _StateWeightedSource(SemilinearDiffusion):
+    """Benchmark problem whose source enters as (1 + u^2 / 2) * theta."""
+
+    def f(self, t, u, theta):
+        return super().f(t, u, theta) + 0.5 * np.asarray(u) ** 2 * theta
+
+    def reaction(self, t, u, theta):
+        return super().reaction(t, u, theta) + 0.5 * np.asarray(u) ** 2 * theta
+
+    def reaction_slope(self, t, u, theta):
+        return super().reaction_slope(t, u, theta) + np.asarray(u) * theta
+
+    def f_u_matrix(self, t, u, theta):
+        return super().f_u_matrix(t, u, theta) + np.diag(np.asarray(u) * theta)
+
+    def apply_jac(self, which, mode, t, u, theta, arg):
+        if which == "f_u":
+            extra = np.asarray(u) * theta * np.asarray(arg)
+            return super().apply_jac(which, mode, t, u, theta, arg) + extra
+        if which == "f_theta":
+            return (1.0 + 0.5 * np.asarray(u) ** 2) * np.asarray(arg)
+        return super().apply_jac(which, mode, t, u, theta, arg)
+
+
+@pytest.mark.parametrize("policy", ["imex", "newton"])
+def test_exact_linearization_with_state_dependent_source(policy, rng):
+    """f_theta depends on the state: each policy pairs it with the state its step reads."""
+    triple = build_triple(10)
+    grid = make_time_grid(0.05, 12)
+    op = ReducedOperator(_StateWeightedSource(triple, gain=10.0), triple, grid, policy=policy)
+    _assert_exact_linearization(op, positive_theta(triple), rng)

@@ -12,6 +12,7 @@ from dyninv.spaces import (
     graph_rows,
     inner,
     inner_state,
+    march_modes,
     solve_stiffness,
     zero_trajectory,
 )
@@ -223,6 +224,30 @@ def test_evolutions_dense_transpose():
         outb = evolve_backward(triple, grid, np.zeros(n), Trajectory(grid, rvals, "dual_load"))
         bwd[:, i] = outb.values[:-1].ravel()
     assert np.max(np.abs(bwd - fwd.T)) <= 1e-12 * np.max(np.abs(fwd))
+
+
+@pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300)])
+def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
+    """The doubling passes reproduce the march taken one step at a time.
+
+    On the longest horizon the powers of the fastest decay factors fall far
+    below the smallest normal double.
+    """
+    triple = build_triple(n_x)
+    grid = make_time_grid(1.0, steps)
+    denom = 1.0 + grid.tau * triple.eigenvalues
+    start = rng.standard_normal(n_x)
+    loads = rng.standard_normal((steps, n_x))
+    want = np.empty((steps + 1, n_x))
+    decay = np.empty((steps + 1, n_x))
+    want[0] = decay[0] = start
+    for k in range(1, steps + 1):
+        want[k] = (want[k - 1] + grid.tau * loads[k - 1]) / denom
+        decay[k] = decay[k - 1] / denom
+    got = march_modes(triple, grid, start, loads)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    np.testing.assert_allclose(march_modes(triple, grid, start, 0.0), decay, rtol=1e-13, atol=1e-300)
 
 
 # -- trajectory inner products -------------------------------------------------------
