@@ -8,6 +8,7 @@ plus JSON summaries.
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -59,9 +60,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.delta_w < 0 or self.delta_z < 0:
             raise ValidationError("noise levels must be nonnegative")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValidationError(f"horizon T must be finite and positive, got {self.horizon}")
+        if self.n_t % self.method.m:
+            raise ValidationError(
+                f"slab count m = {self.method.m} does not divide n_t = {self.n_t}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Inverse of :meth:`to_dict`; any key it would not write is rejected."""
+        _check_keys(raw, _CONFIG_KEYS, "config")
+        for section, known in _CONFIG_KEYS.items():
+            if known and section in raw:
+                _check_keys(raw[section], known, f"config section {section!r}")
         try:
             inst = raw.get("instance", {})
             method_raw = dict(raw.get("method", {}))
@@ -127,6 +139,27 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
             "start_at_truth": self.start_at_truth,
         }
+
+
+# the keys to_dict writes: section -> its keys, or None for a plain value
+_CONFIG_KEYS = {
+    "instance": ("n_x", "n_t", "T", "gain", "policy"),
+    "truth": ("kind", "amplitude"),
+    "method": (
+        "tag", "mu", "alpha0", "q", "tau_disc", "k_max", "m", "cg_tol", "cg_max",
+    ),
+    "noise": ("delta_w", "delta_z", "seed"),
+    "output_dir": None,
+    "start_at_truth": None,
+}
+
+
+def _check_keys(raw, known, where):
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
 
 
 def make_instance(n_x, n_t, horizon, gain, m=1, policy="imex") -> ProblemInstance:

@@ -6,6 +6,7 @@ variants solve the regularized normal equations by conjugate gradients with
 matrix-free operator applications.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -278,7 +279,9 @@ def run(
     Rows are recorded at every visited iterate (k = 0 .. stopping index); the
     terminal row has step_ms = 0.  For the joint methods the recorded residual
     is the full three-channel norm, for the reduced ones the observation norm.
-    Kaczmarz variants test the discrepancy once per completed sweep.
+    Kaczmarz variants test the discrepancy once per completed sweep.  A
+    non-finite residual ends the run with stop_reason 'diverged' and raises
+    SolverError; like an inner-solver failure, ``exc.record`` keeps the rows.
     """
     if delta < 0:
         raise ValidationError("noise level must be nonnegative")
@@ -351,6 +354,13 @@ def run(
         row = IterationRow(k, res_total, res_w, res_h, res_y, err_theta, err_u)
         record.rows.append(row)
 
+        if not math.isfinite(res_total):
+            record.k_star, record.stop_reason = k, "diverged"
+            record.theta_final = cur_theta.copy()
+            record.state_final = cur_state
+            exc = SolverError(f"{tag} diverged: residual {res_total} at iteration {k}")
+            exc.record = record
+            raise exc
         if k % sweep_len == 0 and res_total <= config.tau_disc * delta:
             record.k_star, record.stop_reason = k, "discrepancy"
             break

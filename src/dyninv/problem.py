@@ -29,11 +29,15 @@ class ProblemDefinition:
     """Interface for model/observation functions and their linearizations.
 
     Subclasses implement ``f``, ``g``, ``u0``, ``apply_jac``, ``reaction``
-    (the explicitly integrated part of f), its diagonal slope
-    ``reaction_slope`` (linearizes the 'imex' step) and ``f_u_matrix`` (the
-    dense Jacobian that linearizes the 'newton' step); every forward/adjoint
-    pair must be an exact transpose under the measure-weighted pairings
-    (checked by the dot-product tests).
+    (f plus the stiffness part K u, the explicitly integrated part under
+    'imex') and its diagonal slope ``reaction_slope``.  The reaction must be
+    pointwise in u, so that f_u = -K + diag(reaction_slope): the 'imex' step is
+    linearized through the slope alone, and every 'newton' step matrix
+    I - tau f_u is the tridiagonal K plus a diagonal, solved without forming
+    it.  ``f_u_matrix`` assembles that Jacobian densely; the solvers never
+    call it, it is kept as a reference for tests.  Every forward/adjoint pair
+    must be an exact transpose under the measure-weighted pairings (checked
+    by the dot-product tests).
     """
 
     n_theta: int
@@ -51,7 +55,7 @@ class ProblemDefinition:
         raise NotImplementedError
 
     def f_u_matrix(self, t, u, theta):
-        """Dense nodal Jacobian of f with respect to u at one time level."""
+        """Dense nodal Jacobian of f with respect to u at one time level (tests only)."""
         raise NotImplementedError
 
     def reaction(self, t, u, theta):

@@ -10,6 +10,11 @@ derivative of the step the state solve runs under the operator's policy:
 - 'newton': (I - tau f_u(u^k)) v^k = v^{k-1} + tau f_theta xi, the fully
   implicit step with coefficients frozen at the new time level.
 
+Neither policy forms an n x n matrix.  The reaction is pointwise, so
+f_u = -K + diag(r_u): every newton matrix I + tau K - tau diag(r_u) is
+tridiagonal and symmetric, and the Newton steps, the sensitivity and the
+adjoint all solve it with :func:`~dyninv.spaces.solve_shifted_stiffness`.
+
 The adjoint is its exact discrete transpose (a backward sweep with the
 transposed step maps, followed by right-endpoint quadrature of the parameter
 terms).
@@ -20,7 +25,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid
 from .problem import ProblemDefinition
-from .spaces import DiscreteGelfandTriple, Trajectory
+from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness
 
 _NEWTON_MAX = 25
 _NEWTON_TOL = 1e-12
@@ -77,7 +82,6 @@ class ReducedOperator:
         out[0] = self.problem.u0(theta)
         u = out[0]
         newton = self.policy == "newton"
-        eye = np.eye(n) if newton else None
         for k in range(1, steps + 1):
             rhs = u + tau * self.problem.reaction(self._t[k], u, theta)
             if pvals is not None:
@@ -85,12 +89,12 @@ class ReducedOperator:
             u_next = self._resolve(rhs)
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
-                u_next = self._newton_step(k, base, u_next, theta, tau, eye)
+                u_next = self._newton_step(k, base, u_next, theta, tau)
             out[k] = u_next
             u = u_next
         return Trajectory(self.grid, out, "state")
 
-    def _newton_step(self, k, base, guess, theta, tau, eye):
+    def _newton_step(self, k, base, guess, theta, tau):
         t = self._t[k]
         v = guess
         for _ in range(_NEWTON_MAX):
@@ -99,8 +103,8 @@ class ReducedOperator:
             res = v - tau * self.problem.f(t, v, theta) - base
             if np.max(np.abs(res)) <= _NEWTON_TOL:
                 return v
-            jac = eye - tau * self.problem.f_u_matrix(t, v, theta)
-            v = v - np.linalg.solve(jac, res)
+            shift = tau * self.problem.reaction_slope(t, v, theta)
+            v = v - solve_shifted_stiffness(self.triple, tau, shift, res, step=k)
         raise SolverError(f"Newton stalled at time step {k}", step=k)
 
     def observe(self, state: Trajectory, theta) -> Trajectory:
@@ -124,20 +128,17 @@ class ReducedOperator:
         out = np.empty_like(u)
         out[0] = jac("u0", "forward", None, None, theta, xi)
         v = out[0]
-        if self.policy == "imex":
-            slope = tau * self.problem.reaction_slope(self._t[1:], u[:-1], theta)
-            src = np.broadcast_to(
-                tau * jac("f_theta", "forward", self._t[1:], u[:-1], theta, xi), slope.shape
-            )
-            for k in range(1, self.grid.step_count + 1):
-                v = self._resolve(v + slope[k - 1] * v + src[k - 1])
-                out[k] = v
-            return Trajectory(self.grid, out, "state")
-        eye = np.eye(u.shape[1])
+        imex = self.policy == "imex"
+        u_f = u[:-1] if imex else u[1:]
+        slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
+        src = np.broadcast_to(
+            tau * jac("f_theta", "forward", self._t[1:], u_f, theta, xi), slope.shape
+        )
         for k in range(1, self.grid.step_count + 1):
-            rhs = v + tau * jac("f_theta", "forward", self._t[k], u[k], theta, xi)
-            m = eye - tau * self.problem.f_u_matrix(self._t[k], u[k], theta)
-            v = np.linalg.solve(m, rhs)
+            if imex:
+                v = self._resolve(v + slope[k - 1] * v + src[k - 1])
+            else:
+                v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src[k - 1], k)
             out[k] = v
         return Trajectory(self.grid, out, "state")
 
@@ -157,24 +158,21 @@ class ReducedOperator:
         tau = self.grid.tau
         jac = self.problem.apply_jac
         out = np.zeros_like(u)
-        if self.policy == "imex":
-            slope = tau * self.problem.reaction_slope(self._t[1:], u[:-1], theta)
-            load = tau * jac("g_u", "adjoint", self._t[1:], u[1:], theta, z[1:])
-            carry = np.zeros(u.shape[1])
-            for k in range(self.grid.step_count, 0, -1):
-                p = self._resolve(load[k - 1] + carry)
-                out[k] = p
-                carry = p + slope[k - 1] * p
-            out[0] = carry
-            return Trajectory(self.grid, out, "state")
-        p = np.zeros(u.shape[1])
-        eye = np.eye(u.shape[1])
+        imex = self.policy == "imex"
+        u_f = u[:-1] if imex else u[1:]
+        slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
+        load = tau * jac("g_u", "adjoint", self._t[1:], u[1:], theta, z[1:])
+        carry = np.zeros(u.shape[1])
         for k in range(self.grid.step_count, 0, -1):
-            rhs = p + tau * jac("g_u", "adjoint", self._t[k], u[k], theta, z[k])
-            m = eye - tau * self.problem.f_u_matrix(self._t[k], u[k], theta)
-            p = np.linalg.solve(m.T, rhs)
+            rhs = load[k - 1] + carry
+            if imex:
+                p = self._resolve(rhs)
+                carry = p + slope[k - 1] * p
+            else:
+                # the newton step matrix is symmetric: its transpose is itself
+                p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], rhs, k)
             out[k] = p
-        out[0] = out[1]
+        out[0] = carry
         return Trajectory(self.grid, out, "state")
 
     def derivative(self, theta, state: Trajectory, xi) -> Trajectory:

@@ -250,6 +250,42 @@ def test_sweep_aggregates_medians(tmp_path):
     assert (tmp_path / "sweep.json").exists()
 
 
+def test_config_round_trips_through_dict(tmp_path):
+    """Sweep workers rebuild their config from to_dict output."""
+    for stepsize, mu in (("fixed", 0.5), ("norm", 1.0)):
+        cfg = ExperimentConfig(
+            n_x=12, n_t=8, horizon=0.2, gain=5.0, truth_amplitude=0.3,
+            method=MethodConfig(
+                tag="aLWK", mu=mu, stepsize=stepsize, alpha0=2.0, q=0.5, tau_disc=3.0,
+                k_max=7, m=4, cg_tol=1e-6, cg_max=50,
+            ),
+            delta_w=1e-3, delta_z=2e-3, seed=9, output_dir=str(tmp_path), policy="newton",
+            start_at_truth=True,
+        )
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"instance": {"nx": 7}},
+        {"method": {"k_mx": 5}},
+        {"noise": {"delta": 1e-3}},
+        {"truth": {"knd": "sine"}},
+        {"outputdir": "out"},
+        {"instance": 5},
+        {"instance": {"T": float("inf")}},
+        {"instance": {"T": float("nan")}},
+        {"instance": {"T": 0.0}},
+        {"instance": {"T": -0.1}},
+        {"instance": {"n_t": 6}, "method": {"tag": "rLWK", "m": 4}},
+    ],
+)
+def test_config_rejects_malformed_input_at_load(raw):
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_dict(raw)
+
+
 # -- CLI ----------------------------------------------------------------------------------
 
 
@@ -311,3 +347,12 @@ def test_cli_sweep(tmp_path, capsys):
         ["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", "2", "--relative"]
     )
     assert rc == 0
+
+
+def test_cli_unknown_config_key_exits_1(tmp_path):
+    assert cli_main(["run", "--config", write_config(tmp_path, instance={"nx": 7})]) == 1
+
+
+def test_cli_divergence_exits_2(tmp_path):
+    cfg = write_config(tmp_path, method={"tag": "aLW", "mu": 1e6, "k_max": 20})
+    assert cli_main(["run", "--config", cfg]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyninv.aao import AaoPoint, data_triple, zero_point
-from dyninv.errors import InnerSolveError, ValidationError
+from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
 from dyninv.methods import (
     MethodConfig,
@@ -414,6 +414,20 @@ def test_run_retains_partial_record_on_solver_error(newton_setup):
     record = exc.value.record
     assert record.stop_reason == "error"
     assert len(record.rows) >= 1
+    assert record.theta_final is not None
+
+
+def test_run_stops_loudly_on_divergence():
+    """A step size far above 2 / ||F'||^2 blows up; the run must not report k_max."""
+    inst = make_instance(20, 20, 0.1, gain=10.0)
+    theta, state, y = synthesize_truth(inst)
+    with pytest.raises(SolverError) as exc:
+        run(MethodConfig(tag="aLW", mu=1e6, k_max=10), inst, y, delta=0.0, truth=(theta, state))
+    record = exc.value.record
+    assert record.stop_reason == "diverged"
+    res = record.column("res_total")
+    assert record.k_star == len(res) - 1 < 10
+    assert np.all(np.isfinite(res[:-1])) and not np.isfinite(res[-1])
     assert record.theta_final is not None
 
 

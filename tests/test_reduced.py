@@ -3,7 +3,7 @@ import pytest
 
 from dyninv.errors import SolverError, ValidationError
 from dyninv.grids import make_partition, make_time_grid
-from dyninv.harness import DenseOracle, make_instance, truth_nodes
+from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth, truth_nodes
 from dyninv.problem import SemilinearDiffusion
 from dyninv.reduced import ReducedOperator
 from dyninv.spaces import (
@@ -303,6 +303,25 @@ def test_imex_linearization_runs_no_dense_solve(monkeypatch):
     op.slab_adjoint(theta, state, z, 1)
 
 
+def test_newton_linearization_runs_no_dense_solve(monkeypatch):
+    """Newton set-up, sensitivity and adjoint solve tridiagonal systems only."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense solve, eigendecomposition or dense Jacobian on a run path")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(SemilinearDiffusion, "f_u_matrix", forbidden)
+    inst = make_instance(8, 10, 0.05, gain=10.0, m=2, policy="newton")
+    theta, state, y = synthesize_truth(inst)
+    add_noise(inst, y, theta, 1e-3, 1e-3, seed=0)
+    op = inst.reduced
+    op.solve_sensitivity(theta, state, np.ones(8))
+    z = Trajectory(inst.grid, np.ones((inst.grid.node_count, 8)), "observation")
+    op.solve_adjoint(theta, state, z)
+    op.slab_adjoint(theta, state, z, 1)
+
+
 class _SeededStart(SemilinearDiffusion):
     """Benchmark problem whose initial value is u0(theta) = 0.5 * theta."""
 
@@ -376,3 +395,16 @@ def test_exact_linearization_with_state_dependent_source(policy, rng):
     grid = make_time_grid(0.05, 12)
     op = ReducedOperator(_StateWeightedSource(triple, gain=10.0), triple, grid, policy=policy)
     _assert_exact_linearization(op, positive_theta(triple), rng)
+
+
+@pytest.mark.parametrize("cls", [SemilinearDiffusion, _StateWeightedSource])
+def test_reaction_slope_and_stiffness_give_dense_jacobian(cls, rng):
+    """The newton solves rely on f_u = -K + diag(reaction_slope)."""
+    triple = build_triple(9)
+    prob = cls(triple, gain=10.0)
+    u = rng.standard_normal(9)
+    theta = rng.standard_normal(9)
+    structured = -triple.stiffness + np.diag(prob.reaction_slope(0.3, u, theta))
+    np.testing.assert_allclose(
+        structured, prob.f_u_matrix(0.3, u, theta), rtol=0, atol=1e-13 * np.max(triple.stiffness)
+    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyninv.errors import ValidationError
+from dyninv.errors import SolverError, ValidationError
 from dyninv.grids import make_time_grid
 from dyninv.spaces import (
     Trajectory,
@@ -13,6 +13,7 @@ from dyninv.spaces import (
     inner,
     inner_state,
     march_modes,
+    solve_shifted_stiffness,
     solve_stiffness,
     zero_trajectory,
 )
@@ -51,6 +52,43 @@ def test_eigenvectors_orthogonal():
     triple = build_triple(37)
     q = triple.eigenvectors
     assert np.max(np.abs(q.T @ q - np.eye(37))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_x", [1, 3, 37, 200])
+def test_closed_form_eigenpairs_match_eigh(n_x):
+    """The tabulated DST-I eigenpairs agree with a dense eigendecomposition."""
+    triple = build_triple(n_x)
+    lam, q = triple.eigenvalues, triple.eigenvectors
+    scale = lam[-1]
+    np.testing.assert_allclose(lam, np.linalg.eigh(triple.stiffness)[0], rtol=0, atol=1e-13 * scale)
+    assert np.max(np.abs(triple.stiffness @ q - q * lam)) <= 1e-13 * scale
+    assert np.max(np.abs(q.T @ q - np.eye(n_x))) <= 1e-13
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 7, 64, 400])
+def test_shifted_stiffness_solve_matches_dense(n_x, rng):
+    """The Thomas solve of I + tau K - diag(shift) agrees with a dense solve."""
+    triple = build_triple(n_x)
+    tau = 0.01
+    mat = np.eye(n_x) + tau * triple.stiffness
+    rhs = rng.standard_normal(n_x)
+    # shifts of both signs; below 1 the matrix stays positive definite
+    for shift in (rng.uniform(-3.0, 0.9, n_x), -rng.uniform(0.0, 3.0, n_x), np.full(n_x, 0.9)):
+        want = np.linalg.solve(mat - np.diag(shift), rhs)
+        got = solve_shifted_stiffness(triple, tau, shift, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_shifted_stiffness_solve_rejects_bad_pivot(bad):
+    triple = build_triple(3)
+    tau = 0.01
+    shift = np.zeros(3)
+    # a shift equal to the diagonal zeroes the first pivot
+    shift[0] = 1.0 + 2.0 * (tau / triple.dx**2) if bad == 0.0 else bad
+    with pytest.raises(SolverError) as exc:
+        solve_shifted_stiffness(triple, tau, shift, np.ones(3), step=5)
+    assert exc.value.step == 5
 
 
 def test_h_inner_constant():
