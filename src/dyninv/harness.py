@@ -70,10 +70,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`; any key it would not write is rejected."""
-        _check_keys(raw, _CONFIG_KEYS, "config")
-        for section, known in _CONFIG_KEYS.items():
-            if known and section in raw:
-                _check_keys(raw[section], known, f"config section {section!r}")
+        known = cls().to_dict()
+        _check_keys(raw, known, "config")
+        for section, keys in known.items():
+            if isinstance(keys, dict) and section in raw:
+                _check_keys(raw[section], keys, f"config section {section!r}")
         try:
             inst = raw.get("instance", {})
             method_raw = dict(raw.get("method", {}))
@@ -139,19 +140,6 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
             "start_at_truth": self.start_at_truth,
         }
-
-
-# the keys to_dict writes: section -> its keys, or None for a plain value
-_CONFIG_KEYS = {
-    "instance": ("n_x", "n_t", "T", "gain", "policy"),
-    "truth": ("kind", "amplitude"),
-    "method": (
-        "tag", "mu", "alpha0", "q", "tau_disc", "k_max", "m", "cg_tol", "cg_max",
-    ),
-    "noise": ("delta_w", "delta_z", "seed"),
-    "output_dir": None,
-    "start_at_truth": None,
-}
 
 
 def _check_keys(raw, known, where):

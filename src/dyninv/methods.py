@@ -361,6 +361,7 @@ def run(
             exc = SolverError(f"{tag} diverged: residual {res_total} at iteration {k}")
             exc.record = record
             raise exc
+
         if k % sweep_len == 0 and res_total <= config.tau_disc * delta:
             record.k_star, record.stop_reason = k, "discrepancy"
             break

@@ -129,7 +129,7 @@ class ReducedOperator:
         out[0] = jac("u0", "forward", None, None, theta, xi)
         v = out[0]
         imex = self.policy == "imex"
-        u_f = u[:-1] if imex else u[1:]
+        u_f = self._f_rows(u)
         slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
         src = np.broadcast_to(
             tau * jac("f_theta", "forward", self._t[1:], u_f, theta, xi), slope.shape
@@ -159,7 +159,7 @@ class ReducedOperator:
         jac = self.problem.apply_jac
         out = np.zeros_like(u)
         imex = self.policy == "imex"
-        u_f = u[:-1] if imex else u[1:]
+        u_f = self._f_rows(u)
         slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
         load = tau * jac("g_u", "adjoint", self._t[1:], u[1:], theta, z[1:])
         carry = np.zeros(u.shape[1])
@@ -193,13 +193,15 @@ class ReducedOperator:
         u = state.values
         tau = self.grid.tau
         jac = self.problem.apply_jac
-        # the imex step takes f at the old state, the newton step at the new one
-        u_f = u[:-1] if self.policy == "imex" else u[1:]
         terms = jac("g_theta", "adjoint", self._t[1:], u[1:], theta, z.values[1:]) + jac(
-            "f_theta", "adjoint", self._t[1:], u_f, theta, p.values[1:]
+            "f_theta", "adjoint", self._t[1:], self._f_rows(u), theta, p.values[1:]
         )
         out = tau * np.sum(terms, axis=0)
         return out + jac("u0", "adjoint", None, None, theta, p.values[0])
+
+    def _f_rows(self, u):
+        """Rows of u where steps 1..N take f: old states under imex, new under newton."""
+        return u[:-1] if self.policy == "imex" else u[1:]
 
     # -- slab operators -------------------------------------------------------------
 

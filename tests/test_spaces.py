@@ -79,13 +79,14 @@ def test_shifted_stiffness_solve_matches_dense(n_x, rng):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
-def test_shifted_stiffness_solve_rejects_bad_pivot(bad):
+@pytest.mark.parametrize("first", ["diagonal", np.inf, np.nan])
+def test_shifted_stiffness_solve_rejects_bad_pivot(first):
+    """A zero or non-finite pivot raises SolverError with the caller's step."""
     triple = build_triple(3)
     tau = 0.01
     shift = np.zeros(3)
-    # a shift equal to the diagonal zeroes the first pivot
-    shift[0] = 1.0 + 2.0 * (tau / triple.dx**2) if bad == 0.0 else bad
+    # a shift equal to the diagonal of I + tau K zeroes the first pivot
+    shift[0] = 1.0 + 2.0 * (tau / triple.dx**2) if first == "diagonal" else first
     with pytest.raises(SolverError) as exc:
         solve_shifted_stiffness(triple, tau, shift, np.ones(3), step=5)
     assert exc.value.step == 5
