@@ -21,7 +21,6 @@ from .spaces import (
     inner_dual_load,
     inner_observation,
     march_modes,
-    solve_stiffness,
     zero_trajectory,
 )
 
@@ -151,17 +150,18 @@ class AllAtOnceOperator:
             z = np.where(mask[1:, None], z, 0.0)
         h = resid.initial if include_initial else np.zeros_like(resid.initial)
 
-        iw = solve_stiffness(self.triple, w)
+        # w enters the basis once: K^{-1} w is a modal scaling, and the
+        # modal w is also the load of the forward sweep below
+        q, lam = self.triple.eigenvectors, self.triple.eigenvalues
+        w_hat = w @ q
+        iw = (w_hat / lam) @ q.T
         rows = -w - jac("f_u", "adjoint", t, u, theta, iw) + jac("g_u", "adjoint", t, u, theta, z)
         # both sweeps run in the eigenbasis of K, which diagonalizes their
         # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
         # marched on the time-reversed nodes and flipped back (ph[m] is p^m).
-        q = self.triple.eigenvectors
         ph = march_modes(self.triple, self.grid, 0.0, rows[::-1] @ q)[::-1]
         # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        dh = march_modes(
-            self.triple, self.grid, ph[0] + h @ q, w @ q + self.triple.eigenvalues * ph[:-1]
-        )
+        dh = march_modes(self.triple, self.grid, ph[0] + h @ q, w_hat + lam * ph[:-1])
         dstate = Trajectory(self.grid, dh @ q.T, "state")
 
         dtheta = self.grid.tau * np.sum(

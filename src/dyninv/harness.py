@@ -9,6 +9,7 @@ plus JSON summaries.
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,11 @@ class ExperimentConfig:
             raise ValidationError(
                 f"slab count m = {self.method.m} does not divide n_t = {self.n_t}"
             )
+        shapes = {"prior_theta": (self.n_x,), "prior_state": (self.n_t + 1, self.n_x)}
+        for name, shape in shapes.items():
+            value = getattr(self.method, name)
+            if value is not None and np.shape(value) != shape:
+                raise ValidationError(f"{name} has shape {np.shape(value)}, expected {shape}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -93,6 +99,9 @@ class ExperimentConfig:
                 m=int(method_raw.get("m", 1)),
                 cg_tol=float(method_raw.get("cg_tol", 1e-8)),
                 cg_max=int(method_raw.get("cg_max", 500)),
+                k_apriori=_optional(int, method_raw.get("k_apriori")),
+                prior_theta=_optional(_float_array, method_raw.get("prior_theta")),
+                prior_state=_optional(_float_array, method_raw.get("prior_state")),
             )
             noise = raw.get("noise", {})
             truth = raw.get("truth", {})
@@ -135,11 +144,27 @@ class ExperimentConfig:
                 "m": self.method.m,
                 "cg_tol": self.method.cg_tol,
                 "cg_max": self.method.cg_max,
+                "k_apriori": self.method.k_apriori,
+                "prior_theta": _optional(_float_list, self.method.prior_theta),
+                "prior_state": _optional(_float_list, self.method.prior_state),
             },
             "noise": {"delta_w": self.delta_w, "delta_z": self.delta_z, "seed": self.seed},
             "output_dir": self.output_dir,
             "start_at_truth": self.start_at_truth,
         }
+
+
+def _optional(convert, value):
+    """``convert(value)``, with None (JSON null) passed through."""
+    return None if value is None else convert(value)
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=float)
+
+
+def _float_list(value):
+    return _float_array(value).tolist()
 
 
 def _check_keys(raw, known, where):
@@ -497,8 +522,10 @@ class DenseOracle:
             cols[:, i] = self.flatten_triple(out)
         return cols
 
-    def aao_adjoint_matrix(self, point: AaoPoint, slab=None) -> np.ndarray:
-        jac = self.aao_derivative_matrix(point, slab=slab)
+    def aao_adjoint_matrix(self, point: AaoPoint, slab=None, jac=None) -> np.ndarray:
+        """Gram-weighted transpose of ``jac``, the derivative matrix (assembled if not given)."""
+        if jac is None:
+            jac = self.aao_derivative_matrix(point, slab=slab)
         return np.linalg.solve(self.gram_domain, jac.T @ self.gram_codomain)
 
     def aao_residual_flat(self, point: AaoPoint, data: ResidualTriple) -> np.ndarray:
@@ -542,7 +569,7 @@ def selftest(verbose=True, rng_seed=7) -> bool:
     )
 
     jac = oracle.aao_derivative_matrix(point)
-    adj = oracle.aao_adjoint_matrix(point)
+    adj = oracle.aao_adjoint_matrix(point, jac=jac)
     gap = 0.0
     for _ in range(5):
         xf = rng.standard_normal(oracle.dom_dim)
@@ -556,7 +583,7 @@ def selftest(verbose=True, rng_seed=7) -> bool:
 
     for j in range(2):
         jac_j = oracle.aao_derivative_matrix(point, slab=j)
-        adj_j = oracle.aao_adjoint_matrix(point, slab=j)
+        adj_j = oracle.aao_adjoint_matrix(point, slab=j, jac=jac_j)
         rf = rng.standard_normal(oracle.cod_dim)
         ds, dt = inst.aao.slab_adjoint(point, j, oracle.unflatten_triple(rf))
         gap = _relerr(np.concatenate([ds.values.ravel(), dt]), adj_j @ rf)
@@ -758,6 +785,8 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
             )
             jobs.append(cfg.to_dict())
 
+    # more processes than jobs or CPUs only add start-up cost and memory
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))

@@ -174,6 +174,25 @@ def _split(flat, grid, width, n_theta):
     return flat[:cut].reshape(grid.node_count, width), flat[cut:]
 
 
+def _joint_inner(triple, problem, grid):
+    """Inner product on flattened joint unknowns: graph product plus parameter product.
+
+    A self-pairing hands :func:`inner_state` one trajectory object for both
+    arguments, which halves its basis products.
+    """
+    width, n_theta = triple.interior_points, problem.n_theta
+
+    def pair_inner(a, b):
+        ua, ta = _split(a, grid, width, n_theta)
+        sa = Trajectory(grid, ua, "state")
+        if b is a:
+            return inner_state(triple, sa, sa) + problem.inner_theta(ta, ta)
+        ub, tb = _split(b, grid, width, n_theta)
+        return inner_state(triple, sa, Trajectory(grid, ub, "state")) + problem.inner_theta(ta, tb)
+
+    return pair_inner
+
+
 # -- single steps ------------------------------------------------------------------
 
 
@@ -204,13 +223,6 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
     grid, width = op.grid, point.state.width
     n_theta = point.theta.size
 
-    def pair_inner(a, b):
-        ua, ta = _split(a, grid, width, n_theta)
-        ub, tb = _split(b, grid, width, n_theta)
-        return inner_state(
-            op.triple, Trajectory(grid, ua, "state"), Trajectory(grid, ub, "state")
-        ) + op.problem.inner_theta(ta, tb)
-
     def normal_apply(flat):
         du, dtheta = _split(flat, grid, width, n_theta)
         out = op.derivative(point, Trajectory(grid, du, "state"), dtheta)
@@ -229,6 +241,7 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
     )
     bstate, btheta = op.adjoint(point, rhs_triple)
     rhs = _flatten(bstate.values, btheta)
+    pair_inner = _joint_inner(op.triple, op.problem, grid)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
     du, dtheta = _split(sol, grid, width, n_theta)
     return AaoPoint(
@@ -437,16 +450,8 @@ def _norm_stepsize(config, instance, start, y_data):
             ds, dt = op.adjoint(point, triple_out)
             return _flatten(ds.values, dt)
 
-        def pair_inner(a, b):
-            ua, ta = _split(a, grid, width, n_theta)
-            ub, tb = _split(b, grid, width, n_theta)
-            return inner_state(
-                instance.triple,
-                Trajectory(grid, ua, "state"),
-                Trajectory(grid, ub, "state"),
-            ) + instance.problem.inner_theta(ta, tb)
-
         start_vec = rng.standard_normal(grid.node_count * width + n_theta)
+        pair_inner = _joint_inner(instance.triple, instance.problem, grid)
         est = estimate_operator_norm(fwd, adj, pair_inner, start_vec)
     else:
         op = instance.reduced

@@ -9,7 +9,7 @@ code can evaluate whole trajectories in one call.
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import DiscreteGelfandTriple
+from .spaces import DiscreteGelfandTriple, apply_stiffness
 
 JAC_TAGS = ("f_u", "f_theta", "g_u", "g_theta", "u0")
 JAC_MODES = ("forward", "adjoint")
@@ -134,7 +134,7 @@ class SemilinearDiffusion(ProblemDefinition):
     def f(self, t, u, theta):
         u = np.asarray(u, dtype=float)
         self._check_state(u)
-        return -(u @ self.triple.stiffness) - signed_square(u, self.gain) + self.embed_theta(theta)
+        return -apply_stiffness(self.triple, u) - signed_square(u, self.gain) + self.embed_theta(theta)
 
     def reaction(self, t, u, theta):
         u = np.asarray(u, dtype=float)
@@ -165,7 +165,7 @@ class SemilinearDiffusion(ProblemDefinition):
         if which == "f_u":
             # self-adjoint under the H pairing: K symmetric, multiplication diagonal
             u = np.asarray(u, dtype=float)
-            return -(arg @ self.triple.stiffness) - signed_square_slope(u, self.gain) * arg
+            return -apply_stiffness(self.triple, arg) - signed_square_slope(u, self.gain) * arg
         if which == "f_theta":
             return self.embed_theta(arg) if mode == "forward" else self.restrict_theta(arg)
         if which == "g_u":

@@ -3,7 +3,11 @@
 Everything (including dual-space elements) lives in nodal coordinates; dual
 pairings are realized through the measure-weighted dot product
 ``<w, v> = dx * w @ v``.  The stiffness operator plays the role of the Riesz
-map V -> V*, its inverse (applied spectrally) the inverse map.
+map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
+on demand, for the dense oracle and tests).  Its inverse and every V* pairing
+are taken on modal coefficients (nodal rows times the DST-I eigenbasis, the
+only n x n array kept), where K is the diagonal of its eigenvalues:
+||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.
 """
 
 import math
@@ -23,20 +27,31 @@ _ROW_BLOCK = 256
 class DiscreteGelfandTriple:
     """Nodal discretisation of V = H^1_0(0,1), H = L2(0,1), V* = H^-1(0,1).
 
-    The stiffness matrix is the standard (2, -1, -1)/dx^2 tridiagonal.  Its
-    eigenpairs are known in closed form (the orthonormal DST-I basis, ascending
-    eigenvalues); they are tabulated once and reused for every fast solve.
+    The stiffness operator K is the standard (2, -1, -1)/dx^2 tridiagonal,
+    applied by :func:`apply_stiffness` as a stencil.  Its eigenpairs are known
+    in closed form (the orthonormal DST-I basis, ascending eigenvalues); they
+    are tabulated once and are the only n x n array stored, reused for every
+    spectral solve and every V* pairing.
     """
 
     interior_points: int
     dx: float
-    stiffness: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def stiffness(self) -> np.ndarray:
+        """K as a dense matrix, assembled on every access (dense oracle and tests only)."""
+        n = self.interior_points
+        a = np.zeros((n, n))
+        a.flat[:: n + 1] = 2.0 / self.dx**2
+        a.flat[1 :: n + 1] = -1.0 / self.dx**2
+        a.flat[n :: n + 1] = -1.0 / self.dx**2
+        return a
+
 
 def build_triple(n_x: int) -> DiscreteGelfandTriple:
-    """Assemble the Dirichlet stiffness operator and tabulate its eigenpairs.
+    """Tabulate the eigenpairs of the Dirichlet stiffness operator.
 
     lam_j = (4/dx^2) sin^2(pi j dx/2) and q_ij = sqrt(2 dx) sin(pi i j dx) for
     i, j = 1..n_x; the sines are read from one table of length 2(n_x + 1)
@@ -45,10 +60,6 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
     if n_x < 1:
         raise ValidationError(f"need at least one interior point, got {n_x}")
     dx = 1.0 / (n_x + 1)
-    a = np.zeros((n_x, n_x))
-    a.flat[:: n_x + 1] = 2.0 / dx**2
-    a.flat[1 :: n_x + 1] = -1.0 / dx**2
-    a.flat[n_x :: n_x + 1] = -1.0 / dx**2
     j = np.arange(1, n_x + 1)
     lam = (4.0 / dx**2) * np.sin(0.5 * np.pi * dx * j) ** 2
     period = 2 * (n_x + 1)
@@ -58,7 +69,7 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
         phase = np.outer(j[lo : lo + _ROW_BLOCK], j)
         phase %= period
         np.take(table, phase, out=q[lo : lo + _ROW_BLOCK])
-    return DiscreteGelfandTriple(n_x, dx, a, lam, q)
+    return DiscreteGelfandTriple(n_x, dx, lam, q)
 
 
 def _check_width(triple: DiscreteGelfandTriple, v: np.ndarray, name: str = "vector"):
@@ -69,9 +80,25 @@ def _check_width(triple: DiscreteGelfandTriple, v: np.ndarray, name: str = "vect
 
 
 def apply_stiffness(triple: DiscreteGelfandTriple, v: np.ndarray) -> np.ndarray:
-    """Riesz map V -> V*: multiply by the stiffness operator (batched)."""
-    _check_width(triple, np.asarray(v))
-    return np.asarray(v) @ triple.stiffness
+    """Riesz map V -> V*: the stencil (2 v_i - v_{i-1} - v_{i+1}) / dx^2 (batched).
+
+    The neighbours are whole-buffer shifts of the contiguous rows laid end to
+    end, which beats strided per-row slices on small blocks; the two entries
+    per row that picked up a neighbour from the adjacent row are then reset to
+    their exact one-sided values.
+    """
+    v = np.asarray(v, dtype=float)
+    _check_width(triple, v)
+    n = v.shape[-1]
+    flat = v.ravel()
+    out = flat * 2.0
+    out[:-1] -= flat[1:]
+    out[n - 1 :: n] = flat[n - 1 :: n] * 2.0  # row ends: no right neighbour
+    starts = out[::n].copy()
+    out[1:] -= flat[:-1]
+    out[::n] = starts  # row starts: no left neighbour
+    out *= 1.0 / triple.dx**2
+    return out.reshape(v.shape)
 
 
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
@@ -79,6 +106,11 @@ def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w)
     _check_width(triple, w)
     return ((w @ triple.eigenvectors) / triple.eigenvalues) @ triple.eigenvectors.T
+
+
+def _dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:
+    """dx * sum(a_hat * b_hat / lam): the V* pairing of rows given as modal coefficients."""
+    return triple.dx * float(np.vdot(a_hat / triple.eigenvalues, b_hat))
 
 
 def solve_shifted_stiffness(triple: DiscreteGelfandTriple, tau, shift, rhs, step=None):
@@ -124,9 +156,10 @@ def inner(triple: DiscreteGelfandTriple, which: str, a: np.ndarray, b: np.ndarra
     if which == "H":
         return triple.dx * float(a @ b)
     if which == "V":
-        return triple.dx * float(a @ (triple.stiffness @ b))
+        return triple.dx * float(a @ apply_stiffness(triple, b))
     if which == "Vstar":
-        return triple.dx * float(a @ solve_stiffness(triple, b))
+        q = triple.eigenvectors
+        return _dual_pairing(triple, a @ q, b @ q)
     raise ValidationError(f"unknown inner product tag {which!r}")
 
 
@@ -248,7 +281,13 @@ def graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
     """Rows (u^{n+1} - u^n)/tau + K u^{n+1} for n = 0..N-1, shape (N, width)."""
     tau = u.grid.tau
     v = u.values
-    return (v[1:] - v[:-1]) / tau + v[1:] @ triple.stiffness
+    return (v[1:] - v[:-1]) / tau + apply_stiffness(triple, v[1:])
+
+
+def _modal_graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
+    """:func:`graph_rows` in modal coefficients: (c^{n+1} - c^n)/tau + lam c^{n+1}, c = u q."""
+    c = u.values @ triple.eigenvectors
+    return (c[1:] - c[:-1]) / u.grid.tau + triple.eigenvalues * c[1:]
 
 
 def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
@@ -256,28 +295,35 @@ def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> 
 
     Sum of tau * (du + Ku, dv + Kv)_{V*} over steps plus the H product of the
     initial values; this is the Hilbert structure in which the all-at-once
-    adjoint is taken.
+    adjoint is taken.  The graph rows are formed on modal coefficients, where
+    K is diagonal, so the pairing costs one basis product per argument (one
+    in all when both arguments are the same object) and no solve.
     """
     _same_grid(u, v)
-    tau, dx = u.grid.tau, triple.dx
-    eu = graph_rows(triple, u)
-    ev = graph_rows(triple, v)
-    bulk = tau * dx * float(np.sum(eu * solve_stiffness(triple, ev)))
-    return bulk + dx * float(u.values[0] @ v.values[0])
+    eu = _modal_graph_rows(triple, u)
+    ev = eu if v is u else _modal_graph_rows(triple, v)
+    bulk = u.grid.tau * _dual_pairing(triple, eu, ev)
+    return bulk + triple.dx * float(u.values[0] @ v.values[0])
 
 
 def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory) -> float:
-    """L2(0,T; V*) inner product, right-endpoint quadrature (node 0 weightless)."""
+    """L2(0,T; V*) inner product, right-endpoint quadrature (node 0 weightless).
+
+    Paired on modal coefficients: one basis product per argument, one in all
+    when both arguments are the same object.
+    """
     _same_grid(w, v)
-    tau, dx = w.grid.tau, triple.dx
-    return tau * dx * float(np.sum(w.values[1:] * solve_stiffness(triple, v.values[1:])))
+    q = triple.eigenvectors
+    w_hat = w.values[1:] @ q
+    v_hat = w_hat if v is w else v.values[1:] @ q
+    return w.grid.tau * _dual_pairing(triple, w_hat, v_hat)
 
 
 def inner_observation(triple: DiscreteGelfandTriple, z: Trajectory, y: Trajectory) -> float:
     """L2(0,T; H) inner product, right-endpoint quadrature (node 0 weightless)."""
     _same_grid(z, y)
     tau, dx = z.grid.tau, triple.dx
-    return tau * dx * float(np.sum(z.values[1:] * y.values[1:]))
+    return tau * dx * float(np.vdot(z.values[1:], y.values[1:]))
 
 
 def norm_state(triple, u):
@@ -296,4 +342,4 @@ def norm_l2_v(triple: DiscreteGelfandTriple, u: Trajectory) -> float:
     """L2(0,T; V) norm with the same right-endpoint quadrature."""
     tau, dx = u.grid.tau, triple.dx
     v = u.values[1:]
-    return float(np.sqrt(max(tau * dx * np.sum(v * (v @ triple.stiffness)), 0.0)))
+    return float(np.sqrt(max(tau * dx * np.vdot(v, apply_stiffness(triple, v)), 0.0)))

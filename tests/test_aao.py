@@ -4,8 +4,15 @@ import pytest
 from dyninv.aao import AaoPoint, ResidualTriple, data_triple, zero_point
 from dyninv.errors import ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
+from dyninv.methods import step_aao_irgnm
 from dyninv.problem import SemilinearDiffusion
-from dyninv.spaces import Trajectory, evolve_forward, zero_trajectory
+from dyninv.spaces import (
+    DiscreteGelfandTriple,
+    Trajectory,
+    evolve_forward,
+    norm_l2_v,
+    zero_trajectory,
+)
 
 from conftest import positive_theta
 
@@ -280,3 +287,23 @@ def test_operator_without_partition_rejects_slabs(rng):
     point = AaoPoint(zero_trajectory(grid, 5), np.zeros(5))
     with pytest.raises(ValidationError):
         op.slab_residual(point, 0, data_triple(grid, 5, zero_trajectory(grid, 5, "observation")))
+
+
+def test_run_path_never_builds_the_dense_stiffness(monkeypatch, rng):
+    """Residual, norms, adjoints, an IRGNM step and the truth march use the stencil."""
+
+    def forbidden(self):
+        raise AssertionError("dense stiffness matrix on a run path")
+
+    monkeypatch.setattr(DiscreteGelfandTriple, "stiffness", property(forbidden))
+    inst = make_instance(8, 6, 0.05, gain=10.0, m=2)
+    theta, state, y = synthesize_truth(inst)
+    data = data_triple(inst.grid, 8, y)
+    point = random_point(inst, rng)
+    op = inst.aao
+    resid = op.residual(point, data)
+    op.residual_norms(resid)
+    op.adjoint(point, resid)
+    op.slab_adjoint(point, 1, resid)
+    step_aao_irgnm(op, point, data, alpha=0.5, prior=AaoPoint(state, theta), resid=resid)
+    norm_l2_v(inst.triple, state)

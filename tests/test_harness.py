@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dyninv import harness
 from dyninv.cli import main as cli_main
 from dyninv.errors import ValidationError
 from dyninv.harness import (
@@ -265,6 +266,74 @@ def test_config_round_trips_through_dict(tmp_path):
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+def test_config_round_trips_apriori_stop_and_prior(tmp_path):
+    """The a-priori stop and the IRGNM prior survive the sweep's dict round trip."""
+    prior_state = np.arange(28.0).reshape(7, 4)
+    cfg = ExperimentConfig(
+        n_x=4, n_t=6, output_dir=str(tmp_path),
+        method=MethodConfig(
+            tag="aIRGNM", k_apriori=3, prior_theta=np.array([0.5, -1.0, 2.0, 0.25]),
+            prior_state=prior_state,
+        ),
+    )
+    raw = json.loads(json.dumps(cfg.to_dict()))
+    assert raw["method"]["prior_theta"] == [0.5, -1.0, 2.0, 0.25]
+    back = ExperimentConfig.from_dict(raw).method
+    assert back.k_apriori == 3
+    np.testing.assert_array_equal(back.prior_theta, cfg.method.prior_theta)
+    np.testing.assert_array_equal(back.prior_state, prior_state)
+    unset = json.loads(json.dumps(ExperimentConfig().to_dict()))["method"]
+    assert unset["k_apriori"] is None and unset["prior_theta"] is None
+    assert unset["prior_state"] is None
+    back = ExperimentConfig.from_dict({"method": unset}).method
+    assert back.k_apriori is None and back.prior_theta is None and back.prior_state is None
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs here."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "workers, seeds, cpus, expected",
+    [(64, [0, 1, 2], 8, [3]), (64, [0, 1, 2], 2, [2]), (2, [0, 1, 2], 8, [2]), (8, [0], 8, [])],
+)
+def test_sweep_clamps_workers(tmp_path, monkeypatch, workers, seeds, cpus, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "requested", [])
+    cfg = small_config(tmp_path, k_max=1)
+    out = sweep(cfg, deltas=[1e-3], seeds=seeds, workers=workers)
+    assert _InProcessPool.requested == expected
+    assert len(out["runs"]) == len(seeds)
+
+
+def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
+    calls = []
+    assemble = DenseOracle.aao_derivative_matrix
+
+    def counted(self, point, slab=None):
+        calls.append(slab)
+        return assemble(self, point, slab=slab)
+
+    monkeypatch.setattr(DenseOracle, "aao_derivative_matrix", counted)
+    assert selftest(verbose=False)
+    assert calls == [None, 0, 1]
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -279,6 +348,9 @@ def test_config_round_trips_through_dict(tmp_path):
         {"instance": {"T": 0.0}},
         {"instance": {"T": -0.1}},
         {"instance": {"n_t": 6}, "method": {"tag": "rLWK", "m": 4}},
+        {"instance": {"n_x": 6}, "method": {"prior_theta": [1.0, 2.0]}},
+        {"instance": {"n_x": 2, "n_t": 2}, "method": {"prior_state": [[0.0, 1.0]]}},
+        {"method": {"k_apriori": "three"}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):

@@ -11,8 +11,11 @@ from dyninv.spaces import (
     evolve_forward,
     graph_rows,
     inner,
+    inner_dual_load,
     inner_state,
     march_modes,
+    norm_dual_load,
+    norm_l2_v,
     solve_shifted_stiffness,
     solve_stiffness,
     zero_trajectory,
@@ -342,3 +345,72 @@ def test_graph_rows_of_constant():
     u = Trajectory(grid, np.tile(c, (6, 1)), "state")
     rows = graph_rows(triple, u)
     np.testing.assert_allclose(rows, np.tile(apply_stiffness(triple, c), (5, 1)), rtol=1e-12)
+
+
+def _batches(rng, n):
+    """1-d, 2-d and 3-d blocks of width n, plus two non-contiguous views."""
+    return [
+        rng.standard_normal(n),
+        rng.standard_normal((4, n)),
+        rng.standard_normal((2, 3, n)),
+        rng.standard_normal((3, 2 * n))[:, ::2],
+        rng.standard_normal((n, 5)).T,
+    ]
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 30, 1600])
+def test_stencil_matches_dense_stiffness(n_x, rng):
+    triple = build_triple(n_x)
+    a = triple.stiffness
+    for v in _batches(rng, n_x):
+        ref = v @ a
+        got = apply_stiffness(triple, v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_stencil_does_not_touch_its_input(rng):
+    triple = build_triple(6)
+    v = rng.standard_normal((3, 6))
+    kept = v.copy()
+    apply_stiffness(triple, v)
+    np.testing.assert_array_equal(v, kept)
+
+
+def _dense_inner_state(triple, u, v):
+    """The graph product from nodal graph rows and a Riesz solve."""
+    bulk = np.sum(graph_rows(triple, u) * solve_stiffness(triple, graph_rows(triple, v)))
+    return u.grid.tau * triple.dx * bulk + triple.dx * (u.values[0] @ v.values[0])
+
+
+@pytest.mark.parametrize("n_x, n_t", [(1, 3), (7, 5), (40, 12)])
+def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
+    triple = build_triple(n_x)
+    grid = make_time_grid(0.1, n_t)
+    u = Trajectory(grid, rng.standard_normal((n_t + 1, n_x)), "state")
+    v = Trajectory(grid, rng.standard_normal((n_t + 1, n_x)), "state")
+    for a, b in ((u, v), (u, u), (v, u)):
+        ref = _dense_inner_state(triple, a, b)
+        assert inner_state(triple, a, b) == pytest.approx(ref, rel=1e-12)
+        dual = grid.tau * triple.dx * np.sum(a.values[1:] * solve_stiffness(triple, b.values[1:]))
+        assert inner_dual_load(triple, a, b) == pytest.approx(dual, rel=1e-12)
+    # the self-pairing shortcut gives what two distinct but equal objects give
+    assert inner_state(triple, u, u) == inner_state(triple, u, u.copy())
+    assert norm_dual_load(triple, u) ** 2 == pytest.approx(
+        grid.tau * triple.dx * np.sum(u.values[1:] * solve_stiffness(triple, u.values[1:])),
+        rel=1e-12,
+    )
+    a, b = u.values[2], v.values[2]
+    assert inner(triple, "Vstar", a, b) == pytest.approx(
+        triple.dx * (a @ solve_stiffness(triple, b)), rel=1e-12
+    )
+    assert inner(triple, "V", a, b) == pytest.approx(triple.dx * (a @ triple.stiffness @ b), rel=1e-12)
+    l2v = grid.tau * triple.dx * np.sum(u.values[1:] * (u.values[1:] @ triple.stiffness))
+    assert norm_l2_v(triple, u) ** 2 == pytest.approx(l2v, rel=1e-12)
+
+
+def test_triple_stores_no_dense_stiffness():
+    """Only the eigenbasis is an n x n array; the stiffness is built on demand."""
+    triple = build_triple(50)
+    square = [f for f in vars(triple).values() if isinstance(f, np.ndarray) and f.ndim == 2]
+    assert len(square) == 1 and square[0] is triple.eigenvectors
