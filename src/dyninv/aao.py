@@ -6,14 +6,17 @@ the exact transpose of the discrete derivative under the graph inner product
 on states, which fixes every endpoint and quadrature choice below: the
 backward sweep reads its source one node above, the forward sweep pairs the
 adjoint state at the left node of each step.
+
+A slab map is the full map followed by the slab restriction P_j of
+:meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
+and idempotent, so the slab adjoint is the full adjoint of P_j r.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .grids import KaczmarzPartition, TimeGrid
+from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import ProblemDefinition
 from .spaces import (
     DiscreteGelfandTriple,
@@ -133,9 +136,6 @@ class AllAtOnceOperator:
         stiffness evolution and the parameter direction via right-endpoint
         quadrature of the adjoint integrands.
         """
-        return self._adjoint_masked(point, resid, weighted=None, include_initial=True)
-
-    def _adjoint_masked(self, point, resid, weighted, include_initial):
         # every channel but the initial one is read at nodes 1..N only
         u = point.state.values[1:]
         t = self._t[1:]
@@ -143,12 +143,7 @@ class AllAtOnceOperator:
         jac = self.problem.apply_jac
         w = resid.model.values[1:]
         z = resid.observation.values[1:]
-        if weighted is not None:
-            mask = np.zeros(self.grid.node_count, dtype=bool)
-            mask[weighted] = True
-            w = np.where(mask[1:, None], w, 0.0)
-            z = np.where(mask[1:, None], z, 0.0)
-        h = resid.initial if include_initial else np.zeros_like(resid.initial)
+        h = resid.initial
 
         # w enters the basis once: K^{-1} w is a modal scaling, and the
         # modal w is also the load of the forward sweep below
@@ -173,44 +168,32 @@ class AllAtOnceOperator:
 
     # -- slab operators --------------------------------------------------------
 
+    def slab_restrict(self, resid: ResidualTriple, j: int) -> ResidualTriple:
+        """P_j: the model and observation rows on the weighted nodes of slab j,
+        the initial row on slab 0 only."""
+        part = require_partition(self.partition)
+        return ResidualTriple(
+            Trajectory(self.grid, part.restrict(resid.model.values, j), "dual_load"),
+            resid.initial if j == 0 else np.zeros_like(resid.initial),
+            Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
+        )
+
     def slab_residual(self, point: AaoPoint, j: int, data: ResidualTriple) -> ResidualTriple:
-        """Restriction of the residual to slab j (initial row only on slab 0)."""
-        part = self._require_partition()
-        full = self.residual(point, data)
-        return self._mask_triple(full, part.weighted_nodes(j), include_initial=(j == 0))
+        """P_j of the residual."""
+        return self.slab_restrict(self.residual(point, data), j)
 
     def slab_derivative(self, point, j, dstate, dtheta) -> ResidualTriple:
-        part = self._require_partition()
-        full = self.derivative(point, dstate, dtheta)
-        return self._mask_triple(full, part.weighted_nodes(j), include_initial=(j == 0))
+        return self.slab_restrict(self.derivative(point, dstate, dtheta), j)
 
     def slab_adjoint(self, point, j, resid) -> tuple[Trajectory, np.ndarray]:
-        """Adjoint of the slab operator: slab-supported sources, full-horizon sweeps.
+        """Adjoint of the slab derivative: the full adjoint of P_j resid.
 
-        Below the slab the backward state keeps evolving with zero source; it
-        is not frozen.  The exact-transpose requirement forces this choice.
+        The sources are supported on the slab, but both sweeps run over the
+        whole horizon: below the slab the backward state keeps evolving with
+        zero source; it is not frozen.  The exact-transpose requirement
+        forces this choice.
         """
-        part = self._require_partition()
-        return self._adjoint_masked(
-            point, resid, weighted=part.weighted_nodes(j), include_initial=(j == 0)
-        )
-
-    def _mask_triple(self, full, weighted, include_initial):
-        mask = np.zeros(self.grid.node_count, dtype=bool)
-        mask[weighted] = True
-        w = np.where(mask[:, None], full.model.values, 0.0)
-        z = np.where(mask[:, None], full.observation.values, 0.0)
-        h = full.initial if include_initial else np.zeros_like(full.initial)
-        return ResidualTriple(
-            Trajectory(self.grid, w, "dual_load"),
-            h,
-            Trajectory(self.grid, z, "observation"),
-        )
-
-    def _require_partition(self) -> KaczmarzPartition:
-        if self.partition is None:
-            raise ValidationError("operator was built without a partition")
-        return self.partition
+        return self.adjoint(point, self.slab_restrict(resid, j))
 
     # -- norms -------------------------------------------------------------------
 

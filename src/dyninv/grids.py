@@ -78,9 +78,27 @@ class KaczmarzPartition:
         lo, hi = self.node_range(j)
         return slice(lo + 1, hi + 1)
 
+    def restrict(self, values: np.ndarray, j: int) -> np.ndarray:
+        """P_j: node-indexed rows kept on the weighted nodes of slab j, zero elsewhere.
+
+        P_j is self-adjoint and idempotent under every time-row quadrature,
+        and the P_j of all slabs sum to the identity on nodes 1..N.
+        """
+        rows = self.weighted_nodes(j)
+        out = np.zeros_like(values)
+        out[rows] = values[rows]
+        return out
+
     def _check(self, j: int):
         if not 0 <= j < self.slab_count:
             raise ValidationError(f"slab index {j} out of range [0, {self.slab_count})")
+
+
+def require_partition(partition: KaczmarzPartition | None) -> KaczmarzPartition:
+    """The partition of a slab operator; an operator built without one has no slabs."""
+    if partition is None:
+        raise ValidationError("operator was built without a partition")
+    return partition
 
 
 def make_partition(grid: TimeGrid, slab_count: int) -> KaczmarzPartition:

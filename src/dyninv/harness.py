@@ -81,44 +81,42 @@ class ExperimentConfig:
         for section, keys in known.items():
             if isinstance(keys, dict) and section in raw:
                 _check_keys(raw[section], keys, f"config section {section!r}")
+        # a missing key falls back to what to_dict writes for the defaults
+        inst, truth, method, noise = (
+            {**known[section], **raw.get(section, {})}
+            for section in ("instance", "truth", "method", "noise")
+        )
+        top = {**known, **raw}
         try:
-            inst = raw.get("instance", {})
-            method_raw = dict(raw.get("method", {}))
-            stepsize = "fixed"
-            mu = method_raw.get("mu", 1.0)
-            if mu == "norm":
-                stepsize, mu = "norm", 1.0
-            method = MethodConfig(
-                tag=method_raw.get("tag", "rLW"),
-                mu=float(mu),
-                stepsize=stepsize,
-                alpha0=float(method_raw.get("alpha0", 1.0)),
-                q=float(method_raw.get("q", 2.0 / 3.0)),
-                tau_disc=float(method_raw.get("tau_disc", 2.5)),
-                k_max=int(method_raw.get("k_max", 100)),
-                m=int(method_raw.get("m", 1)),
-                cg_tol=float(method_raw.get("cg_tol", 1e-8)),
-                cg_max=int(method_raw.get("cg_max", 500)),
-                k_apriori=_optional(int, method_raw.get("k_apriori")),
-                prior_theta=_optional(_float_array, method_raw.get("prior_theta")),
-                prior_state=_optional(_float_array, method_raw.get("prior_state")),
-            )
-            noise = raw.get("noise", {})
-            truth = raw.get("truth", {})
+            norm = method["mu"] == "norm"
             return cls(
-                n_x=int(inst.get("n_x", 100)),
-                n_t=int(inst.get("n_t", 100)),
-                horizon=float(inst.get("T", 0.1)),
-                gain=float(inst.get("gain", 10.0)),
-                truth_kind=truth.get("kind", "sine"),
-                truth_amplitude=float(truth.get("amplitude", 0.1)),
-                method=method,
-                delta_w=float(noise.get("delta_w", 0.0)),
-                delta_z=float(noise.get("delta_z", 0.0)),
-                seed=int(noise.get("seed", 0)),
-                output_dir=raw.get("output_dir", "out"),
-                policy=inst.get("policy", "imex"),
-                start_at_truth=bool(raw.get("start_at_truth", False)),
+                n_x=int(inst["n_x"]),
+                n_t=int(inst["n_t"]),
+                horizon=float(inst["T"]),
+                gain=float(inst["gain"]),
+                truth_kind=truth["kind"],
+                truth_amplitude=float(truth["amplitude"]),
+                method=MethodConfig(
+                    tag=method["tag"],
+                    mu=MethodConfig.mu if norm else float(method["mu"]),
+                    stepsize="norm" if norm else "fixed",
+                    alpha0=float(method["alpha0"]),
+                    q=float(method["q"]),
+                    tau_disc=float(method["tau_disc"]),
+                    k_max=int(method["k_max"]),
+                    m=int(method["m"]),
+                    cg_tol=float(method["cg_tol"]),
+                    cg_max=int(method["cg_max"]),
+                    k_apriori=_optional(int, method["k_apriori"]),
+                    prior_theta=_optional(_float_array, method["prior_theta"]),
+                    prior_state=_optional(_float_array, method["prior_state"]),
+                ),
+                delta_w=float(noise["delta_w"]),
+                delta_z=float(noise["delta_z"]),
+                seed=int(noise["seed"]),
+                output_dir=top["output_dir"],
+                policy=inst["policy"],
+                start_at_truth=bool(top["start_at_truth"]),
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad config: {exc}") from exc
@@ -308,8 +306,8 @@ def estimate_tangential_cone(
         for _ in range(sample_count):
             t1 = theta_center + _scaled(rng, theta_center.shape, radius, instance.problem.norm_theta)
             t2 = theta_center + _scaled(rng, theta_center.shape, radius, instance.problem.norm_theta)
-            y1, s1 = _forward(solver, t1)
-            y2, _ = _forward(solver, t2)
+            y1, s1 = solver.forward(t1)
+            y2, _ = solver.forward(t2)
             lin = solver.derivative(t1, s1, t2 - t1)
             num_traj = Trajectory(grid, y2.values - y1.values - lin.values, "observation")
             den_traj = Trajectory(grid, y2.values - y1.values, "observation")
@@ -359,11 +357,6 @@ def estimate_tangential_cone(
     if ratios:
         result.channel_shares = tuple(shares / len(ratios))
     return result
-
-
-def _forward(solver, theta):
-    state = solver.solve_state(theta)
-    return solver.observe(state, theta), state
 
 
 def _scaled(rng, shape, radius, norm):

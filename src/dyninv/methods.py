@@ -14,7 +14,7 @@ import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
 from .errors import InnerSolveError, SolverError, ValidationError
-from .grids import KaczmarzPartition, TimeGrid
+from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import ProblemDefinition
 from .reduced import ReducedOperator
 from .spaces import (
@@ -169,28 +169,38 @@ def _flatten(du: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     return np.concatenate([du.ravel(), dtheta])
 
 
-def _split(flat, grid, width, n_theta):
+def _split(flat, grid, width):
     cut = grid.node_count * width
     return flat[:cut].reshape(grid.node_count, width), flat[cut:]
 
 
-def _joint_inner(triple, problem, grid):
-    """Inner product on flattened joint unknowns: graph product plus parameter product.
+def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
+    """On flattened joint unknowns: the derivative at point, its adjoint, and
+    the inner product (graph product plus parameter product).
 
     A self-pairing hands :func:`inner_state` one trajectory object for both
     arguments, which halves its basis products.
     """
-    width, n_theta = triple.interior_points, problem.n_theta
+    grid, triple, problem = op.grid, op.triple, op.problem
+    width = point.state.width
+
+    def forward(flat):
+        du, dtheta = _split(flat, grid, width)
+        return op.derivative(point, Trajectory(grid, du, "state"), dtheta)
+
+    def adjoint(resid):
+        dstate, dtheta = op.adjoint(point, resid)
+        return _flatten(dstate.values, dtheta)
 
     def pair_inner(a, b):
-        ua, ta = _split(a, grid, width, n_theta)
+        ua, ta = _split(a, grid, width)
         sa = Trajectory(grid, ua, "state")
         if b is a:
             return inner_state(triple, sa, sa) + problem.inner_theta(ta, ta)
-        ub, tb = _split(b, grid, width, n_theta)
+        ub, tb = _split(b, grid, width)
         return inner_state(triple, sa, Trajectory(grid, ub, "state")) + problem.inner_theta(ta, tb)
 
-    return pair_inner
+    return forward, adjoint, pair_inner
 
 
 # -- single steps ------------------------------------------------------------------
@@ -200,34 +210,31 @@ def step_aao_landweber(op: AllAtOnceOperator, point, data, mu, resid=None):
     """One joint Landweber update; reuses a precomputed residual if given."""
     if resid is None:
         resid = op.residual(point, data)
-    dstate, dtheta = op.adjoint(point, resid)
-    new_state = Trajectory(op.grid, point.state.values - mu * dstate.values, "state")
-    return AaoPoint(new_state, point.theta - mu * dtheta)
+    return _descend(point, mu, op.adjoint(point, resid))
 
 
 def step_aao_landweber_kaczmarz(op, point, data, mu, k, resid=None):
-    """One cyclic slab update; the slab is k mod m."""
-    part = op._require_partition()
-    j = part.slab_index(k)
+    """One cyclic slab update; the slab is k mod m, the residual the full one."""
     if resid is None:
-        slab = op.slab_residual(point, j, data)
-    else:
-        slab = op._mask_triple(resid, part.weighted_nodes(j), include_initial=(j == 0))
-    dstate, dtheta = op.slab_adjoint(point, j, slab)
-    new_state = Trajectory(op.grid, point.state.values - mu * dstate.values, "state")
+        resid = op.residual(point, data)
+    j = require_partition(op.partition).slab_index(k)
+    return _descend(point, mu, op.slab_adjoint(point, j, resid))
+
+
+def _descend(point, mu, direction):
+    """The Landweber update x - mu * direction of a joint iterate."""
+    dstate, dtheta = direction
+    new_state = Trajectory(point.state.grid, point.state.values - mu * dstate.values, "state")
     return AaoPoint(new_state, point.theta - mu * dtheta)
 
 
 def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
     """Regularized Gauss-Newton step via CG on the joint normal equations."""
-    grid, width = op.grid, point.state.width
-    n_theta = point.theta.size
+    grid = op.grid
+    forward, adjoint, pair_inner = _joint_maps(op, point)
 
     def normal_apply(flat):
-        du, dtheta = _split(flat, grid, width, n_theta)
-        out = op.derivative(point, Trajectory(grid, du, "state"), dtheta)
-        astate, atheta = op.adjoint(point, out)
-        return _flatten(astate.values, atheta) + alpha * flat
+        return adjoint(forward(flat)) + alpha * flat
 
     if resid is None:
         resid = op.residual(point, data)
@@ -239,11 +246,9 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
         lin.initial - resid.initial,
         Trajectory(grid, lin.observation.values - resid.observation.values, "observation"),
     )
-    bstate, btheta = op.adjoint(point, rhs_triple)
-    rhs = _flatten(bstate.values, btheta)
-    pair_inner = _joint_inner(op.triple, op.problem, grid)
+    rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
-    du, dtheta = _split(sol, grid, width, n_theta)
+    du, dtheta = _split(sol, grid, point.state.width)
     return AaoPoint(
         Trajectory(grid, prior.state.values + du, "state"), prior.theta + dtheta
     )
@@ -255,9 +260,9 @@ def step_reduced_landweber(op: ReducedOperator, theta, z, state, mu):
 
 
 def step_reduced_landweber_kaczmarz(op, theta, z, state, mu, k):
-    part = op._require_partition()
-    j = part.slab_index(k)
-    return theta - mu * op.slab_adjoint(theta, state, op.slab_restrict(z, j), j)
+    """One cyclic reduced slab update from the full residual z; the slab is k mod m."""
+    j = require_partition(op.partition).slab_index(k)
+    return theta - mu * op.slab_adjoint(theta, state, z, j)
 
 
 def step_reduced_irgnm(op, theta, z, state, alpha, theta_bar, cg_tol=1e-8, cg_max=500):
@@ -345,7 +350,7 @@ def run(
     }
     sweep_len = config.m if tag in ("aLWK", "rLWK") else 1
 
-    k = 0
+    k, failure = 0, None
     while True:
         if aao_method:
             resid = op.residual(point, data)
@@ -368,21 +373,17 @@ def run(
         record.rows.append(row)
 
         if not math.isfinite(res_total):
-            record.k_star, record.stop_reason = k, "diverged"
-            record.theta_final = cur_theta.copy()
-            record.state_final = cur_state
-            exc = SolverError(f"{tag} diverged: residual {res_total} at iteration {k}")
-            exc.record = record
-            raise exc
-
+            reason = "diverged"
+            failure = SolverError(f"{tag} diverged: residual {res_total} at iteration {k}")
+            break
         if k % sweep_len == 0 and res_total <= config.tau_disc * delta:
-            record.k_star, record.stop_reason = k, "discrepancy"
+            reason = "discrepancy"
             break
         if config.k_apriori is not None and k >= config.k_apriori:
-            record.k_star, record.stop_reason = k, "a-priori"
+            reason = "a-priori"
             break
         if k >= config.k_max:
-            record.k_star, record.stop_reason = k, "k_max"
+            reason = "k_max"
             break
 
         tic = time.perf_counter()
@@ -407,16 +408,17 @@ def run(
                 )
         except SolverError as exc:
             # abort but keep what was measured so far
-            record.k_star, record.stop_reason = k, "error"
-            record.theta_final = cur_theta.copy()
-            record.state_final = cur_state
-            exc.record = record
-            raise
+            reason, failure = "error", exc
+            break
         row.step_ms = (time.perf_counter() - tic) * 1e3
         k += 1
 
+    record.k_star, record.stop_reason = k, reason
     record.theta_final = cur_theta.copy()
     record.state_final = cur_state
+    if failure is not None:
+        failure.record = record
+        raise failure
     return record
 
 
@@ -437,22 +439,8 @@ def _norm_stepsize(config, instance, start, y_data):
     """mu = 0.95 / ||derivative at the start point||^2, estimated by power iteration."""
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
-        op = instance.aao
-        point = start
-        grid, width = instance.grid, instance.triple.interior_points
-        n_theta = instance.problem.n_theta
-
-        def fwd(flat):
-            du, dtheta = _split(flat, grid, width, n_theta)
-            return op.derivative(point, Trajectory(grid, du, "state"), dtheta)
-
-        def adj(triple_out):
-            ds, dt = op.adjoint(point, triple_out)
-            return _flatten(ds.values, dt)
-
-        start_vec = rng.standard_normal(grid.node_count * width + n_theta)
-        pair_inner = _joint_inner(instance.triple, instance.problem, grid)
-        est = estimate_operator_norm(fwd, adj, pair_inner, start_vec)
+        fwd, adj, inner = _joint_maps(instance.aao, start)
+        size = start.state.values.size + start.theta.size
     else:
         op = instance.reduced
         _, state = op.forward(start)
@@ -463,8 +451,8 @@ def _norm_stepsize(config, instance, start, y_data):
         def adj(z):
             return op.adjoint(start, state, z)
 
-        start_vec = rng.standard_normal(instance.problem.n_theta)
-        est = estimate_operator_norm(fwd, adj, op.problem.inner_theta, start_vec)
+        inner, size = op.problem.inner_theta, start.size
+    est = estimate_operator_norm(fwd, adj, inner, rng.standard_normal(size))
     if est == 0.0:
         return config.mu
     return 0.95 / est**2

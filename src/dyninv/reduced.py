@@ -17,13 +17,15 @@ adjoint all solve it with :func:`~dyninv.spaces.solve_shifted_stiffness`.
 
 The adjoint is its exact discrete transpose (a backward sweep with the
 transposed step maps, followed by right-endpoint quadrature of the parameter
-terms).
+terms).  A slab map is the full map followed by the slab restriction P_j of
+:meth:`ReducedOperator.slab_restrict`, so the slab adjoint is the full adjoint
+of P_j z.
 """
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .grids import KaczmarzPartition, TimeGrid
+from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import ProblemDefinition
 from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness
 
@@ -187,9 +189,6 @@ class ReducedOperator:
     def adjoint(self, theta, state: Trajectory, z: Trajectory) -> np.ndarray:
         """Parameter-space adjoint: quadrature of the adjoint-state integrands."""
         p = self.solve_adjoint(theta, state, z)
-        return self._assemble_theta(theta, state, z, p)
-
-    def _assemble_theta(self, theta, state, z, p):
         u = state.values
         tau = self.grid.tau
         jac = self.problem.apply_jac
@@ -206,29 +205,20 @@ class ReducedOperator:
     # -- slab operators -------------------------------------------------------------
 
     def slab_restrict(self, traj: Trajectory, j: int) -> Trajectory:
-        """Extension by zero of the slab-j restriction (weighted nodes only)."""
-        part = self._require_partition()
-        mask = np.zeros(self.grid.node_count, dtype=bool)
-        mask[part.weighted_nodes(j)] = True
-        return Trajectory(self.grid, np.where(mask[:, None], traj.values, 0.0), traj.space_tag)
+        """P_j: extension by zero of the slab-j restriction (weighted nodes only)."""
+        part = require_partition(self.partition)
+        return Trajectory(self.grid, part.restrict(traj.values, j), traj.space_tag)
 
     def slab_derivative(self, theta, state, xi, j) -> Trajectory:
         return self.slab_restrict(self.derivative(theta, state, xi), j)
 
-    def slab_adjoint(self, theta, state, z_j: Trajectory, j) -> np.ndarray:
-        """Adjoint of the slab restriction.
+    def slab_adjoint(self, theta, state, z: Trajectory, j) -> np.ndarray:
+        """Adjoint of the slab derivative: the full adjoint of P_j z.
 
         The observation source is supported on the slab while the backward
         sweep and the model-term quadrature run over the whole horizon.
         """
-        z = self.slab_restrict(z_j, j)
-        p = self.solve_adjoint(theta, state, z)
-        return self._assemble_theta(theta, state, z, p)
-
-    def _require_partition(self) -> KaczmarzPartition:
-        if self.partition is None:
-            raise ValidationError("operator was built without a partition")
-        return self.partition
+        return self.adjoint(theta, state, self.slab_restrict(z, j))
 
     def _check_state(self, state: Trajectory):
         if state.grid != self.grid:

@@ -252,7 +252,7 @@ def test_sum_over_slabs_identity(small_instance, rng):
     total = 0.0
     for j in range(part.slab_count):
         slab_out = op.slab_derivative(point, j, dstate, dtheta)
-        slab_resid = op._mask_triple(resid, part.weighted_nodes(j), include_initial=(j == 0))
+        slab_resid = op.slab_restrict(resid, j)
         total += op.inner_residual(slab_out, slab_resid)
     assert total == pytest.approx(full, rel=1e-12)
 

@@ -166,9 +166,7 @@ def test_criterion_3_adjoint_suite():
         dstate = Trajectory(inst4.grid, rng.standard_normal((49, 50)), "state")
         dtheta = rng.standard_normal(50)
         resid = _random_triple(inst4, rng)
-        slab_resid = inst4.aao._mask_triple(
-            resid, inst4.partition.weighted_nodes(j), include_initial=(j == 0)
-        )
+        slab_resid = inst4.aao.slab_restrict(resid, j)
         lhs = inst4.aao.inner_residual(
             inst4.aao.slab_derivative(point4, j, dstate, dtheta), slab_resid
         )
@@ -515,9 +513,7 @@ def test_criterion_7_degeneration_and_additivity():
     slab_sum = 0.0
     worst_gap = 0.0
     for j in range(4):
-        slab_resid = inst4.aao._mask_triple(
-            resid, inst4.partition.weighted_nodes(j), include_initial=(j == 0)
-        )
+        slab_resid = inst4.aao.slab_restrict(resid, j)
         slab_sum += inst4.aao.inner_residual(
             inst4.aao.slab_derivative(point, j, dstate, dtheta), slab_resid
         )

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -287,6 +288,15 @@ def test_config_round_trips_apriori_stop_and_prior(tmp_path):
     assert unset["prior_state"] is None
     back = ExperimentConfig.from_dict({"method": unset}).method
     assert back.k_apriori is None and back.prior_theta is None and back.prior_state is None
+
+
+def test_config_from_empty_dict_is_the_default_config():
+    """Every omitted key falls back to its dataclass default, the method's included."""
+    got, want = ExperimentConfig.from_dict({}), ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    for f in fields(MethodConfig):
+        assert getattr(got.method, f.name) == getattr(want.method, f.name), f.name
 
 
 class _InProcessPool:

@@ -1,4 +1,4 @@
-"""Property tests of the spatial kernels over small random sizes and batch shapes."""
+"""Property tests over small random sizes: the spatial kernels and the slab operators."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dyninv.grids import make_time_grid  # noqa: E402
+from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple  # noqa: E402
+from dyninv.grids import make_partition, make_time_grid  # noqa: E402
+from dyninv.harness import make_instance  # noqa: E402
+from dyninv.reduced import ReducedOperator  # noqa: E402
 from dyninv.spaces import (  # noqa: E402
     Trajectory,
     apply_stiffness,
     build_triple,
     graph_rows,
+    inner_observation,
     inner_state,
     solve_stiffness,
 )
+
+from conftest import positive_theta  # noqa: E402
 
 SMALL = settings(max_examples=60, deadline=None)
 sizes = st.integers(min_value=1, max_value=12)
@@ -52,3 +58,70 @@ def test_inner_state_symmetric_and_equal_to_dense_formula(n_x, n_t, seed):
     scale = np.sqrt(inner_state(triple, u, u) * inner_state(triple, v, v))
     assert abs(uv - vu) <= 1e-14 * scale
     assert abs(uv - dense) <= 1e-12 * scale
+
+
+@st.composite
+def slab_cases(draw):
+    """(n_x <= 8, N <= 12, m | N, gain, policy)."""
+    n_t = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.sampled_from([d for d in range(1, n_t + 1) if n_t % d == 0]))
+    gain = draw(st.floats(min_value=0.5, max_value=20.0))
+    n_x = draw(st.integers(min_value=1, max_value=8))
+    return n_x, n_t, m, gain, draw(st.sampled_from(["imex", "newton"]))
+
+
+def _trajectory(rng, grid, n_x, tag):
+    return Trajectory(grid, rng.standard_normal((grid.node_count, n_x)), tag)
+
+
+def _check_slabs(full, slabs, m1, pairs):
+    """Slab adjoints sum to the full one, each satisfies its dot-product
+    identity, and the single slab of m = 1 is the full adjoint exactly."""
+    total = sum(slabs)
+    assert np.max(np.abs(total - full)) <= 1e-12 * np.max(np.abs(full))
+    for lhs, rhs in pairs:
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-300)
+    assert np.array_equal(m1, full)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=slab_cases(), seed=seeds)
+def test_slab_adjoints_are_restricted_full_adjoints(case, seed):
+    n_x, n_t, m, gain, policy = case
+    inst = make_instance(n_x, n_t, 0.1, gain, m=m, policy=policy)
+    grid, triple, problem = inst.grid, inst.triple, inst.problem
+    one = make_partition(grid, 1)
+    rng = np.random.default_rng(seed)
+
+    op = inst.aao
+    point = AaoPoint(_trajectory(rng, grid, n_x, "state"), rng.standard_normal(n_x))
+    resid = ResidualTriple(
+        _trajectory(rng, grid, n_x, "dual_load"),
+        rng.standard_normal(n_x),
+        _trajectory(rng, grid, n_x, "observation"),
+    )
+    dstate, dtheta = _trajectory(rng, grid, n_x, "state"), rng.standard_normal(n_x)
+
+    def flat(direction):
+        return np.concatenate([direction[0].values.ravel(), direction[1]])
+
+    slabs, pairs = [], []
+    for j in range(m):
+        adj = op.slab_adjoint(point, j, resid)
+        slabs.append(flat(adj))
+        lhs = op.inner_residual(op.slab_derivative(point, j, dstate, dtheta), resid)
+        pairs.append((lhs, inner_state(triple, dstate, adj[0]) + problem.inner_theta(dtheta, adj[1])))
+    m1 = AllAtOnceOperator(problem, triple, grid, one).slab_adjoint(point, 0, resid)
+    _check_slabs(flat(op.adjoint(point, resid)), slabs, flat(m1), pairs)
+
+    red = inst.reduced
+    theta = positive_theta(triple)
+    state = red.solve_state(theta)
+    z, xi = _trajectory(rng, grid, n_x, "observation"), rng.standard_normal(n_x)
+    slabs, pairs = [], []
+    for j in range(m):
+        slabs.append(red.slab_adjoint(theta, state, z, j))
+        lhs = inner_observation(triple, red.slab_derivative(theta, state, xi, j), z)
+        pairs.append((lhs, problem.inner_theta(xi, slabs[-1])))
+    m1 = ReducedOperator(problem, triple, grid, one, policy=policy).slab_adjoint(theta, state, z, 0)
+    _check_slabs(red.adjoint(theta, state, z), slabs, m1, pairs)
