@@ -1,7 +1,7 @@
 """All-at-once versus reduced iterative regularization for dynamic inverse problems."""
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
-from .errors import InnerSolveError, SolverError, ValidationError
+from .errors import InnerSolveError, SelfTestError, SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, make_partition, make_time_grid
 from .harness import (
     DenseOracle,
@@ -24,7 +24,7 @@ from .methods import (
     estimate_operator_norm,
     run,
 )
-from .problem import ProblemDefinition, SemilinearDiffusion, signed_square, signed_square_slope
+from .problem import SemilinearDiffusion, signed_square, signed_square_slope
 from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,

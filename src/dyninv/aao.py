@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import KaczmarzPartition, TimeGrid, require_partition
-from .problem import ProblemDefinition
+from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
     inner_dual_load,
     inner_observation,
     march_modes,
+    norm_dual_load,
+    norm_observation,
     zero_trajectory,
 )
 
@@ -51,7 +53,7 @@ class ResidualTriple:
         self.initial = np.asarray(self.initial, dtype=float)
 
 
-def zero_point(triple: DiscreteGelfandTriple, grid: TimeGrid, problem: ProblemDefinition) -> AaoPoint:
+def zero_point(triple: DiscreteGelfandTriple, grid: TimeGrid, problem: SemilinearDiffusion) -> AaoPoint:
     return AaoPoint(
         zero_trajectory(grid, triple.interior_points, "state"), np.zeros(problem.n_theta)
     )
@@ -69,7 +71,7 @@ class AllAtOnceOperator:
 
     def __init__(
         self,
-        problem: ProblemDefinition,
+        problem: SemilinearDiffusion,
         triple: DiscreteGelfandTriple,
         grid: TimeGrid,
         partition: KaczmarzPartition | None = None,
@@ -199,12 +201,10 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        nw = np.sqrt(max(inner_dual_load(self.triple, resid.model, resid.model), 0.0))
-        nh = np.sqrt(self.triple.dx * float(resid.initial @ resid.initial))
-        ny = np.sqrt(
-            max(inner_observation(self.triple, resid.observation, resid.observation), 0.0)
-        )
-        return float(nw), float(nh), float(ny), float(np.sqrt(nw**2 + nh**2 + ny**2))
+        nw = norm_dual_load(self.triple, resid.model)
+        nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
+        ny = norm_observation(self.triple, resid.observation)
+        return nw, nh, ny, float(np.sqrt(nw**2 + nh**2 + ny**2))
 
     def inner_residual(self, a: ResidualTriple, b: ResidualTriple) -> float:
         """Inner product of the residual space (all three channels)."""

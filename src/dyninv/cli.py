@@ -1,14 +1,14 @@
 """Command-line interface: run / compare / selftest / sweep.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure, 3 self-test
-failure.
+failure (of ``selftest`` or of the gate every other subcommand passes first).
 """
 
 import argparse
 import json
 import sys
 
-from .errors import SolverError, ValidationError
+from .errors import SelfTestError, SolverError, ValidationError
 from .harness import ExperimentConfig, compare, run_experiment, selftest, sweep
 
 
@@ -93,6 +93,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    except SelfTestError as exc:
+        print(f"self-test failure: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

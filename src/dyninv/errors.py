@@ -25,3 +25,7 @@ class InnerSolveError(SolverError):
     def __init__(self, message, achieved):
         super().__init__(message)
         self.achieved = achieved
+
+
+class SelfTestError(RuntimeError):
+    """The oracle self-test gate failed, so no experiment was run."""

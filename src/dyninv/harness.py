@@ -12,15 +12,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple
-from .errors import ValidationError
+from .errors import SelfTestError, ValidationError
 from .grids import make_partition, make_time_grid
-from .methods import MethodConfig, ProblemInstance, RunRecord, run
+from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, run
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
 from .spaces import (
@@ -32,7 +33,6 @@ from .spaces import (
     zero_trajectory,
 )
 
-ITERATIONS_HEADER = ["k", "res_total", "res_w", "res_h", "res_y", "err_theta", "err_u_L2V", "step_ms"]
 RECONSTRUCTION_HEADER = ["x", "theta_true", "theta_rec", "u_err_final"]
 
 
@@ -56,7 +56,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     policy: str = "imex"
     start_at_truth: bool = False
-    skip_selftest_gate: bool = False
 
     def __post_init__(self):
         if self.delta_w < 0 or self.delta_z < 0:
@@ -90,35 +89,35 @@ class ExperimentConfig:
         try:
             norm = method["mu"] == "norm"
             return cls(
-                n_x=int(inst["n_x"]),
-                n_t=int(inst["n_t"]),
-                horizon=float(inst["T"]),
-                gain=float(inst["gain"]),
+                n_x=_int(inst["n_x"]),
+                n_t=_int(inst["n_t"]),
+                horizon=_float(inst["T"]),
+                gain=_float(inst["gain"]),
                 truth_kind=truth["kind"],
-                truth_amplitude=float(truth["amplitude"]),
+                truth_amplitude=_float(truth["amplitude"]),
                 method=MethodConfig(
                     tag=method["tag"],
-                    mu=MethodConfig.mu if norm else float(method["mu"]),
+                    mu=MethodConfig.mu if norm else _float(method["mu"]),
                     stepsize="norm" if norm else "fixed",
-                    alpha0=float(method["alpha0"]),
-                    q=float(method["q"]),
-                    tau_disc=float(method["tau_disc"]),
-                    k_max=int(method["k_max"]),
-                    m=int(method["m"]),
-                    cg_tol=float(method["cg_tol"]),
-                    cg_max=int(method["cg_max"]),
-                    k_apriori=_optional(int, method["k_apriori"]),
+                    alpha0=_float(method["alpha0"]),
+                    q=_float(method["q"]),
+                    tau_disc=_float(method["tau_disc"]),
+                    k_max=_int(method["k_max"]),
+                    m=_int(method["m"]),
+                    cg_tol=_float(method["cg_tol"]),
+                    cg_max=_int(method["cg_max"]),
+                    k_apriori=_optional(_int, method["k_apriori"]),
                     prior_theta=_optional(_float_array, method["prior_theta"]),
                     prior_state=_optional(_float_array, method["prior_state"]),
                 ),
-                delta_w=float(noise["delta_w"]),
-                delta_z=float(noise["delta_z"]),
-                seed=int(noise["seed"]),
+                delta_w=_float(noise["delta_w"]),
+                delta_z=_float(noise["delta_z"]),
+                seed=_int(noise["seed"]),
                 output_dir=top["output_dir"],
                 policy=inst["policy"],
-                start_at_truth=bool(top["start_at_truth"]),
+                start_at_truth=_bool(top["start_at_truth"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad config: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -155,6 +154,19 @@ class ExperimentConfig:
 def _optional(convert, value):
     """``convert(value)``, with None (JSON null) passed through."""
     return None if value is None else convert(value)
+
+
+def _typed(kind, value):
+    """``kind(value)`` for a JSON value of that kind: true/false alone are
+    booleans and no numbers, and an integer has no fractional part."""
+    if (kind is bool) != isinstance(value, bool) or (kind is int and not float(value).is_integer()):
+        raise ValidationError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+_int = partial(_typed, int)
+_float = partial(_typed, float)
+_bool = partial(_typed, bool)
 
 
 def _float_array(value):
@@ -234,28 +246,12 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     if delta_w < 0 or delta_z < 0:
         raise ValidationError("noise levels must be nonnegative")
     triple, grid = instance.triple, instance.grid
-    n = triple.interior_points
     rng = np.random.default_rng(seed)
-
-    w_vals = np.zeros((grid.node_count, n))
-    if delta_w > 0:
-        w_vals[1:] = rng.standard_normal((grid.step_count, n))
-    w_noise = Trajectory(grid, w_vals, "dual_load")
-    if delta_w > 0:
-        w_noise = Trajectory(grid, w_vals * (delta_w / norm_dual_load(triple, w_noise)), "dual_load")
-
-    z_vals = np.zeros((grid.node_count, n))
-    if delta_z > 0:
-        z_vals[1:] = rng.standard_normal((grid.step_count, n))
-    z_noise = Trajectory(grid, z_vals, "observation")
-    if delta_z > 0:
-        z_noise = Trajectory(grid, z_vals * (delta_z / norm_observation(triple, z_noise)), "observation")
+    w_noise = _scaled_noise(rng, instance, delta_w, "dual_load", norm_dual_load)
+    z_noise = _scaled_noise(rng, instance, delta_z, "observation", norm_observation)
 
     solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
-    if delta_w > 0:
-        state_pert = solver.solve_state(theta_truth, perturbation=w_noise)
-    else:
-        state_pert = solver.solve_state(theta_truth)
+    state_pert = solver.solve_state(theta_truth, perturbation=w_noise if delta_w > 0 else None)
     y_pert = solver.observe(state_pert, theta_truth)
     y_noisy = Trajectory(grid, y_pert.values + z_noise.values, "observation")
 
@@ -269,6 +265,16 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     return NoisyDataset(
         w_noise, z_noise, y_noisy, y, achieved, c_est * delta_w + delta_z, c_est, seed
     )
+
+
+def _scaled_noise(rng, instance, delta, space_tag, norm):
+    """Standard normal rows 1..N rescaled to norm delta; all zero, with no draw, for delta 0."""
+    grid, n = instance.grid, instance.triple.interior_points
+    vals = np.zeros((grid.node_count, n))
+    if delta > 0:
+        vals[1:] = rng.standard_normal((grid.step_count, n))
+        vals = vals * (delta / norm(instance.triple, Trajectory(grid, vals, space_tag)))
+    return Trajectory(grid, vals, space_tag)
 
 
 # -- tangential cone diagnostic ---------------------------------------------------------
@@ -548,10 +554,10 @@ class DenseOracle:
 # -- self-test gate -----------------------------------------------------------------
 
 
-def selftest(verbose=True, rng_seed=7) -> bool:
+def selftest(verbose=True) -> bool:
     """Adjoint, Taylor and oracle checks at small scale; True when all pass."""
     checks = []
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(7)
 
     inst = make_instance(6, 6, 0.05, gain=4.0, m=2)
     oracle = DenseOracle(inst)
@@ -622,11 +628,10 @@ def run_experiment(config: ExperimentConfig):
     """Synthesize data, run the configured method, and write report files.
 
     Returns a summary dict including the emitted paths.  A tiny oracle gate
-    runs first unless the config disables it.
+    runs first; SelfTestError when it fails.
     """
-    if not config.skip_selftest_gate:
-        if not selftest(verbose=False):
-            raise ValidationError("oracle self-test failed; refusing to run the benchmark")
+    if not selftest(verbose=False):
+        raise SelfTestError("oracle self-test failed; refusing to run the benchmark")
     instance = make_instance(
         config.n_x, config.n_t, config.horizon, config.gain,
         m=config.method.m, policy=config.policy,
@@ -637,7 +642,7 @@ def run_experiment(config: ExperimentConfig):
     dataset = add_noise(instance, y, theta_true, config.delta_w, config.delta_z, config.seed)
     start = None
     if config.start_at_truth:
-        if config.method.tag in ("aLW", "aLWK", "aIRGNM"):
+        if config.method.tag in AAO_TAGS:
             start = AaoPoint(state_true.copy(), theta_true.copy())
         else:
             start = theta_true.copy()
@@ -692,14 +697,12 @@ def summarize(config, dataset, record: RunRecord, wall_total):
 
 
 def write_iterations_csv(path, record: RunRecord):
+    names = [f.name for f in fields(IterationRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ITERATIONS_HEADER)
+        writer.writerow(names)
         for r in record.rows:
-            writer.writerow(
-                [r.k, _fmt(r.res_total), _fmt(r.res_w), _fmt(r.res_h), _fmt(r.res_y),
-                 _fmt(r.err_theta), _fmt(r.err_u), _fmt(r.step_ms)]
-            )
+            writer.writerow([r.k] + [_fmt(getattr(r, name)) for name in names[1:]])
 
 
 def write_reconstruction_csv(path, instance, theta_true, state_true, record: RunRecord):
@@ -719,12 +722,9 @@ def _fmt(v):
 
 def compare(config: ExperimentConfig, tags):
     """Run several methods against one shared dataset; returns the comparison."""
-    if not selftest(verbose=False):
-        raise ValidationError("oracle self-test failed; refusing to run the comparison")
     summaries = {}
     for tag in tags:
-        cfg = replace(config, method=replace(config.method, tag=tag), skip_selftest_gate=True)
-        summaries[tag] = run_experiment(cfg)
+        summaries[tag] = run_experiment(replace(config, method=replace(config.method, tag=tag)))
     means = {tag: s["timing"]["step_ms_mean"] for tag, s in summaries.items()}
     ratios = {
         f"{a}/{b}": (means[a] / means[b] if means[b] > 0 else float("inf"))
@@ -745,26 +745,25 @@ def _strip_paths(summary):
 
 
 def _sweep_worker(raw_config):
-    cfg = ExperimentConfig.from_dict(raw_config)
-    cfg.skip_selftest_gate = True
-    return run_experiment(cfg)
+    return run_experiment(ExperimentConfig.from_dict(raw_config))
 
 
 def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     """Noise-level sweep: one run per (delta_z, seed) pair plus an aggregation.
 
     With ``relative`` the deltas are interpreted as fractions of the exact
-    data norm.  Workers fan out over independent processes; every worker owns
-    its output directory.
+    data norm; only then is the exact data synthesized.  Workers fan out over
+    independent processes; every worker owns its output directory, and every
+    run passes the self-test gate in the process that makes it.
     """
-    if not selftest(verbose=False):
-        raise ValidationError("oracle self-test failed; refusing to run the sweep")
-    instance = make_instance(
-        config.n_x, config.n_t, config.horizon, config.gain,
-        m=config.method.m, policy=config.policy,
-    )
-    _, _, y = synthesize_truth(instance, config.truth_kind, config.truth_amplitude)
-    scale = norm_observation(instance.triple, y) if relative else 1.0
+    scale = 1.0
+    if relative:
+        instance = make_instance(
+            config.n_x, config.n_t, config.horizon, config.gain,
+            m=config.method.m, policy=config.policy,
+        )
+        _, _, y = synthesize_truth(instance, config.truth_kind, config.truth_amplitude)
+        scale = norm_observation(instance.triple, y)
 
     jobs = []
     for delta in deltas:
@@ -774,7 +773,6 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
                 delta_z=float(delta) * scale,
                 seed=int(seed),
                 output_dir=str(Path(config.output_dir) / f"delta_{delta:g}" / f"seed_{seed}"),
-                skip_selftest_gate=True,
             )
             jobs.append(cfg.to_dict())
 

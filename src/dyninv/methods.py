@@ -15,14 +15,14 @@ import numpy as np
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
 from .errors import InnerSolveError, SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
-from .problem import ProblemDefinition
+from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    inner_observation,
     inner_state,
     norm_l2_v,
+    norm_observation,
     zero_trajectory,
 )
 
@@ -72,7 +72,7 @@ class IterationRow:
     res_h: float
     res_y: float
     err_theta: float
-    err_u: float
+    err_u_L2V: float
     step_ms: float = 0.0
 
 
@@ -96,7 +96,7 @@ class RunRecord:
 class ProblemInstance:
     """Discretisation plus the two operator views of one inverse problem."""
 
-    problem: ProblemDefinition
+    problem: SemilinearDiffusion
     triple: DiscreteGelfandTriple
     grid: TimeGrid
     partition: KaczmarzPartition | None
@@ -359,7 +359,7 @@ def run(
         else:
             y_pred, state = op.forward(theta)
             z = Trajectory(grid, y_pred.values - y_data.values, "observation")
-            res_y = np.sqrt(max(inner_observation(triple, z, z), 0.0))
+            res_y = norm_observation(triple, z)
             res_w = res_h = 0.0
             res_total = res_y
             cur_theta, cur_state = theta, state

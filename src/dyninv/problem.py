@@ -1,9 +1,14 @@
-"""Pluggable model/observation definitions and the semilinear diffusion instance.
+"""The benchmark problem, semilinear diffusion with an unknown source, and its hooks.
 
-A problem supplies the right-hand side f, the observation g, the initial value
-map, and forward/adjoint applications of all their directional derivatives.
-Hooks must broadcast over a leading batch axis (time nodes), so that operator
-code can evaluate whole trajectories in one call.
+The operators call ``f``, the observation ``g``, the initial map ``u0``,
+forward/adjoint applications of their derivatives (``apply_jac``),
+``inner_theta``, the ``reaction`` (f plus K u, integrated explicitly under
+'imex') and its diagonal slope ``reaction_slope``; hooks broadcast over a
+leading axis of time nodes.  The reaction is pointwise, so f_u = -K +
+diag(reaction_slope): 'imex' is linearized through the slope alone and every
+'newton' matrix I - tau f_u is tridiagonal, solved without forming it
+(``f_u_matrix`` assembles f_u densely for tests only).  Every forward/adjoint
+pair is an exact transpose under the measure-weighted pairings.
 """
 
 import numpy as np
@@ -25,55 +30,7 @@ def signed_square_slope(x, gain: float = 10.0):
     return 2.0 * gain * np.abs(x)
 
 
-class ProblemDefinition:
-    """Interface for model/observation functions and their linearizations.
-
-    Subclasses implement ``f``, ``g``, ``u0``, ``apply_jac``, ``reaction``
-    (f plus the stiffness part K u, the explicitly integrated part under
-    'imex') and its diagonal slope ``reaction_slope``.  The reaction must be
-    pointwise in u, so that f_u = -K + diag(reaction_slope): the 'imex' step is
-    linearized through the slope alone, and every 'newton' step matrix
-    I - tau f_u is the tridiagonal K plus a diagonal, solved without forming
-    it.  ``f_u_matrix`` assembles that Jacobian densely; the solvers never
-    call it, it is kept as a reference for tests.  Every forward/adjoint pair
-    must be an exact transpose under the measure-weighted pairings (checked
-    by the dot-product tests).
-    """
-
-    n_theta: int
-
-    def f(self, t, u, theta):
-        raise NotImplementedError
-
-    def g(self, t, u, theta):
-        raise NotImplementedError
-
-    def u0(self, theta):
-        raise NotImplementedError
-
-    def apply_jac(self, which, mode, t, u, theta, arg):
-        raise NotImplementedError
-
-    def f_u_matrix(self, t, u, theta):
-        """Dense nodal Jacobian of f with respect to u at one time level (tests only)."""
-        raise NotImplementedError
-
-    def reaction(self, t, u, theta):
-        """f plus the stiffness part, i.e. the explicitly-integrated remainder."""
-        raise NotImplementedError
-
-    def reaction_slope(self, t, u, theta):
-        """Diagonal of d(reaction)/du, nodal and batched like ``reaction``."""
-        raise NotImplementedError
-
-    def inner_theta(self, a, b) -> float:
-        raise NotImplementedError
-
-    def norm_theta(self, a) -> float:
-        return float(np.sqrt(max(self.inner_theta(a, a), 0.0)))
-
-
-class SemilinearDiffusion(ProblemDefinition):
+class SemilinearDiffusion:
     """Source identification for u' = -Ku - Phi(u) + theta, full observation.
 
     Parameters
@@ -128,6 +85,9 @@ class SemilinearDiffusion(ProblemDefinition):
         if a.shape[-1] != self.n_theta or b.shape[-1] != self.n_theta:
             raise ValidationError("parameter length mismatch")
         return self.triple.dx * float(a @ b)
+
+    def norm_theta(self, a) -> float:
+        return float(np.sqrt(max(self.inner_theta(a, a), 0.0)))
 
     # -- model and observation ----------------------------------------------
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
-from .problem import ProblemDefinition
+from .problem import SemilinearDiffusion
 from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness
 
 _NEWTON_MAX = 25
@@ -42,18 +42,15 @@ class ReducedOperator:
     partition : optional slab partition for the cyclic variants.
     policy : 'imex' (implicit stiffness, explicit reaction; the default) or
         'newton' (fully implicit steps solved by warm-started Newton).
-    perturbation : optional model perturbation added to the right-hand side;
-        used when synthesizing perturbed states, never during inversion.
     """
 
     def __init__(
         self,
-        problem: ProblemDefinition,
+        problem: SemilinearDiffusion,
         triple: DiscreteGelfandTriple,
         grid: TimeGrid,
         partition: KaczmarzPartition | None = None,
         policy: str = "imex",
-        perturbation: Trajectory | None = None,
     ):
         if policy not in ("imex", "newton"):
             raise ValidationError(f"unknown solve policy {policy!r}")
@@ -62,7 +59,6 @@ class ReducedOperator:
         self.grid = grid
         self.partition = partition
         self.policy = policy
-        self.perturbation = perturbation
         self._t = grid.nodes()
         self._denom = 1.0 + grid.tau * triple.eigenvalues
 
@@ -74,10 +70,10 @@ class ReducedOperator:
     # -- nonlinear state solve ---------------------------------------------------
 
     def solve_state(self, theta, perturbation=None) -> Trajectory:
-        """March the nonlinear evolution from u0(theta) over the whole horizon."""
+        """March the nonlinear evolution from u0(theta) over the whole horizon; an
+        optional model ``perturbation`` (noisy-data synthesis only) joins f."""
         theta = np.asarray(theta, dtype=float)
-        pert = perturbation if perturbation is not None else self.perturbation
-        pvals = pert.values if pert is not None else None
+        pvals = perturbation.values if perturbation is not None else None
         n = self.triple.interior_points
         steps, tau = self.grid.step_count, self.grid.tau
         out = np.empty((steps + 1, n))

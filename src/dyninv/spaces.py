@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .grids import TimeGrid
 
-TRAJECTORY_TAGS = ("state", "dual_load", "observation", "pointwise_H")
+TRAJECTORY_TAGS = ("state", "dual_load", "observation")
 # rows of the eigenbasis tabulated per pass: bounds the index temporary
 _ROW_BLOCK = 256
 

@@ -186,7 +186,6 @@ def small_config(tmp_path, tag="rLW", k_max=5, **kw):
         gain=10.0,
         method=MethodConfig(tag=tag, k_max=k_max, m=kw.pop("m", 1)),
         output_dir=str(tmp_path),
-        skip_selftest_gate=True,
         **kw,
     )
 
@@ -361,6 +360,14 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"instance": {"n_x": 6}, "method": {"prior_theta": [1.0, 2.0]}},
         {"instance": {"n_x": 2, "n_t": 2}, "method": {"prior_state": [[0.0, 1.0]]}},
         {"method": {"k_apriori": "three"}},
+        {"start_at_truth": "false"},
+        {"start_at_truth": 0},
+        {"method": {"k_max": 2.7}},
+        {"method": {"k_max": float("inf")}},
+        {"noise": {"seed": 0.5}},
+        {"method": {"m": True}},
+        {"method": {"mu": True}},
+        {"instance": {"T": True}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):
@@ -417,6 +424,19 @@ def test_cli_selftest_failure_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "selftest", lambda verbose: False)
     assert cli_main(["selftest", "--quiet"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run"], ["compare", "--methods", "aLW,rLW"], ["sweep", "--deltas", "1e-3", "--seeds", "1"]],
+)
+def test_cli_failed_selftest_gate_exits_3(tmp_path, monkeypatch, capsys, args):
+    """run, compare and sweep refuse to run after a failed gate, with the self-test exit code."""
+    monkeypatch.setattr(harness, "selftest", lambda verbose=True: False)
+    command, *rest = args
+    assert cli_main([command, "--config", write_config(tmp_path), *rest]) == 3
+    assert "self-test" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -275,13 +275,9 @@ def test_perturbation_field_used_as_default(rng):
     wvals[1:] = 0.1 * rng.standard_normal((8, 6))
     pert = Trajectory(inst.grid, wvals, "dual_load")
     theta = positive_theta(inst.triple)
-    with_field = ReducedOperator(
-        inst.problem, inst.triple, inst.grid, perturbation=pert
-    ).solve_state(theta)
     by_arg = inst.reduced.solve_state(theta, perturbation=pert)
-    np.testing.assert_array_equal(with_field.values, by_arg.values)
     clean = inst.reduced.solve_state(theta)
-    assert np.max(np.abs(with_field.values - clean.values)) > 0.0
+    assert np.max(np.abs(by_arg.values - clean.values)) > 0.0
 
 
 def test_imex_linearization_runs_no_dense_solve(monkeypatch):
