@@ -10,6 +10,11 @@ adjoint state at the left node of each step.
 A slab map is the full map followed by the slab restriction P_j of
 :meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
 and idempotent, so the slab adjoint is the full adjoint of P_j r.
+
+The residual carries its model rows 1..N in modal coefficients as well (one
+basis product, taken where the model row is built); the V* norm and the
+adjoint both read them.  P_j acts by rows, so it commutes with the change of
+basis and restricts the modal rows directly.
 """
 
 from dataclasses import dataclass
@@ -21,10 +26,11 @@ from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
+    dual_pairing,
     inner_dual_load,
     inner_observation,
     march_modes,
-    norm_dual_load,
+    march_tables,
     norm_observation,
     zero_trajectory,
 )
@@ -43,11 +49,16 @@ class AaoPoint:
 
 @dataclass
 class ResidualTriple:
-    """Element of the residual/data space: model row, initial row, observation row."""
+    """Element of the residual/data space: model row, initial row, observation row.
+
+    ``model_modes``, when given, is ``model.values[1:]`` times the eigenbasis;
+    only :class:`AllAtOnceOperator` fills it, from the rows it has just built.
+    """
 
     model: Trajectory
     initial: np.ndarray
     observation: Trajectory
+    model_modes: np.ndarray | None = None
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -81,6 +92,7 @@ class AllAtOnceOperator:
         self.grid = grid
         self.partition = partition
         self._t = grid.nodes()
+        self._march = march_tables(triple, grid)
 
     # -- forward --------------------------------------------------------------
 
@@ -102,7 +114,14 @@ class AllAtOnceOperator:
             Trajectory(self.grid, w, "dual_load"),
             h,
             Trajectory(self.grid, z, "observation"),
+            w[1:] @ self.triple.eigenvectors,
         )
+
+    def _model_modes(self, resid: ResidualTriple) -> np.ndarray:
+        """Model rows 1..N in modal coefficients: carried, or one basis product."""
+        if resid.model_modes is not None:
+            return resid.model_modes
+        return resid.model.values[1:] @ self.triple.eigenvectors
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
         """Directional derivative applied to (dstate, dtheta); exactly linear."""
@@ -143,22 +162,26 @@ class AllAtOnceOperator:
         t = self._t[1:]
         theta = point.theta
         jac = self.problem.apply_jac
-        w = resid.model.values[1:]
         z = resid.observation.values[1:]
         h = resid.initial
 
-        # w enters the basis once: K^{-1} w is a modal scaling, and the
+        # w is in the basis already: K^{-1} w is a modal scaling, and the
         # modal w is also the load of the forward sweep below
         q, lam = self.triple.eigenvectors, self.triple.eigenvalues
-        w_hat = w @ q
+        w_hat = self._model_modes(resid)
         iw = (w_hat / lam) @ q.T
-        rows = -w - jac("f_u", "adjoint", t, u, theta, iw) + jac("g_u", "adjoint", t, u, theta, z)
+        # the graph-norm source is -w - f_u^T K^{-1} w + g_u^T z.  The problem
+        # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
+        # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
+        # rows = g_u^T z - r_u K^{-1} w with no stiffness applied; the terms
+        # dropped are K (K^{-1} w) - w, which is rounding
+        rows = jac("g_u", "adjoint", t, u, theta, z) - self.problem.reaction_slope(t, u, theta) * iw
         # both sweeps run in the eigenbasis of K, which diagonalizes their
         # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
         # marched on the time-reversed nodes and flipped back (ph[m] is p^m).
-        ph = march_modes(self.triple, self.grid, 0.0, rows[::-1] @ q)[::-1]
+        ph = march_modes(self._march, 0.0, rows[::-1] @ q)[::-1]
         # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        dh = march_modes(self.triple, self.grid, ph[0] + h @ q, w_hat + lam * ph[:-1])
+        dh = march_modes(self._march, ph[0] + h @ q, w_hat + lam * ph[:-1])
         dstate = Trajectory(self.grid, dh @ q.T, "state")
 
         dtheta = self.grid.tau * np.sum(
@@ -172,12 +195,14 @@ class AllAtOnceOperator:
 
     def slab_restrict(self, resid: ResidualTriple, j: int) -> ResidualTriple:
         """P_j: the model and observation rows on the weighted nodes of slab j,
-        the initial row on slab 0 only."""
+        the initial row on slab 0 only; carried modal rows are restricted too."""
         part = require_partition(self.partition)
+        modes = resid.model_modes
         return ResidualTriple(
             Trajectory(self.grid, part.restrict(resid.model.values, j), "dual_load"),
             resid.initial if j == 0 else np.zeros_like(resid.initial),
             Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
+            None if modes is None else part.restrict(modes, j),
         )
 
     def slab_residual(self, point: AaoPoint, j: int, data: ResidualTriple) -> ResidualTriple:
@@ -201,7 +226,8 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        nw = norm_dual_load(self.triple, resid.model)
+        w_hat = self._model_modes(resid)
+        nw = float(np.sqrt(max(self.grid.tau * dual_pairing(self.triple, w_hat, w_hat), 0.0)))
         nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
         ny = norm_observation(self.triple, resid.observation)
         return nw, nh, ny, float(np.sqrt(nw**2 + nh**2 + ny**2))

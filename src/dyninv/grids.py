@@ -81,10 +81,18 @@ class KaczmarzPartition:
     def restrict(self, values: np.ndarray, j: int) -> np.ndarray:
         """P_j: node-indexed rows kept on the weighted nodes of slab j, zero elsewhere.
 
-        P_j is self-adjoint and idempotent under every time-row quadrature,
-        and the P_j of all slabs sum to the identity on nodes 1..N.
+        The rows of ``values`` are nodes 0..N, or the weighted nodes 1..N
+        alone.  P_j is self-adjoint and idempotent under every time-row
+        quadrature, and the P_j of all slabs sum to the identity on nodes 1..N.
         """
-        rows = self.weighted_nodes(j)
+        first = self.grid.node_count - values.shape[0]
+        if first not in (0, 1):
+            raise ValidationError(
+                f"{values.shape[0]} rows are neither nodes 0..N nor nodes 1..N "
+                f"of a grid with {self.grid.node_count} nodes"
+            )
+        nodes = self.weighted_nodes(j)
+        rows = slice(nodes.start - first, nodes.stop - first)
         out = np.zeros_like(values)
         out[rows] = values[rows]
         return out

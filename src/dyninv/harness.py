@@ -9,6 +9,7 @@ plus JSON summaries.
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -107,13 +108,13 @@ class ExperimentConfig:
                     cg_tol=_float(method["cg_tol"]),
                     cg_max=_int(method["cg_max"]),
                     k_apriori=_optional(_int, method["k_apriori"]),
-                    prior_theta=_optional(_float_array, method["prior_theta"]),
-                    prior_state=_optional(_float_array, method["prior_state"]),
+                    prior_theta=_optional(_number_array, method["prior_theta"]),
+                    prior_state=_optional(_number_array, method["prior_state"]),
                 ),
                 delta_w=_float(noise["delta_w"]),
                 delta_z=_float(noise["delta_z"]),
                 seed=_int(noise["seed"]),
-                output_dir=top["output_dir"],
+                output_dir=_typed(str, top["output_dir"]),
                 policy=inst["policy"],
                 start_at_truth=_bool(top["start_at_truth"]),
             )
@@ -157,11 +158,20 @@ def _optional(convert, value):
 
 
 def _typed(kind, value):
-    """``kind(value)`` for a JSON value of that kind: true/false alone are
-    booleans and no numbers, and an integer has no fractional part."""
-    if (kind is bool) != isinstance(value, bool) or (kind is int and not float(value).is_integer()):
+    """``kind(value)`` for a JSON value of that kind: a str is a string and a
+    bool is true/false; an int or a float is any other real number (numpy
+    scalars included, numeric strings not), and an int has no fractional part."""
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
+    else:
+        ok = _is_number(value) and (kind is float or float(value).is_integer())
+    if not ok:
         raise ValidationError(f"expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _int = partial(_typed, int)
@@ -169,12 +179,17 @@ _float = partial(_typed, float)
 _bool = partial(_typed, bool)
 
 
-def _float_array(value):
-    return np.asarray(value, dtype=float)
+def _number_array(value):
+    """A JSON array of numbers as a float array; strings and booleans are rejected."""
+    entries = np.asarray(value, dtype=object)
+    for entry in entries.flat:
+        if not _is_number(entry):
+            raise ValidationError(f"expected an array of numbers, found {entry!r}")
+    return entries.astype(float)
 
 
 def _float_list(value):
-    return _float_array(value).tolist()
+    return np.asarray(value, dtype=float).tolist()
 
 
 def _check_keys(raw, known, where):
@@ -624,12 +639,20 @@ def _relerr(a, b):
 # -- experiment drivers ----------------------------------------------------------------
 
 
-def run_experiment(config: ExperimentConfig):
-    """Synthesize data, run the configured method, and write report files.
+@dataclass
+class ExperimentData:
+    """One synthesized experiment: the instance, the exact pair and the noisy data."""
 
-    Returns a summary dict including the emitted paths.  A tiny oracle gate
-    runs first; SelfTestError when it fails.
-    """
+    instance: ProblemInstance
+    theta_true: np.ndarray
+    state_true: Trajectory
+    dataset: NoisyDataset
+
+
+def prepare_data(config: ExperimentConfig) -> ExperimentData:
+    """The data part of :func:`run_experiment`: a tiny oracle gate first
+    (SelfTestError when it fails), then the instance, the truth and the noise.
+    Of the method settings only the slab count m enters."""
     if not selftest(verbose=False):
         raise SelfTestError("oracle self-test failed; refusing to run the benchmark")
     instance = make_instance(
@@ -640,6 +663,22 @@ def run_experiment(config: ExperimentConfig):
         instance, config.truth_kind, config.truth_amplitude
     )
     dataset = add_noise(instance, y, theta_true, config.delta_w, config.delta_z, config.seed)
+    return ExperimentData(instance, theta_true, state_true, dataset)
+
+
+def run_experiment(config: ExperimentConfig):
+    """Synthesize data, run the configured method, and write report files.
+
+    Returns a summary dict including the emitted paths.  A tiny oracle gate
+    runs first; SelfTestError when it fails.
+    """
+    return run_on_data(config, prepare_data(config))
+
+
+def run_on_data(config: ExperimentConfig, data: ExperimentData):
+    """The run part of :func:`run_experiment`, on data from :func:`prepare_data`."""
+    instance, theta_true, state_true = data.instance, data.theta_true, data.state_true
+    dataset = data.dataset
     start = None
     if config.start_at_truth:
         if config.method.tag in AAO_TAGS:
@@ -721,10 +760,14 @@ def _fmt(v):
 
 
 def compare(config: ExperimentConfig, tags):
-    """Run several methods against one shared dataset; returns the comparison."""
+    """Run several methods against one shared dataset; returns the comparison.
+
+    The self-test, the instance, the truth and the noise are made once, for
+    all tags."""
+    data = prepare_data(config)
     summaries = {}
     for tag in tags:
-        summaries[tag] = run_experiment(replace(config, method=replace(config.method, tag=tag)))
+        summaries[tag] = run_on_data(replace(config, method=replace(config.method, tag=tag)), data)
     means = {tag: s["timing"]["step_ms_mean"] for tag, s in summaries.items()}
     ratios = {
         f"{a}/{b}": (means[a] / means[b] if means[b] > 0 else float("inf"))

@@ -108,7 +108,7 @@ def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
     return ((w @ triple.eigenvectors) / triple.eigenvalues) @ triple.eigenvectors.T
 
 
-def _dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:
+def dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:
     """dx * sum(a_hat * b_hat / lam): the V* pairing of rows given as modal coefficients."""
     return triple.dx * float(np.vdot(a_hat / triple.eigenvalues, b_hat))
 
@@ -159,7 +159,7 @@ def inner(triple: DiscreteGelfandTriple, which: str, a: np.ndarray, b: np.ndarra
         return triple.dx * float(a @ apply_stiffness(triple, b))
     if which == "Vstar":
         q = triple.eigenvectors
-        return _dual_pairing(triple, a @ q, b @ q)
+        return dual_pairing(triple, a @ q, b @ q)
     raise ValidationError(f"unknown inner product tag {which!r}")
 
 
@@ -222,7 +222,8 @@ def evolve_forward(
     if source is not None:
         _same_grid_source(grid, source)
         loads = source.values[1:] @ q
-    return Trajectory(grid, march_modes(triple, grid, v0 @ q, loads) @ q.T, "state")
+    c = march_modes(march_tables(triple, grid), v0 @ q, loads)
+    return Trajectory(grid, c @ q.T, "state")
 
 
 def evolve_backward(
@@ -245,30 +246,59 @@ def evolve_backward(
         _same_grid_source(grid, source)
         loads = source.values[-2::-1] @ q
     # the backward march is a forward one on the time-reversed nodes
-    out = march_modes(triple, grid, v_final @ q, loads)[::-1]
+    out = march_modes(march_tables(triple, grid), v_final @ q, loads)[::-1]
     return Trajectory(grid, out @ q.T, "state")
 
 
-def march_modes(triple: DiscreteGelfandTriple, grid: TimeGrid, start, loads) -> np.ndarray:
+@dataclass(frozen=True)
+class MarchTables:
+    """What :func:`march_modes` needs of one (triple, grid) pair, tabulated once.
+
+    ``gain`` is the load gain tau / (1 + tau * lam); ``passes`` holds the
+    (shift, decay power) pair of every doubling pass: shifts 1, 2, 4, ... below
+    node_count with the decays 1 / (1 + tau * lam) and its repeated squarings.
+    """
+
+    node_count: int
+    gain: np.ndarray
+    passes: tuple
+
+
+def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
+    """Tabulate the load gain and the doubling passes of :func:`march_modes`."""
+    denom = 1.0 + grid.tau * triple.eigenvalues
+    node_count = grid.node_count
+    passes = []
+    decay = 1.0 / denom
+    shift = 1
+    while shift < node_count:
+        passes.append((shift, decay))
+        shift *= 2
+        decay = decay * decay
+    return MarchTables(node_count, grid.tau / denom, tuple(passes))
+
+
+def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
     """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
 
     Returns c of shape (node_count, width) with c^0 = start and
     c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam) for k = 1..N; start
     and the rows of loads are modal coefficients (nodal rows times the
-    eigenvectors), loads may be a scalar.  Instead of one pass per step the
-    recursion takes ceil(log2(N + 1)) vectorised doubling passes: after the
+    eigenvectors), loads may be a scalar.  ``tables`` comes from
+    :func:`march_tables`: an operator that marches often tabulates once, any
+    other caller builds them for the call.  Instead of one pass per step the
+    recursion takes ceil(log2(N + 1)) vectorised doubling passes, each run in
+    place as one product into a scratch block and one addition: after the
     pass with shift h, row k holds the decayed sum of inputs k - 2h + 1 .. k.
     """
-    denom = 1.0 + grid.tau * triple.eigenvalues
-    c = np.empty((grid.node_count, triple.interior_points))
+    c = np.empty((tables.node_count, tables.gain.size))
     c[0] = start
-    c[1:] = loads * (grid.tau / denom)
-    decay = 1.0 / denom
-    shift = 1
-    while shift < grid.node_count:
-        c[shift:] += decay * c[:-shift]
-        shift *= 2
-        decay = decay * decay
+    np.multiply(loads, tables.gain, out=c[1:])
+    scratch = np.empty_like(c[1:])
+    for shift, decay in tables.passes:
+        block = scratch[shift - 1 :]  # node_count - shift rows
+        np.multiply(c[:-shift], decay, out=block)
+        c[shift:] += block
     return c
 
 
@@ -302,7 +332,7 @@ def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> 
     _same_grid(u, v)
     eu = _modal_graph_rows(triple, u)
     ev = eu if v is u else _modal_graph_rows(triple, v)
-    bulk = u.grid.tau * _dual_pairing(triple, eu, ev)
+    bulk = u.grid.tau * dual_pairing(triple, eu, ev)
     return bulk + triple.dx * float(u.values[0] @ v.values[0])
 
 
@@ -316,7 +346,7 @@ def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory)
     q = triple.eigenvectors
     w_hat = w.values[1:] @ q
     v_hat = w_hat if v is w else v.values[1:] @ q
-    return w.grid.tau * _dual_pairing(triple, w_hat, v_hat)
+    return w.grid.tau * dual_pairing(triple, w_hat, v_hat)
 
 
 def inner_observation(triple: DiscreteGelfandTriple, z: Trajectory, y: Trajectory) -> float:

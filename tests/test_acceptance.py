@@ -29,7 +29,7 @@ from dyninv.methods import (
     step_reduced_landweber,
     step_reduced_landweber_kaczmarz,
 )
-from dyninv.problem import SemilinearDiffusion, signed_square
+from dyninv.problem import signed_square
 from dyninv.reduced import ReducedOperator
 from dyninv.spaces import (
     Trajectory,

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -243,6 +243,46 @@ def test_compare_reports_ratios(tmp_path):
     assert (tmp_path / "comparison.json").exists()
 
 
+def test_compare_makes_one_dataset_for_all_tags(tmp_path, monkeypatch):
+    """The self-test, the truth march and the noise run once for three tags."""
+    calls = {}
+    for name in ("selftest", "synthesize_truth", "add_noise"):
+        def counted(*args, _wrapped=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    compare(small_config(tmp_path, k_max=2, delta_z=1e-3), ["aLW", "rLW", "aIRGNM"])
+    assert calls == {"selftest": 1, "synthesize_truth": 1, "add_noise": 1}
+
+
+def test_compare_writes_what_separate_runs_write(tmp_path):
+    """Sharing the dataset changes no output byte except the timings."""
+    cfg = small_config(tmp_path / "shared", k_max=3, m=2, delta_z=1e-3, seed=4)
+    tags = ["aLW", "aLWK", "rLW"]
+    compare(cfg, tags)
+    for tag in tags:
+        run_experiment(replace(cfg, output_dir=str(tmp_path / tag), method=replace(cfg.method, tag=tag)))
+
+    def untimed_summary(summary):
+        summary = {k: v for k, v in summary.items() if k not in ("timing", "paths")}
+        summary["config"] = {k: v for k, v in summary["config"].items() if k != "output_dir"}
+        return summary
+
+    shared = json.loads((tmp_path / "shared" / "comparison.json").read_text())["methods"]
+    for tag in tags:
+        alone = tmp_path / tag
+        for name in ("iterations.csv", "reconstruction.csv"):
+            with open(tmp_path / "shared" / f"{tag}_{name}") as fa, open(alone / f"{tag}_{name}") as fb:
+                # the iterations CSV ends in the step_ms timing column
+                cut = -1 if name == "iterations.csv" else None
+                assert [r[:cut] for r in csv.reader(fa)] == [r[:cut] for r in csv.reader(fb)]
+        summary = json.loads((alone / f"{tag}_summary.json").read_text())
+        shared_summary = json.loads((tmp_path / "shared" / f"{tag}_summary.json").read_text())
+        assert untimed_summary(shared_summary) == untimed_summary(summary)
+        assert untimed_summary(shared[tag]) == untimed_summary(summary)
+
+
 def test_sweep_aggregates_medians(tmp_path):
     cfg = small_config(tmp_path, k_max=3)
     out = sweep(cfg, deltas=[1e-3, 5e-4], seeds=[0, 1], relative=True)
@@ -368,11 +408,22 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"method": {"m": True}},
         {"method": {"mu": True}},
         {"instance": {"T": True}},
+        {"instance": {"n_x": "8"}},
+        {"output_dir": 5},
+        {"instance": {"n_x": 3}, "method": {"prior_theta": [True, False, 1.0]}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_loads_numpy_scalars():
+    """numpy scalars left in a to_dict output (a sweep over numpy values) still load."""
+    raw = ExperimentConfig(n_x=np.int64(8), horizon=np.float64(0.2)).to_dict()
+    got = ExperimentConfig.from_dict(raw)
+    assert got.n_x == 8 and type(got.n_x) is int
+    assert got.horizon == 0.2 and type(got.horizon) is float
 
 
 # -- CLI ----------------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dyninv.aao import AaoPoint, data_triple, zero_point
+from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
 from dyninv.methods import (
@@ -16,9 +18,7 @@ from dyninv.methods import (
     step_reduced_landweber,
     step_reduced_landweber_kaczmarz,
 )
-from dyninv.spaces import Trajectory, inner_observation, inner_state, zero_trajectory
-
-from conftest import positive_theta
+from dyninv.spaces import Trajectory, inner_observation, inner_state
 
 
 @pytest.fixture(scope="module")
@@ -448,3 +448,34 @@ def test_method_config_validation():
         MethodConfig(mu=-1.0)
     with pytest.raises(ValidationError):
         MethodConfig(stepsize="adaptive")
+
+
+class _CountedBasis(np.ndarray):
+    """An eigenbasis that counts the matrix products it enters, with a block
+    of rows (an n x n product) or with one vector."""
+
+    counts = {"block": 0, "vector": 0}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedBasis) else x for x in inputs]
+        if ufunc is np.matmul:
+            self.counts["block" if min(np.ndim(x) for x in plain) == 2 else "vector"] += 1
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("tag", ["aLW", "aLWK"])
+def test_aao_landweber_basis_products(tag, monkeypatch):
+    """One n x n basis product per recorded row (the residual's modal model
+    rows, shared by its norm and the adjoint) and three per step."""
+    inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    basis = inst.triple.eigenvectors.view(_CountedBasis)
+    triple = replace(inst.triple, eigenvectors=basis)
+    counted = replace(
+        inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
+    )
+    monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
+    rec = run(MethodConfig(tag=tag, k_max=10, m=2 if tag == "aLWK" else 1), counted, y, 0.0,
+              truth=(theta, state))
+    assert len(rec.rows) == 11
+    assert _CountedBasis.counts == {"block": 11 + 3 * 10, "vector": 10}

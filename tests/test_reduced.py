@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyninv.errors import SolverError, ValidationError
-from dyninv.grids import make_partition, make_time_grid
+from dyninv.grids import make_time_grid
 from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth, truth_nodes
 from dyninv.problem import SemilinearDiffusion
 from dyninv.reduced import ReducedOperator
@@ -10,7 +10,6 @@ from dyninv.spaces import (
     Trajectory,
     build_triple,
     inner_observation,
-    inner_state,
     norm_observation,
     norm_state,
 )
