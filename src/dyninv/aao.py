@@ -12,9 +12,11 @@ A slab map is the full map followed by the slab restriction P_j of
 and idempotent, so the slab adjoint is the full adjoint of P_j r.
 
 The residual carries its model rows 1..N in modal coefficients as well (one
-basis product, taken where the model row is built); the V* norm and the
-adjoint both read them.  P_j acts by rows, so it commutes with the change of
-basis and restricts the modal rows directly.
+basis product, taken where the model row is built), next to the modal rows
+of K^{-1} w (one division by the eigenvalues); the V* norm and the adjoint
+both read them, so an iteration divides by the eigenvalues once.  P_j acts by
+rows, so it commutes with the change of basis and with K^{-1}, and restricts
+both modal blocks directly.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    dual_pairing,
     inner_dual_load,
     inner_observation,
     march_modes,
@@ -51,14 +52,17 @@ class AaoPoint:
 class ResidualTriple:
     """Element of the residual/data space: model row, initial row, observation row.
 
-    ``model_modes``, when given, is ``model.values[1:]`` times the eigenbasis;
-    only :class:`AllAtOnceOperator` fills it, from the rows it has just built.
+    ``model_modes``, when given, is ``model.values[1:]`` times the eigenbasis
+    and ``riesz_modes`` the same rows of K^{-1} w, ``model_modes / lam``; only
+    :class:`AllAtOnceOperator` fills them, both at once, from the rows it has
+    just built.
     """
 
     model: Trajectory
     initial: np.ndarray
     observation: Trajectory
     model_modes: np.ndarray | None = None
+    riesz_modes: np.ndarray | None = None
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -110,18 +114,22 @@ class AllAtOnceOperator:
         w[1:] = (u[1:] - u[:-1]) / tau - fvals - data.model.values[1:]
         h = u[0] - self.problem.u0(theta) - data.initial
         z = self.problem.g(self._t, u, theta) - data.observation.values
+        w_hat = w[1:] @ self.triple.eigenvectors
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
             h,
             Trajectory(self.grid, z, "observation"),
-            w[1:] @ self.triple.eigenvectors,
+            w_hat,
+            w_hat / self.triple.eigenvalues,
         )
 
-    def _model_modes(self, resid: ResidualTriple) -> np.ndarray:
-        """Model rows 1..N in modal coefficients: carried, or one basis product."""
+    def _modes(self, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
+        """Model rows 1..N and those of K^{-1} w in modal coefficients: carried,
+        or one basis product and one division."""
         if resid.model_modes is not None:
-            return resid.model_modes
-        return resid.model.values[1:] @ self.triple.eigenvectors
+            return resid.model_modes, resid.riesz_modes
+        w_hat = resid.model.values[1:] @ self.triple.eigenvectors
+        return w_hat, w_hat / self.triple.eigenvalues
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
         """Directional derivative applied to (dstate, dtheta); exactly linear."""
@@ -165,11 +173,11 @@ class AllAtOnceOperator:
         z = resid.observation.values[1:]
         h = resid.initial
 
-        # w is in the basis already: K^{-1} w is a modal scaling, and the
-        # modal w is also the load of the forward sweep below
+        # w and K^{-1} w are in the basis already; the modal w is also the
+        # load of the forward sweep below
         q, lam = self.triple.eigenvectors, self.triple.eigenvalues
-        w_hat = self._model_modes(resid)
-        iw = (w_hat / lam) @ q.T
+        w_hat, iw_hat = self._modes(resid)
+        iw = iw_hat @ q.T
         # the graph-norm source is -w - f_u^T K^{-1} w + g_u^T z.  The problem
         # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
         # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
@@ -197,12 +205,12 @@ class AllAtOnceOperator:
         """P_j: the model and observation rows on the weighted nodes of slab j,
         the initial row on slab 0 only; carried modal rows are restricted too."""
         part = require_partition(self.partition)
-        modes = resid.model_modes
+        modes = (resid.model_modes, resid.riesz_modes)
         return ResidualTriple(
             Trajectory(self.grid, part.restrict(resid.model.values, j), "dual_load"),
             resid.initial if j == 0 else np.zeros_like(resid.initial),
             Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
-            None if modes is None else part.restrict(modes, j),
+            *(None if m is None else part.restrict(m, j) for m in modes),
         )
 
     def slab_residual(self, point: AaoPoint, j: int, data: ResidualTriple) -> ResidualTriple:
@@ -226,8 +234,10 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        w_hat = self._model_modes(resid)
-        nw = float(np.sqrt(max(self.grid.tau * dual_pairing(self.triple, w_hat, w_hat), 0.0)))
+        w_hat, iw_hat = self._modes(resid)
+        # tau * (dx * <K^{-1} w, w>): the rounding order of dual_pairing
+        pairing = self.triple.dx * float(np.vdot(iw_hat, w_hat))
+        nw = float(np.sqrt(max(self.grid.tau * pairing, 0.0)))
         nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
         ny = norm_observation(self.triple, resid.observation)
         return nw, nh, ny, float(np.sqrt(nw**2 + nh**2 + ny**2))

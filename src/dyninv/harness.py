@@ -24,7 +24,7 @@ from .errors import SelfTestError, ValidationError
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, run
 from .problem import SemilinearDiffusion
-from .reduced import ReducedOperator
+from .reduced import ReducedOperator, check_policy
 from .spaces import (
     Trajectory,
     build_triple,
@@ -35,6 +35,7 @@ from .spaces import (
 )
 
 RECONSTRUCTION_HEADER = ["x", "theta_true", "theta_rec", "u_err_final"]
+TRUTH_KINDS = ("sine",)
 
 
 # -- configuration ------------------------------------------------------------------
@@ -61,6 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.delta_w < 0 or self.delta_z < 0:
             raise ValidationError("noise levels must be nonnegative")
+        check_truth_kind(self.truth_kind)
+        check_policy(self.policy)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValidationError(f"horizon T must be finite and positive, got {self.horizon}")
         if self.n_t % self.method.m:
@@ -222,14 +225,18 @@ def synthesize_truth(instance: ProblemInstance, kind="sine", amplitude=0.1):
     exact zero of the joint residual regardless of the inversion policy.
     """
     triple, grid = instance.triple, instance.grid
-    if kind != "sine":
-        raise ValidationError(f"unknown truth kind {kind!r}")
+    check_truth_kind(kind)
     x = truth_nodes(triple)
     theta = amplitude * np.sin(2.0 * np.pi * x)
     solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
     state = solver.solve_state(theta)
     y = solver.observe(state, theta)
     return theta, state, y
+
+
+def check_truth_kind(kind):
+    if kind not in TRUTH_KINDS:
+        raise ValidationError(f"unknown truth kind {kind!r}")
 
 
 def truth_nodes(triple) -> np.ndarray:

@@ -21,8 +21,12 @@ JAC_MODES = ("forward", "adjoint")
 
 
 def signed_square(x, gain: float = 10.0):
-    """The benchmark nonlinearity gain * sign(x) * x^2 (odd, C^1)."""
-    return gain * np.sign(x) * x * x
+    """The benchmark nonlinearity gain * sign(x) * x^2 (odd, C^1).
+
+    Computed as (gain * x) * |x|, which rounds exactly like
+    ((gain * sign(x)) * x) * x because rounding is symmetric in the sign.
+    """
+    return gain * x * np.abs(x)
 
 
 def signed_square_slope(x, gain: float = 10.0):

@@ -31,6 +31,12 @@ from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness
 
 _NEWTON_MAX = 25
 _NEWTON_TOL = 1e-12
+POLICIES = ("imex", "newton")
+
+
+def check_policy(policy):
+    if policy not in POLICIES:
+        raise ValidationError(f"unknown solve policy {policy!r}")
 
 
 class ReducedOperator:
@@ -52,8 +58,7 @@ class ReducedOperator:
         partition: KaczmarzPartition | None = None,
         policy: str = "imex",
     ):
-        if policy not in ("imex", "newton"):
-            raise ValidationError(f"unknown solve policy {policy!r}")
+        check_policy(policy)
         self.problem = problem
         self.triple = triple
         self.grid = grid

@@ -254,9 +254,13 @@ def evolve_backward(
 class MarchTables:
     """What :func:`march_modes` needs of one (triple, grid) pair, tabulated once.
 
-    ``gain`` is the load gain tau / (1 + tau * lam); ``passes`` holds the
-    (shift, decay power) pair of every doubling pass: shifts 1, 2, 4, ... below
-    node_count with the decays 1 / (1 + tau * lam) and its repeated squarings.
+    Every array is a C-contiguous block of exactly the shape it multiplies, so
+    each product of the march is one flat loop with no row broadcast.
+    ``gain`` holds the load gain tau / (1 + tau * lam) on node_count - 1 rows;
+    ``passes`` holds the (shift, decay block) pair of every doubling pass:
+    shifts 1, 2, 4, ... below node_count, each with node_count - shift rows
+    of the decay 1 / (1 + tau * lam) raised to the power shift (by repeated
+    squaring).  All blocks are row ranges of one buffer.
     """
 
     node_count: int
@@ -265,17 +269,21 @@ class MarchTables:
 
 
 def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
-    """Tabulate the load gain and the doubling passes of :func:`march_modes`."""
+    """Tabulate the load gain and the doubling passes of :func:`march_modes`.
+
+    At n_x = N = 100 the tables take 680 rows of 100 modes (0.54 MB).
+    """
     denom = 1.0 + grid.tau * triple.eigenvalues
     node_count = grid.node_count
-    passes = []
+    shifts = [1 << p for p in range((node_count - 1).bit_length())]  # powers of 2 below node_count
+    rows = [node_count - 1] + [node_count - shift for shift in shifts]
+    gain, *decays = np.split(np.empty((sum(rows), denom.size)), np.cumsum(rows)[:-1])
+    gain[...] = grid.tau / denom
     decay = 1.0 / denom
-    shift = 1
-    while shift < node_count:
-        passes.append((shift, decay))
-        shift *= 2
+    for block in decays:
+        block[...] = decay
         decay = decay * decay
-    return MarchTables(node_count, grid.tau / denom, tuple(passes))
+    return MarchTables(node_count, gain, tuple(zip(shifts, decays)))
 
 
 def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
@@ -288,15 +296,16 @@ def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
     :func:`march_tables`: an operator that marches often tabulates once, any
     other caller builds them for the call.  Instead of one pass per step the
     recursion takes ceil(log2(N + 1)) vectorised doubling passes, each run in
-    place as one product into a scratch block and one addition: after the
-    pass with shift h, row k holds the decayed sum of inputs k - 2h + 1 .. k.
+    place as one flat product of contiguous blocks into a scratch block and
+    one addition: after the pass with shift h, row k holds the decayed sum of
+    inputs k - 2h + 1 .. k.
     """
-    c = np.empty((tables.node_count, tables.gain.size))
+    c = np.empty((tables.node_count, tables.gain.shape[1]))
     c[0] = start
     np.multiply(loads, tables.gain, out=c[1:])
     scratch = np.empty_like(c[1:])
     for shift, decay in tables.passes:
-        block = scratch[shift - 1 :]  # node_count - shift rows
+        block = scratch[shift - 1 :]  # node_count - shift rows, like decay
         np.multiply(c[:-shift], decay, out=block)
         c[shift:] += block
     return c

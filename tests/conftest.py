@@ -30,3 +30,19 @@ def positive_theta(triple, amplitude=0.3, offset=0.5):
     """Parameter giving strictly positive states (smooth nonlinearity regime)."""
     x = truth_nodes(triple)
     return offset + amplitude * np.sin(2.0 * np.pi * x) ** 2
+
+
+def broadcast_march(triple, grid, start, loads):
+    """The doubling march with the load gain and every decay power as one row
+    broadcast over the block, as :func:`dyninv.spaces.march_modes` ran it
+    before its tables were tabulated block by block."""
+    denom = 1.0 + grid.tau * triple.eigenvalues
+    c = np.empty((grid.node_count, triple.interior_points))
+    c[0] = start
+    np.multiply(loads, grid.tau / denom, out=c[1:])
+    decay, shift = 1.0 / denom, 1
+    while shift < grid.node_count:
+        c[shift:] += c[:-shift] * decay
+        shift *= 2
+        decay = decay * decay
+    return c

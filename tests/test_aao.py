@@ -41,6 +41,27 @@ def zero_data(instance):
     return data_triple(grid, n, zero_trajectory(grid, n, "observation"))
 
 
+@pytest.mark.parametrize("n_x, n_t, m", [(24, 24, 4), (30, 50, 5)])
+def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
+    """adjoint and residual_norms read the same values from the modal rows an
+    operator-built residual carries as from a bare triple, on every slab too."""
+    inst = make_instance(n_x, n_t, 0.5, 10.0, m=m)
+    op = inst.aao
+    point = random_point(inst, rng)
+    data = random_triple(inst, rng)
+    built = op.residual(point, data)
+    bare = ResidualTriple(built.model, built.initial, built.observation)
+
+    def same(a, b):
+        assert op.residual_norms(a) == op.residual_norms(b)
+        (sa, ta), (sb, tb) = op.adjoint(point, a), op.adjoint(point, b)
+        assert np.array_equal(sa.values, sb.values) and np.array_equal(ta, tb)
+
+    same(built, bare)
+    for j in range(m):
+        same(op.slab_restrict(built, j), op.slab_restrict(bare, j))
+
+
 def test_residual_vanishes_at_synthesized_truth(tiny_instance, tiny_truth):
     theta, state, y = tiny_truth
     op = tiny_instance.aao

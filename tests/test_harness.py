@@ -411,6 +411,10 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"instance": {"n_x": "8"}},
         {"output_dir": 5},
         {"instance": {"n_x": 3}, "method": {"prior_theta": [True, False, 1.0]}},
+        {"truth": {"kind": "sin"}},
+        {"instance": {"policy": "imx"}},
+        {"truth": {"kind": ["sine"]}},
+        {"instance": {"policy": None}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):

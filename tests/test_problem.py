@@ -19,6 +19,19 @@ def test_nonlinearity_odd(rng):
     np.testing.assert_allclose(signed_square(-x), -signed_square(x), atol=1e-14)
 
 
+@pytest.mark.parametrize("gain", [10.0, 0.3, 7.1e-3])
+def test_signed_square_rounds_like_the_sign_form(gain, rng):
+    """(gain * x) * |x| equals ((gain * sign(x)) * x) * x value for value."""
+    x = np.concatenate([
+        rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e150, -1e150, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(all="ignore"):
+        old = gain * np.sign(x) * x * x
+        new = signed_square(x, gain)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
 @pytest.fixture
 def bench():
     triple = build_triple(8)

@@ -18,10 +18,12 @@ from dyninv.spaces import (  # noqa: E402
     graph_rows,
     inner_observation,
     inner_state,
+    march_modes,
+    march_tables,
     solve_stiffness,
 )
 
-from conftest import positive_theta  # noqa: E402
+from conftest import broadcast_march, positive_theta  # noqa: E402
 
 SMALL = settings(max_examples=60, deadline=None)
 sizes = st.integers(min_value=1, max_value=12)
@@ -41,6 +43,18 @@ def test_stencil_equals_dense_product(n_x, batch, seed, strided):
     got = apply_stiffness(triple, v)
     assert got.shape == v.shape
     assert np.all(np.abs(got - ref) <= 1e-12 * max(np.max(np.abs(ref), initial=0.0), 1e-300))
+
+
+@SMALL
+@given(n_x=sizes, n_t=st.integers(min_value=1, max_value=70), seed=seeds,
+       horizon=st.floats(min_value=1e-3, max_value=10.0))
+def test_march_modes_equals_row_broadcast_march(n_x, n_t, seed, horizon):
+    triple = build_triple(n_x)
+    grid = make_time_grid(horizon, n_t)
+    rng = np.random.default_rng(seed)
+    start, loads = rng.standard_normal(n_x), rng.standard_normal((n_t, n_x))
+    got = march_modes(march_tables(triple, grid), start, loads)
+    assert np.array_equal(got, broadcast_march(triple, grid, start, loads))
 
 
 @SMALL

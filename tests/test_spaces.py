@@ -22,6 +22,8 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
+from conftest import broadcast_march
+
 
 def dirichlet_eigenpairs(n_x):
     """Closed-form eigenpairs of the (2,-1,-1)/dx^2 tridiagonal."""
@@ -292,6 +294,31 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     np.testing.assert_allclose(march_modes(tables, start, 0.0), decay, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
+def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
+    tables = march_tables(build_triple(n_x), make_time_grid(0.5, steps))
+    nodes = steps + 1
+    assert tables.node_count == nodes
+    assert tables.gain.shape == (nodes - 1, n_x) and tables.gain.flags.c_contiguous
+    shifts = [shift for shift, _ in tables.passes]
+    assert shifts == [2**p for p in range(len(shifts))]
+    assert shifts[-1] < nodes <= 2 * shifts[-1]
+    for shift, decay in tables.passes:
+        assert decay.shape == (nodes - shift, n_x) and decay.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_x, steps", [(5, 1), (30, 50), (100, 100), (40, 300)])
+def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
+    """Tabulating whole blocks changes no value: every product is the same one."""
+    triple = build_triple(n_x)
+    grid = make_time_grid(0.5, steps)
+    start = rng.standard_normal(n_x)
+    loads = rng.standard_normal((steps, n_x))
+    tables = march_tables(triple, grid)
+    for args in ((start, loads), (start, 0.0), (0.0, loads)):
+        assert np.array_equal(march_modes(tables, *args), broadcast_march(triple, grid, *args))
 
 
 # -- trajectory inner products -------------------------------------------------------
