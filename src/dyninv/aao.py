@@ -159,9 +159,16 @@ class AllAtOnceOperator:
     # -- adjoint ----------------------------------------------------------------
 
     def adjoint(self, point: AaoPoint, resid: ResidualTriple) -> tuple[Trajectory, np.ndarray]:
-        """Exact discrete adjoint of :meth:`derivative`.
+        """Exact discrete adjoint of :meth:`derivative`: :meth:`adjoint_modes`
+        and one basis product taking the state direction back to nodes."""
+        dh, dtheta = self.adjoint_modes(point, resid)
+        return Trajectory(self.grid, dh @ self.triple.eigenvectors.T, "state"), dtheta
 
-        Returns the state direction via one backward and one forward
+    def adjoint_modes(self, point: AaoPoint, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
+        """The adjoint with its state direction left in modal coefficients.
+
+        Returns the modal state direction (nodal rows times the eigenbasis,
+        shape (node_count, width)) via one backward and one forward
         stiffness evolution and the parameter direction via right-endpoint
         quadrature of the adjoint integrands.
         """
@@ -190,14 +197,13 @@ class AllAtOnceOperator:
         ph = march_modes(self._march, 0.0, rows[::-1] @ q)[::-1]
         # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
         dh = march_modes(self._march, ph[0] + h @ q, w_hat + lam * ph[:-1])
-        dstate = Trajectory(self.grid, dh @ q.T, "state")
 
         dtheta = self.grid.tau * np.sum(
             -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
             axis=0,
         )
         dtheta = dtheta - jac("u0", "adjoint", None, None, theta, h)
-        return dstate, dtheta
+        return dh, dtheta
 
     # -- slab operators --------------------------------------------------------
 

@@ -260,10 +260,13 @@ class NoisyDataset:
 def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, delta_z, seed) -> NoisyDataset:
     """Gaussian nodal noise in both channels, rescaled exactly to the targets.
 
-    The model perturbation re-enters through a perturbed state solve; the
-    achieved noise level is the measured observation-space distance, which
-    the discrepancy principle consumes.  The analytic bound c*delta_w +
-    delta_z is reported alongside with c estimated from the current draw.
+    ``y`` is the exact observation of ``theta_truth`` (as returned by
+    :func:`synthesize_truth`).  The model perturbation re-enters through a
+    perturbed state solve, run only when delta_w > 0; with no model noise the
+    observation noise is added to ``y`` itself.  The achieved noise level is
+    the measured observation-space distance, which the discrepancy principle
+    consumes.  The analytic bound c*delta_w + delta_z is reported alongside
+    with c estimated from the current draw.
     """
     if delta_w < 0 or delta_z < 0:
         raise ValidationError("noise levels must be nonnegative")
@@ -272,18 +275,16 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     w_noise = _scaled_noise(rng, instance, delta_w, "dual_load", norm_dual_load)
     z_noise = _scaled_noise(rng, instance, delta_z, "observation", norm_observation)
 
-    solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
-    state_pert = solver.solve_state(theta_truth, perturbation=w_noise if delta_w > 0 else None)
-    y_pert = solver.observe(state_pert, theta_truth)
+    y_pert, c_est = y, 0.0
+    if delta_w > 0:
+        solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
+        y_pert = solver.observe(solver.solve_state(theta_truth, perturbation=w_noise), theta_truth)
+        shift = Trajectory(grid, y.values - y_pert.values, "observation")
+        c_est = norm_observation(triple, shift) / delta_w
     y_noisy = Trajectory(grid, y_pert.values + z_noise.values, "observation")
 
     diff = Trajectory(grid, y_noisy.values - y.values, "observation")
     achieved = norm_observation(triple, diff)
-    if delta_w > 0:
-        shift = Trajectory(grid, y.values - y_pert.values, "observation")
-        c_est = norm_observation(triple, shift) / delta_w
-    else:
-        c_est = 0.0
     return NoisyDataset(
         w_noise, z_noise, y_noisy, y, achieved, c_est * delta_w + delta_z, c_est, seed
     )

@@ -20,7 +20,8 @@ from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    inner_state,
+    dual_pairing,
+    modal_graph_rows,
     norm_l2_v,
     norm_observation,
     zero_trajectory,
@@ -178,27 +179,34 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
     """On flattened joint unknowns: the derivative at point, its adjoint, and
     the inner product (graph product plus parameter product).
 
-    A self-pairing hands :func:`inner_state` one trajectory object for both
-    arguments, which halves its basis products.
+    The state part of a joint vector holds modal coefficients c = u q (nodal
+    rows times the eigenbasis), where the graph rows (c^{n+1} - c^n)/tau +
+    lam c^{n+1} and the initial product dx c^0 . c'^0 need no basis product:
+    the eigenbasis is orthonormal, so this is :func:`inner_state` in other
+    coordinates.  The derivative takes one product to nodes and the adjoint
+    keeps the modes it marched, so a CG iteration on these vectors costs four
+    basis products.
     """
     grid, triple, problem = op.grid, op.triple, op.problem
-    width = point.state.width
+    q, tau, width = triple.eigenvectors, grid.tau, point.state.width
 
     def forward(flat):
-        du, dtheta = _split(flat, grid, width)
-        return op.derivative(point, Trajectory(grid, du, "state"), dtheta)
+        c, dtheta = _split(flat, grid, width)
+        return op.derivative(point, Trajectory(grid, c @ q.T, "state"), dtheta)
 
     def adjoint(resid):
-        dstate, dtheta = op.adjoint(point, resid)
-        return _flatten(dstate.values, dtheta)
+        return _flatten(*op.adjoint_modes(point, resid))
 
     def pair_inner(a, b):
-        ua, ta = _split(a, grid, width)
-        sa = Trajectory(grid, ua, "state")
+        ca, ta = _split(a, grid, width)
+        ea = modal_graph_rows(triple, tau, ca)
         if b is a:
-            return inner_state(triple, sa, sa) + problem.inner_theta(ta, ta)
-        ub, tb = _split(b, grid, width)
-        return inner_state(triple, sa, Trajectory(grid, ub, "state")) + problem.inner_theta(ta, tb)
+            cb, tb, eb = ca, ta, ea
+        else:
+            cb, tb = _split(b, grid, width)
+            eb = modal_graph_rows(triple, tau, cb)
+        state = tau * dual_pairing(triple, ea, eb) + triple.dx * float(ca[0] @ cb[0])
+        return state + problem.inner_theta(ta, tb)
 
     return forward, adjoint, pair_inner
 
@@ -229,7 +237,8 @@ def _descend(point, mu, direction):
 
 
 def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
-    """Regularized Gauss-Newton step via CG on the joint normal equations."""
+    """Regularized Gauss-Newton step via CG on the joint normal equations,
+    run on modal state coefficients (see :func:`_joint_maps`)."""
     grid = op.grid
     forward, adjoint, pair_inner = _joint_maps(op, point)
 
@@ -248,7 +257,8 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
     )
     rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
-    du, dtheta = _split(sol, grid, point.state.width)
+    c, dtheta = _split(sol, grid, point.state.width)
+    du = c @ op.triple.eigenvectors.T
     return AaoPoint(
         Trajectory(grid, prior.state.values + du, "state"), prior.theta + dtheta
     )
@@ -440,7 +450,11 @@ def _norm_stepsize(config, instance, start, y_data):
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
         fwd, adj, inner = _joint_maps(instance.aao, start)
+        # the nodal random start, mapped once to the modal state coefficients
+        # of the joint maps
         size = start.state.values.size + start.theta.size
+        u, t = _split(rng.standard_normal(size), instance.grid, start.state.width)
+        y0 = _flatten(u @ instance.triple.eigenvectors, t)
     else:
         op = instance.reduced
         _, state = op.forward(start)
@@ -451,8 +465,8 @@ def _norm_stepsize(config, instance, start, y_data):
         def adj(z):
             return op.adjoint(start, state, z)
 
-        inner, size = op.problem.inner_theta, start.size
-    est = estimate_operator_norm(fwd, adj, inner, rng.standard_normal(size))
+        inner, y0 = op.problem.inner_theta, rng.standard_normal(start.size)
+    est = estimate_operator_norm(fwd, adj, inner, y0)
     if est == 0.0:
         return config.mu
     return 0.95 / est**2

@@ -323,10 +323,10 @@ def graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
     return (v[1:] - v[:-1]) / tau + apply_stiffness(triple, v[1:])
 
 
-def _modal_graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
-    """:func:`graph_rows` in modal coefficients: (c^{n+1} - c^n)/tau + lam c^{n+1}, c = u q."""
-    c = u.values @ triple.eigenvectors
-    return (c[1:] - c[:-1]) / u.grid.tau + triple.eigenvalues * c[1:]
+def modal_graph_rows(triple: DiscreteGelfandTriple, tau: float, c: np.ndarray) -> np.ndarray:
+    """:func:`graph_rows` of a state given by its modal coefficients c = u q:
+    (c^{n+1} - c^n)/tau + lam c^{n+1}, where K is the diagonal of lam."""
+    return (c[1:] - c[:-1]) / tau + triple.eigenvalues * c[1:]
 
 
 def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
@@ -339,9 +339,10 @@ def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> 
     in all when both arguments are the same object) and no solve.
     """
     _same_grid(u, v)
-    eu = _modal_graph_rows(triple, u)
-    ev = eu if v is u else _modal_graph_rows(triple, v)
-    bulk = u.grid.tau * dual_pairing(triple, eu, ev)
+    q, tau = triple.eigenvectors, u.grid.tau
+    eu = modal_graph_rows(triple, tau, u.values @ q)
+    ev = eu if v is u else modal_graph_rows(triple, tau, v.values @ q)
+    bulk = tau * dual_pairing(triple, eu, ev)
     return bulk + triple.dx * float(u.values[0] @ v.values[0])
 
 

@@ -6,7 +6,10 @@ they have quick always-on variants.  Every test prints one PASS line so a
 verbose run reads as a checklist.
 """
 
+import functools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -435,28 +438,53 @@ def _maxgap(a, b, floor=1e-12):
 # -- criterion 6: regularization-method behavior ------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _sweep_instance(n_x, n_t, horizon):
+    """The sweep's instance, truth and ||y||, built once per worker process."""
+    inst = make_instance(n_x, n_t, horizon, 10.0)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    return inst, theta, state, y, norm_observation(inst.triple, y)
+
+
+def _sweep_run(n_x, n_t, horizon, k_max, tag, stepsize, rel, seed):
+    """One run of the sweep: (stop reason, final residual, achieved delta, final error)."""
+    inst, theta, state, y, ynorm = _sweep_instance(n_x, n_t, horizon)
+    ds = add_noise(inst, y, theta, 0.0, rel * ynorm, seed=seed)
+    cfg = MethodConfig(tag=tag, mu=1.0, stepsize=stepsize, tau_disc=2.5, k_max=k_max)
+    rec = run(cfg, inst, ds.y_noisy, ds.achieved_delta, truth=(theta, state))
+    return rec.stop_reason, rec.rows[-1].res_total, ds.achieved_delta, rec.rows[-1].err_theta
+
+
 def _noise_sweep(n_x, n_t, horizon, rel_deltas, seeds, k_max):
     # each method runs its sanctioned stepsize: mu = 1 for the joint iteration
     # (it equals the norm bound there, the joint derivative has norm ~ 1) and
     # the theory-compliant norm-based step for the reduced one, whose
     # derivative norm is tiny at this scale (see decisions ledger)
-    inst = make_instance(n_x, n_t, horizon, 10.0)
-    theta, state, y = synthesize_truth(inst, "sine", 0.1)
-    ynorm = norm_observation(inst.triple, y)
+    stepsizes = {"rLW": "norm", "aLW": "fixed"}
+    jobs = [(tag, rel, seed) for tag in stepsizes for rel in rel_deltas for seed in seeds]
+    # the runs are independent: one fresh (spawned) process per CPU, longest
+    # first (the joint iteration takes hundreds to thousands of times the
+    # reduced one's steps to the stop, and a lower noise level stops later);
+    # every check below runs in this process
+    jobs.sort(key=lambda job: (job[0] != "aLW", job[1]))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(len(os.sched_getaffinity(0)), mp_context=spawn) as pool:
+        runs = {
+            job: pool.submit(_sweep_run, n_x, n_t, horizon, k_max, job[0], stepsizes[job[0]], *job[1:])
+            for job in jobs
+        }
     out = {}
-    for tag, stepsize in (("rLW", "norm"), ("aLW", "fixed")):
+    for tag in stepsizes:
         med = []
         for rel in rel_deltas:
             errs = []
             for seed in seeds:
-                ds = add_noise(inst, y, theta, 0.0, rel * ynorm, seed=seed)
-                cfg = MethodConfig(tag=tag, mu=1.0, stepsize=stepsize, tau_disc=2.5, k_max=k_max)
-                rec = run(cfg, inst, ds.y_noisy, ds.achieved_delta, truth=(theta, state))
-                assert rec.stop_reason == "discrepancy", (
+                stop_reason, res_total, achieved_delta, err_theta = runs[tag, rel, seed].result()
+                assert stop_reason == "discrepancy", (
                     f"{tag} rel={rel} seed={seed}: no discrepancy stop within {k_max}"
                 )
-                assert rec.rows[-1].res_total <= 2.5 * ds.achieved_delta
-                errs.append(rec.rows[-1].err_theta)
+                assert res_total <= 2.5 * achieved_delta
+                errs.append(err_theta)
             med.append(float(np.median(errs)))
         assert all(med[i] >= med[i + 1] for i in range(len(med) - 1)), f"{tag} medians {med}"
         out[tag] = med

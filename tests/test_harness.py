@@ -94,6 +94,25 @@ def test_noise_positive_when_any_level_positive(tiny_instance, tiny_truth):
         assert ds.achieved_delta > 0.0
 
 
+@pytest.mark.parametrize("delta_w, marches", [(0.0, 0), (1e-3, 1)])
+def test_noise_marches_truth_only_for_model_noise(tiny_instance, tiny_truth, monkeypatch,
+                                                  delta_w, marches):
+    """y is the exact observation of the truth, so only model noise needs a
+    perturbed state solve."""
+    theta, state, y = tiny_truth
+    calls = []
+    solve_state = harness.ReducedOperator.solve_state
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.policy)
+        return solve_state(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness.ReducedOperator, "solve_state", counted)
+    ds = add_noise(tiny_instance, y, theta, delta_w, 3e-3, seed=4)
+    assert calls == ["newton"] * marches
+    assert ds.achieved_delta > 0.0
+
+
 # -- tangential cone ----------------------------------------------------------------------
 
 

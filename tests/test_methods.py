@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dyninv import methods
 from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
 from dyninv.methods import (
     MethodConfig,
+    _norm_stepsize,
     conjugate_gradient,
     estimate_operator_norm,
     run,
@@ -19,6 +21,8 @@ from dyninv.methods import (
     step_reduced_landweber_kaczmarz,
 )
 from dyninv.spaces import Trajectory, inner_observation, inner_state
+
+from conftest import nodal_irgnm_step, nodal_joint_maps
 
 
 @pytest.fixture(scope="module")
@@ -479,3 +483,68 @@ def test_aao_landweber_basis_products(tag, monkeypatch):
               truth=(theta, state))
     assert len(rec.rows) == 11
     assert _CountedBasis.counts == {"block": 11 + 3 * 10, "vector": 10}
+
+
+@pytest.fixture
+def cg_counts(monkeypatch):
+    """The iteration count of every conjugate_gradient call the methods make."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        sol, its = conjugate_gradient(*args, **kwargs)
+        counts.append(its)
+        return sol, its
+
+    monkeypatch.setattr(methods, "conjugate_gradient", counted)
+    return counts
+
+
+def test_aao_irgnm_basis_products(monkeypatch, cg_counts):
+    """One n x n basis product per recorded row and, per step, three for the
+    right-hand side, four per CG iteration on modal state coefficients and
+    one taking the solution back to nodes; one vector product per adjoint."""
+    inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    basis = inst.triple.eigenvectors.view(_CountedBasis)
+    triple = replace(inst.triple, eigenvectors=basis)
+    counted = replace(
+        inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
+    )
+    monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
+    cfg = MethodConfig(tag="aIRGNM", k_max=3, alpha0=1.0, q=0.4, cg_max=2000)
+    rec = run(cfg, counted, y, 0.0, truth=(theta, state))
+    assert len(rec.rows) == 4
+    assert cg_counts == [4, 4, 4]
+    assert _CountedBasis.counts == {"block": 4 + 3 * (3 + 4 * 4 + 1), "vector": 15}
+
+
+@pytest.mark.parametrize("size", [(8, 6), (24, 24)])
+def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
+    """The IRGNM step on modal state coefficients and the aLW "norm" stepsize
+    equal those of the nodal joint maps to rounding, with the same CG count.
+
+    The two CG runs differ by rounding in every product, which CG amplifies
+    with the condition number of the normal equations; down to alpha = 1e-2
+    they agree to ~1e-15 here, at alpha = 1e-4 only to ~1e-12."""
+    n_x, n_t = size
+    inst = make_instance(n_x, n_t, 0.1, gain=10.0)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    op, grid = inst.aao, inst.grid
+    point = AaoPoint(
+        Trajectory(grid, state.values + 0.05 * rng.standard_normal(state.values.shape), "state"),
+        theta + 0.05 * rng.standard_normal(theta.size),
+    )
+    prior = zero_point(inst.triple, grid, inst.problem)
+    data = data_triple(grid, n_x, y)
+    for alpha in (1.0, 0.4, 1e-2):
+        got = step_aao_irgnm(op, point, data, alpha, prior, cg_max=2000)
+        want, its = nodal_irgnm_step(op, point, data, alpha, prior, cg_max=2000)
+        assert cg_counts.pop() == its
+        for a, b in ((got.state.values, want.state.values), (got.theta, want.theta)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point, y)
+    fwd, adj, inner = nodal_joint_maps(op, point)
+    start = np.random.default_rng(12345).standard_normal(state.values.size + theta.size)
+    want = 0.95 / estimate_operator_norm(fwd, adj, inner, start) ** 2
+    assert abs(mu - want) <= 1e-12 * want

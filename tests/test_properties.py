@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple  # noqa: E402
 from dyninv.grids import make_partition, make_time_grid  # noqa: E402
 from dyninv.harness import make_instance  # noqa: E402
+from dyninv.methods import _joint_maps  # noqa: E402
 from dyninv.reduced import ReducedOperator  # noqa: E402
 from dyninv.spaces import (  # noqa: E402
     Trajectory,
@@ -139,3 +140,25 @@ def test_slab_adjoints_are_restricted_full_adjoints(case, seed):
         pairs.append((lhs, problem.inner_theta(xi, slabs[-1])))
     m1 = ReducedOperator(problem, triple, grid, one, policy=policy).slab_adjoint(theta, state, z, 0)
     _check_slabs(red.adjoint(theta, state, z), slabs, m1, pairs)
+
+
+@SMALL
+@given(n_x=sizes, n_t=st.integers(min_value=1, max_value=30), seed=seeds)
+def test_modal_joint_inner_equals_nodal_inner(n_x, n_t, seed):
+    """The joint CG's inner product on modal state coefficients is the graph
+    product of the nodal states plus the parameter product."""
+    inst = make_instance(n_x, n_t, 0.1, 10.0)
+    grid, triple, problem = inst.grid, inst.triple, inst.problem
+    rng = np.random.default_rng(seed)
+    point = AaoPoint(_trajectory(rng, grid, n_x, "state"), rng.standard_normal(n_x))
+    _, _, pair_inner = _joint_maps(inst.aao, point)
+    q = triple.eigenvectors
+    (ua, ta), (ub, tb) = [(_trajectory(rng, grid, n_x, "state"), rng.standard_normal(n_x)) for _ in "ab"]
+    a, b = (np.concatenate([(u.values @ q).ravel(), t]) for u, t in ((ua, ta), (ub, tb)))
+
+    def nodal(u, s, v, t):
+        return inner_state(triple, u, v) + problem.inner_theta(s, t)
+
+    aa, bb = nodal(ua, ta, ua, ta), nodal(ub, tb, ub, tb)
+    assert abs(pair_inner(a, a) - aa) <= 1e-13 * aa
+    assert abs(pair_inner(a, b) - nodal(ua, ta, ub, tb)) <= 1e-13 * np.sqrt(aa * bb)
