@@ -33,7 +33,6 @@ from .spaces import (
     build_triple,
     evolve_backward,
     evolve_forward,
-    inner,
     inner_dual_load,
     inner_observation,
     inner_state,

@@ -12,11 +12,12 @@ A slab map is the full map followed by the slab restriction P_j of
 and idempotent, so the slab adjoint is the full adjoint of P_j r.
 
 The residual carries its model rows 1..N in modal coefficients as well (one
-basis product, taken where the model row is built), next to the modal rows
-of K^{-1} w (one division by the eigenvalues); the V* norm and the adjoint
-both read them, so an iteration divides by the eigenvalues once.  P_j acts by
-rows, so it commutes with the change of basis and with K^{-1}, and restricts
-both modal blocks directly.
+:func:`~dyninv.spaces.to_modes`, taken where the model row is built), next to
+the modal rows of K^{-1} w (one division by the eigenvalues); the V* norm and
+the adjoint both read them, so an iteration divides by the eigenvalues once.
+P_j acts by rows, so it commutes with the change of basis and with K^{-1}, and
+restricts both modal blocks directly.  Every change of basis goes through
+:func:`~dyninv.spaces.to_modes` and :func:`~dyninv.spaces.from_modes`.
 """
 
 from dataclasses import dataclass
@@ -28,11 +29,13 @@ from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
+    from_modes,
     inner_dual_load,
     inner_observation,
     march_modes,
     march_tables,
     norm_observation,
+    to_modes,
     zero_trajectory,
 )
 
@@ -114,21 +117,18 @@ class AllAtOnceOperator:
         w[1:] = (u[1:] - u[:-1]) / tau - fvals - data.model.values[1:]
         h = u[0] - self.problem.u0(theta) - data.initial
         z = self.problem.g(self._t, u, theta) - data.observation.values
-        w_hat = w[1:] @ self.triple.eigenvectors
-        return ResidualTriple(
-            Trajectory(self.grid, w, "dual_load"),
-            h,
-            Trajectory(self.grid, z, "observation"),
-            w_hat,
-            w_hat / self.triple.eigenvalues,
+        resid = ResidualTriple(
+            Trajectory(self.grid, w, "dual_load"), h, Trajectory(self.grid, z, "observation")
         )
+        resid.model_modes, resid.riesz_modes = self._modes(resid)
+        return resid
 
     def _modes(self, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
         """Model rows 1..N and those of K^{-1} w in modal coefficients: carried,
         or one basis product and one division."""
         if resid.model_modes is not None:
             return resid.model_modes, resid.riesz_modes
-        w_hat = resid.model.values[1:] @ self.triple.eigenvectors
+        w_hat = to_modes(self.triple, resid.model.values[1:])
         return w_hat, w_hat / self.triple.eigenvalues
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
@@ -162,7 +162,7 @@ class AllAtOnceOperator:
         """Exact discrete adjoint of :meth:`derivative`: :meth:`adjoint_modes`
         and one basis product taking the state direction back to nodes."""
         dh, dtheta = self.adjoint_modes(point, resid)
-        return Trajectory(self.grid, dh @ self.triple.eigenvectors.T, "state"), dtheta
+        return Trajectory(self.grid, from_modes(self.triple, dh), "state"), dtheta
 
     def adjoint_modes(self, point: AaoPoint, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
         """The adjoint with its state direction left in modal coefficients.
@@ -182,9 +182,9 @@ class AllAtOnceOperator:
 
         # w and K^{-1} w are in the basis already; the modal w is also the
         # load of the forward sweep below
-        q, lam = self.triple.eigenvectors, self.triple.eigenvalues
+        triple, lam = self.triple, self.triple.eigenvalues
         w_hat, iw_hat = self._modes(resid)
-        iw = iw_hat @ q.T
+        iw = from_modes(triple, iw_hat)
         # the graph-norm source is -w - f_u^T K^{-1} w + g_u^T z.  The problem
         # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
         # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
@@ -194,9 +194,9 @@ class AllAtOnceOperator:
         # both sweeps run in the eigenbasis of K, which diagonalizes their
         # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
         # marched on the time-reversed nodes and flipped back (ph[m] is p^m).
-        ph = march_modes(self._march, 0.0, rows[::-1] @ q)[::-1]
+        ph = march_modes(self._march, 0.0, to_modes(triple, rows[::-1]))[::-1]
         # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        dh = march_modes(self._march, ph[0] + h @ q, w_hat + lam * ph[:-1])
+        dh = march_modes(self._march, ph[0] + to_modes(triple, h), w_hat + lam * ph[:-1])
 
         dtheta = self.grid.tau * np.sum(
             -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
@@ -218,10 +218,6 @@ class AllAtOnceOperator:
             Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
             *(None if m is None else part.restrict(m, j) for m in modes),
         )
-
-    def slab_residual(self, point: AaoPoint, j: int, data: ResidualTriple) -> ResidualTriple:
-        """P_j of the residual."""
-        return self.slab_restrict(self.residual(point, data), j)
 
     def slab_derivative(self, point, j, dstate, dtheta) -> ResidualTriple:
         return self.slab_restrict(self.derivative(point, dstate, dtheta), j)

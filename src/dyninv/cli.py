@@ -6,6 +6,7 @@ failure (of ``selftest`` or of the gate every other subcommand passes first).
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import SelfTestError, SolverError, ValidationError
@@ -76,9 +77,12 @@ def main(argv=None) -> int:
             out = compare(config, tags)
             print(json.dumps(out["step_ms_mean_ratios"], indent=2))
         elif args.command == "sweep":
-            deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
-            if not deltas:
-                raise ValidationError("no deltas given")
+            try:
+                deltas = [float(d) for d in args.deltas.split(",") if d.strip()]
+            except ValueError as exc:
+                raise ValidationError(f"bad noise level in --deltas: {exc}") from None
+            if not deltas or not all(map(math.isfinite, deltas)):
+                raise ValidationError(f"--deltas needs finite noise levels, got {args.deltas!r}")
             out = sweep(
                 config,
                 deltas,

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
@@ -29,3 +31,10 @@ class InnerSolveError(SolverError):
 
 class SelfTestError(RuntimeError):
     """The oracle self-test gate failed, so no experiment was run."""
+
+
+def require_finite(config, names):
+    """Reject a config whose named number fields include NaN or an infinity."""
+    bad = [name for name in names if not math.isfinite(getattr(config, name))]
+    if bad:
+        raise ValidationError(f"{bad[0]} must be finite, got {getattr(config, bad[0])}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple
-from .errors import SelfTestError, ValidationError
+from .errors import SelfTestError, ValidationError, require_finite
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, run
 from .problem import SemilinearDiffusion
@@ -60,6 +60,7 @@ class ExperimentConfig:
     start_at_truth: bool = False
 
     def __post_init__(self):
+        require_finite(self, ("gain", "truth_amplitude", "delta_w", "delta_z"))
         if self.delta_w < 0 or self.delta_z < 0:
             raise ValidationError("noise levels must be nonnegative")
         check_truth_kind(self.truth_kind)
@@ -73,8 +74,8 @@ class ExperimentConfig:
         shapes = {"prior_theta": (self.n_x,), "prior_state": (self.n_t + 1, self.n_x)}
         for name, shape in shapes.items():
             value = getattr(self.method, name)
-            if value is not None and np.shape(value) != shape:
-                raise ValidationError(f"{name} has shape {np.shape(value)}, expected {shape}")
+            if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
+                raise ValidationError(f"{name} must be finite of shape {shape}, got {np.shape(value)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

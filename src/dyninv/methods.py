@@ -13,17 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
-from .errors import InnerSolveError, SolverError, ValidationError
+from .errors import InnerSolveError, SolverError, ValidationError, require_finite
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    dual_pairing,
-    modal_graph_rows,
+    from_modes,
+    inner_state_modes,
     norm_l2_v,
     norm_observation,
+    to_modes,
     zero_trajectory,
 )
 
@@ -53,6 +54,7 @@ class MethodConfig:
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValidationError(f"unknown method tag {self.tag!r}")
+        require_finite(self, ("mu", "alpha0", "tau_disc", "cg_tol"))
         if not 0.0 < self.q < 1.0:
             raise ValidationError(f"q must lie in (0,1), got {self.q}")
         if not self.tau_disc > 1.0:
@@ -179,34 +181,26 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
     """On flattened joint unknowns: the derivative at point, its adjoint, and
     the inner product (graph product plus parameter product).
 
-    The state part of a joint vector holds modal coefficients c = u q (nodal
-    rows times the eigenbasis), where the graph rows (c^{n+1} - c^n)/tau +
-    lam c^{n+1} and the initial product dx c^0 . c'^0 need no basis product:
-    the eigenbasis is orthonormal, so this is :func:`inner_state` in other
-    coordinates.  The derivative takes one product to nodes and the adjoint
-    keeps the modes it marched, so a CG iteration on these vectors costs four
-    basis products.
+    The state part of a joint vector holds modal coefficients c = u q
+    (:func:`~dyninv.spaces.to_modes` of the nodal rows), which
+    :func:`~dyninv.spaces.inner_state_modes` pairs with no basis product.  The
+    derivative takes one product to nodes and the adjoint keeps the modes it
+    marched, so a CG iteration on these vectors costs four basis products.
     """
     grid, triple, problem = op.grid, op.triple, op.problem
-    q, tau, width = triple.eigenvectors, grid.tau, point.state.width
+    tau, width = grid.tau, point.state.width
 
     def forward(flat):
         c, dtheta = _split(flat, grid, width)
-        return op.derivative(point, Trajectory(grid, c @ q.T, "state"), dtheta)
+        return op.derivative(point, Trajectory(grid, from_modes(triple, c), "state"), dtheta)
 
     def adjoint(resid):
         return _flatten(*op.adjoint_modes(point, resid))
 
     def pair_inner(a, b):
         ca, ta = _split(a, grid, width)
-        ea = modal_graph_rows(triple, tau, ca)
-        if b is a:
-            cb, tb, eb = ca, ta, ea
-        else:
-            cb, tb = _split(b, grid, width)
-            eb = modal_graph_rows(triple, tau, cb)
-        state = tau * dual_pairing(triple, ea, eb) + triple.dx * float(ca[0] @ cb[0])
-        return state + problem.inner_theta(ta, tb)
+        cb, tb = (ca, ta) if b is a else _split(b, grid, width)
+        return inner_state_modes(triple, tau, ca, cb) + problem.inner_theta(ta, tb)
 
     return forward, adjoint, pair_inner
 
@@ -258,7 +252,7 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
     rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
     c, dtheta = _split(sol, grid, point.state.width)
-    du = c @ op.triple.eigenvectors.T
+    du = from_modes(op.triple, c)
     return AaoPoint(
         Trajectory(grid, prior.state.values + du, "state"), prior.theta + dtheta
     )
@@ -454,7 +448,7 @@ def _norm_stepsize(config, instance, start, y_data):
         # of the joint maps
         size = start.state.values.size + start.theta.size
         u, t = _split(rng.standard_normal(size), instance.grid, start.state.width)
-        y0 = _flatten(u @ instance.triple.eigenvectors, t)
+        y0 = _flatten(to_modes(instance.triple, u), t)
     else:
         op = instance.reduced
         _, state = op.forward(start)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
-from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness
+from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness, spectral_solve
 
 _NEWTON_MAX = 25
 _NEWTON_TOL = 1e-12
@@ -65,12 +65,8 @@ class ReducedOperator:
         self.partition = partition
         self.policy = policy
         self._t = grid.nodes()
+        # the resolvent (I + tau K)^{-1} is spectral_solve with this diagonal
         self._denom = 1.0 + grid.tau * triple.eigenvalues
-
-    def _resolve(self, rows):
-        """Apply the resolvent (I + tau K)^{-1} to rows, in the eigenbasis of K."""
-        q = self.triple.eigenvectors
-        return ((rows @ q) / self._denom) @ q.T
 
     # -- nonlinear state solve ---------------------------------------------------
 
@@ -89,7 +85,7 @@ class ReducedOperator:
             rhs = u + tau * self.problem.reaction(self._t[k], u, theta)
             if pvals is not None:
                 rhs = rhs + tau * pvals[k]
-            u_next = self._resolve(rhs)
+            u_next = spectral_solve(self.triple, rhs, self._denom)
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
                 u_next = self._newton_step(k, base, u_next, theta, tau)
@@ -139,7 +135,7 @@ class ReducedOperator:
         )
         for k in range(1, self.grid.step_count + 1):
             if imex:
-                v = self._resolve(v + slope[k - 1] * v + src[k - 1])
+                v = spectral_solve(self.triple, v + slope[k - 1] * v + src[k - 1], self._denom)
             else:
                 v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src[k - 1], k)
             out[k] = v
@@ -169,7 +165,7 @@ class ReducedOperator:
         for k in range(self.grid.step_count, 0, -1):
             rhs = load[k - 1] + carry
             if imex:
-                p = self._resolve(rhs)
+                p = spectral_solve(self.triple, rhs, self._denom)
                 carry = p + slope[k - 1] * p
             else:
                 # the newton step matrix is symmetric: its transpose is itself

@@ -5,9 +5,10 @@ pairings are realized through the measure-weighted dot product
 ``<w, v> = dx * w @ v``.  The stiffness operator plays the role of the Riesz
 map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
 on demand, for the dense oracle and tests).  Its inverse and every V* pairing
-are taken on modal coefficients (nodal rows times the DST-I eigenbasis, the
-only n x n array kept), where K is the diagonal of its eigenvalues:
-||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.
+are taken on modal coefficients, where K is the diagonal of its eigenvalues:
+||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.  The DST-I
+eigenbasis q is the only n x n array kept; only :func:`to_modes` and
+:func:`from_modes` apply it.
 """
 
 import math
@@ -101,11 +102,27 @@ def apply_stiffness(triple: DiscreteGelfandTriple, v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def to_modes(triple: DiscreteGelfandTriple, rows: np.ndarray) -> np.ndarray:
+    """Modal coefficients of nodal rows: ``rows @ q`` (batched)."""
+    return rows @ triple.eigenvectors
+
+
+def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
+    """Nodal rows of modal coefficients: ``c @ q.T``, the inverse of :func:`to_modes`."""
+    return c @ triple.eigenvectors.T
+
+
+def spectral_solve(triple: DiscreteGelfandTriple, rows: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Solve with the operator that the eigenbasis turns into the diagonal ``diag``
+    (K for its eigenvalues, I + tau K for 1 + tau lam), for nodal rows (batched)."""
+    return from_modes(triple, to_modes(triple, rows) / diag)
+
+
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
     """Riesz map V* -> V: spectral solve with the stiffness operator (batched)."""
     w = np.asarray(w)
     _check_width(triple, w)
-    return ((w @ triple.eigenvectors) / triple.eigenvalues) @ triple.eigenvectors.T
+    return spectral_solve(triple, w, triple.eigenvalues)
 
 
 def dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:
@@ -145,22 +162,6 @@ def solve_shifted_stiffness(triple: DiscreteGelfandTriple, tau, shift, rhs, step
         y = ys[i] + ratios[i] * y
         out.append(y)
     return np.array(out[::-1])
-
-
-def inner(triple: DiscreteGelfandTriple, which: str, a: np.ndarray, b: np.ndarray) -> float:
-    """Spatial inner product: 'H', 'V' or 'Vstar'."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_width(triple, a, "first argument")
-    _check_width(triple, b, "second argument")
-    if which == "H":
-        return triple.dx * float(a @ b)
-    if which == "V":
-        return triple.dx * float(a @ apply_stiffness(triple, b))
-    if which == "Vstar":
-        q = triple.eigenvectors
-        return dual_pairing(triple, a @ q, b @ q)
-    raise ValidationError(f"unknown inner product tag {which!r}")
 
 
 @dataclass
@@ -217,13 +218,12 @@ def evolve_forward(
     """
     v0 = np.asarray(v0, dtype=float)
     _check_width(triple, v0, "initial value")
-    q = triple.eigenvectors
     loads = 0.0
     if source is not None:
         _same_grid_source(grid, source)
-        loads = source.values[1:] @ q
-    c = march_modes(march_tables(triple, grid), v0 @ q, loads)
-    return Trajectory(grid, c @ q.T, "state")
+        loads = to_modes(triple, source.values[1:])
+    c = march_modes(march_tables(triple, grid), to_modes(triple, v0), loads)
+    return Trajectory(grid, from_modes(triple, c), "state")
 
 
 def evolve_backward(
@@ -240,14 +240,13 @@ def evolve_backward(
     """
     v_final = np.asarray(v_final, dtype=float)
     _check_width(triple, v_final, "terminal value")
-    q = triple.eigenvectors
     loads = 0.0
     if source is not None:
         _same_grid_source(grid, source)
-        loads = source.values[-2::-1] @ q
+        loads = to_modes(triple, source.values[-2::-1])
     # the backward march is a forward one on the time-reversed nodes
-    out = march_modes(march_tables(triple, grid), v_final @ q, loads)[::-1]
-    return Trajectory(grid, out @ q.T, "state")
+    out = march_modes(march_tables(triple, grid), to_modes(triple, v_final), loads)[::-1]
+    return Trajectory(grid, from_modes(triple, out), "state")
 
 
 @dataclass(frozen=True)
@@ -291,8 +290,8 @@ def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
 
     Returns c of shape (node_count, width) with c^0 = start and
     c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam) for k = 1..N; start
-    and the rows of loads are modal coefficients (nodal rows times the
-    eigenvectors), loads may be a scalar.  ``tables`` comes from
+    and the rows of loads are modal coefficients (:func:`to_modes` of nodal
+    rows), loads may be a scalar.  ``tables`` comes from
     :func:`march_tables`: an operator that marches often tabulates once, any
     other caller builds them for the call.  Instead of one pass per step the
     recursion takes ceil(log2(N + 1)) vectorised doubling passes, each run in
@@ -323,10 +322,13 @@ def graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
     return (v[1:] - v[:-1]) / tau + apply_stiffness(triple, v[1:])
 
 
-def modal_graph_rows(triple: DiscreteGelfandTriple, tau: float, c: np.ndarray) -> np.ndarray:
-    """:func:`graph_rows` of a state given by its modal coefficients c = u q:
-    (c^{n+1} - c^n)/tau + lam c^{n+1}, where K is the diagonal of lam."""
-    return (c[1:] - c[:-1]) / tau + triple.eigenvalues * c[1:]
+def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
+    """:func:`inner_state` of two states given by their modal coefficients c = u q:
+    graph rows (c^{n+1} - c^n)/tau + lam c^{n+1} (formed once when b is a) and
+    the initial term dx c^0 . c'^0, as the eigenbasis is orthonormal."""
+    lam = triple.eigenvalues
+    rows = [(c[1:] - c[:-1]) / tau + lam * c[1:] for c in ((a,) if b is a else (a, b))]
+    return tau * dual_pairing(triple, rows[0], rows[-1]) + triple.dx * float(a[0] @ b[0])
 
 
 def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
@@ -334,16 +336,13 @@ def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> 
 
     Sum of tau * (du + Ku, dv + Kv)_{V*} over steps plus the H product of the
     initial values; this is the Hilbert structure in which the all-at-once
-    adjoint is taken.  The graph rows are formed on modal coefficients, where
-    K is diagonal, so the pairing costs one basis product per argument (one
-    in all when both arguments are the same object) and no solve.
+    adjoint is taken: :func:`inner_state_modes` after one basis product per
+    argument (one in all when both arguments are the same object).
     """
     _same_grid(u, v)
-    q, tau = triple.eigenvectors, u.grid.tau
-    eu = modal_graph_rows(triple, tau, u.values @ q)
-    ev = eu if v is u else modal_graph_rows(triple, tau, v.values @ q)
-    bulk = tau * dual_pairing(triple, eu, ev)
-    return bulk + triple.dx * float(u.values[0] @ v.values[0])
+    cu = to_modes(triple, u.values)
+    cv = cu if v is u else to_modes(triple, v.values)
+    return inner_state_modes(triple, u.grid.tau, cu, cv)
 
 
 def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory) -> float:
@@ -353,9 +352,8 @@ def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory)
     when both arguments are the same object.
     """
     _same_grid(w, v)
-    q = triple.eigenvectors
-    w_hat = w.values[1:] @ q
-    v_hat = w_hat if v is w else v.values[1:] @ q
+    w_hat = to_modes(triple, w.values[1:])
+    v_hat = w_hat if v is w else to_modes(triple, v.values[1:])
     return w.grid.tau * dual_pairing(triple, w_hat, v_hat)
 
 

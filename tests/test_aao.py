@@ -237,7 +237,7 @@ def test_slab_trivial_partition_identity(rng):
     point = random_point(inst, rng)
     data = zero_data(inst)
     full = op.residual(point, data)
-    slab = op.slab_residual(point, 0, data)
+    slab = op.slab_restrict(op.residual(point, data), 0)
     np.testing.assert_allclose(slab.model.values, full.model.values, atol=1e-14)
     np.testing.assert_allclose(slab.initial, full.initial, atol=1e-14)
     np.testing.assert_allclose(slab.observation.values[1:], full.observation.values[1:], atol=1e-14)
@@ -294,7 +294,7 @@ def test_slab_index_validation(tiny_instance, rng):
     op = tiny_instance.aao
     point = random_point(tiny_instance, rng)
     with pytest.raises(ValidationError):
-        op.slab_residual(point, 5, zero_data(tiny_instance))
+        op.slab_restrict(op.residual(point, zero_data(tiny_instance)), 5)
 
 
 def test_operator_without_partition_rejects_slabs(rng):
@@ -306,8 +306,9 @@ def test_operator_without_partition_rejects_slabs(rng):
     grid = make_time_grid(0.1, 4)
     op = AllAtOnceOperator(SemilinearDiffusion(triple), triple, grid)
     point = AaoPoint(zero_trajectory(grid, 5), np.zeros(5))
+    resid = op.residual(point, data_triple(grid, 5, zero_trajectory(grid, 5, "observation")))
     with pytest.raises(ValidationError):
-        op.slab_residual(point, 0, data_triple(grid, 5, zero_trajectory(grid, 5, "observation")))
+        op.slab_restrict(resid, 0)
 
 
 def test_run_path_never_builds_the_dense_stiffness(monkeypatch, rng):

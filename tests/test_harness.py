@@ -434,6 +434,16 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"instance": {"policy": "imx"}},
         {"truth": {"kind": ["sine"]}},
         {"instance": {"policy": None}},
+        {"noise": {"delta_z": float("nan")}},
+        {"noise": {"delta_z": float("inf")}},
+        {"noise": {"delta_w": float("nan")}},
+        {"instance": {"gain": float("inf")}},
+        {"truth": {"amplitude": float("nan")}},
+        {"method": {"mu": float("inf")}},
+        {"method": {"alpha0": float("inf")}},
+        {"method": {"tau_disc": float("inf")}},
+        {"method": {"cg_tol": float("nan")}},
+        {"instance": {"n_x": 2}, "method": {"prior_theta": [0.0, float("nan")]}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):
@@ -482,6 +492,11 @@ def test_cli_bad_config_exits_1(tmp_path):
     assert cli_main(["run", "--config", str(path)]) == 1
     ok = write_config(tmp_path, method={"tag": "noSuchMethod", "k_max": 2})
     assert cli_main(["run", "--config", ok]) == 1
+    # JSON that Python's json module reads as NaN
+    path.write_text('{"noise": {"delta_z": NaN}}')
+    assert cli_main(["run", "--config", str(path)]) == 1
+    for deltas in ("1e-3,abc", "1e-3,nan", "inf"):
+        assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", deltas]) == 1
 
 
 def test_cli_solver_failure_exits_2(tmp_path):

@@ -20,6 +20,7 @@ from dyninv.methods import (
     step_reduced_landweber,
     step_reduced_landweber_kaczmarz,
 )
+from dyninv.reduced import ReducedOperator
 from dyninv.spaces import Trajectory, inner_observation, inner_state
 
 from conftest import nodal_irgnm_step, nodal_joint_maps
@@ -516,6 +517,42 @@ def test_aao_irgnm_basis_products(monkeypatch, cg_counts):
     assert len(rec.rows) == 4
     assert cg_counts == [4, 4, 4]
     assert _CountedBasis.counts == {"block": 4 + 3 * (3 + 4 * 4 + 1), "vector": 15}
+
+
+_LANDWEBER = {"k_max": 10}
+_IRGNM = {"k_max": 3, "alpha0": 1e-6, "q": 0.4, "cg_max": 2000}
+# (tag, policy): run options, CG counts and vector basis products.  Every imex
+# step of a state, sensitivity or adjoint sweep is one resolvent, two vector
+# products, on N = 10 steps; under newton only the initial guesses of the state
+# solve are resolvents, and the linear sweeps are Thomas solves
+_REDUCED_COUNTS = {
+    ("rLW", "imex"): (_LANDWEBER, [], 20 * (11 + 10)),
+    ("rLW", "newton"): (_LANDWEBER, [], 20 * 11),
+    ("rLWK", "imex"): ({**_LANDWEBER, "m": 2}, [], 20 * (11 + 10)),
+    ("rLWK", "newton"): ({**_LANDWEBER, "m": 2}, [], 20 * 11),
+    # per step a sensitivity and an adjoint for the right-hand side, and one
+    # of each per CG iteration
+    ("rIRGNM", "imex"): (_IRGNM, [4, 3, 3], 20 * (4 + 2 * 3 + 2 * (4 + 3 + 3))),
+    ("rIRGNM", "newton"): (_IRGNM, [4, 4, 4], 20 * 4),
+}
+
+
+@pytest.mark.parametrize("tag, policy", list(_REDUCED_COUNTS))
+def test_reduced_basis_products(tag, policy, monkeypatch, cg_counts):
+    """The reduced methods apply the basis one vector at a time, two products
+    per resolvent, and never to a block."""
+    inst = make_instance(8, 10, 0.05, gain=10.0, m=2, policy=policy)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    basis = inst.triple.eigenvectors.view(_CountedBasis)
+    triple = replace(inst.triple, eigenvectors=basis)
+    reduced = ReducedOperator(inst.problem, triple, inst.grid, inst.partition, policy)
+    counted = replace(inst, triple=triple, reduced=reduced)
+    monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
+    options, cgs, vectors = _REDUCED_COUNTS[tag, policy]
+    rec = run(MethodConfig(tag=tag, **options), counted, y, 0.0, truth=(theta, state))
+    assert len(rec.rows) == options["k_max"] + 1
+    assert cg_counts == cgs
+    assert _CountedBasis.counts == {"block": 0, "vector": vectors}
 
 
 @pytest.mark.parametrize("size", [(8, 6), (24, 24)])

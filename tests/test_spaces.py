@@ -1,16 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from dyninv import aao, harness, methods, problem, reduced
 from dyninv.errors import SolverError, ValidationError
 from dyninv.grids import make_time_grid
 from dyninv.spaces import (
     Trajectory,
     apply_stiffness,
     build_triple,
+    dual_pairing,
     evolve_backward,
     evolve_forward,
     graph_rows,
-    inner,
     inner_dual_load,
     inner_state,
     march_modes,
@@ -19,6 +22,7 @@ from dyninv.spaces import (
     norm_l2_v,
     solve_shifted_stiffness,
     solve_stiffness,
+    to_modes,
     zero_trajectory,
 )
 
@@ -98,25 +102,37 @@ def test_shifted_stiffness_solve_rejects_bad_pivot(first):
     assert exc.value.step == 5
 
 
+def inner_h(triple, a, b):
+    return triple.dx * (a @ b)
+
+
+def inner_v(triple, a, b):
+    return triple.dx * (a @ apply_stiffness(triple, b))
+
+
+def inner_vstar(triple, a, b):
+    return dual_pairing(triple, to_modes(triple, a), to_modes(triple, b))
+
+
 def test_h_inner_constant():
     triple = build_triple(3)
     one = np.ones(3)
-    assert inner(triple, "H", one, one) == pytest.approx(0.75, abs=1e-15)
+    assert inner_h(triple, one, one) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_v_inner_rayleigh(rng):
     triple = build_triple(9)
     for k in (0, 4, 8):
         q = triple.eigenvectors[:, k] / np.sqrt(triple.dx)  # unit H norm
-        assert inner(triple, "H", q, q) == pytest.approx(1.0, rel=1e-12)
-        assert inner(triple, "V", q, q) == pytest.approx(triple.eigenvalues[k], rel=1e-12)
+        assert inner_h(triple, q, q) == pytest.approx(1.0, rel=1e-12)
+        assert inner_v(triple, q, q) == pytest.approx(triple.eigenvalues[k], rel=1e-12)
 
 
 def test_vstar_of_riesz_image_matches_v(rng):
     triple = build_triple(11)
     v = rng.standard_normal(11)
     dv = apply_stiffness(triple, v)
-    assert inner(triple, "Vstar", dv, dv) == pytest.approx(inner(triple, "V", v, v), rel=1e-12)
+    assert inner_vstar(triple, dv, dv) == pytest.approx(inner_v(triple, v, v), rel=1e-12)
 
 
 def test_riesz_maps_inverse_pair(rng):
@@ -141,19 +157,20 @@ def test_riesz_consistency_random(rng):
     v = rng.standard_normal(10)
     # <Kv, v> = (v,v)_V and (Ku, Kv)_{V*} = (u,v)_V
     assert triple.dx * (apply_stiffness(triple, v) @ v) == pytest.approx(
-        inner(triple, "V", v, v), rel=1e-12
+        inner_v(triple, v, v), rel=1e-12
     )
-    assert inner(
-        triple, "Vstar", apply_stiffness(triple, u), apply_stiffness(triple, v)
-    ) == pytest.approx(inner(triple, "V", u, v), rel=1e-12)
+    assert inner_vstar(
+        triple, apply_stiffness(triple, u), apply_stiffness(triple, v)
+    ) == pytest.approx(inner_v(triple, u, v), rel=1e-12)
 
 
 def test_inner_validation():
+    """The two Riesz maps, on which the V and V* pairings rest, reject a wrong width."""
     triple = build_triple(4)
     with pytest.raises(ValidationError):
-        inner(triple, "H", np.ones(3), np.ones(4))
+        apply_stiffness(triple, np.ones(3))
     with pytest.raises(ValidationError):
-        inner(triple, "W", np.ones(4), np.ones(4))
+        solve_stiffness(triple, np.ones((2, 5)))
 
 
 def test_build_triple_validation():
@@ -329,7 +346,7 @@ def test_inner_state_constant_in_time():
     grid = make_time_grid(0.4, 10)
     c = np.linspace(0.1, 0.9, 6)
     u = Trajectory(grid, np.tile(c, (grid.node_count, 1)), "state")
-    expected = grid.horizon * inner(triple, "V", c, c) + inner(triple, "H", c, c)
+    expected = grid.horizon * inner_v(triple, c, c) + inner_h(triple, c, c)
     assert inner_state(triple, u, u) == pytest.approx(expected, rel=1e-12)
 
 
@@ -430,10 +447,10 @@ def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
         rel=1e-12,
     )
     a, b = u.values[2], v.values[2]
-    assert inner(triple, "Vstar", a, b) == pytest.approx(
+    assert inner_vstar(triple, a, b) == pytest.approx(
         triple.dx * (a @ solve_stiffness(triple, b)), rel=1e-12
     )
-    assert inner(triple, "V", a, b) == pytest.approx(triple.dx * (a @ triple.stiffness @ b), rel=1e-12)
+    assert inner_v(triple, a, b) == pytest.approx(triple.dx * (a @ triple.stiffness @ b), rel=1e-12)
     l2v = grid.tau * triple.dx * np.sum(u.values[1:] * (u.values[1:] @ triple.stiffness))
     assert norm_l2_v(triple, u) ** 2 == pytest.approx(l2v, rel=1e-12)
 
@@ -443,3 +460,10 @@ def test_triple_stores_no_dense_stiffness():
     triple = build_triple(50)
     square = [f for f in vars(triple).values() if isinstance(f, np.ndarray) and f.ndim == 2]
     assert len(square) == 1 and square[0] is triple.eigenvectors
+
+
+def test_only_spaces_applies_the_eigenbasis():
+    """Every other module changes basis through spaces.to_modes and
+    spaces.from_modes and never reads the basis itself."""
+    for module in (aao, methods, reduced, harness, problem):
+        assert "eigenvectors" not in inspect.getsource(module), module.__name__
