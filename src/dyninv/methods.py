@@ -59,8 +59,9 @@ class MethodConfig:
             raise ValidationError(f"q must lie in (0,1), got {self.q}")
         if not self.tau_disc > 1.0:
             raise ValidationError(f"tau_disc must exceed 1, got {self.tau_disc}")
-        if not self.mu > 0.0:
-            raise ValidationError(f"mu must be positive, got {self.mu}")
+        for name in ("mu", "alpha0", "cg_tol"):  # cg_tol > 0 ends CG; alpha0 > 0 keeps it SPD
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.stepsize not in ("fixed", "norm"):
             raise ValidationError(f"unknown stepsize policy {self.stepsize!r}")
         if self.m < 1 or self.k_max < 0:

@@ -57,6 +57,7 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
     lam_j = (4/dx^2) sin^2(pi j dx/2) and q_ij = sqrt(2 dx) sin(pi i j dx) for
     i, j = 1..n_x; the sines are read from one table of length 2(n_x + 1)
     indexed by i*j mod 2(n_x + 1), where the sine has period 2(n_x + 1).
+    q_ij and q_ji read the same entry, so q = q.T exactly.
     """
     if n_x < 1:
         raise ValidationError(f"need at least one interior point, got {n_x}")
@@ -108,8 +109,9 @@ def to_modes(triple: DiscreteGelfandTriple, rows: np.ndarray) -> np.ndarray:
 
 
 def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
-    """Nodal rows of modal coefficients: ``c @ q.T``, the inverse of :func:`to_modes`."""
-    return c @ triple.eigenvectors.T
+    """Nodal rows of modal coefficients: ``c @ q`` (q = q.T exactly, see
+    :func:`build_triple`), the inverse of :func:`to_modes`."""
+    return c @ triple.eigenvectors
 
 
 def spectral_solve(triple: DiscreteGelfandTriple, rows: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -251,62 +253,59 @@ def evolve_backward(
 
 @dataclass(frozen=True)
 class MarchTables:
-    """What :func:`march_modes` needs of one (triple, grid) pair, tabulated once.
-
-    Every array is a C-contiguous block of exactly the shape it multiplies, so
-    each product of the march is one flat loop with no row broadcast.
-    ``gain`` holds the load gain tau / (1 + tau * lam) on node_count - 1 rows;
-    ``passes`` holds the (shift, decay block) pair of every doubling pass:
-    shifts 1, 2, 4, ... below node_count, each with node_count - shift rows
-    of the decay 1 / (1 + tau * lam) raised to the power shift (by repeated
-    squaring).  All blocks are row ranges of one buffer.
-    """
+    """What :func:`march_modes` needs of one (triple, grid) pair, tabulated once:
+    with d = 1 + tau * lam and B steps per block, ``growth`` holds tau d^(i-1)
+    on rows i = 1..B, ``shrink`` d^-k on rows k = 0..B and ``prefix`` the
+    (B + 1)-square lower triangle of ones, all C-contiguous."""
 
     node_count: int
-    gain: np.ndarray
-    passes: tuple
+    growth: np.ndarray
+    shrink: np.ndarray
+    prefix: np.ndarray
+
+
+# d^-B >= 1e-200 keeps shrink factors normal and scaled loads within 1e200 |l|, about
+# 1e100 of headroom for loads; the cap bounds the prefix matrix and the O(B^2 n) product
+_BLOCK_RANGE, _BLOCK_CAP = 1e-200, 128
 
 
 def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
-    """Tabulate the load gain and the doubling passes of :func:`march_modes`.
-
-    At n_x = N = 100 the tables take 680 rows of 100 modes (0.54 MB).
-    """
-    denom = 1.0 + grid.tau * triple.eigenvalues
-    node_count = grid.node_count
-    shifts = [1 << p for p in range((node_count - 1).bit_length())]  # powers of 2 below node_count
-    rows = [node_count - 1] + [node_count - shift for shift in shifts]
-    gain, *decays = np.split(np.empty((sum(rows), denom.size)), np.cumsum(rows)[:-1])
-    gain[...] = grid.tau / denom
-    decay = 1.0 / denom
-    for block in decays:
-        block[...] = decay
-        decay = decay * decay
-    return MarchTables(node_count, gain, tuple(zip(shifts, decays)))
+    """Tabulate the blocks of :func:`march_modes`.  B is the largest length up to
+    min(N, 128) with d^-B >= 1e-200 for the stiffest mode, and at least 1; powers
+    are compared, not logarithms, so a d that rounds to 1 gives the full length.
+    At n_x = N = 100 the tables take 0.24 MB."""
+    d = 1.0 + grid.tau * triple.eigenvalues
+    k = np.arange(min(grid.node_count - 1, _BLOCK_CAP) + 1)[:, None]
+    shrink = d ** -k
+    length = max(1, np.count_nonzero(shrink[:, -1] >= _BLOCK_RANGE) - 1)
+    growth = grid.tau * d ** k[:length]
+    return MarchTables(grid.node_count, growth, shrink[: length + 1], np.tri(length + 1))
 
 
 def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
     """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
 
     Returns c of shape (node_count, width) with c^0 = start and
-    c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam) for k = 1..N; start
-    and the rows of loads are modal coefficients (:func:`to_modes` of nodal
-    rows), loads may be a scalar.  ``tables`` comes from
-    :func:`march_tables`: an operator that marches often tabulates once, any
-    other caller builds them for the call.  Instead of one pass per step the
-    recursion takes ceil(log2(N + 1)) vectorised doubling passes, each run in
-    place as one flat product of contiguous blocks into a scratch block and
-    one addition: after the pass with shift h, row k holds the decayed sum of
-    inputs k - 2h + 1 .. k.
+    c^k = (c^{k-1} + tau * loads[k-1]) / d for k = 1..N; start and the rows of
+    loads are modal coefficients (:func:`to_modes` of nodal rows), loads may be
+    a scalar.  ``tables`` comes from :func:`march_tables`: an operator that
+    marches often tabulates once, any other caller builds them for the call.
+    From the carry c^r a block of B steps is the scaled prefix sum
+    c^{r+k} = d^-k (c^r + sum_{i=1..k} tau d^(i-1) loads[r+i-1]), one triangular
+    product ``shrink * (prefix @ x)`` with x = (c^r, the scaled loads); its last
+    row carries into the next block.  Loads beyond about 1e100 can overflow a
+    block, which gives non-finite rows, never finite wrong ones.
     """
-    c = np.empty((tables.node_count, tables.gain.shape[1]))
-    c[0] = start
-    np.multiply(loads, tables.gain, out=c[1:])
-    scratch = np.empty_like(c[1:])
-    for shift, decay in tables.passes:
-        block = scratch[shift - 1 :]  # node_count - shift rows, like decay
-        np.multiply(c[:-shift], decay, out=block)
-        c[shift:] += block
+    steps, length = tables.node_count - 1, tables.growth.shape[0]
+    c = np.empty((steps + 1, tables.shrink.shape[1]))
+    x = np.empty_like(tables.shrink)
+    for r in range(0, steps, length):
+        b = min(length, steps - r)
+        x[0] = c[r] if r else start
+        np.multiply(tables.growth[:b], loads[r : r + b] if np.ndim(loads) else loads, out=x[1 : b + 1])
+        block = c[r : r + b + 1]
+        np.matmul(tables.prefix[: b + 1, : b + 1], x[: b + 1], out=block)
+        block *= tables.shrink[: b + 1]
     return c
 
 

@@ -35,19 +35,16 @@ def positive_theta(triple, amplitude=0.3, offset=0.5):
     return offset + amplitude * np.sin(2.0 * np.pi * x) ** 2
 
 
-def broadcast_march(triple, grid, start, loads):
-    """The doubling march with the load gain and every decay power as one row
-    broadcast over the block, as :func:`dyninv.spaces.march_modes` ran it
-    before its tables were tabulated block by block."""
+def step_by_step_march(triple, grid, start, loads):
+    """The implicit-Euler march in the eigenbasis taken one step at a time,
+    c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam), the recursion that
+    :func:`dyninv.spaces.march_modes` takes a block at a time."""
     denom = 1.0 + grid.tau * triple.eigenvalues
+    loads = np.broadcast_to(loads, (grid.node_count - 1, triple.interior_points))
     c = np.empty((grid.node_count, triple.interior_points))
     c[0] = start
-    np.multiply(loads, grid.tau / denom, out=c[1:])
-    decay, shift = 1.0 / denom, 1
-    while shift < grid.node_count:
-        c[shift:] += c[:-shift] * decay
-        shift *= 2
-        decay = decay * decay
+    for k in range(1, grid.node_count):
+        c[k] = (c[k - 1] + grid.tau * loads[k - 1]) / denom
     return c
 
 

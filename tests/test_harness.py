@@ -443,6 +443,10 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"method": {"alpha0": float("inf")}},
         {"method": {"tau_disc": float("inf")}},
         {"method": {"cg_tol": float("nan")}},
+        {"method": {"cg_tol": -1.0}},
+        {"method": {"cg_tol": 0.0}},
+        {"method": {"alpha0": -1.0}},
+        {"method": {"alpha0": 0.0}},
         {"instance": {"n_x": 2}, "method": {"prior_theta": [0.0, float("nan")]}},
     ],
 )
@@ -497,6 +501,11 @@ def test_cli_bad_config_exits_1(tmp_path):
     assert cli_main(["run", "--config", str(path)]) == 1
     for deltas in ("1e-3,abc", "1e-3,nan", "inf"):
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", deltas]) == 1
+    # a non-positive CG tolerance or regularization parameter, rejected before any solve
+    for method in ({"tag": "rIRGNM", "cg_tol": -1.0, "k_max": 2},
+                   {"tag": "rIRGNM", "alpha0": -1.0, "k_max": 3},
+                   {"tag": "aIRGNM", "alpha0": 0.0, "k_max": 3}):
+        assert cli_main(["run", "--config", write_config(tmp_path, method=method)]) == 1
 
 
 def test_cli_solver_failure_exits_2(tmp_path):

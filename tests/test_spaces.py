@@ -26,7 +26,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import broadcast_march
+from conftest import step_by_step_march
 
 
 def dirichlet_eigenpairs(n_x):
@@ -62,6 +62,14 @@ def test_eigenvectors_orthogonal():
     triple = build_triple(37)
     q = triple.eigenvectors
     assert np.max(np.abs(q.T @ q - np.eye(37))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 30, 100, 1600])
+def test_eigenbasis_is_exactly_symmetric(n_x):
+    """q_ij and q_ji read one table entry (n_x + 1 even and odd), so
+    from_modes may apply q in place of q.T."""
+    q = build_triple(n_x).eigenvectors
+    assert np.array_equal(q, q.T)
 
 
 @pytest.mark.parametrize("n_x", [1, 3, 37, 200])
@@ -290,7 +298,7 @@ def test_evolutions_dense_transpose():
 
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300)])
 def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
-    """The doubling passes reproduce the march taken one step at a time.
+    """The blocked march reproduces the march taken one step at a time.
 
     On the longest horizon the powers of the fastest decay factors fall far
     below the smallest normal double.
@@ -315,27 +323,69 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
 
 @pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
 def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
-    tables = march_tables(build_triple(n_x), make_time_grid(0.5, steps))
-    nodes = steps + 1
-    assert tables.node_count == nodes
-    assert tables.gain.shape == (nodes - 1, n_x) and tables.gain.flags.c_contiguous
-    shifts = [shift for shift, _ in tables.passes]
-    assert shifts == [2**p for p in range(len(shifts))]
-    assert shifts[-1] < nodes <= 2 * shifts[-1]
-    for shift, decay in tables.passes:
-        assert decay.shape == (nodes - shift, n_x) and decay.flags.c_contiguous
+    """B steps per block, at most min(N, 128), the longest with d^-B >= 1e-200."""
+    triple = build_triple(n_x)
+    grid = make_time_grid(0.5, steps)
+    tables = march_tables(triple, grid)
+    d = 1.0 + grid.tau * triple.eigenvalues
+    length = tables.growth.shape[0]
+    assert tables.node_count == steps + 1
+    assert tables.growth.shape == (length, n_x) and tables.shrink.shape == (length + 1, n_x)
+    assert np.array_equal(tables.prefix, np.tril(np.ones((length + 1, length + 1))))
+    assert all(a.flags.c_contiguous for a in (tables.growth, tables.shrink, tables.prefix))
+    # the range bound: the stiffest mode's shrink stays >= 1e-200, one more step would not
+    assert 1 <= length <= min(steps, 128) and tables.shrink[-1, -1] >= 1e-200
+    assert length == min(steps, 128) or d[-1] ** -(length + 1) < 1e-200
+    assert np.all(tables.shrink[0] == 1.0)
+    assert np.all(np.abs(tables.growth * tables.shrink[1:] * d / grid.tau - 1.0) <= 1e-14)
+    np.testing.assert_allclose(tables.shrink[1:] * d, tables.shrink[:-1], rtol=1e-14)
 
 
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (30, 50), (100, 100), (40, 300)])
 def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
-    """Tabulating whole blocks changes no value: every product is the same one."""
+    """The blocked march agrees with the step-by-step recursion from a start,
+    from loads and from both, over one block and, at (100, 100) by the range
+    bound and at (40, 300) by the cap, over several."""
     triple = build_triple(n_x)
     grid = make_time_grid(0.5, steps)
     start = rng.standard_normal(n_x)
     loads = rng.standard_normal((steps, n_x))
     tables = march_tables(triple, grid)
+    assert (tables.growth.shape[0] < steps) == (steps >= 100)
     for args in ((start, loads), (start, 0.0), (0.0, loads)):
-        assert np.array_equal(march_modes(tables, *args), broadcast_march(triple, grid, *args))
+        got, want = march_modes(tables, *args), step_by_step_march(triple, grid, *args)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("horizon, length", [(1e-30, 128), (2e200, 1)])
+def test_march_block_length_at_the_extremes(horizon, length, rng):
+    """A d that rounds to 1 gives the capped length; a d beyond 1e200 gives
+    blocks of one step, which are the recursion itself."""
+    triple = build_triple(5)
+    grid = make_time_grid(horizon, 300)
+    tables = march_tables(triple, grid)
+    assert tables.growth.shape[0] == length
+    start, loads = rng.standard_normal(5), rng.standard_normal((300, 5))
+    got, want = march_modes(tables, start, loads), step_by_step_march(triple, grid, start, loads)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_march_modes_overflow_is_never_finite_and_wrong(rng):
+    """Loads within the 1e100 headroom march to rounding; loads that overflow a
+    scaled block give non-finite entries, and every finite entry is still right."""
+    triple = build_triple(40)
+    grid = make_time_grid(1.0, 300)
+    tables = march_tables(triple, grid)
+    loads = rng.standard_normal((300, 40))
+    want = step_by_step_march(triple, grid, 0.0, 1e100 * loads)
+    got = march_modes(tables, 0.0, 1e100 * loads)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = step_by_step_march(triple, grid, 0.0, 1e200 * loads)
+    with pytest.warns(RuntimeWarning):  # overflow, then 0 * inf in the product
+        got = march_modes(tables, 0.0, 1e200 * loads)
+    finite = np.isfinite(got)
+    assert np.all(np.isfinite(want)) and not finite.all()
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.max(np.abs(want)))
 
 
 # -- trajectory inner products -------------------------------------------------------
