@@ -4,16 +4,20 @@ The state solve eliminates the model equation.  The derivative is the exact
 derivative of the step the state solve runs under the operator's policy:
 
 - 'imex': v^k = R (v^{k-1} + tau r_u(u^{k-1}) v^{k-1} + tau f_theta xi) with
-  the constant resolvent R = (I + tau K)^{-1}, applied spectrally, and the
-  diagonal reaction slope r_u taken at the old time level, as the step takes
-  the reaction;
+  the constant resolvent R = (I + tau K)^{-1}, and the diagonal reaction slope
+  r_u taken at the old time level, as the step takes the reaction;
 - 'newton': (I - tau f_u(u^k)) v^k = v^{k-1} + tau f_theta xi, the fully
   implicit step with coefficients frozen at the new time level.
 
-Neither policy forms an n x n matrix.  The reaction is pointwise, so
-f_u = -K + diag(r_u): every newton matrix I + tau K - tau diag(r_u) is
-tridiagonal and symmetric, and the Newton steps, the sensitivity and the
-adjoint all solve it with :func:`~dyninv.spaces.solve_shifted_stiffness`.
+Neither policy assembles or factors a system matrix.  The reaction is
+pointwise, so f_u = -K + diag(r_u): every newton matrix
+I + tau K - tau diag(r_u) is tridiagonal and symmetric, and the Newton steps,
+the sensitivity and the adjoint all solve it with
+:func:`~dyninv.spaces.solve_shifted_stiffness`.
+The resolvent R, of the imex steps and of the Newton initial guesses, is the
+closed-form Green's matrix of I + tau K, which the operator tabulates once
+(:func:`~dyninv.spaces.resolvent_tables`) and applies with
+:func:`~dyninv.spaces.solve_resolvent`: one product per step up to 128 points.
 
 The adjoint is its exact discrete transpose (a backward sweep with the
 transposed step maps, followed by right-endpoint quadrature of the parameter
@@ -27,7 +31,13 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
-from .spaces import DiscreteGelfandTriple, Trajectory, solve_shifted_stiffness, spectral_solve
+from .spaces import (
+    DiscreteGelfandTriple,
+    Trajectory,
+    resolvent_tables,
+    solve_resolvent,
+    solve_shifted_stiffness,
+)
 
 _NEWTON_MAX = 25
 _NEWTON_TOL = 1e-12
@@ -65,8 +75,7 @@ class ReducedOperator:
         self.partition = partition
         self.policy = policy
         self._t = grid.nodes()
-        # the resolvent (I + tau K)^{-1} is spectral_solve with this diagonal
-        self._denom = 1.0 + grid.tau * triple.eigenvalues
+        self._resolvent = resolvent_tables(triple, grid.tau)
 
     # -- nonlinear state solve ---------------------------------------------------
 
@@ -85,7 +94,7 @@ class ReducedOperator:
             rhs = u + tau * self.problem.reaction(self._t[k], u, theta)
             if pvals is not None:
                 rhs = rhs + tau * pvals[k]
-            u_next = spectral_solve(self.triple, rhs, self._denom)
+            u_next = solve_resolvent(self._resolvent, rhs)
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
                 u_next = self._newton_step(k, base, u_next, theta, tau)
@@ -135,7 +144,7 @@ class ReducedOperator:
         )
         for k in range(1, self.grid.step_count + 1):
             if imex:
-                v = spectral_solve(self.triple, v + slope[k - 1] * v + src[k - 1], self._denom)
+                v = solve_resolvent(self._resolvent, v + slope[k - 1] * v + src[k - 1])
             else:
                 v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src[k - 1], k)
             out[k] = v
@@ -165,7 +174,7 @@ class ReducedOperator:
         for k in range(self.grid.step_count, 0, -1):
             rhs = load[k - 1] + carry
             if imex:
-                p = spectral_solve(self.triple, rhs, self._denom)
+                p = solve_resolvent(self._resolvent, rhs)
                 carry = p + slope[k - 1] * p
             else:
                 # the newton step matrix is symmetric: its transpose is itself

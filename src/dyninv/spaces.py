@@ -7,14 +7,18 @@ map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
 on demand, for the dense oracle and tests).  Its inverse and every V* pairing
 are taken on modal coefficients, where K is the diagonal of its eigenvalues:
 ||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.  The DST-I
-eigenbasis q is the only n x n array kept; only :func:`to_modes` and
-:func:`from_modes` apply it.
+eigenbasis q is the only n x n array the triple keeps; only :func:`to_modes`
+and :func:`from_modes` apply it.  The implicit-Euler resolvent (I + tau K)^-1
+of the reduced sweeps is the closed-form Green's matrix, tabulated in diagonal
+blocks of at most 128 points (:func:`resolvent_tables`) and applied with carries
+between the blocks (:func:`solve_resolvent`), in O(n * 128) and without the basis.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SolverError, ValidationError
 from .grids import TimeGrid
@@ -114,17 +118,105 @@ def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
     return c @ triple.eigenvectors
 
 
-def spectral_solve(triple: DiscreteGelfandTriple, rows: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve with the operator that the eigenbasis turns into the diagonal ``diag``
-    (K for its eigenvalues, I + tau K for 1 + tau lam), for nodal rows (batched)."""
-    return from_modes(triple, to_modes(triple, rows) / diag)
-
-
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
-    """Riesz map V* -> V: spectral solve with the stiffness operator (batched)."""
+    """Riesz map V* -> V: the spectral solve ``from_modes(to_modes(w) / lam)`` (batched)."""
     w = np.asarray(w)
     _check_width(triple, w)
-    return spectral_solve(triple, w, triple.eigenvalues)
+    return from_modes(triple, to_modes(triple, w) / triple.eigenvalues)
+
+
+@dataclass(frozen=True)
+class ResolventTables:
+    """What :func:`solve_resolvent` needs of one (triple, tau) pair, tabulated once:
+    the grid points cut into blocks (``spans``), and per block the diagonal block
+    of the Green's matrix G = (I + tau K)^-1 (exactly symmetric), the lower and
+    upper carry weights and the decay rho^B of a carry across the block."""
+
+    spans: tuple
+    blocks: tuple
+    lower: tuple
+    upper: tuple
+    decay: tuple
+
+
+# the blocks hold n * B floats and a solve costs O(n * B): 128 keeps every size up to
+# 128 points (the benchmark's 30 and 100 among them) at one product per solve
+_GREEN_BLOCK = 128
+
+
+def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTables:
+    """Tabulate the Green's matrix of I + tau K in blocks of B = ceil(n / ceil(n / 128)).
+
+    With r = tau / dx^2, s = sqrt(1 + 4r), rho = 2r / (1 + 2r + s) in [0, 1) and
+    M = n + 1, for 1 <= i <= j <= n
+    G_ij = G_ji = rho^(j-i) (1 - rho^(2i)) (1 - rho^(2(M-j))) / (s (1 - rho^(2M))),
+    the exact inverse of the tridiagonal I + tau K.  Every factor lies in [0, 1], so
+    nothing overflows and an underflow to 0 is the true negligible value; ln rho is
+    log1p of -(1 + s) / (1 + 2r + s) = rho - 1, and each 1 - rho^k is an expm1, both
+    to full relative accuracy as rho -> 1.  G_ij factors through any point c between
+    i and j as (a_i rho^(c-i)) (b_j rho^(j-c)) / den with a_i = 1 - rho^(2i) and
+    b_j = 1 - rho^(2(M-j)) = a_(M-j); the carry weights of a block [lo, hi] are
+    a_j rho^(hi-j) and b_j rho^(j-lo), each times sqrt(rho / den), so that a carry
+    read back through the other weights of a later (earlier) block is exactly G.
+    """
+    n = triple.interior_points
+    r = tau / triple.dx**2
+    s = math.sqrt(1.0 + 4.0 * r)
+    gap = (1.0 + s) / (1.0 + 2.0 * r + s)  # 1 - rho
+    # rho below about 1e-16 rounds gap to 1, where log1p(-1) is a domain error: any
+    # log below -745 makes every positive power exactly 0, as rho -> 0 does, and G = I
+    log_rho = math.log1p(-gap) if gap < 1.0 else -1e3
+    a = -np.expm1(2.0 * log_rho * np.arange(1, n + 1))
+    b = a[::-1]
+    den = s * -math.expm1(2.0 * (n + 1) * log_rho)
+    scale = math.sqrt(math.exp(log_rho) / den)
+    length = -(-n // -(-n // _GREEN_BLOCK))
+    powers = np.exp(log_rho * np.arange(length))
+    # rho^|i-j| as a view: row i of the windows of (rho^(B-1), .., rho, 1, rho, .., rho^(B-1))
+    # starts at rho^(B-1-i), so the windows in reverse order are the Toeplitz matrix
+    toeplitz = sliding_window_view(np.concatenate((powers[:0:-1], powers)), length)[::-1]
+    # the blocks are views of one n x B array: as 13 separate heap blocks of 123 KB at
+    # n = 1600, they moved the benchmark's peak RSS by up to 13 MB with the heap layout
+    store, scratch = np.zeros((n, length)), np.empty((length, length))
+    spans, blocks, lower, upper, decay = [], [], [], [], []
+    for lo in range(0, n, length):
+        m = min(length, n - lo)
+        # a rises and b falls, so a_min(i,j) b_max(i,j) = min(a_i, a_j) min(b_i, b_j), and
+        # g = g.T exactly
+        g, bd = store[lo : lo + m, :m], b[lo : lo + m] / den
+        np.minimum.outer(a[lo : lo + m], a[lo : lo + m], out=g)
+        g *= np.minimum.outer(bd, bd, out=scratch[:m, :m])
+        g *= toeplitz[:m, :m]
+        spans.append(slice(lo, lo + m))
+        blocks.append(g)
+        lower.append(scale * a[lo : lo + m] * powers[m - 1 :: -1])
+        upper.append(scale * b[lo : lo + m] * powers[:m])
+        decay.append(math.exp(log_rho * m))
+    return ResolventTables(*map(tuple, (spans, blocks, lower, upper, decay)))
+
+
+def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
+    """Apply (I + tau K)^-1 to nodal rows (batched), from :func:`resolvent_tables`.
+
+    One product with each diagonal block of G; then the lower carry
+    l_(k+1) = rho^(B_k) l_k + x_k . lower_k runs forward over the blocks, adding
+    l_k upper_k to block k, and the mirrored upper carry runs backward.  Up to 128
+    points there is one block and no carry, and the solve is ``rows @ G``.  A
+    non-finite entry in the rows gives non-finite output.
+    """
+    if len(tables.blocks) == 1:  # the carry loops below would be empty
+        return rows @ tables.blocks[0]
+    xs = [rows[..., span] for span in tables.spans]
+    out = [x @ g for x, g in zip(xs, tables.blocks)]
+    carry = 0.0
+    for k in range(1, len(xs)):
+        carry = tables.decay[k - 1] * carry + xs[k - 1] @ tables.lower[k - 1]
+        out[k] += np.multiply.outer(carry, tables.upper[k])
+    carry = 0.0
+    for k in range(len(xs) - 2, -1, -1):
+        carry = tables.decay[k + 1] * carry + xs[k + 1] @ tables.upper[k + 1]
+        out[k] += np.multiply.outer(carry, tables.lower[k])
+    return np.concatenate(out, axis=-1)
 
 
 def dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:

@@ -16,12 +16,16 @@ from dyninv.spaces import (  # noqa: E402
     Trajectory,
     apply_stiffness,
     build_triple,
+    from_modes,
     graph_rows,
     inner_observation,
     inner_state,
     march_modes,
     march_tables,
+    resolvent_tables,
+    solve_resolvent,
     solve_stiffness,
+    to_modes,
 )
 
 from conftest import positive_theta, step_by_step_march  # noqa: E402
@@ -58,6 +62,40 @@ def test_march_modes_equals_row_broadcast_march(n_x, n_t, seed, horizon):
     got = march_modes(march_tables(triple, grid), start, loads)
     want = step_by_step_march(triple, grid, start, loads)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@SMALL
+@given(n_x=st.integers(min_value=1, max_value=40), n_t=st.integers(min_value=129, max_value=300),
+       seed=seeds, horizon=st.floats(min_value=1e-3, max_value=10.0))
+def test_march_modes_across_blocks_equals_step_by_step_march(n_x, n_t, seed, horizon):
+    """Over more than 128 steps, or stiff enough for the range bound, the march
+    takes several blocks and still agrees with the march taken one step at a time."""
+    triple = build_triple(n_x)
+    grid = make_time_grid(horizon, n_t)
+    tables = march_tables(triple, grid)
+    assert tables.growth.shape[0] < n_t
+    rng = np.random.default_rng(seed)
+    start, loads = rng.standard_normal(n_x), rng.standard_normal((n_t, n_x))
+    got = march_modes(tables, start, loads)
+    want = step_by_step_march(triple, grid, start, loads)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@SMALL
+@given(n_x=st.integers(min_value=1, max_value=300), batch=batch_shapes, seed=seeds,
+       log_r=st.floats(min_value=-8.0, max_value=10.0))
+def test_resolvent_equals_spectral_solve(n_x, batch, seed, log_r):
+    """The blocked Green's matrix, over one to three blocks, solves with
+    I + tau K as the eigenbasis does, for r = tau / dx^2 in [1e-8, 1e10]."""
+    triple = build_triple(n_x)
+    tau = 10.0**log_r * triple.dx**2
+    tables = resolvent_tables(triple, tau)
+    assert len(tables.blocks) == -(-n_x // 128)
+    x = np.random.default_rng(seed).standard_normal(batch + (n_x,))
+    got = solve_resolvent(tables, x)
+    want = from_modes(triple, to_modes(triple, x) / (1.0 + tau * triple.eigenvalues))
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * max(np.max(np.abs(want), initial=0.0), 1e-300))
 
 
 @SMALL

@@ -280,7 +280,7 @@ def test_perturbation_field_used_as_default(rng):
 
 
 def test_imex_linearization_runs_no_dense_solve(monkeypatch):
-    """The imex sweeps apply the spectral resolvent only: no n x n matrix, no LU."""
+    """The imex sweeps apply the tabulated Green's-matrix resolvent only: no LU, no dense Jacobian."""
     inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
     op = inst.reduced
     assert op.policy == "imex"

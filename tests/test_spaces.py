@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dyninv.spaces import (
     dual_pairing,
     evolve_backward,
     evolve_forward,
+    from_modes,
     graph_rows,
     inner_dual_load,
     inner_state,
@@ -20,6 +22,8 @@ from dyninv.spaces import (
     march_tables,
     norm_dual_load,
     norm_l2_v,
+    resolvent_tables,
+    solve_resolvent,
     solve_shifted_stiffness,
     solve_stiffness,
     to_modes,
@@ -386,6 +390,90 @@ def test_march_modes_overflow_is_never_finite_and_wrong(rng):
     finite = np.isfinite(got)
     assert np.all(np.isfinite(want)) and not finite.all()
     assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.max(np.abs(want)))
+
+
+# -- the reduced resolvent (I + tau K)^-1 ---------------------------------------------
+
+
+def refined_dense_solve(triple, tau, x):
+    """np.linalg.solve with I + tau K, refined once with the residual taken in
+    extended precision.  The LU solve alone is off by up to 1.2e-12 relative at
+    n = 1600 and r >= 1e6, where the condition number is ~1e6, and a residual
+    in double precision does not reliably improve it; the refined solve agrees
+    with the spectral one to ~1e-15, so the comparison measures the resolvent."""
+    a = np.eye(triple.interior_points) + tau * triple.stiffness
+    y = np.linalg.solve(a, x.T).T
+    residual = x - y.astype(np.longdouble) @ a.astype(np.longdouble)
+    return y + np.linalg.solve(a, residual.astype(float).T).T
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 6, 30, 100, 128, 129, 300, 1600])
+def test_resolvent_matches_dense_and_spectral_solves(n_x, rng):
+    """The blocked Green's matrix applies (I + tau K)^-1 to rounding, for
+    r = tau / dx^2 from 1e-8 to 1e10, to a vector and to a batch of rows."""
+    triple = build_triple(n_x)
+    for r in (1e-8, 1e-4, 1.0, 1e2, 1e4, 1e6, 1e8, 1e10):
+        tau = r * triple.dx**2
+        tables = resolvent_tables(triple, tau)
+        x = rng.standard_normal((3, n_x))
+        spectral = from_modes(triple, to_modes(triple, x) / (1.0 + tau * triple.eigenvalues))
+        for want in (refined_dense_solve(triple, tau, x), spectral):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(solve_resolvent(tables, x) - want)) <= 1e-12 * scale, r
+            assert np.max(np.abs(solve_resolvent(tables, x[1]) - want[1])) <= 1e-12 * scale, r
+
+
+@pytest.mark.parametrize("n_x, count", [(1, 1), (100, 1), (128, 1), (129, 2), (300, 3), (1600, 13)])
+def test_resolvent_blocks_are_exactly_symmetric(n_x, count):
+    """ceil(n / 128) blocks of at most 128 points that cover the grid in order;
+    every diagonal block equals its transpose bit for bit."""
+    tables = resolvent_tables(build_triple(n_x), 0.3)
+    assert len(tables.blocks) == len(tables.spans) == len(tables.decay) == count
+    assert [s.start for s in tables.spans] == [0] + [s.stop for s in tables.spans[:-1]]
+    assert tables.spans[-1].stop == n_x
+    for span, g, lower, upper in zip(tables.spans, tables.blocks, tables.lower, tables.upper):
+        m = span.stop - span.start
+        assert g.shape == (m, m) and lower.shape == upper.shape == (m,) and m <= 128
+        assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("n_x", [30, 300])
+@pytest.mark.parametrize("tau", [0.0, 1e-30])
+def test_resolvent_at_r_zero_is_exactly_the_identity(n_x, tau, rng):
+    """Where rho rounds 1 - rho to 1 (log1p(-1) would be a domain error) the
+    tables are those of the identity, with no warning and no NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = resolvent_tables(build_triple(n_x), tau)
+        x = rng.standard_normal((2, n_x))
+        assert np.array_equal(solve_resolvent(tables, x), x)
+        assert np.array_equal(solve_resolvent(tables, x[0]), x[0])
+
+
+@pytest.mark.parametrize("n_x", [30, 300, 1600])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resolvent_non_finite_input_is_never_finite(n_x, bad, rng):
+    """A NaN or inf anywhere in a row makes that row's solution non-finite; the
+    other rows of the batch keep their values."""
+    triple = build_triple(n_x)
+    for tau in (0.0, 1e-3, 1e3):
+        tables = resolvent_tables(triple, tau)
+        x = rng.standard_normal((2, n_x))
+        clean = solve_resolvent(tables, x)
+        for where in (0, n_x // 2, n_x - 1):
+            y = x.copy()
+            y[1, where] = bad
+            with np.errstate(invalid="ignore"):
+                got, vector = solve_resolvent(tables, y), solve_resolvent(tables, y[1])
+            assert not np.all(np.isfinite(got[1])) and not np.all(np.isfinite(vector))
+            np.testing.assert_allclose(got[0], clean[0], rtol=0, atol=1e-15 * np.max(np.abs(clean)))
+
+
+def test_reduced_imports_no_eigenbasis_function():
+    """The reduced sweeps solve with the resolvent tables, never spectrally."""
+    source = inspect.getsource(reduced)
+    for name in ("to_modes", "from_modes", "solve_stiffness", "eigenvalues"):
+        assert name not in source, name
 
 
 # -- trajectory inner products -------------------------------------------------------
