@@ -11,13 +11,14 @@ A slab map is the full map followed by the slab restriction P_j of
 :meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
 and idempotent, so the slab adjoint is the full adjoint of P_j r.
 
-The residual carries its model rows 1..N in modal coefficients as well (one
-:func:`~dyninv.spaces.to_modes`, taken where the model row is built), next to
-the modal rows of K^{-1} w (one division by the eigenvalues); the V* norm and
-the adjoint both read them, so an iteration divides by the eigenvalues once.
-P_j acts by rows, so it commutes with the change of basis and with K^{-1}, and
-restricts both modal blocks directly.  Every change of basis goes through
-:func:`~dyninv.spaces.to_modes` and :func:`~dyninv.spaces.from_modes`.
+The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
+model row is built by the blocked Green's matrix of K
+(:func:`~dyninv.spaces.stiffness_tables`, built once per operator); the V* norm
+and the adjoint both read them, so an iteration applies K^{-1} once and never
+through the eigenbasis.  P_j acts by rows, so it commutes with K^{-1} and
+restricts the carried rows directly.  The adjoint takes all of its loads into
+the eigenbasis in one :func:`~dyninv.spaces.to_modes` and its state direction
+back in one :func:`~dyninv.spaces.from_modes`.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,8 @@ from .spaces import (
     march_modes,
     march_tables,
     norm_observation,
+    solve_resolvent,
+    stiffness_tables,
     to_modes,
     zero_trajectory,
 )
@@ -55,17 +58,15 @@ class AaoPoint:
 class ResidualTriple:
     """Element of the residual/data space: model row, initial row, observation row.
 
-    ``model_modes``, when given, is ``model.values[1:]`` times the eigenbasis
-    and ``riesz_modes`` the same rows of K^{-1} w, ``model_modes / lam``; only
-    :class:`AllAtOnceOperator` fills them, both at once, from the rows it has
-    just built.
+    ``riesz``, when given, holds the nodal rows of K^{-1} w for
+    ``model.values[1:]``; only :class:`AllAtOnceOperator` fills it, from the
+    rows it has just built.
     """
 
     model: Trajectory
     initial: np.ndarray
     observation: Trajectory
-    model_modes: np.ndarray | None = None
-    riesz_modes: np.ndarray | None = None
+    riesz: np.ndarray | None = None
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -100,6 +101,7 @@ class AllAtOnceOperator:
         self.partition = partition
         self._t = grid.nodes()
         self._march = march_tables(triple, grid)
+        self._green = stiffness_tables(triple)
 
     # -- forward --------------------------------------------------------------
 
@@ -120,16 +122,14 @@ class AllAtOnceOperator:
         resid = ResidualTriple(
             Trajectory(self.grid, w, "dual_load"), h, Trajectory(self.grid, z, "observation")
         )
-        resid.model_modes, resid.riesz_modes = self._modes(resid)
+        resid.riesz = self._riesz(resid)
         return resid
 
-    def _modes(self, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
-        """Model rows 1..N and those of K^{-1} w in modal coefficients: carried,
-        or one basis product and one division."""
-        if resid.model_modes is not None:
-            return resid.model_modes, resid.riesz_modes
-        w_hat = to_modes(self.triple, resid.model.values[1:])
-        return w_hat, w_hat / self.triple.eigenvalues
+    def _riesz(self, resid: ResidualTriple) -> np.ndarray:
+        """Nodal rows 1..N of K^{-1} w: carried, or one Green's solve."""
+        if resid.riesz is not None:
+            return resid.riesz
+        return solve_resolvent(self._green, resid.model.values[1:])
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
         """Directional derivative applied to (dstate, dtheta); exactly linear."""
@@ -170,7 +170,8 @@ class AllAtOnceOperator:
         Returns the modal state direction (nodal rows times the eigenbasis,
         shape (node_count, width)) via one backward and one forward
         stiffness evolution and the parameter direction via right-endpoint
-        quadrature of the adjoint integrands.
+        quadrature of the adjoint integrands.  The loads of both sweeps and
+        the start of the forward one enter the eigenbasis in one basis product.
         """
         # every channel but the initial one is read at nodes 1..N only
         u = point.state.values[1:]
@@ -179,24 +180,28 @@ class AllAtOnceOperator:
         jac = self.problem.apply_jac
         z = resid.observation.values[1:]
         h = resid.initial
-
-        # w and K^{-1} w are in the basis already; the modal w is also the
-        # load of the forward sweep below
-        triple, lam = self.triple, self.triple.eigenvalues
-        w_hat, iw_hat = self._modes(resid)
-        iw = from_modes(triple, iw_hat)
+        iw = self._riesz(resid)
         # the graph-norm source is -w - f_u^T K^{-1} w + g_u^T z.  The problem
         # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
         # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
         # rows = g_u^T z - r_u K^{-1} w with no stiffness applied; the terms
-        # dropped are K (K^{-1} w) - w, which is rounding
-        rows = jac("g_u", "adjoint", t, u, theta, z) - self.problem.reaction_slope(t, u, theta) * iw
+        # dropped are K (K^{-1} w) - w, which is rounding.  The rows, the forward
+        # loads w and the forward start h are stacked for one basis product.
+        steps, width = u.shape
+        stack = np.empty((2 * steps + 1, width))
+        rows = np.multiply(self.problem.reaction_slope(t, u, theta), iw, out=stack[:steps])
+        np.subtract(jac("g_u", "adjoint", t, u, theta, z), rows, out=rows)
+        stack[steps:-1] = resid.model.values[1:]
+        stack[-1] = h
+        loads = to_modes(self.triple, stack)
         # both sweeps run in the eigenbasis of K, which diagonalizes their
         # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
-        # marched on the time-reversed nodes and flipped back (ph[m] is p^m).
-        ph = march_modes(self._march, 0.0, to_modes(triple, rows[::-1]))[::-1]
+        # marched on the time-reversed nodes (the loads read backward) and
+        # flipped back (ph[m] is p^m).
+        ph = march_modes(self._march, 0.0, loads[steps - 1 :: -1])[::-1]
         # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        dh = march_modes(self._march, ph[0] + to_modes(triple, h), w_hat + lam * ph[:-1])
+        lam = self.triple.eigenvalues
+        dh = march_modes(self._march, ph[0] + loads[-1], loads[steps:-1] + lam * ph[:-1])
 
         dtheta = self.grid.tau * np.sum(
             -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
@@ -209,14 +214,13 @@ class AllAtOnceOperator:
 
     def slab_restrict(self, resid: ResidualTriple, j: int) -> ResidualTriple:
         """P_j: the model and observation rows on the weighted nodes of slab j,
-        the initial row on slab 0 only; carried modal rows are restricted too."""
+        the initial row on slab 0 only; carried rows of K^{-1} w are restricted too."""
         part = require_partition(self.partition)
-        modes = (resid.model_modes, resid.riesz_modes)
         return ResidualTriple(
             Trajectory(self.grid, part.restrict(resid.model.values, j), "dual_load"),
             resid.initial if j == 0 else np.zeros_like(resid.initial),
             Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
-            *(None if m is None else part.restrict(m, j) for m in modes),
+            None if resid.riesz is None else part.restrict(resid.riesz, j),
         )
 
     def slab_derivative(self, point, j, dstate, dtheta) -> ResidualTriple:
@@ -236,9 +240,8 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        w_hat, iw_hat = self._modes(resid)
-        # tau * (dx * <K^{-1} w, w>): the rounding order of dual_pairing
-        pairing = self.triple.dx * float(np.vdot(iw_hat, w_hat))
+        # tau * (dx * <K^{-1} w, w>), paired on nodes
+        pairing = self.triple.dx * float(np.vdot(self._riesz(resid), resid.model.values[1:]))
         nw = float(np.sqrt(max(self.grid.tau * pairing, 0.0)))
         nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
         ny = norm_observation(self.triple, resid.observation)

@@ -186,7 +186,8 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
     (:func:`~dyninv.spaces.to_modes` of the nodal rows), which
     :func:`~dyninv.spaces.inner_state_modes` pairs with no basis product.  The
     derivative takes one product to nodes and the adjoint keeps the modes it
-    marched, so a CG iteration on these vectors costs four basis products.
+    marched, so a CG iteration on these vectors costs two basis products: that
+    one and the adjoint's stacked product of its loads.
     """
     grid, triple, problem = op.grid, op.triple, op.problem
     tau, width = grid.tau, point.state.width

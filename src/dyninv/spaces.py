@@ -4,14 +4,15 @@ Everything (including dual-space elements) lives in nodal coordinates; dual
 pairings are realized through the measure-weighted dot product
 ``<w, v> = dx * w @ v``.  The stiffness operator plays the role of the Riesz
 map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
-on demand, for the dense oracle and tests).  Its inverse and every V* pairing
-are taken on modal coefficients, where K is the diagonal of its eigenvalues:
+on demand, for the dense oracle and tests).  The V* pairings of modal
+coefficients divide by the eigenvalues, where K is diagonal:
 ||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.  The DST-I
 eigenbasis q is the only n x n array the triple keeps; only :func:`to_modes`
-and :func:`from_modes` apply it.  The implicit-Euler resolvent (I + tau K)^-1
-of the reduced sweeps is the closed-form Green's matrix, tabulated in diagonal
-blocks of at most 128 points (:func:`resolvent_tables`) and applied with carries
-between the blocks (:func:`solve_resolvent`), in O(n * 128) and without the basis.
+and :func:`from_modes` apply it.  The inverse K^-1 and the implicit-Euler
+resolvent (I + tau K)^-1 of the reduced sweeps are closed-form Green's matrices,
+tabulated in diagonal blocks of at most 128 points (:func:`stiffness_tables`,
+:func:`resolvent_tables`) and applied to nodal rows with carries between the
+blocks (:func:`solve_resolvent`), in O(n * 128) and without the basis.
 """
 
 import math
@@ -36,7 +37,7 @@ class DiscreteGelfandTriple:
     applied by :func:`apply_stiffness` as a stencil.  Its eigenpairs are known
     in closed form (the orthonormal DST-I basis, ascending eigenvalues); they
     are tabulated once and are the only n x n array stored, reused for every
-    spectral solve and every V* pairing.
+    march in the eigenbasis and every modal V* pairing.
     """
 
     interior_points: int
@@ -118,19 +119,12 @@ def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
     return c @ triple.eigenvectors
 
 
-def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
-    """Riesz map V* -> V: the spectral solve ``from_modes(to_modes(w) / lam)`` (batched)."""
-    w = np.asarray(w)
-    _check_width(triple, w)
-    return from_modes(triple, to_modes(triple, w) / triple.eigenvalues)
-
-
 @dataclass(frozen=True)
 class ResolventTables:
-    """What :func:`solve_resolvent` needs of one (triple, tau) pair, tabulated once:
-    the grid points cut into blocks (``spans``), and per block the diagonal block
-    of the Green's matrix G = (I + tau K)^-1 (exactly symmetric), the lower and
-    upper carry weights and the decay rho^B of a carry across the block."""
+    """What :func:`solve_resolvent` needs of one Green's matrix G, (I + tau K)^-1 or
+    K^-1, tabulated once: the grid points cut into blocks (``spans``), and per
+    block the diagonal block of G (exactly symmetric), the lower and upper carry
+    weights and the decay rho^B of a carry across the block (1 for K^-1)."""
 
     spans: tuple
     blocks: tuple
@@ -153,11 +147,8 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
     the exact inverse of the tridiagonal I + tau K.  Every factor lies in [0, 1], so
     nothing overflows and an underflow to 0 is the true negligible value; ln rho is
     log1p of -(1 + s) / (1 + 2r + s) = rho - 1, and each 1 - rho^k is an expm1, both
-    to full relative accuracy as rho -> 1.  G_ij factors through any point c between
-    i and j as (a_i rho^(c-i)) (b_j rho^(j-c)) / den with a_i = 1 - rho^(2i) and
-    b_j = 1 - rho^(2(M-j)) = a_(M-j); the carry weights of a block [lo, hi] are
-    a_j rho^(hi-j) and b_j rho^(j-lo), each times sqrt(rho / den), so that a carry
-    read back through the other weights of a later (earlier) block is exactly G.
+    to full relative accuracy as rho -> 1.  The blocks are those of
+    :func:`_green_tables` with a_i = 1 - rho^(2i) and den = s (1 - rho^(2M)).
     """
     n = triple.interior_points
     r = tau / triple.dx**2
@@ -167,8 +158,30 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
     # log below -745 makes every positive power exactly 0, as rho -> 0 does, and G = I
     log_rho = math.log1p(-gap) if gap < 1.0 else -1e3
     a = -np.expm1(2.0 * log_rho * np.arange(1, n + 1))
+    return _green_tables(a, s * -math.expm1(2.0 * (n + 1) * log_rho), log_rho)
+
+
+def stiffness_tables(triple: DiscreteGelfandTriple) -> ResolventTables:
+    """Tabulate the Green's matrix of K, G_ij = dx^2 min(i, j) (M - max(i, j)) / M
+    with M = n + 1, for :func:`solve_resolvent`: the rho = 1 case of the
+    factorisation of :func:`_green_tables`, a_i = i and den = M / dx^2, with no
+    decay, in the blocks of :func:`resolvent_tables`."""
+    n = triple.interior_points
+    return _green_tables(np.arange(1.0, n + 1), (n + 1) / triple.dx**2, 0.0)
+
+
+def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
+    """The blocks of G_ij = G_ji = a_i b_j rho^(j-i) / den for i <= j, where a rises,
+    b_j = a_(M-j) falls and rho = exp(log_rho) lies in (0, 1].
+
+    G_ij factors through any point c between i and j as
+    (a_i rho^(c-i)) (b_j rho^(j-c)) / den; the carry weights of a block [lo, hi]
+    are a_j rho^(hi-j) and b_j rho^(j-lo), each times sqrt(rho / den), so that a
+    carry read back through the other weights of a later (earlier) block is
+    exactly G.
+    """
+    n = a.shape[0]
     b = a[::-1]
-    den = s * -math.expm1(2.0 * (n + 1) * log_rho)
     scale = math.sqrt(math.exp(log_rho) / den)
     length = -(-n // -(-n // _GREEN_BLOCK))
     powers = np.exp(log_rho * np.arange(length))
@@ -196,7 +209,8 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
 
 
 def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
-    """Apply (I + tau K)^-1 to nodal rows (batched), from :func:`resolvent_tables`.
+    """Apply (I + tau K)^-1 or K^-1 to nodal rows (batched), from
+    :func:`resolvent_tables` or :func:`stiffness_tables`.
 
     One product with each diagonal block of G; then the lower carry
     l_(k+1) = rho^(B_k) l_k + x_k . lower_k runs forward over the blocks, adding
@@ -217,6 +231,15 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
         carry = tables.decay[k + 1] * carry + xs[k + 1] @ tables.upper[k + 1]
         out[k] += np.multiply.outer(carry, tables.lower[k])
     return np.concatenate(out, axis=-1)
+
+
+def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
+    """Riesz map V* -> V: K^-1 applied to nodal rows (batched) by its Green's
+    matrix, from :func:`stiffness_tables` built for the call; an operator that
+    solves often builds the tables once and calls :func:`solve_resolvent`."""
+    w = np.asarray(w)
+    _check_width(triple, w)
+    return solve_resolvent(stiffness_tables(triple), w)
 
 
 def dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:

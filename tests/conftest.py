@@ -4,7 +4,7 @@ import pytest
 from dyninv.aao import AaoPoint, ResidualTriple
 from dyninv.harness import make_instance, synthesize_truth, truth_nodes
 from dyninv.methods import conjugate_gradient
-from dyninv.spaces import Trajectory, inner_state
+from dyninv.spaces import Trajectory, from_modes, inner_state, to_modes
 
 
 @pytest.fixture
@@ -46,6 +46,29 @@ def step_by_step_march(triple, grid, start, loads):
     for k in range(1, grid.node_count):
         c[k] = (c[k - 1] + grid.tau * loads[k - 1]) / denom
     return c
+
+
+def spectral_adjoint(op, point, resid):
+    """The all-at-once adjoint (nodal state direction, parameter direction) with
+    K^-1 w taken spectrally, from_modes(to_modes(w) / lam), every load changed to
+    modes by its own basis product and both sweeps marched one step at a time
+    (:func:`step_by_step_march`): the reference for
+    :meth:`dyninv.aao.AllAtOnceOperator.adjoint`, which reads K^-1 w from the
+    Green's matrix of K and stacks its loads into one basis product."""
+    triple, grid, lam = op.triple, op.grid, op.triple.eigenvalues
+    u, t, theta = point.state.values[1:], grid.nodes()[1:], point.theta
+    jac = op.problem.apply_jac
+    z, h = resid.observation.values[1:], resid.initial
+    w_hat = to_modes(triple, resid.model.values[1:])
+    iw = from_modes(triple, w_hat / lam)
+    rows = jac("g_u", "adjoint", t, u, theta, z) - op.problem.reaction_slope(t, u, theta) * iw
+    ph = step_by_step_march(triple, grid, 0.0, to_modes(triple, rows[::-1]))[::-1]
+    dh = step_by_step_march(triple, grid, ph[0] + to_modes(triple, h), w_hat + lam * ph[:-1])
+    dtheta = grid.tau * np.sum(
+        -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
+        axis=0,
+    )
+    return from_modes(triple, dh), dtheta - jac("u0", "adjoint", None, None, theta, h)
 
 
 def nodal_joint_maps(op, point):

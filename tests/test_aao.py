@@ -14,7 +14,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import positive_theta
+from conftest import positive_theta, spectral_adjoint
 
 
 def random_point(instance, rng, scale=0.3):
@@ -43,14 +43,16 @@ def zero_data(instance):
 
 @pytest.mark.parametrize("n_x, n_t, m", [(24, 24, 4), (30, 50, 5)])
 def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
-    """adjoint and residual_norms read the same values from the modal rows an
-    operator-built residual carries as from a bare triple, on every slab too."""
+    """adjoint and residual_norms read the same values from the nodal rows of
+    K^-1 w an operator-built residual carries as from a bare triple, which
+    solves for them, on every slab too."""
     inst = make_instance(n_x, n_t, 0.5, 10.0, m=m)
     op = inst.aao
     point = random_point(inst, rng)
     data = random_triple(inst, rng)
     built = op.residual(point, data)
     bare = ResidualTriple(built.model, built.initial, built.observation)
+    assert built.riesz.shape == (n_t, n_x) and bare.riesz is None
 
     def same(a, b):
         assert op.residual_norms(a) == op.residual_norms(b)
@@ -60,6 +62,21 @@ def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
     same(built, bare)
     for j in range(m):
         same(op.slab_restrict(built, j), op.slab_restrict(bare, j))
+
+
+@pytest.mark.parametrize("n_x, n_t, horizon, m", [(30, 50, 0.5, 5), (100, 100, 0.1, 4)])
+def test_adjoint_matches_spectral_reference(n_x, n_t, horizon, m, rng):
+    """At the benchmark sizes the adjoint, with K^-1 w from the Green's matrix
+    of K and its loads in one basis product, agrees to rounding with the
+    spectral reference, on the full residual and on every slab."""
+    inst = make_instance(n_x, n_t, horizon, 10.0, m=m)
+    op = inst.aao
+    point = random_point(inst, rng)
+    resid = op.residual(point, random_triple(inst, rng))
+    for r in (resid, *(op.slab_restrict(resid, j) for j in range(m))):
+        (dstate, dtheta), want = op.adjoint(point, r), spectral_adjoint(op, point, r)
+        for got, ref in zip((dstate.values, dtheta), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_residual_vanishes_at_synthesized_truth(tiny_instance, tiny_truth):

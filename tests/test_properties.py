@@ -25,6 +25,7 @@ from dyninv.spaces import (  # noqa: E402
     resolvent_tables,
     solve_resolvent,
     solve_stiffness,
+    stiffness_tables,
     to_modes,
 )
 
@@ -94,6 +95,21 @@ def test_resolvent_equals_spectral_solve(n_x, batch, seed, log_r):
     x = np.random.default_rng(seed).standard_normal(batch + (n_x,))
     got = solve_resolvent(tables, x)
     want = from_modes(triple, to_modes(triple, x) / (1.0 + tau * triple.eigenvalues))
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * max(np.max(np.abs(want), initial=0.0), 1e-300))
+
+
+@SMALL
+@given(n_x=st.integers(min_value=1, max_value=300), batch=batch_shapes, seed=seeds)
+def test_stiffness_green_equals_spectral_solve(n_x, batch, seed):
+    """The blocked Green's matrix of K, over one to three blocks, applies K^-1
+    as the eigenbasis does."""
+    triple = build_triple(n_x)
+    tables = stiffness_tables(triple)
+    assert len(tables.blocks) == -(-n_x // 128)
+    x = np.random.default_rng(seed).standard_normal(batch + (n_x,))
+    got = solve_resolvent(tables, x)
+    want = from_modes(triple, to_modes(triple, x) / triple.eigenvalues)
     assert got.shape == x.shape
     assert np.all(np.abs(got - want) <= 1e-12 * max(np.max(np.abs(want), initial=0.0), 1e-300))
 

@@ -26,6 +26,7 @@ from dyninv.spaces import (
     solve_resolvent,
     solve_shifted_stiffness,
     solve_stiffness,
+    stiffness_tables,
     to_modes,
     zero_trajectory,
 )
@@ -395,13 +396,13 @@ def test_march_modes_overflow_is_never_finite_and_wrong(rng):
 # -- the reduced resolvent (I + tau K)^-1 ---------------------------------------------
 
 
-def refined_dense_solve(triple, tau, x):
-    """np.linalg.solve with I + tau K, refined once with the residual taken in
-    extended precision.  The LU solve alone is off by up to 1.2e-12 relative at
-    n = 1600 and r >= 1e6, where the condition number is ~1e6, and a residual
-    in double precision does not reliably improve it; the refined solve agrees
-    with the spectral one to ~1e-15, so the comparison measures the resolvent."""
-    a = np.eye(triple.interior_points) + tau * triple.stiffness
+def refined_dense_solve(a, x):
+    """np.linalg.solve with the symmetric matrix a (I + tau K or K), refined once
+    with the residual taken in extended precision.  The LU solve alone is off by
+    up to 1.2e-12 relative at n = 1600 and r >= 1e6, where the condition number
+    of I + tau K is ~1e6, and a residual in double precision does not reliably
+    improve it; the refined solve agrees with the spectral one to ~1e-15, so the
+    comparison measures the Green's matrix."""
     y = np.linalg.solve(a, x.T).T
     residual = x - y.astype(np.longdouble) @ a.astype(np.longdouble)
     return y + np.linalg.solve(a, residual.astype(float).T).T
@@ -417,7 +418,8 @@ def test_resolvent_matches_dense_and_spectral_solves(n_x, rng):
         tables = resolvent_tables(triple, tau)
         x = rng.standard_normal((3, n_x))
         spectral = from_modes(triple, to_modes(triple, x) / (1.0 + tau * triple.eigenvalues))
-        for want in (refined_dense_solve(triple, tau, x), spectral):
+        dense = refined_dense_solve(np.eye(n_x) + tau * triple.stiffness, x)
+        for want in (dense, spectral):
             scale = np.max(np.abs(want))
             assert np.max(np.abs(solve_resolvent(tables, x) - want)) <= 1e-12 * scale, r
             assert np.max(np.abs(solve_resolvent(tables, x[1]) - want[1])) <= 1e-12 * scale, r
@@ -426,15 +428,18 @@ def test_resolvent_matches_dense_and_spectral_solves(n_x, rng):
 @pytest.mark.parametrize("n_x, count", [(1, 1), (100, 1), (128, 1), (129, 2), (300, 3), (1600, 13)])
 def test_resolvent_blocks_are_exactly_symmetric(n_x, count):
     """ceil(n / 128) blocks of at most 128 points that cover the grid in order;
-    every diagonal block equals its transpose bit for bit."""
-    tables = resolvent_tables(build_triple(n_x), 0.3)
-    assert len(tables.blocks) == len(tables.spans) == len(tables.decay) == count
-    assert [s.start for s in tables.spans] == [0] + [s.stop for s in tables.spans[:-1]]
-    assert tables.spans[-1].stop == n_x
-    for span, g, lower, upper in zip(tables.spans, tables.blocks, tables.lower, tables.upper):
-        m = span.stop - span.start
-        assert g.shape == (m, m) and lower.shape == upper.shape == (m,) and m <= 128
-        assert np.array_equal(g, g.T)
+    every diagonal block equals its transpose bit for bit, for I + tau K and for
+    K, whose carries cross a block with no decay."""
+    triple = build_triple(n_x)
+    for tables in (resolvent_tables(triple, 0.3), stiffness_tables(triple)):
+        assert len(tables.blocks) == len(tables.spans) == len(tables.decay) == count
+        assert [s.start for s in tables.spans] == [0] + [s.stop for s in tables.spans[:-1]]
+        assert tables.spans[-1].stop == n_x
+        for span, g, lower, upper in zip(tables.spans, tables.blocks, tables.lower, tables.upper):
+            m = span.stop - span.start
+            assert g.shape == (m, m) and lower.shape == upper.shape == (m,) and m <= 128
+            assert np.array_equal(g, g.T)
+    assert tables.decay == (1.0,) * count
 
 
 @pytest.mark.parametrize("n_x", [30, 300])
@@ -453,11 +458,10 @@ def test_resolvent_at_r_zero_is_exactly_the_identity(n_x, tau, rng):
 @pytest.mark.parametrize("n_x", [30, 300, 1600])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_resolvent_non_finite_input_is_never_finite(n_x, bad, rng):
-    """A NaN or inf anywhere in a row makes that row's solution non-finite; the
-    other rows of the batch keep their values."""
+    """A NaN or inf anywhere in a row makes that row's solution non-finite, for
+    I + tau K and for K; the other rows of the batch keep their values."""
     triple = build_triple(n_x)
-    for tau in (0.0, 1e-3, 1e3):
-        tables = resolvent_tables(triple, tau)
+    for tables in (*(resolvent_tables(triple, tau) for tau in (0.0, 1e-3, 1e3)), stiffness_tables(triple)):
         x = rng.standard_normal((2, n_x))
         clean = solve_resolvent(tables, x)
         for where in (0, n_x // 2, n_x - 1):
@@ -467,6 +471,29 @@ def test_resolvent_non_finite_input_is_never_finite(n_x, bad, rng):
                 got, vector = solve_resolvent(tables, y), solve_resolvent(tables, y[1])
             assert not np.all(np.isfinite(got[1])) and not np.all(np.isfinite(vector))
             np.testing.assert_allclose(got[0], clean[0], rtol=0, atol=1e-15 * np.max(np.abs(clean)))
+
+
+# -- the Riesz map K^-1 -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 6, 30, 100, 128, 129, 300, 1600])
+def test_stiffness_green_matches_dense_and_spectral_solves(n_x, rng):
+    """The blocked Green's matrix of K, dx^2 min(i, j) (M - max(i, j)) / M,
+    applies K^-1 to rounding, to a vector and to a batch of rows; solve_stiffness
+    is that solve."""
+    triple = build_triple(n_x)
+    tables = stiffness_tables(triple)
+    x = rng.standard_normal((3, n_x))
+    spectral = from_modes(triple, to_modes(triple, x) / triple.eigenvalues)
+    for want in (refined_dense_solve(triple.stiffness, x), spectral):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(solve_resolvent(tables, x) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(solve_resolvent(tables, x[1]) - want[1])) <= 1e-12 * scale
+    assert np.array_equal(solve_stiffness(triple, x), solve_resolvent(tables, x))
+    if n_x <= 128:  # one block: K^-1 itself
+        i = np.arange(1, n_x + 1)
+        exact = np.minimum.outer(i, i) * (n_x + 1 - np.maximum.outer(i, i)) / (n_x + 1)
+        np.testing.assert_allclose(tables.blocks[0], triple.dx**2 * exact, rtol=1e-15, atol=0)
 
 
 def test_reduced_imports_no_eigenbasis_function():
