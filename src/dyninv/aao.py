@@ -12,13 +12,12 @@ A slab map is the full map followed by the slab restriction P_j of
 and idempotent, so the slab adjoint is the full adjoint of P_j r.
 
 The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
-model row is built by the blocked Green's matrix of K
-(:func:`~dyninv.spaces.stiffness_tables`, built once per operator); the V* norm
-and the adjoint both read them, so an iteration applies K^{-1} once and never
-through the eigenbasis.  P_j acts by rows, so it commutes with K^{-1} and
-restricts the carried rows directly.  The adjoint takes all of its loads into
-the eigenbasis in one :func:`~dyninv.spaces.to_modes` and its state direction
-back in one :func:`~dyninv.spaces.from_modes`.
+model row is built by the triple's Green's matrix of K, its one Riesz map; the
+V* norm and product and the adjoint read them, so an iteration applies K^{-1}
+once and never through the eigenbasis.  P_j acts by rows, so it commutes with
+K^{-1} and restricts the carried rows directly.  The adjoint takes all of its
+loads into the eigenbasis in one :func:`~dyninv.spaces.to_modes` and its state
+direction back in one :func:`~dyninv.spaces.from_modes`.
 """
 
 from dataclasses import dataclass
@@ -31,13 +30,11 @@ from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
     from_modes,
-    inner_dual_load,
     inner_observation,
     march_modes,
     march_tables,
     norm_observation,
     solve_resolvent,
-    stiffness_tables,
     to_modes,
     zero_trajectory,
 )
@@ -101,7 +98,6 @@ class AllAtOnceOperator:
         self.partition = partition
         self._t = grid.nodes()
         self._march = march_tables(triple, grid)
-        self._green = stiffness_tables(triple)
 
     # -- forward --------------------------------------------------------------
 
@@ -129,7 +125,7 @@ class AllAtOnceOperator:
         """Nodal rows 1..N of K^{-1} w: carried, or one Green's solve."""
         if resid.riesz is not None:
             return resid.riesz
-        return solve_resolvent(self._green, resid.model.values[1:])
+        return solve_resolvent(self.triple.green, resid.model.values[1:])
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
         """Directional derivative applied to (dstate, dtheta); exactly linear."""
@@ -240,9 +236,7 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        # tau * (dx * <K^{-1} w, w>), paired on nodes
-        pairing = self.triple.dx * float(np.vdot(self._riesz(resid), resid.model.values[1:]))
-        nw = float(np.sqrt(max(self.grid.tau * pairing, 0.0)))
+        nw = float(np.sqrt(max(self._inner_model(resid, resid), 0.0)))
         nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
         ny = norm_observation(self.triple, resid.observation)
         return nw, nh, ny, float(np.sqrt(nw**2 + nh**2 + ny**2))
@@ -250,7 +244,12 @@ class AllAtOnceOperator:
     def inner_residual(self, a: ResidualTriple, b: ResidualTriple) -> float:
         """Inner product of the residual space (all three channels)."""
         return (
-            inner_dual_load(self.triple, a.model, b.model)
+            self._inner_model(a, b)
             + self.triple.dx * float(a.initial @ b.initial)
             + inner_observation(self.triple, a.observation, b.observation)
         )
+
+    def _inner_model(self, a: ResidualTriple, b: ResidualTriple) -> float:
+        """tau * (dx * <K^{-1} w_a, w_b>): :func:`~dyninv.spaces.inner_dual_load` of the model rows."""
+        pairing = self.triple.dx * float(np.vdot(self._riesz(a), b.model.values[1:]))
+        return self.grid.tau * pairing

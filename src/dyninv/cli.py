@@ -1,7 +1,8 @@
 """Command-line interface: run / compare / selftest / sweep.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 self-test
-failure (of ``selftest`` or of the gate every other subcommand passes first).
+Exit codes: 0 success, 1 validation error (of the config or the command line),
+2 solver failure, 3 self-test failure (of ``selftest`` or of the gate every other
+subcommand passes first).
 """
 
 import argparse
@@ -22,8 +23,14 @@ def _load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error: exit 1, not 2
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyninv",
         description="All-at-once versus reduced iterative regularization experiments",
     )
@@ -53,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "selftest":
             ok = selftest(verbose=not args.quiet)
             if not ok:
@@ -83,6 +90,8 @@ def main(argv=None) -> int:
                 raise ValidationError(f"bad noise level in --deltas: {exc}") from None
             if not deltas or not all(map(math.isfinite, deltas)):
                 raise ValidationError(f"--deltas needs finite noise levels, got {args.deltas!r}")
+            if args.seeds < 1:
+                raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
             out = sweep(
                 config,
                 deltas,

@@ -731,6 +731,7 @@ def summarize(config, dataset, record: RunRecord, wall_total):
         "method": record.method,
         "k_star": record.k_star,
         "stop_reason": record.stop_reason,
+        "mu": float(record.metadata["mu"]),  # the resolved stepsize, also under "norm"
         "rows": len(record.rows),
         "achieved_delta": dataset.achieved_delta,
         "bound_delta": dataset.bound_delta,

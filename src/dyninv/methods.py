@@ -64,8 +64,10 @@ class MethodConfig:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.stepsize not in ("fixed", "norm"):
             raise ValidationError(f"unknown stepsize policy {self.stepsize!r}")
-        if self.m < 1 or self.k_max < 0:
-            raise ValidationError("m must be >= 1 and k_max >= 0")
+        if self.m < 1 or self.k_max < 0 or self.cg_max < 1:
+            raise ValidationError("m and cg_max must be >= 1 and k_max >= 0")
+        if self.k_apriori is not None and self.k_apriori < 0:
+            raise ValidationError(f"k_apriori must be >= 0, got {self.k_apriori}")
 
 
 @dataclass

@@ -4,15 +4,15 @@ Everything (including dual-space elements) lives in nodal coordinates; dual
 pairings are realized through the measure-weighted dot product
 ``<w, v> = dx * w @ v``.  The stiffness operator plays the role of the Riesz
 map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
-on demand, for the dense oracle and tests).  The V* pairings of modal
-coefficients divide by the eigenvalues, where K is diagonal:
-||w||_{V*}^2 = dx * sum((w q)^2 / lam) is one basis product.  The DST-I
-eigenbasis q is the only n x n array the triple keeps; only :func:`to_modes`
-and :func:`from_modes` apply it.  The inverse K^-1 and the implicit-Euler
-resolvent (I + tau K)^-1 of the reduced sweeps are closed-form Green's matrices,
-tabulated in diagonal blocks of at most 128 points (:func:`stiffness_tables`,
-:func:`resolvent_tables`) and applied to nodal rows with carries between the
-blocks (:func:`solve_resolvent`), in O(n * 128) and without the basis.
+on demand, for the dense oracle and tests).  Its inverse K^-1, the Riesz map
+V* -> V of every V* pairing of nodal rows (||w||_{V*}^2 = dx * <K^-1 w, w>), and
+the implicit-Euler resolvent (I + tau K)^-1 of the reduced sweeps are
+closed-form Green's matrices, tabulated in diagonal blocks of at most 128 points
+(once per triple by :func:`build_triple`, and by :func:`resolvent_tables`) and
+applied to nodal rows with carries between the blocks (:func:`solve_resolvent`),
+in O(n * 128) and without the basis.  The n x n DST-I eigenbasis q serves the
+marches and the modal pairing of the joint CG; only :func:`to_modes` and
+:func:`from_modes` apply it.
 """
 
 import math
@@ -30,20 +30,35 @@ _ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
+class ResolventTables:
+    """What :func:`solve_resolvent` needs of one Green's matrix G, (I + tau K)^-1 or
+    K^-1, tabulated once: the grid points cut into blocks (``spans``), and per
+    block the diagonal block of G (exactly symmetric), the lower and upper carry
+    weights and the decay rho^B of a carry across the block (1 for K^-1)."""
+
+    spans: tuple
+    blocks: tuple
+    lower: tuple
+    upper: tuple
+    decay: tuple
+
+
+@dataclass(frozen=True)
 class DiscreteGelfandTriple:
     """Nodal discretisation of V = H^1_0(0,1), H = L2(0,1), V* = H^-1(0,1).
 
     The stiffness operator K is the standard (2, -1, -1)/dx^2 tridiagonal,
     applied by :func:`apply_stiffness` as a stencil.  Its eigenpairs are known
     in closed form (the orthonormal DST-I basis, ascending eigenvalues); they
-    are tabulated once and are the only n x n array stored, reused for every
-    march in the eigenbasis and every modal V* pairing.
+    are tabulated once for every march in the eigenbasis.  ``green`` holds the
+    blocked Green's matrix of K, the Riesz map V* -> V of every V* pairing.
     """
 
     interior_points: int
     dx: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    green: ResolventTables
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -62,7 +77,9 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
     lam_j = (4/dx^2) sin^2(pi j dx/2) and q_ij = sqrt(2 dx) sin(pi i j dx) for
     i, j = 1..n_x; the sines are read from one table of length 2(n_x + 1)
     indexed by i*j mod 2(n_x + 1), where the sine has period 2(n_x + 1).
-    q_ij and q_ji read the same entry, so q = q.T exactly.
+    q_ij and q_ji read the same entry, so q = q.T exactly.  K^-1,
+    G_ij = dx^2 min(i, j) (M - max(i, j)) / M with M = n_x + 1, is the rho = 1
+    case of :func:`_green_tables`: a_i = i and den = M / dx^2, with no decay.
     """
     if n_x < 1:
         raise ValidationError(f"need at least one interior point, got {n_x}")
@@ -76,7 +93,8 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
         phase = np.outer(j[lo : lo + _ROW_BLOCK], j)
         phase %= period
         np.take(table, phase, out=q[lo : lo + _ROW_BLOCK])
-    return DiscreteGelfandTriple(n_x, dx, lam, q)
+    green = _green_tables(np.arange(1.0, n_x + 1), (n_x + 1) / dx**2, 0.0)
+    return DiscreteGelfandTriple(n_x, dx, lam, q, green)
 
 
 def _check_width(triple: DiscreteGelfandTriple, v: np.ndarray, name: str = "vector"):
@@ -119,20 +137,6 @@ def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
     return c @ triple.eigenvectors
 
 
-@dataclass(frozen=True)
-class ResolventTables:
-    """What :func:`solve_resolvent` needs of one Green's matrix G, (I + tau K)^-1 or
-    K^-1, tabulated once: the grid points cut into blocks (``spans``), and per
-    block the diagonal block of G (exactly symmetric), the lower and upper carry
-    weights and the decay rho^B of a carry across the block (1 for K^-1)."""
-
-    spans: tuple
-    blocks: tuple
-    lower: tuple
-    upper: tuple
-    decay: tuple
-
-
 # the blocks hold n * B floats and a solve costs O(n * B): 128 keeps every size up to
 # 128 points (the benchmark's 30 and 100 among them) at one product per solve
 _GREEN_BLOCK = 128
@@ -159,15 +163,6 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
     log_rho = math.log1p(-gap) if gap < 1.0 else -1e3
     a = -np.expm1(2.0 * log_rho * np.arange(1, n + 1))
     return _green_tables(a, s * -math.expm1(2.0 * (n + 1) * log_rho), log_rho)
-
-
-def stiffness_tables(triple: DiscreteGelfandTriple) -> ResolventTables:
-    """Tabulate the Green's matrix of K, G_ij = dx^2 min(i, j) (M - max(i, j)) / M
-    with M = n + 1, for :func:`solve_resolvent`: the rho = 1 case of the
-    factorisation of :func:`_green_tables`, a_i = i and den = M / dx^2, with no
-    decay, in the blocks of :func:`resolvent_tables`."""
-    n = triple.interior_points
-    return _green_tables(np.arange(1.0, n + 1), (n + 1) / triple.dx**2, 0.0)
 
 
 def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
@@ -210,7 +205,7 @@ def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
 
 def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
     """Apply (I + tau K)^-1 or K^-1 to nodal rows (batched), from
-    :func:`resolvent_tables` or :func:`stiffness_tables`.
+    :func:`resolvent_tables` or the triple's ``green``.
 
     One product with each diagonal block of G; then the lower carry
     l_(k+1) = rho^(B_k) l_k + x_k . lower_k runs forward over the blocks, adding
@@ -234,17 +229,11 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
 
 
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
-    """Riesz map V* -> V: K^-1 applied to nodal rows (batched) by its Green's
-    matrix, from :func:`stiffness_tables` built for the call; an operator that
-    solves often builds the tables once and calls :func:`solve_resolvent`."""
+    """Riesz map V* -> V: K^-1 applied to nodal rows (batched) by the triple's
+    Green's matrix."""
     w = np.asarray(w)
     _check_width(triple, w)
-    return solve_resolvent(stiffness_tables(triple), w)
-
-
-def dual_pairing(triple: DiscreteGelfandTriple, a_hat, b_hat) -> float:
-    """dx * sum(a_hat * b_hat / lam): the V* pairing of rows given as modal coefficients."""
-    return triple.dx * float(np.vdot(a_hat / triple.eigenvalues, b_hat))
+    return solve_resolvent(triple.green, w)
 
 
 def solve_shifted_stiffness(triple: DiscreteGelfandTriple, tau, shift, rhs, step=None):
@@ -438,11 +427,12 @@ def graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
 
 def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
     """:func:`inner_state` of two states given by their modal coefficients c = u q:
-    graph rows (c^{n+1} - c^n)/tau + lam c^{n+1} (formed once when b is a) and
-    the initial term dx c^0 . c'^0, as the eigenbasis is orthonormal."""
+    graph rows (c^{n+1} - c^n)/tau + lam c^{n+1} (formed once when b is a), paired
+    where K is diagonal, and the initial term dx c^0 . c'^0 (q is orthonormal)."""
     lam = triple.eigenvalues
     rows = [(c[1:] - c[:-1]) / tau + lam * c[1:] for c in ((a,) if b is a else (a, b))]
-    return tau * dual_pairing(triple, rows[0], rows[-1]) + triple.dx * float(a[0] @ b[0])
+    pairing = triple.dx * float(np.vdot(rows[0] / lam, rows[-1]))
+    return tau * pairing + triple.dx * float(a[0] @ b[0])
 
 
 def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
@@ -450,25 +440,20 @@ def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> 
 
     Sum of tau * (du + Ku, dv + Kv)_{V*} over steps plus the H product of the
     initial values; this is the Hilbert structure in which the all-at-once
-    adjoint is taken: :func:`inner_state_modes` after one basis product per
-    argument (one in all when both arguments are the same object).
+    adjoint is taken.  The graph rows are paired through K^-1, one Green's solve.
     """
     _same_grid(u, v)
-    cu = to_modes(triple, u.values)
-    cv = cu if v is u else to_modes(triple, v.values)
-    return inner_state_modes(triple, u.grid.tau, cu, cv)
+    riesz = solve_resolvent(triple.green, graph_rows(triple, u))
+    pairing = triple.dx * float(np.vdot(riesz, graph_rows(triple, v)))
+    return u.grid.tau * pairing + triple.dx * float(u.values[0] @ v.values[0])
 
 
 def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory) -> float:
-    """L2(0,T; V*) inner product, right-endpoint quadrature (node 0 weightless).
-
-    Paired on modal coefficients: one basis product per argument, one in all
-    when both arguments are the same object.
-    """
+    """L2(0,T; V*) inner product, right-endpoint quadrature (node 0 weightless):
+    tau * dx * <K^-1 w, v> over nodes 1..N, one Green's solve."""
     _same_grid(w, v)
-    w_hat = to_modes(triple, w.values[1:])
-    v_hat = w_hat if v is w else to_modes(triple, v.values[1:])
-    return w.grid.tau * dual_pairing(triple, w_hat, v_hat)
+    pairing = triple.dx * float(np.vdot(solve_resolvent(triple.green, w.values[1:]), v.values[1:]))
+    return w.grid.tau * pairing
 
 
 def inner_observation(triple: DiscreteGelfandTriple, z: Trajectory, y: Trajectory) -> float:

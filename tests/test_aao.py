@@ -10,6 +10,8 @@ from dyninv.spaces import (
     DiscreteGelfandTriple,
     Trajectory,
     evolve_forward,
+    inner_dual_load,
+    norm_dual_load,
     norm_l2_v,
     zero_trajectory,
 )
@@ -56,12 +58,29 @@ def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
 
     def same(a, b):
         assert op.residual_norms(a) == op.residual_norms(b)
+        assert op.inner_residual(a, a) == op.inner_residual(b, b)
         (sa, ta), (sb, tb) = op.adjoint(point, a), op.adjoint(point, b)
         assert np.array_equal(sa.values, sb.values) and np.array_equal(ta, tb)
 
     same(built, bare)
     for j in range(m):
         same(op.slab_restrict(built, j), op.slab_restrict(bare, j))
+
+
+@pytest.mark.parametrize("n_x, n_t, horizon", [(30, 50, 0.5), (100, 100, 0.1), (1600, 8, 0.1)])
+def test_model_channel_pairs_through_the_one_riesz_map(n_x, n_t, horizon, rng):
+    """norm_dual_load and residual_norms pair the model row through the same
+    Green's matrix of K and agree bit for bit, with the carried K^-1 w or
+    without; inner_residual of model rows alone is inner_dual_load."""
+    inst = make_instance(n_x, n_t, horizon, 10.0)
+    op, triple = inst.aao, inst.triple
+    resid = op.residual(random_point(inst, rng), random_triple(inst, rng))
+    assert norm_dual_load(triple, resid.model) == op.residual_norms(resid)[0]
+    a, b = random_triple(inst, rng), random_triple(inst, rng)
+    for r in (a, b):
+        r.initial[:] = 0.0
+        r.observation.values[:] = 0.0
+    assert op.inner_residual(a, b) == inner_dual_load(triple, a.model, b.model)
 
 
 @pytest.mark.parametrize("n_x, n_t, horizon, m", [(30, 50, 0.5, 5), (100, 100, 0.1, 4)])

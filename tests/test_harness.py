@@ -227,6 +227,21 @@ def test_run_experiment_writes_files(tmp_path):
     assert loaded["stop_reason"] == "k_max"
 
 
+@pytest.mark.parametrize("tag", ["rLW", "aLW"])
+def test_summary_writes_the_resolved_stepsize(tmp_path, monkeypatch, tag):
+    """With mu = "norm" the config echoes the policy and the summary gives the
+    stepsize the power iteration chose, the run record's value."""
+    records = []
+    real_run = harness.run
+    monkeypatch.setattr(harness, "run", lambda *a, **kw: records.append(real_run(*a, **kw)) or records[-1])
+    cfg = small_config(tmp_path, tag=tag, k_max=2)
+    summary = run_experiment(replace(cfg, method=replace(cfg.method, stepsize="norm")))
+    loaded = json.loads((tmp_path / f"{tag}_summary.json").read_text())
+    assert loaded["config"]["method"]["mu"] == "norm"
+    assert loaded["mu"] == summary["mu"] == records[0].metadata["mu"] != MethodConfig.mu
+    assert type(loaded["mu"]) is float
+
+
 def test_run_experiment_start_at_truth_zero_residual(tmp_path):
     cfg = small_config(tmp_path, start_at_truth=True, policy="newton")
     summary = run_experiment(cfg)
@@ -419,6 +434,9 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"instance": {"n_x": 6}, "method": {"prior_theta": [1.0, 2.0]}},
         {"instance": {"n_x": 2, "n_t": 2}, "method": {"prior_state": [[0.0, 1.0]]}},
         {"method": {"k_apriori": "three"}},
+        {"method": {"k_apriori": -2}},
+        {"method": {"tag": "rIRGNM", "cg_max": 0}},
+        {"method": {"cg_max": -1}},
         {"start_at_truth": "false"},
         {"start_at_truth": 0},
         {"method": {"k_max": 2.7}},
@@ -501,10 +519,16 @@ def test_cli_bad_config_exits_1(tmp_path):
     assert cli_main(["run", "--config", str(path)]) == 1
     for deltas in ("1e-3,abc", "1e-3,nan", "inf"):
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", deltas]) == 1
-    # a non-positive CG tolerance or regularization parameter, rejected before any solve
+    for seeds in ("0", "-1"):  # a sweep of no runs
+        assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", seeds]) == 1
+    assert not (tmp_path / "out").exists()
+    # a non-positive CG tolerance, regularization parameter or CG cap, or a negative
+    # a-priori stop, rejected before any solve
     for method in ({"tag": "rIRGNM", "cg_tol": -1.0, "k_max": 2},
                    {"tag": "rIRGNM", "alpha0": -1.0, "k_max": 3},
-                   {"tag": "aIRGNM", "alpha0": 0.0, "k_max": 3}):
+                   {"tag": "aIRGNM", "alpha0": 0.0, "k_max": 3},
+                   {"tag": "rIRGNM", "cg_max": 0, "k_max": 2},
+                   {"tag": "rLW", "k_apriori": -2, "k_max": 3}):
         assert cli_main(["run", "--config", write_config(tmp_path, method=method)]) == 1
 
 
@@ -547,6 +571,18 @@ def test_cli_sweep(tmp_path, capsys):
         ["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", "2", "--relative"]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["run"], ["run", "--config"], ["sweep", "--deltas", "1e-3", "--seeds", "abc"]]
+)
+def test_cli_usage_errors_exit_1(tmp_path, capsys, args):
+    """argparse's usage errors are validation errors: exit 2 is kept for solver failures."""
+    if "sweep" in args:
+        args = [*args, "--config", write_config(tmp_path)]
+    assert cli_main(args) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_config_key_exits_1(tmp_path):

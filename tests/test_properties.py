@@ -25,7 +25,6 @@ from dyninv.spaces import (  # noqa: E402
     resolvent_tables,
     solve_resolvent,
     solve_stiffness,
-    stiffness_tables,
     to_modes,
 )
 
@@ -105,7 +104,7 @@ def test_stiffness_green_equals_spectral_solve(n_x, batch, seed):
     """The blocked Green's matrix of K, over one to three blocks, applies K^-1
     as the eigenbasis does."""
     triple = build_triple(n_x)
-    tables = stiffness_tables(triple)
+    tables = triple.green
     assert len(tables.blocks) == -(-n_x // 128)
     x = np.random.default_rng(seed).standard_normal(batch + (n_x,))
     got = solve_resolvent(tables, x)

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dyninv import aao, harness, methods, problem, reduced
+from dyninv import aao, harness, methods, problem, reduced, spaces
 from dyninv.errors import SolverError, ValidationError
 from dyninv.grids import make_time_grid
 from dyninv.spaces import (
     Trajectory,
     apply_stiffness,
     build_triple,
-    dual_pairing,
     evolve_backward,
     evolve_forward,
     from_modes,
@@ -26,7 +25,6 @@ from dyninv.spaces import (
     solve_resolvent,
     solve_shifted_stiffness,
     solve_stiffness,
-    stiffness_tables,
     to_modes,
     zero_trajectory,
 )
@@ -124,7 +122,9 @@ def inner_v(triple, a, b):
 
 
 def inner_vstar(triple, a, b):
-    return dual_pairing(triple, to_modes(triple, a), to_modes(triple, b))
+    """The modal V* pairing, where K is diagonal: dx * sum(a_hat * b_hat / lam)."""
+    a_hat, b_hat = to_modes(triple, a), to_modes(triple, b)
+    return triple.dx * float(np.vdot(a_hat / triple.eigenvalues, b_hat))
 
 
 def test_h_inner_constant():
@@ -431,7 +431,7 @@ def test_resolvent_blocks_are_exactly_symmetric(n_x, count):
     every diagonal block equals its transpose bit for bit, for I + tau K and for
     K, whose carries cross a block with no decay."""
     triple = build_triple(n_x)
-    for tables in (resolvent_tables(triple, 0.3), stiffness_tables(triple)):
+    for tables in (resolvent_tables(triple, 0.3), triple.green):
         assert len(tables.blocks) == len(tables.spans) == len(tables.decay) == count
         assert [s.start for s in tables.spans] == [0] + [s.stop for s in tables.spans[:-1]]
         assert tables.spans[-1].stop == n_x
@@ -461,7 +461,7 @@ def test_resolvent_non_finite_input_is_never_finite(n_x, bad, rng):
     """A NaN or inf anywhere in a row makes that row's solution non-finite, for
     I + tau K and for K; the other rows of the batch keep their values."""
     triple = build_triple(n_x)
-    for tables in (*(resolvent_tables(triple, tau) for tau in (0.0, 1e-3, 1e3)), stiffness_tables(triple)):
+    for tables in (*(resolvent_tables(triple, tau) for tau in (0.0, 1e-3, 1e3)), triple.green):
         x = rng.standard_normal((2, n_x))
         clean = solve_resolvent(tables, x)
         for where in (0, n_x // 2, n_x - 1):
@@ -482,7 +482,7 @@ def test_stiffness_green_matches_dense_and_spectral_solves(n_x, rng):
     applies K^-1 to rounding, to a vector and to a batch of rows; solve_stiffness
     is that solve."""
     triple = build_triple(n_x)
-    tables = stiffness_tables(triple)
+    tables = triple.green
     x = rng.standard_normal((3, n_x))
     spectral = from_modes(triple, to_modes(triple, x) / triple.eigenvalues)
     for want in (refined_dense_solve(triple.stiffness, x), spectral):
@@ -494,6 +494,26 @@ def test_stiffness_green_matches_dense_and_spectral_solves(n_x, rng):
         i = np.arange(1, n_x + 1)
         exact = np.minimum.outer(i, i) * (n_x + 1 - np.maximum.outer(i, i)) / (n_x + 1)
         np.testing.assert_allclose(tables.blocks[0], triple.dx**2 * exact, rtol=1e-15, atol=0)
+
+
+def test_green_tables_are_built_once_per_triple(monkeypatch, rng):
+    """build_triple tabulates K's Green's matrix; the Riesz solve, the V*
+    pairings and the all-at-once operator read the triple's tables and
+    tabulate none of their own."""
+    calls = []
+    real = spaces._green_tables
+    monkeypatch.setattr(spaces, "_green_tables", lambda *args: calls.append(args) or real(*args))
+    triple = build_triple(30)
+    assert len(calls) == 1
+    grid = make_time_grid(0.1, 5)
+    u = Trajectory(grid, rng.standard_normal((6, 30)), "state")
+    solve_stiffness(triple, u.values)
+    inner_dual_load(triple, u, u.copy())
+    inner_state(triple, u, u.copy())
+    op = aao.AllAtOnceOperator(problem.SemilinearDiffusion(triple), triple, grid)
+    point = aao.AaoPoint(u, np.zeros(30))
+    op.residual_norms(op.residual(point, aao.data_triple(grid, 30, u)))
+    assert len(calls) == 1
 
 
 def test_reduced_imports_no_eigenbasis_function():
@@ -621,7 +641,8 @@ def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
 
 
 def test_triple_stores_no_dense_stiffness():
-    """Only the eigenbasis is an n x n array; the stiffness is built on demand."""
+    """The eigenbasis is the only n x n field; K^-1 is kept as the blocks of
+    ``green`` and the stiffness is built on demand."""
     triple = build_triple(50)
     square = [f for f in vars(triple).values() if isinstance(f, np.ndarray) and f.ndim == 2]
     assert len(square) == 1 and square[0] is triple.eigenvectors
