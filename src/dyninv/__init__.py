@@ -9,7 +9,6 @@ from .harness import (
     NoisyDataset,
     add_noise,
     compare,
-    estimate_tangential_cone,
     make_instance,
     run_experiment,
     selftest,

@@ -61,9 +61,6 @@ class KaczmarzPartition:
     def nodes_per_slab(self) -> int:
         return self.grid.step_count // self.slab_count
 
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, self.grid.horizon, self.slab_count + 1)
-
     def slab_index(self, k: int) -> int:
         return k % self.slab_count
 

@@ -19,20 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple
+from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple
 from .errors import SelfTestError, ValidationError, require_finite
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, run
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator, check_policy
-from .spaces import (
-    Trajectory,
-    build_triple,
-    inner_state,
-    norm_dual_load,
-    norm_observation,
-    zero_trajectory,
-)
+from .spaces import Trajectory, build_triple, norm_dual_load, norm_observation
 
 RECONSTRUCTION_HEADER = ["x", "theta_true", "theta_rec", "u_err_final"]
 TRUTH_KINDS = ("sine",)
@@ -299,119 +292,6 @@ def _scaled_noise(rng, instance, delta, space_tag, norm):
         vals[1:] = rng.standard_normal((grid.step_count, n))
         vals = vals * (delta / norm(instance.triple, Trajectory(grid, vals, space_tag)))
     return Trajectory(grid, vals, space_tag)
-
-
-# -- tangential cone diagnostic ---------------------------------------------------------
-
-
-@dataclass
-class TangentialConeEstimate:
-    ratio_max: float
-    ratios: np.ndarray
-    channel_shares: tuple | None = None
-
-
-def estimate_tangential_cone(
-    instance, theta_center, sample_count, radius, seed=0, formulation="aao"
-):
-    """Sampled bound of linearization error against residual difference.
-
-    Draws random pairs within the given radius of the center, evaluates both
-    sides of the cone inequality and returns the worst sampled ratio; pairs
-    whose residual difference is below 1e-14 are skipped.
-    """
-    if sample_count < 1:
-        raise ValidationError("no samples requested")
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    if formulation not in ("aao", "reduced"):
-        raise ValidationError(f"unknown formulation {formulation!r}")
-    rng = np.random.default_rng(seed)
-    triple, grid = instance.triple, instance.grid
-    theta_center = np.asarray(theta_center, dtype=float)
-    solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
-
-    if formulation == "reduced":
-        ratios = []
-        for _ in range(sample_count):
-            t1 = theta_center + _scaled(rng, theta_center.shape, radius, instance.problem.norm_theta)
-            t2 = theta_center + _scaled(rng, theta_center.shape, radius, instance.problem.norm_theta)
-            y1, s1 = solver.forward(t1)
-            y2, _ = solver.forward(t2)
-            lin = solver.derivative(t1, s1, t2 - t1)
-            num_traj = Trajectory(grid, y2.values - y1.values - lin.values, "observation")
-            den_traj = Trajectory(grid, y2.values - y1.values, "observation")
-            den = norm_observation(triple, den_traj)
-            if den < 1e-14:
-                continue
-            ratios.append(norm_observation(triple, num_traj) / den)
-        return _cone_result(ratios)
-
-    op = instance.aao
-    width = triple.interior_points
-    data = data_triple(grid, width, zero_trajectory(grid, width, "observation"))
-    state_center = solver.solve_state(theta_center)
-    ratios, shares = [], np.zeros(3)
-    for _ in range(sample_count):
-        p1 = _perturbed_point(rng, instance, state_center, theta_center, radius)
-        p2 = _perturbed_point(rng, instance, state_center, theta_center, radius)
-        r1 = op.residual(p1, data)
-        r2 = op.residual(p2, data)
-        dstate = Trajectory(grid, p2.state.values - p1.state.values, "state")
-        lin = op.derivative(p1, dstate, p2.theta - p1.theta)
-        num = ResidualTriple(
-            Trajectory(grid, r2.model.values - r1.model.values - lin.model.values, "dual_load"),
-            r2.initial - r1.initial - lin.initial,
-            Trajectory(
-                grid, r2.observation.values - r1.observation.values - lin.observation.values,
-                "observation",
-            ),
-        )
-        nw, nh, ny, _ = op.residual_norms(num)
-        # right-hand side per the cone inequality: residual difference in the
-        # model/observation rows plus the initial-map difference alone
-        dw = Trajectory(grid, r2.model.values - r1.model.values, "dual_load")
-        dz = Trajectory(grid, r2.observation.values - r1.observation.values, "observation")
-        du0 = instance.problem.u0(p2.theta) - instance.problem.u0(p1.theta)
-        den = (
-            norm_dual_load(triple, dw)
-            + np.sqrt(triple.dx * float(du0 @ du0))
-            + norm_observation(triple, dz)
-        )
-        if den < 1e-14:
-            continue
-        ratios.append((nw + nh + ny) / den)
-        total = max(nw + nh + ny, 1e-300)
-        shares += np.array([nw, nh, ny]) / total
-    result = _cone_result(ratios)
-    if ratios:
-        result.channel_shares = tuple(shares / len(ratios))
-    return result
-
-
-def _scaled(rng, shape, radius, norm):
-    v = rng.standard_normal(shape)
-    n = norm(v)
-    return v * (radius / n) * rng.uniform(0.2, 1.0)
-
-
-def _perturbed_point(rng, instance, state_center, theta_center, radius):
-    triple, grid = instance.triple, instance.grid
-    du = rng.standard_normal(state_center.values.shape)
-    traj = Trajectory(grid, du, "state")
-    scale = np.sqrt(inner_state(triple, traj, traj))
-    du = du * (radius / scale) * rng.uniform(0.2, 1.0)
-    dtheta = _scaled(rng, theta_center.shape, radius, instance.problem.norm_theta)
-    return AaoPoint(
-        Trajectory(grid, state_center.values + du, "state"), theta_center + dtheta
-    )
-
-
-def _cone_result(ratios):
-    if not ratios:
-        raise ValidationError("all sampled pairs were degenerate; no ratios computed")
-    arr = np.array(ratios)
-    return TangentialConeEstimate(float(arr.max()), arr)
 
 
 # -- dense oracle ---------------------------------------------------------------------
@@ -780,7 +660,7 @@ def compare(config: ExperimentConfig, tags):
         summaries[tag] = run_on_data(replace(config, method=replace(config.method, tag=tag)), data)
     means = {tag: s["timing"]["step_ms_mean"] for tag, s in summaries.items()}
     ratios = {
-        f"{a}/{b}": (means[a] / means[b] if means[b] > 0 else float("inf"))
+        f"{a}/{b}": (means[a] / means[b] if means[b] > 0 else None)
         for a in tags
         for b in tags
         if a != b
@@ -807,8 +687,21 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     With ``relative`` the deltas are interpreted as fractions of the exact
     data norm; only then is the exact data synthesized.  Workers fan out over
     independent processes; every worker owns its output directory, and every
-    run passes the self-test gate in the process that makes it.
+    run passes the self-test gate in the process that makes it.  Fewer than
+    one worker, or two runs sharing a directory (noise levels equal in their
+    ``:g`` form, or repeated seeds), is a ValidationError before any work.
     """
+    if workers < 1:
+        raise ValidationError(f"a sweep needs at least 1 worker, got {workers}")
+    runs = [
+        (delta, seed, Path(config.output_dir) / f"delta_{delta:g}" / f"seed_{seed}")
+        for delta in deltas
+        for seed in seeds
+    ]
+    if len({path for *_, path in runs}) < len(runs):
+        raise ValidationError(
+            f"noise levels {list(deltas)} and seeds {list(seeds)} give two runs one directory"
+        )
     scale = 1.0
     if relative:
         instance = make_instance(
@@ -818,16 +711,10 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
         _, _, y = synthesize_truth(instance, config.truth_kind, config.truth_amplitude)
         scale = norm_observation(instance.triple, y)
 
-    jobs = []
-    for delta in deltas:
-        for seed in seeds:
-            cfg = replace(
-                config,
-                delta_z=float(delta) * scale,
-                seed=int(seed),
-                output_dir=str(Path(config.output_dir) / f"delta_{delta:g}" / f"seed_{seed}"),
-            )
-            jobs.append(cfg.to_dict())
+    jobs = [
+        replace(config, delta_z=float(delta) * scale, seed=int(seed), output_dir=str(path)).to_dict()
+        for delta, seed, path in runs
+    ]
 
     # more processes than jobs or CPUs only add start-up cost and memory
     workers = min(workers, len(jobs), os.cpu_count() or 1)

@@ -463,10 +463,6 @@ def inner_observation(triple: DiscreteGelfandTriple, z: Trajectory, y: Trajector
     return tau * dx * float(np.vdot(z.values[1:], y.values[1:]))
 
 
-def norm_state(triple, u):
-    return float(np.sqrt(max(inner_state(triple, u, u), 0.0)))
-
-
 def norm_dual_load(triple, w):
     return float(np.sqrt(max(inner_dual_load(triple, w, w), 0.0)))
 

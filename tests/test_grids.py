@@ -39,14 +39,7 @@ def test_grid_validation():
 def test_trivial_partition():
     grid = make_time_grid(0.1, 100)
     part = make_partition(grid, 1)
-    np.testing.assert_array_equal(part.breakpoints(), [0.0, 0.1])
     assert part.node_range(0) == (0, 100)
-
-
-def test_uniform_partition_breakpoints():
-    grid = make_time_grid(0.1, 100)
-    part = make_partition(grid, 4)
-    np.testing.assert_allclose(part.breakpoints(), [0.0, 0.025, 0.05, 0.075, 0.1], atol=1e-15)
 
 
 def test_partition_divisibility_rejected():

@@ -13,7 +13,6 @@ from dyninv.harness import (
     ExperimentConfig,
     add_noise,
     compare,
-    estimate_tangential_cone,
     make_instance,
     run_experiment,
     selftest,
@@ -111,41 +110,6 @@ def test_noise_marches_truth_only_for_model_noise(tiny_instance, tiny_truth, mon
     ds = add_noise(tiny_instance, y, theta, delta_w, 3e-3, seed=4)
     assert calls == ["newton"] * marches
     assert ds.achieved_delta > 0.0
-
-
-# -- tangential cone ----------------------------------------------------------------------
-
-
-def test_cone_linear_problem_vanishes():
-    inst = make_instance(6, 6, 0.05, gain=0.0, m=1)
-    theta = positive_theta(inst.triple)
-    est = estimate_tangential_cone(inst, theta, sample_count=5, radius=1e-2, seed=0)
-    assert est.ratio_max <= 1e-9
-    est_red = estimate_tangential_cone(
-        inst, theta, sample_count=5, radius=1e-2, seed=0, formulation="reduced"
-    )
-    assert est_red.ratio_max <= 1e-9
-
-
-def test_cone_benchmark_small_radius(tiny_instance):
-    theta, _, _ = synthesize_truth(tiny_instance, "sine", 0.1)
-    est = estimate_tangential_cone(tiny_instance, theta, sample_count=8, radius=1e-3, seed=1)
-    assert est.ratio_max < 1.0
-    assert est.channel_shares is not None
-    est_red = estimate_tangential_cone(
-        tiny_instance, theta, sample_count=8, radius=1e-3, seed=1, formulation="reduced"
-    )
-    assert est_red.ratio_max < 1.0
-
-
-def test_cone_validation(tiny_instance):
-    theta = np.zeros(8)
-    with pytest.raises(ValidationError):
-        estimate_tangential_cone(tiny_instance, theta, sample_count=0, radius=1e-3)
-    with pytest.raises(ValidationError):
-        estimate_tangential_cone(tiny_instance, theta, sample_count=3, radius=-1.0)
-    with pytest.raises(ValidationError):
-        estimate_tangential_cone(tiny_instance, theta, 3, 1e-3, formulation="hybrid")
 
 
 # -- dense oracle ---------------------------------------------------------------------------
@@ -275,6 +239,11 @@ def test_compare_reports_ratios(tmp_path):
     out = compare(cfg, ["aLW", "rLW"])
     assert "rLW/aLW" in out["step_ms_mean_ratios"]
     assert (tmp_path / "comparison.json").exists()
+    # with k_max 0 no step is timed: every ratio is 0/0, written as strict JSON null
+    compare(small_config(tmp_path, k_max=0), ["aLW", "rLW"])
+    text = (tmp_path / "comparison.json").read_text()
+    out = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-standard JSON {name}"))
+    assert out["step_ms_mean_ratios"] == {"aLW/rLW": None, "rLW/aLW": None}
 
 
 def test_compare_makes_one_dataset_for_all_tags(tmp_path, monkeypatch):
@@ -517,10 +486,14 @@ def test_cli_bad_config_exits_1(tmp_path):
     # JSON that Python's json module reads as NaN
     path.write_text('{"noise": {"delta_z": NaN}}')
     assert cli_main(["run", "--config", str(path)]) == 1
-    for deltas in ("1e-3,abc", "1e-3,nan", "inf"):
+    # the last two name the directory delta_0.001 twice
+    for deltas in ("1e-3,abc", "1e-3,nan", "inf", "1e-3,1.0000001e-3", "1e-3,1e-3"):
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", deltas]) == 1
     for seeds in ("0", "-1"):  # a sweep of no runs
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", seeds]) == 1
+    for workers in ("0", "-3"):
+        assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", "1",
+                         "--workers", workers]) == 1
     assert not (tmp_path / "out").exists()
     # a non-positive CG tolerance, regularization parameter or CG cap, or a negative
     # a-priori stop, rejected before any solve
