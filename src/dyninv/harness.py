@@ -653,7 +653,10 @@ def compare(config: ExperimentConfig, tags):
     """Run several methods against one shared dataset; returns the comparison.
 
     The self-test, the instance, the truth and the noise are made once, for
-    all tags."""
+    all tags.  A repeated tag, whose run would overwrite the first one's files,
+    is a ValidationError before any work."""
+    if len(set(tags)) < len(tags):
+        raise ValidationError(f"method tags {list(tags)} name one method twice")
     data = prepare_data(config)
     summaries = {}
     for tag in tags:
@@ -688,11 +691,14 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     data norm; only then is the exact data synthesized.  Workers fan out over
     independent processes; every worker owns its output directory, and every
     run passes the self-test gate in the process that makes it.  Fewer than
-    one worker, or two runs sharing a directory (noise levels equal in their
+    one worker, two equal noise levels (0 and -0 among them, which would share
+    one median), or two runs sharing a directory (noise levels equal in their
     ``:g`` form, or repeated seeds), is a ValidationError before any work.
     """
     if workers < 1:
         raise ValidationError(f"a sweep needs at least 1 worker, got {workers}")
+    if len(set(map(float, deltas))) < len(deltas):
+        raise ValidationError(f"noise levels {list(deltas)} repeat one level")
     runs = [
         (delta, seed, Path(config.output_dir) / f"delta_{delta:g}" / f"seed_{seed}")
         for delta in deltas

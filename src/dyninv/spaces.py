@@ -10,9 +10,9 @@ the implicit-Euler resolvent (I + tau K)^-1 of the reduced sweeps are
 closed-form Green's matrices, tabulated in diagonal blocks of at most 128 points
 (once per triple by :func:`build_triple`, and by :func:`resolvent_tables`) and
 applied to nodal rows with carries between the blocks (:func:`solve_resolvent`),
-in O(n * 128) and without the basis.  The n x n DST-I eigenbasis q serves the
-marches and the modal pairing of the joint CG; only :func:`to_modes` and
-:func:`from_modes` apply it.
+in O(n * 128), without the basis and in a fixed number of numpy calls.  The
+n x n DST-I eigenbasis q serves the marches and the modal pairing of the joint
+CG; only :func:`to_modes` and :func:`from_modes` apply it.
 """
 
 import math
@@ -32,15 +32,22 @@ _ROW_BLOCK = 256
 @dataclass(frozen=True)
 class ResolventTables:
     """What :func:`solve_resolvent` needs of one Green's matrix G, (I + tau K)^-1 or
-    K^-1, tabulated once: the grid points cut into blocks (``spans``), and per
-    block the diagonal block of G (exactly symmetric), the lower and upper carry
-    weights and the decay rho^B of a carry across the block (1 for K^-1)."""
+    K^-1, tabulated once for its ``points`` n, cut into nb blocks of B points in
+    order (the last one zero-padded).  ``blocks`` holds the diagonal blocks of G,
+    each exactly symmetric: (1, n, n) for one block, else (nb, B, B + 2) with
+    every block's lower and upper carry weights as its last two columns.
+    Beyond one block, ``decay`` (2, nb, nb) holds the decay of a lower and of an
+    upper carry between two blocks, products of d = rho^B (1 for K^-1), and
+    ``weights`` (nb, 2, B) each block's upper and lower carry weights as rows,
+    which spread the lower and the upper carry into the block; ``matrix`` is
+    None.  For one block there is no carry: ``decay`` and ``weights`` are None
+    and ``matrix`` is G itself."""
 
-    spans: tuple
-    blocks: tuple
-    lower: tuple
-    upper: tuple
-    decay: tuple
+    points: int
+    blocks: np.ndarray
+    decay: np.ndarray | None
+    weights: np.ndarray | None
+    matrix: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -171,61 +178,80 @@ def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
 
     G_ij factors through any point c between i and j as
     (a_i rho^(c-i)) (b_j rho^(j-c)) / den; the carry weights of a block [lo, hi]
-    are a_j rho^(hi-j) and b_j rho^(j-lo), each times sqrt(rho / den), so that a
-    carry read back through the other weights of a later (earlier) block is
-    exactly G.
+    are a_j rho^(hi-j) (lower) and b_j rho^(j-lo) (upper), each times
+    sqrt(rho / den), so that a carry read back through the other weights of a
+    later (earlier) block is exactly G.  A carry decays by d = rho^B across each
+    full block between, and only full blocks lie between two others.
     """
     n = a.shape[0]
     b = a[::-1]
     scale = math.sqrt(math.exp(log_rho) / den)
-    length = -(-n // -(-n // _GREEN_BLOCK))
+    count = -(-n // _GREEN_BLOCK)
+    length = -(-n // count)
     powers = np.exp(log_rho * np.arange(length))
     # rho^|i-j| as a view: row i of the windows of (rho^(B-1), .., rho, 1, rho, .., rho^(B-1))
     # starts at rho^(B-1-i), so the windows in reverse order are the Toeplitz matrix
     toeplitz = sliding_window_view(np.concatenate((powers[:0:-1], powers)), length)[::-1]
-    # the blocks are views of one n x B array: as 13 separate heap blocks of 123 KB at
-    # n = 1600, they moved the benchmark's peak RSS by up to 13 MB with the heap layout
-    store, scratch = np.zeros((n, length)), np.empty((length, length))
-    spans, blocks, lower, upper, decay = [], [], [], [], []
-    for lo in range(0, n, length):
+    # one array for all blocks: as 13 separate heap blocks of 123 KB at n = 1600, they
+    # moved the benchmark's peak RSS by up to 13 MB with the heap layout.  With carries,
+    # columns B and B + 1 of each block hold its lower and upper carry weights
+    blocks = np.zeros((count, length, length + 2 if count > 1 else length))
+    weights = np.zeros((count, 2, length))
+    # the factors are formed in contiguous scratch: elementwise work on the strided
+    # blocks themselves made the tables about 1.4x slower to build at n = 1600
+    scratch = np.empty((2, length, length))
+    for k, lo in enumerate(range(0, n, length)):
         m = min(length, n - lo)
         # a rises and b falls, so a_min(i,j) b_max(i,j) = min(a_i, a_j) min(b_i, b_j), and
         # g = g.T exactly
-        g, bd = store[lo : lo + m, :m], b[lo : lo + m] / den
+        g, bd = scratch[0, :m, :m], b[lo : lo + m] / den
         np.minimum.outer(a[lo : lo + m], a[lo : lo + m], out=g)
-        g *= np.minimum.outer(bd, bd, out=scratch[:m, :m])
-        g *= toeplitz[:m, :m]
-        spans.append(slice(lo, lo + m))
-        blocks.append(g)
-        lower.append(scale * a[lo : lo + m] * powers[m - 1 :: -1])
-        upper.append(scale * b[lo : lo + m] * powers[:m])
-        decay.append(math.exp(log_rho * m))
-    return ResolventTables(*map(tuple, (spans, blocks, lower, upper, decay)))
+        g *= np.minimum.outer(bd, bd, out=scratch[1, :m, :m])
+        np.multiply(g, toeplitz[:m, :m], out=blocks[k, :m, :m])
+        weights[k, 0, :m] = scale * b[lo : lo + m] * powers[:m]
+        weights[k, 1, :m] = scale * a[lo : lo + m] * powers[m - 1 :: -1]
+    if count == 1:  # no carries
+        return ResolventTables(n, blocks, None, None, blocks[0])
+    blocks[:, :, length:] = weights[:, ::-1].transpose(0, 2, 1)
+    # a lower carry from block j into block k > j decays by d^(k-j-1) across the full
+    # blocks between, a product of factors in [0, 1]: nothing overflows, and an
+    # underflow to 0 is the true negligible value.  The upper carry is the transpose
+    between = np.subtract.outer(np.arange(count), np.arange(count)) - 1
+    powers_d = np.cumprod(np.r_[1.0, np.full(count - 1, math.exp(log_rho * length))])
+    lower = np.where(between >= 0, powers_d[between.clip(0)], 0.0)
+    return ResolventTables(n, blocks, np.stack((lower, lower.T)), weights, None)
 
 
 def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
     """Apply (I + tau K)^-1 or K^-1 to nodal rows (batched), from
     :func:`resolvent_tables` or the triple's ``green``.
 
-    One product with each diagonal block of G; then the lower carry
-    l_(k+1) = rho^(B_k) l_k + x_k . lower_k runs forward over the blocks, adding
-    l_k upper_k to block k, and the mirrored upper carry runs backward.  Up to 128
-    points there is one block and no carry, and the solve is ``rows @ G``.  A
-    non-finite entry in the rows gives non-finite output.
+    Up to 128 points there is one block and no carry, and the solve is
+    ``rows @ G``.  Beyond, the rows are zero-padded to nb * B points and laid out
+    block axis first, (nb, rows, B), and a fixed number of numpy calls, whatever
+    nb, does the solve: one batched product with the blocks gives every diagonal
+    block's part and, in its two extra columns, every block's partial sums
+    x_k . lower_k and x_k . upper_k; one product with the decay products turns
+    them into every lower carry l_k = sum_(j<k) d^(k-j-1) x_j . lower_j and the
+    mirrored upper carry; one more adds l_k upper_k + u_k lower_k to block k.
+    A non-finite entry in a row gives non-finite output in that row only.
     """
-    if len(tables.blocks) == 1:  # the carry loops below would be empty
-        return rows @ tables.blocks[0]
-    xs = [rows[..., span] for span in tables.spans]
-    out = [x @ g for x, g in zip(xs, tables.blocks)]
-    carry = 0.0
-    for k in range(1, len(xs)):
-        carry = tables.decay[k - 1] * carry + xs[k - 1] @ tables.lower[k - 1]
-        out[k] += np.multiply.outer(carry, tables.upper[k])
-    carry = 0.0
-    for k in range(len(xs) - 2, -1, -1):
-        carry = tables.decay[k + 1] * carry + xs[k + 1] @ tables.upper[k + 1]
-        out[k] += np.multiply.outer(carry, tables.lower[k])
-    return np.concatenate(out, axis=-1)
+    if tables.matrix is not None:
+        return rows @ tables.matrix
+    blocks = tables.blocks
+    count, length = blocks.shape[:2]
+    n = tables.points
+    x = np.zeros((rows.size // n, count * length))
+    x[:, :n] = rows.reshape(-1, rows.shape[-1])
+    parts = np.matmul(x.reshape(-1, count, length).transpose(1, 0, 2), blocks)
+    carries = np.matmul(tables.decay, parts[..., length:].transpose(2, 0, 1))
+    out = np.empty_like(x)
+    np.add(
+        parts[..., :length],
+        np.matmul(carries.transpose(1, 2, 0), tables.weights),
+        out=out.reshape(-1, count, length).transpose(1, 0, 2),
+    )
+    return out[:, :n].reshape(rows.shape)
 
 
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:

@@ -486,9 +486,13 @@ def test_cli_bad_config_exits_1(tmp_path):
     # JSON that Python's json module reads as NaN
     path.write_text('{"noise": {"delta_z": NaN}}')
     assert cli_main(["run", "--config", str(path)]) == 1
-    # the last two name the directory delta_0.001 twice
-    for deltas in ("1e-3,abc", "1e-3,nan", "inf", "1e-3,1.0000001e-3", "1e-3,1e-3"):
+    # 1e-3 and 1.0000001e-3 name the directory delta_0.001 twice, and so do 1e-3 and 1e-3;
+    # 0 and -0 name two directories but one noise level, which would share one median
+    for deltas in ("1e-3,abc", "1e-3,nan", "inf", "1e-3,1.0000001e-3", "1e-3,1e-3", "0,-0"):
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", deltas]) == 1
+    # a repeated tag would overwrite the first run's files
+    for tags in ("aLW,aLW", "rLW,aLW,rLW"):
+        assert cli_main(["compare", "--config", write_config(tmp_path), "--methods", tags]) == 1
     for seeds in ("0", "-1"):  # a sweep of no runs
         assert cli_main(["sweep", "--config", write_config(tmp_path), "--deltas", "1e-3", "--seeds", seeds]) == 1
     for workers in ("0", "-3"):

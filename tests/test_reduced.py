@@ -9,9 +9,11 @@ from dyninv.reduced import ReducedOperator
 from dyninv.spaces import (
     Trajectory,
     build_triple,
+    from_modes,
     inner_observation,
     inner_state,
     norm_observation,
+    to_modes,
 )
 
 from conftest import positive_theta
@@ -163,6 +165,44 @@ def test_derivative_adjoint_dot_product(small_instance, rng):
         rhs = op.problem.inner_theta(xi, op.adjoint(theta, state, z))
         gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("policy", ["imex", "newton"])
+@pytest.mark.parametrize("n_x, n_t, horizon", [(300, 20, 0.1), (1600, 8, 0.1)])
+def test_derivative_adjoint_dot_product_across_blocks(n_x, n_t, horizon, policy, rng):
+    """Beyond 128 points the resolvent of the imex steps and of the Newton
+    guesses runs over several blocks with carries between them; under both
+    policies the derivative and the adjoint stay exact transposes."""
+    triple = build_triple(n_x)
+    op = ReducedOperator(SemilinearDiffusion(triple, gain=10.0), triple, make_time_grid(horizon, n_t),
+                         policy=policy)
+    theta = positive_theta(triple)
+    state = op.solve_state(theta)
+    for _ in range(3):
+        xi = rng.standard_normal(op.problem.n_theta)
+        zv = np.zeros((n_t + 1, n_x))
+        zv[1:] = rng.standard_normal((n_t, n_x))
+        z = Trajectory(op.grid, zv, "observation")
+        lhs = inner_observation(triple, op.derivative(theta, state, xi), z)
+        rhs = op.problem.inner_theta(xi, op.adjoint(theta, state, z))
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+def test_imex_state_across_blocks_matches_spectral_march():
+    """At 300 points (three blocks) the imex state solve is the march whose
+    resolvent is applied in the eigenbasis, to rounding."""
+    triple = build_triple(300)
+    grid = make_time_grid(0.1, 20)
+    op = ReducedOperator(SemilinearDiffusion(triple, gain=10.0), triple, grid)
+    theta = positive_theta(triple)
+    t, tau, decay = grid.nodes(), grid.tau, 1.0 + grid.tau * triple.eigenvalues
+    want = [op.problem.u0(theta)]
+    for k in range(1, grid.node_count):
+        rhs = want[-1] + tau * op.problem.reaction(t[k], want[-1], theta)
+        want.append(from_modes(triple, to_modes(triple, rhs) / decay))
+    want = np.array(want)
+    got = op.solve_state(theta).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_forward_reuses_state(bench_op):

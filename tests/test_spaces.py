@@ -427,19 +427,27 @@ def test_resolvent_matches_dense_and_spectral_solves(n_x, rng):
 
 @pytest.mark.parametrize("n_x, count", [(1, 1), (100, 1), (128, 1), (129, 2), (300, 3), (1600, 13)])
 def test_resolvent_blocks_are_exactly_symmetric(n_x, count):
-    """ceil(n / 128) blocks of at most 128 points that cover the grid in order;
-    every diagonal block equals its transpose bit for bit, for I + tau K and for
-    K, whose carries cross a block with no decay."""
+    """ceil(n / 128) blocks of at most 128 points that cover the grid in order,
+    the last one zero-padded; every diagonal block equals its transpose bit for
+    bit, for I + tau K and for K, whose carries cross a block with no decay.
+    Beyond one block each block carries its weights as two extra columns."""
     triple = build_triple(n_x)
     for tables in (resolvent_tables(triple, 0.3), triple.green):
-        assert len(tables.blocks) == len(tables.spans) == len(tables.decay) == count
-        assert [s.start for s in tables.spans] == [0] + [s.stop for s in tables.spans[:-1]]
-        assert tables.spans[-1].stop == n_x
-        for span, g, lower, upper in zip(tables.spans, tables.blocks, tables.lower, tables.upper):
-            m = span.stop - span.start
-            assert g.shape == (m, m) and lower.shape == upper.shape == (m,) and m <= 128
-            assert np.array_equal(g, g.T)
-    assert tables.decay == (1.0,) * count
+        blocks, length = tables.blocks, tables.blocks.shape[1]
+        assert tables.points == n_x and len(blocks) == count
+        assert length <= 128 and (count - 1) * length < n_x <= count * length
+        assert blocks.shape[2] == (length + 2 if count > 1 else length)
+        for k, g in enumerate(blocks[:, :, :length]):
+            m = min(length, n_x - k * length)  # the points of block k, the rest padding
+            assert np.array_equal(g, g.T) and not np.any(g[m:])
+        if count == 1:
+            assert tables.decay is tables.weights is None and np.array_equal(tables.matrix, blocks[0])
+        else:
+            assert tables.matrix is None and tables.decay.shape == (2, count, count)
+            assert np.array_equal(blocks[:, :, length:], tables.weights[:, ::-1].transpose(0, 2, 1))
+    if count > 1:
+        ones = np.ones((count, count))
+        assert np.array_equal(tables.decay, [np.tril(ones, -1), np.triu(ones, 1)])
 
 
 @pytest.mark.parametrize("n_x", [30, 300])
@@ -453,6 +461,20 @@ def test_resolvent_at_r_zero_is_exactly_the_identity(n_x, tau, rng):
         x = rng.standard_normal((2, n_x))
         assert np.array_equal(solve_resolvent(tables, x), x)
         assert np.array_equal(solve_resolvent(tables, x[0]), x[0])
+
+
+@pytest.mark.parametrize("r", [1e-8, 1.0, 1e10, None])
+def test_resolvent_tables_and_solve_raise_no_warning(r, rng):
+    """At 1600 points (13 blocks, the last one padded) building the tables and
+    solving give no numpy warning, for I + tau K with r = tau / dx^2 from 1e-8
+    to 1e10 (where the decay products underflow) and for K^-1 (r = None)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triple = build_triple(1600)
+        tables = triple.green if r is None else resolvent_tables(triple, r * triple.dx**2)
+        x = rng.standard_normal((3, 1600))
+        assert np.all(np.isfinite(solve_resolvent(tables, x)))
+        assert np.all(np.isfinite(solve_resolvent(tables, x[0])))
 
 
 @pytest.mark.parametrize("n_x", [30, 300, 1600])
