@@ -14,8 +14,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -34,9 +34,23 @@ TRUTH_KINDS = ("sine",)
 # -- configuration ------------------------------------------------------------------
 
 
+# The config file's layout: each JSON section maps its keys to ExperimentConfig
+# attributes, and a top-level key names its attribute directly.  The "method"
+# section holds MethodConfig's fields by name, except the stepsize policy,
+# which "mu": "norm" selects.
+CONFIG_LAYOUT = {
+    "instance": {"n_x": "n_x", "n_t": "n_t", "T": "horizon", "gain": "gain", "policy": "policy"},
+    "truth": {"kind": "truth_kind", "amplitude": "truth_amplitude"},
+    "method": {f.name: f.name for f in fields(MethodConfig) if f.name != "stepsize"},
+    "noise": {"delta_w": "delta_w", "delta_z": "delta_z", "seed": "seed"},
+    "output_dir": "output_dir",
+    "start_at_truth": "start_at_truth",
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Full description of one experiment; JSON round-trippable."""
+    """Full description of one experiment; its config file is laid out by ``CONFIG_LAYOUT``."""
 
     n_x: int = 100
     n_t: int = 100
@@ -56,6 +70,10 @@ class ExperimentConfig:
         require_finite(self, ("gain", "truth_amplitude", "delta_w", "delta_z"))
         if self.delta_w < 0 or self.delta_z < 0:
             raise ValidationError("noise levels must be nonnegative")
+        if self.n_x < 1 or self.n_t < 1 or self.seed < 0:
+            raise ValidationError(
+                f"need n_x >= 1, n_t >= 1 and seed >= 0, got {self.n_x}, {self.n_t}, {self.seed}"
+            )
         check_truth_kind(self.truth_kind)
         check_policy(self.policy)
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -72,86 +90,61 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; any key it would not write is rejected."""
-        known = cls().to_dict()
-        _check_keys(raw, known, "config")
-        for section, keys in known.items():
-            if isinstance(keys, dict) and section in raw:
-                _check_keys(raw[section], keys, f"config section {section!r}")
-        # a missing key falls back to what to_dict writes for the defaults
-        inst, truth, method, noise = (
-            {**known[section], **raw.get(section, {})}
-            for section in ("instance", "truth", "method", "noise")
-        )
-        top = {**known, **raw}
+        """Inverse of :meth:`to_dict`: a key outside ``CONFIG_LAYOUT`` is rejected,
+        and a missing one takes its dataclass default."""
+        _check_keys(raw, CONFIG_LAYOUT, "config")
+        values, method = {}, {}
+        for key, attr in CONFIG_LAYOUT.items():
+            if key not in raw:
+                continue
+            if isinstance(attr, str):
+                values[attr] = raw[key]
+            else:
+                _check_keys(raw[key], attr, f"config section {key!r}")
+                into = method if key == "method" else values
+                into.update((attr[k], v) for k, v in raw[key].items())
         try:
-            norm = method["mu"] == "norm"
-            return cls(
-                n_x=_int(inst["n_x"]),
-                n_t=_int(inst["n_t"]),
-                horizon=_float(inst["T"]),
-                gain=_float(inst["gain"]),
-                truth_kind=truth["kind"],
-                truth_amplitude=_float(truth["amplitude"]),
-                method=MethodConfig(
-                    tag=method["tag"],
-                    mu=MethodConfig.mu if norm else _float(method["mu"]),
-                    stepsize="norm" if norm else "fixed",
-                    alpha0=_float(method["alpha0"]),
-                    q=_float(method["q"]),
-                    tau_disc=_float(method["tau_disc"]),
-                    k_max=_int(method["k_max"]),
-                    m=_int(method["m"]),
-                    cg_tol=_float(method["cg_tol"]),
-                    cg_max=_int(method["cg_max"]),
-                    k_apriori=_optional(_int, method["k_apriori"]),
-                    prior_theta=_optional(_number_array, method["prior_theta"]),
-                    prior_state=_optional(_number_array, method["prior_state"]),
-                ),
-                delta_w=_float(noise["delta_w"]),
-                delta_z=_float(noise["delta_z"]),
-                seed=_int(noise["seed"]),
-                output_dir=_typed(str, top["output_dir"]),
-                policy=inst["policy"],
-                start_at_truth=_bool(top["start_at_truth"]),
-            )
+            if method.get("mu") == "norm":
+                del method["mu"]
+                method["stepsize"] = "norm"
+            return cls(method=MethodConfig(**_load(MethodConfig, method)), **_load(cls, values))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        mu = "norm" if self.method.stepsize == "norm" else self.method.mu
-        return {
-            "instance": {
-                "n_x": self.n_x,
-                "n_t": self.n_t,
-                "T": self.horizon,
-                "gain": self.gain,
-                "policy": self.policy,
-            },
-            "truth": {"kind": self.truth_kind, "amplitude": self.truth_amplitude},
-            "method": {
-                "tag": self.method.tag,
-                "mu": mu,
-                "alpha0": self.method.alpha0,
-                "q": self.method.q,
-                "tau_disc": self.method.tau_disc,
-                "k_max": self.method.k_max,
-                "m": self.method.m,
-                "cg_tol": self.method.cg_tol,
-                "cg_max": self.method.cg_max,
-                "k_apriori": self.method.k_apriori,
-                "prior_theta": _optional(_float_list, self.method.prior_theta),
-                "prior_state": _optional(_float_list, self.method.prior_state),
-            },
-            "noise": {"delta_w": self.delta_w, "delta_z": self.delta_z, "seed": self.seed},
-            "output_dir": self.output_dir,
-            "start_at_truth": self.start_at_truth,
-        }
+        """The config file for this experiment, in plain JSON values."""
+        out = {}
+        for key, attr in CONFIG_LAYOUT.items():
+            if isinstance(attr, str):
+                out[key] = _plain(getattr(self, attr))
+            else:
+                owner = self.method if key == "method" else self
+                out[key] = {k: _plain(getattr(owner, a)) for k, a in attr.items()}
+        if self.method.stepsize == "norm":
+            out["method"]["mu"] = "norm"
+        return out
 
 
-def _optional(convert, value):
-    """``convert(value)``, with None (JSON null) passed through."""
-    return None if value is None else convert(value)
+def _load(cls, values: dict) -> dict:
+    """``values`` converted by the type of each named field of ``cls``: int,
+    float, str and bool through :func:`_typed`, arrays through
+    :func:`_number_array`, and None (JSON null) kept for an ``X | None``."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for name, value in values.items():
+        kind, *rest = get_args(kinds[name]) or (kinds[name],)
+        if value is None and rest:
+            out[name] = None
+        else:
+            out[name] = _number_array(value) if kind is np.ndarray else _typed(kind, value)
+    return out
+
+
+def _plain(value):
+    """``value`` as plain JSON: numpy scalars as Python numbers, arrays as float lists."""
+    if isinstance(value, np.ndarray):
+        return value.astype(float).tolist()
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _typed(kind, value):
@@ -171,11 +164,6 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-_int = partial(_typed, int)
-_float = partial(_typed, float)
-_bool = partial(_typed, bool)
-
-
 def _number_array(value):
     """A JSON array of numbers as a float array; strings and booleans are rejected."""
     entries = np.asarray(value, dtype=object)
@@ -183,10 +171,6 @@ def _number_array(value):
         if not _is_number(entry):
             raise ValidationError(f"expected an array of numbers, found {entry!r}")
     return entries.astype(float)
-
-
-def _float_list(value):
-    return np.asarray(value, dtype=float).tolist()
 
 
 def _check_keys(raw, known, where):
@@ -262,8 +246,10 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     consumes.  The analytic bound c*delta_w + delta_z is reported alongside
     with c estimated from the current draw.
     """
-    if delta_w < 0 or delta_z < 0:
-        raise ValidationError("noise levels must be nonnegative")
+    if not (0 <= delta_w < math.inf and 0 <= delta_z < math.inf):
+        raise ValidationError(
+            f"noise levels must be finite and nonnegative, got {delta_w}, {delta_z}"
+        )
     triple, grid = instance.triple, instance.grid
     rng = np.random.default_rng(seed)
     w_noise = _scaled_noise(rng, instance, delta_w, "dual_load", norm_dual_load)
@@ -680,10 +666,6 @@ def _strip_paths(summary):
     return {k: v for k, v in summary.items() if k != "paths"}
 
 
-def _sweep_worker(raw_config):
-    return run_experiment(ExperimentConfig.from_dict(raw_config))
-
-
 def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     """Noise-level sweep: one run per (delta_z, seed) pair plus an aggregation.
 
@@ -718,7 +700,7 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
         scale = norm_observation(instance.triple, y)
 
     jobs = [
-        replace(config, delta_z=float(delta) * scale, seed=int(seed), output_dir=str(path)).to_dict()
+        replace(config, delta_z=float(delta) * scale, seed=int(seed), output_dir=str(path))
         for delta, seed, path in runs
     ]
 
@@ -726,16 +708,16 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            results = list(pool.map(run_experiment, jobs))
     else:
-        results = [_sweep_worker(j) for j in jobs]
+        results = [run_experiment(job) for job in jobs]
 
     table = []
-    for raw, summary in zip(jobs, results):
+    for job, summary in zip(jobs, results):
         table.append(
             {
-                "delta_z": raw["noise"]["delta_z"],
-                "seed": raw["noise"]["seed"],
+                "delta_z": job.delta_z,
+                "seed": job.seed,
                 "k_star": summary["k_star"],
                 "stop_reason": summary["stop_reason"],
                 "final_res_total": summary["final_res_total"],

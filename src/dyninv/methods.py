@@ -90,7 +90,7 @@ class RunRecord:
     rows: list = field(default_factory=list)
     k_star: int = 0
     stop_reason: str = "k_max"
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # what the run resolved: mu and delta
     theta_final: np.ndarray | None = None
     state_final: Trajectory | None = None
 
@@ -309,8 +309,8 @@ def run(
     non-finite residual ends the run with stop_reason 'diverged' and raises
     SolverError; like an inner-solver failure, ``exc.record`` keeps the rows.
     """
-    if delta < 0:
-        raise ValidationError("noise level must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValidationError(f"noise level must be finite and nonnegative, got {delta}")
     tag = config.tag
     if tag in ("aLWK", "rLWK"):
         if instance.partition is None or instance.partition.slab_count != config.m:
@@ -342,20 +342,7 @@ def run(
     if config.stepsize == "norm":
         mu = _norm_stepsize(config, instance, point if aao_method else theta, y_data)
 
-    record = RunRecord(method=tag)
-    record.metadata = {
-        "tag": tag,
-        "mu": mu,
-        "stepsize": config.stepsize,
-        "alpha0": config.alpha0,
-        "q": config.q,
-        "tau_disc": config.tau_disc,
-        "k_max": config.k_max,
-        "m": config.m,
-        "cg_tol": config.cg_tol,
-        "cg_max": config.cg_max,
-        "delta": delta,
-    }
+    record = RunRecord(method=tag, metadata={"mu": mu, "delta": delta})
     sweep_len = config.m if tag in ("aLWK", "rLWK") else 1
 
     k, failure = 0, None

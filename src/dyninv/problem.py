@@ -37,33 +37,24 @@ def signed_square_slope(x, gain: float = 10.0):
 class SemilinearDiffusion:
     """Source identification for u' = -Ku - Phi(u) + theta, full observation.
 
+    The unknown source lives on every interior node, so the parameter space is
+    the state's nodal space and ``embed_theta``/``restrict_theta`` only check
+    and pass values through.
+
     Parameters
     ----------
     triple : DiscreteGelfandTriple
         Spatial discretisation carrying the stiffness operator K.
     gain : float
         Strength of the signed-square nonlinearity (benchmark value 10).
-    source_nodes : array of int, optional
-        Interior nodes supporting the unknown source; default is the whole
-        domain.  The parameter is extended by zero outside its support.
     """
 
-    def __init__(self, triple: DiscreteGelfandTriple, gain: float = 10.0, source_nodes=None):
+    def __init__(self, triple: DiscreteGelfandTriple, gain: float = 10.0):
         self.triple = triple
         self.gain = float(gain)
-        if source_nodes is None:
-            self.source_nodes = np.arange(triple.interior_points)
-        else:
-            self.source_nodes = np.asarray(source_nodes, dtype=int)
-            if self.source_nodes.size == 0:
-                raise ValidationError("source support must be nonempty")
-            if (self.source_nodes < 0).any() or (
-                self.source_nodes >= triple.interior_points
-            ).any():
-                raise ValidationError("source support node out of range")
-        self.n_theta = self.source_nodes.size
+        self.n_theta = triple.interior_points
 
-    # -- parameter embedding / restriction (extension by zero) --------------
+    # -- parameter embedding / restriction (both the identity) ----------------
 
     def embed_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -71,17 +62,10 @@ class SemilinearDiffusion:
             raise ValidationError(
                 f"parameter has length {theta.shape[-1]}, expected {self.n_theta}"
             )
-        if self.n_theta == self.triple.interior_points:
-            return theta
-        out = np.zeros(theta.shape[:-1] + (self.triple.interior_points,))
-        out[..., self.source_nodes] = theta
-        return out
+        return theta
 
     def restrict_theta(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.n_theta == self.triple.interior_points:
-            return v
-        return v[..., self.source_nodes]
+        return np.asarray(v, dtype=float)
 
     def inner_theta(self, a, b) -> float:
         a = np.asarray(a, dtype=float)

@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ def test_noise_marches_truth_only_for_model_noise(tiny_instance, tiny_truth, mon
     ds = add_noise(tiny_instance, y, theta, delta_w, 3e-3, seed=4)
     assert calls == ["newton"] * marches
     assert ds.achieved_delta > 0.0
+
+
+@pytest.mark.parametrize("delta_w, delta_z", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                             (0.0, float("nan")), (0.0, float("inf"))])
+def test_noise_rejects_non_finite_levels(tiny_instance, tiny_truth, delta_w, delta_z):
+    """NaN gave zero noise with a NaN bound, and inf a Newton divergence (a solver failure)."""
+    theta, state, y = tiny_truth
+    with pytest.raises(ValidationError):
+        add_noise(tiny_instance, y, theta, delta_w, delta_z, seed=1)
 
 
 # -- dense oracle ---------------------------------------------------------------------------
@@ -295,7 +305,7 @@ def test_sweep_aggregates_medians(tmp_path):
 
 
 def test_config_round_trips_through_dict(tmp_path):
-    """Sweep workers rebuild their config from to_dict output."""
+    """A config file written from to_dict loads back as the same config."""
     for stepsize, mu in (("fixed", 0.5), ("norm", 1.0)):
         cfg = ExperimentConfig(
             n_x=12, n_t=8, horizon=0.2, gain=5.0, truth_amplitude=0.3,
@@ -310,7 +320,7 @@ def test_config_round_trips_through_dict(tmp_path):
 
 
 def test_config_round_trips_apriori_stop_and_prior(tmp_path):
-    """The a-priori stop and the IRGNM prior survive the sweep's dict round trip."""
+    """The a-priori stop and the IRGNM prior survive the config file's round trip."""
     prior_state = np.arange(28.0).reshape(7, 4)
     cfg = ExperimentConfig(
         n_x=4, n_t=6, output_dir=str(tmp_path),
@@ -435,6 +445,9 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
         {"method": {"alpha0": -1.0}},
         {"method": {"alpha0": 0.0}},
         {"instance": {"n_x": 2}, "method": {"prior_theta": [0.0, float("nan")]}},
+        {"instance": {"n_x": 0}},
+        {"instance": {"n_t": 0, "T": 0.1}},
+        {"noise": {"seed": -1}},
     ],
 )
 def test_config_rejects_malformed_input_at_load(raw):
@@ -443,11 +456,39 @@ def test_config_rejects_malformed_input_at_load(raw):
 
 
 def test_config_loads_numpy_scalars():
-    """numpy scalars left in a to_dict output (a sweep over numpy values) still load."""
+    """A config built from numpy scalars writes and loads as plain numbers."""
     raw = ExperimentConfig(n_x=np.int64(8), horizon=np.float64(0.2)).to_dict()
     got = ExperimentConfig.from_dict(raw)
     assert got.n_x == 8 and type(got.n_x) is int
     assert got.horizon == 0.2 and type(got.horizon) is float
+
+
+def test_reports_write_configs_holding_numpy_scalars(tmp_path):
+    """summary.json and comparison.json echo the config as plain JSON, and a
+    config that holds numpy scalars loads as plain numbers."""
+    cfg = replace(small_config(tmp_path, k_max=2), n_x=np.int64(6), n_t=np.int64(4),
+                  horizon=np.float64(0.05), seed=np.int64(3), start_at_truth=np.bool_(False))
+    run_experiment(cfg)
+    compare(cfg, ["rLW", "aLW"])
+    for name in ("rLW_summary.json", "comparison.json"):
+        assert json.loads((tmp_path / name).read_text())
+    echo = json.loads((tmp_path / "rLW_summary.json").read_text())["config"]
+    assert echo["instance"]["n_x"] == 6 and echo["noise"]["seed"] == 3
+    got = ExperimentConfig.from_dict({"instance": {"n_x": np.int64(6), "T": np.float64(0.05)}})
+    assert type(got.n_x) is int and type(got.horizon) is float
+
+
+def test_readme_config_schema_lists_every_key():
+    """The README's config block loads, and names every key to_dict writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config file schema (JSON):", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    ExperimentConfig.from_dict(raw)
+    want = ExperimentConfig().to_dict()
+    assert raw.keys() == want.keys()
+    for section, keys in want.items():
+        if isinstance(keys, dict):
+            assert raw[section].keys() == keys.keys(), section
 
 
 # -- CLI ----------------------------------------------------------------------------------
@@ -477,7 +518,7 @@ def test_cli_selftest(capsys):
     assert cli_main(["selftest", "--quiet"]) == 0
 
 
-def test_cli_bad_config_exits_1(tmp_path):
+def test_cli_bad_config_exits_1(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert cli_main(["run", "--config", str(path)]) == 1
@@ -507,6 +548,15 @@ def test_cli_bad_config_exits_1(tmp_path):
                    {"tag": "rIRGNM", "cg_max": 0, "k_max": 2},
                    {"tag": "rLW", "k_apriori": -2, "k_max": 3}):
         assert cli_main(["run", "--config", write_config(tmp_path, method=method)]) == 1
+    # sizes below 1 and a negative seed, rejected at load: the self-test gate never runs
+    gate = []
+    monkeypatch.setattr(harness, "selftest", lambda verbose=True: gate.append(verbose) or True)
+    for instance, noise in (({"n_x": 0, "n_t": 6, "T": 0.05}, {}),
+                            ({"n_x": 8, "n_t": 0, "T": 0.05}, {}),
+                            ({"n_x": 8, "n_t": 6, "T": 0.05}, {"seed": -1, "delta_z": 1e-3})):
+        assert cli_main(["run", "--config", write_config(tmp_path, instance=instance, noise=noise)]) == 1
+    assert gate == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solver_failure_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -355,14 +356,19 @@ def test_run_kaczmarz_m1_equals_plain(newton_setup):
     )
 
 
-def test_run_alpha_schedule_recorded(newton_setup):
+def test_run_irgnm_steps_receive_the_alpha_schedule(newton_setup, monkeypatch):
+    """Both IRGNM updates are handed alpha_k = alpha0 * q**k at iteration k."""
     inst, (theta, state, y) = newton_setup
-    config = MethodConfig(tag="rIRGNM", alpha0=0.7, q=0.5, k_max=3)
-    record = run(config, inst, y, delta=0.0)
-    assert record.metadata["alpha0"] == 0.7
-    assert record.metadata["q"] == 0.5
-    alphas = [record.metadata["alpha0"] * record.metadata["q"] ** k for k in range(3)]
-    np.testing.assert_allclose(alphas, [0.7, 0.35, 0.175])
+    for tag, name in (("rIRGNM", "step_reduced_irgnm"), ("aIRGNM", "step_aao_irgnm")):
+        alphas, step = [], getattr(methods, name)
+
+        def spy(*args, _step=step, **kwargs):
+            alphas.append(inspect.signature(_step).bind(*args, **kwargs).arguments["alpha"])
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(methods, name, spy)
+        run(MethodConfig(tag=tag, alpha0=0.7, q=0.5, k_max=3), inst, y, delta=0.0)
+        assert alphas == [0.7, 0.35, 0.175], tag
 
 
 def test_run_apriori_stop(newton_setup):
@@ -440,6 +446,14 @@ def test_run_rejects_partition_mismatch(newton_setup):
     inst, (theta, state, y) = newton_setup  # instance has m = 2
     with pytest.raises(ValidationError):
         run(MethodConfig(tag="rLWK", m=3, k_max=2), inst, y, delta=0.0)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1e-3])
+def test_run_rejects_noise_levels_not_finite_and_nonnegative(newton_setup, delta):
+    """NaN would run silently to k_max and inf would stop at k = 0 by discrepancy."""
+    inst, (theta, state, y) = newton_setup
+    with pytest.raises(ValidationError):
+        run(MethodConfig(tag="rLW", k_max=2), inst, y, delta=delta)
 
 
 def test_method_config_validation():

@@ -163,20 +163,3 @@ def test_reaction_is_f_plus_stiffness(bench, rng):
         prob.f(0.0, u, theta) + u @ triple.stiffness,
         atol=1e-10,
     )
-
-
-def test_subdomain_source_embedding(rng):
-    triple = build_triple(10)
-    support = np.array([2, 3, 4])
-    prob = SemilinearDiffusion(triple, gain=10.0, source_nodes=support)
-    assert prob.n_theta == 3
-    xi = rng.standard_normal(3)
-    emb = prob.embed_theta(xi)
-    assert emb.shape == (10,)
-    np.testing.assert_array_equal(emb[support], xi)
-    mask = np.ones(10, dtype=bool)
-    mask[support] = False
-    np.testing.assert_array_equal(emb[mask], 0.0)
-    # restriction is the adjoint of the embedding
-    v = rng.standard_normal(10)
-    assert triple.dx * (emb @ v) == pytest.approx(prob.inner_theta(xi, prob.restrict_theta(v)))
