@@ -15,9 +15,18 @@ The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
 model row is built by the triple's Green's matrix of K, its one Riesz map; the
 V* norm and product and the adjoint read them, so an iteration applies K^{-1}
 once and never through the eigenbasis.  P_j acts by rows, so it commutes with
-K^{-1} and restricts the carried rows directly.  The adjoint takes all of its
-loads into the eigenbasis in one :func:`~dyninv.spaces.to_modes` and its state
-direction back in one :func:`~dyninv.spaces.from_modes`.
+K^{-1} and restricts the carried rows directly.
+
+The adjoint's two sweeps run in the operator's state coordinates, fixed by the
+number of points n alone (:data:`_NODAL_FROM`).  Below the cut they are modal:
+the loads enter the eigenbasis in one :func:`~dyninv.spaces.to_modes`, both
+sweeps are block marches there, and the state direction returns in one
+:func:`~dyninv.spaces.from_modes`, two O(N n^2) products.  From the cut on they
+are nodal: 2N sequential one-vector solves with the (I + tau K)^{-1} tables the
+reduced sweeps read, O(N n * 128), K p by the stencil, and no basis at all.
+The joint CG of the IRGNM runs in the same coordinates, through
+:meth:`AllAtOnceOperator.to_nodes`, :meth:`~AllAtOnceOperator.from_nodes` and
+:meth:`~AllAtOnceOperator.inner_coords`.
 """
 
 from dataclasses import dataclass
@@ -29,15 +38,25 @@ from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
+    apply_stiffness,
     from_modes,
     inner_observation,
+    inner_state_modes,
+    inner_state_nodes,
     march_modes,
     march_tables,
     norm_observation,
+    resolvent_tables,
     solve_resolvent,
     to_modes,
     zero_trajectory,
 )
+
+# the smallest n from which the nodal sweeps were no slower than the modal ones, for
+# whole aLW and aIRGNM iterations at every N in {8, 50, 100, 200, 400} (one BLAS
+# thread; the crossover table is in CHANGES.md).  The joint IRGNM sets it: its CG
+# pairs nodal states by a Green's solve of N rows, the modal ones with none
+_NODAL_FROM = 896
 
 
 @dataclass
@@ -83,7 +102,11 @@ def data_triple(grid: TimeGrid, width: int, y: Trajectory) -> ResidualTriple:
 
 
 class AllAtOnceOperator:
-    """Matrix-free residual map of the joint formulation and its linearizations."""
+    """Matrix-free residual map of the joint formulation and its linearizations.
+
+    State directions of :meth:`adjoint_coords` and the joint CG are in modal
+    coefficients below :data:`_NODAL_FROM` points and in nodal values from it on.
+    """
 
     def __init__(
         self,
@@ -97,7 +120,27 @@ class AllAtOnceOperator:
         self.grid = grid
         self.partition = partition
         self._t = grid.nodes()
-        self._march = march_tables(triple, grid)
+        self._nodal = triple.interior_points >= _NODAL_FROM
+        if self._nodal:
+            self._resolvent = resolvent_tables(triple, grid.tau)
+        else:
+            self._march = march_tables(triple, grid)
+
+    # -- state coordinates -----------------------------------------------------
+
+    def to_nodes(self, c: np.ndarray) -> np.ndarray:
+        """Nodal rows of state rows in the operator's coordinates."""
+        return c if self._nodal else from_modes(self.triple, c)
+
+    def from_nodes(self, u: np.ndarray) -> np.ndarray:
+        """The operator's coordinates of nodal state rows."""
+        return u if self._nodal else to_modes(self.triple, u)
+
+    def inner_coords(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The graph product :func:`~dyninv.spaces.inner_state` of two states in
+        the operator's coordinates."""
+        pair = inner_state_nodes if self._nodal else inner_state_modes
+        return pair(self.triple, self.grid.tau, a, b)
 
     # -- forward --------------------------------------------------------------
 
@@ -155,19 +198,19 @@ class AllAtOnceOperator:
     # -- adjoint ----------------------------------------------------------------
 
     def adjoint(self, point: AaoPoint, resid: ResidualTriple) -> tuple[Trajectory, np.ndarray]:
-        """Exact discrete adjoint of :meth:`derivative`: :meth:`adjoint_modes`
-        and one basis product taking the state direction back to nodes."""
-        dh, dtheta = self.adjoint_modes(point, resid)
-        return Trajectory(self.grid, from_modes(self.triple, dh), "state"), dtheta
+        """Exact discrete adjoint of :meth:`derivative`: :meth:`adjoint_coords`
+        with the state direction taken to nodes."""
+        dh, dtheta = self.adjoint_coords(point, resid)
+        return Trajectory(self.grid, self.to_nodes(dh), "state"), dtheta
 
-    def adjoint_modes(self, point: AaoPoint, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
-        """The adjoint with its state direction left in modal coefficients.
+    def adjoint_coords(self, point: AaoPoint, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
+        """The adjoint with its state direction left in the operator's coordinates.
 
-        Returns the modal state direction (nodal rows times the eigenbasis,
-        shape (node_count, width)) via one backward and one forward
-        stiffness evolution and the parameter direction via right-endpoint
-        quadrature of the adjoint integrands.  The loads of both sweeps and
-        the start of the forward one enter the eigenbasis in one basis product.
+        Returns the state direction (shape (node_count, width)) via one
+        backward and one forward stiffness evolution and the parameter
+        direction via right-endpoint quadrature of the adjoint integrands.
+        Below the cut the loads of both sweeps and the start of the forward one
+        enter the eigenbasis in one basis product.
         """
         # every channel but the initial one is read at nodes 1..N only
         u = point.state.values[1:]
@@ -189,15 +232,18 @@ class AllAtOnceOperator:
         np.subtract(jac("g_u", "adjoint", t, u, theta, z), rows, out=rows)
         stack[steps:-1] = resid.model.values[1:]
         stack[-1] = h
-        loads = to_modes(self.triple, stack)
-        # both sweeps run in the eigenbasis of K, which diagonalizes their
-        # steps.  Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m,
-        # marched on the time-reversed nodes (the loads read backward) and
-        # flipped back (ph[m] is p^m).
-        ph = march_modes(self._march, 0.0, loads[steps - 1 :: -1])[::-1]
-        # forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        lam = self.triple.eigenvalues
-        dh = march_modes(self._march, ph[0] + loads[-1], loads[steps:-1] + lam * ph[:-1])
+        # Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m.  Forward:
+        # start p^0 + h, step onto node n driven by w^n + K p^{n-1}
+        if self._nodal:
+            dh = self._sweep_nodes(stack)
+        else:
+            loads = to_modes(self.triple, stack)
+            # the eigenbasis of K diagonalizes both steps.  The backward sweep is
+            # marched on the time-reversed nodes (the loads read backward) and
+            # flipped back (ph[m] is p^m)
+            ph = march_modes(self._march, 0.0, loads[steps - 1 :: -1])[::-1]
+            lam = self.triple.eigenvalues
+            dh = march_modes(self._march, ph[0] + loads[-1], loads[steps:-1] + lam * ph[:-1])
 
         dtheta = self.grid.tau * np.sum(
             -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
@@ -205,6 +251,22 @@ class AllAtOnceOperator:
         )
         dtheta = dtheta - jac("u0", "adjoint", None, None, theta, h)
         return dh, dtheta
+
+    def _sweep_nodes(self, stack: np.ndarray) -> np.ndarray:
+        """Both sweeps of :meth:`adjoint_coords` on the nodal stack (rows, w, h):
+        one resolvent solve per step and sweep, K p^{n-1} by the stencil."""
+        steps = stack.shape[0] // 2
+        tau, tables = self.grid.tau, self._resolvent
+        back = tau * stack[:steps]
+        p = np.zeros((steps + 1, stack.shape[1]))
+        for m in range(steps - 1, -1, -1):
+            p[m] = solve_resolvent(tables, p[m + 1] + back[m])
+        loads = tau * (stack[steps:-1] + apply_stiffness(self.triple, p[:-1]))
+        dh = np.empty_like(p)
+        dh[0] = p[0] + stack[-1]
+        for n in range(steps):
+            dh[n + 1] = solve_resolvent(tables, dh[n] + loads[n])
+        return dh
 
     # -- slab operators --------------------------------------------------------
 

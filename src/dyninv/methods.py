@@ -3,7 +3,9 @@
 Method tags: aLW / aLWK / aIRGNM operate on the joint (state, parameter)
 unknown; rLW / rLWK / rIRGNM operate on the parameter alone.  Both IRGNM
 variants solve the regularized normal equations by conjugate gradients with
-matrix-free operator applications.
+matrix-free operator applications.  The joint CG holds its state part in the
+all-at-once operator's own coordinates, which the operator picks from the size
+(:meth:`~dyninv.aao.AllAtOnceOperator.to_nodes`); this module has one path.
 """
 
 import math
@@ -20,11 +22,8 @@ from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
-    from_modes,
-    inner_state_modes,
     norm_l2_v,
     norm_observation,
-    to_modes,
     zero_trajectory,
 )
 
@@ -184,27 +183,27 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
     """On flattened joint unknowns: the derivative at point, its adjoint, and
     the inner product (graph product plus parameter product).
 
-    The state part of a joint vector holds modal coefficients c = u q
-    (:func:`~dyninv.spaces.to_modes` of the nodal rows), which
-    :func:`~dyninv.spaces.inner_state_modes` pairs with no basis product.  The
-    derivative takes one product to nodes and the adjoint keeps the modes it
-    marched, so a CG iteration on these vectors costs two basis products: that
-    one and the adjoint's stacked product of its loads.
+    The state part of a joint vector is in the operator's coordinates, which
+    :meth:`~dyninv.aao.AllAtOnceOperator.inner_coords` pairs.  The derivative
+    takes it to nodes and the adjoint keeps the coordinates it marched in.
+    Below the operator's size cut these are modal coefficients c = u q, and a
+    CG iteration costs two basis products: the one to nodes and the adjoint's
+    stacked product of its loads.  From the cut on they are nodal values, and
+    it costs none.
     """
-    grid, triple, problem = op.grid, op.triple, op.problem
-    tau, width = grid.tau, point.state.width
+    grid, problem, width = op.grid, op.problem, point.state.width
 
     def forward(flat):
         c, dtheta = _split(flat, grid, width)
-        return op.derivative(point, Trajectory(grid, from_modes(triple, c), "state"), dtheta)
+        return op.derivative(point, Trajectory(grid, op.to_nodes(c), "state"), dtheta)
 
     def adjoint(resid):
-        return _flatten(*op.adjoint_modes(point, resid))
+        return _flatten(*op.adjoint_coords(point, resid))
 
     def pair_inner(a, b):
         ca, ta = _split(a, grid, width)
         cb, tb = (ca, ta) if b is a else _split(b, grid, width)
-        return inner_state_modes(triple, tau, ca, cb) + problem.inner_theta(ta, tb)
+        return op.inner_coords(ca, cb) + problem.inner_theta(ta, tb)
 
     return forward, adjoint, pair_inner
 
@@ -236,7 +235,7 @@ def _descend(point, mu, direction):
 
 def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
     """Regularized Gauss-Newton step via CG on the joint normal equations,
-    run on modal state coefficients (see :func:`_joint_maps`)."""
+    run in the operator's state coordinates (see :func:`_joint_maps`)."""
     grid = op.grid
     forward, adjoint, pair_inner = _joint_maps(op, point)
 
@@ -256,7 +255,7 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
     rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
     c, dtheta = _split(sol, grid, point.state.width)
-    du = from_modes(op.triple, c)
+    du = op.to_nodes(c)
     return AaoPoint(
         Trajectory(grid, prior.state.values + du, "state"), prior.theta + dtheta
     )
@@ -435,11 +434,11 @@ def _norm_stepsize(config, instance, start, y_data):
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
         fwd, adj, inner = _joint_maps(instance.aao, start)
-        # the nodal random start, mapped once to the modal state coefficients
-        # of the joint maps
+        # the nodal random start, mapped once to the state coordinates of the
+        # joint maps
         size = start.state.values.size + start.theta.size
         u, t = _split(rng.standard_normal(size), instance.grid, start.state.width)
-        y0 = _flatten(to_modes(instance.triple, u), t)
+        y0 = _flatten(instance.aao.from_nodes(u), t)
     else:
         op = instance.reduced
         _, state = op.forward(start)

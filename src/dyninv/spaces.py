@@ -8,15 +8,19 @@ on demand, for the dense oracle and tests).  Its inverse K^-1, the Riesz map
 V* -> V of every V* pairing of nodal rows (||w||_{V*}^2 = dx * <K^-1 w, w>), and
 the implicit-Euler resolvent (I + tau K)^-1 of the reduced sweeps are
 closed-form Green's matrices, tabulated in diagonal blocks of at most 128 points
-(once per triple by :func:`build_triple`, and by :func:`resolvent_tables`) and
-applied to nodal rows with carries between the blocks (:func:`solve_resolvent`),
-in O(n * 128), without the basis and in a fixed number of numpy calls.  The
-n x n DST-I eigenbasis q serves the marches and the modal pairing of the joint
-CG; only :func:`to_modes` and :func:`from_modes` apply it.
+(once per triple by :func:`build_triple`, and once per triple and tau by
+:func:`resolvent_tables`) and applied to nodal rows with carries between the
+blocks (:func:`solve_resolvent`), in O(n * 128), without the basis and in a
+fixed number of numpy calls.  Below the all-at-once operator's size cut the
+n x n DST-I eigenbasis q serves its marches (:func:`march_modes`) and the modal
+pairing of its joint CG (:func:`inner_state_modes`); from the cut on the
+operator marches through the resolvent tables and pairs nodal states
+(:func:`inner_state_nodes`).  Only :func:`to_modes` and :func:`from_modes`
+apply q.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,6 +63,8 @@ class DiscreteGelfandTriple:
     in closed form (the orthonormal DST-I basis, ascending eigenvalues); they
     are tabulated once for every march in the eigenbasis.  ``green`` holds the
     blocked Green's matrix of K, the Riesz map V* -> V of every V* pairing.
+    The tables of (I + tau K)^-1 are kept per tau, as :func:`resolvent_tables`
+    first builds them, so every operator on the triple reads one copy.
     """
 
     interior_points: int
@@ -66,6 +72,7 @@ class DiscreteGelfandTriple:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     green: ResolventTables
+    _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -150,7 +157,8 @@ _GREEN_BLOCK = 128
 
 
 def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTables:
-    """Tabulate the Green's matrix of I + tau K in blocks of B = ceil(n / ceil(n / 128)).
+    """The Green's matrix of I + tau K in blocks of B = ceil(n / ceil(n / 128)),
+    tabulated on the first call for this triple and tau and kept on the triple.
 
     With r = tau / dx^2, s = sqrt(1 + 4r), rho = 2r / (1 + 2r + s) in [0, 1) and
     M = n + 1, for 1 <= i <= j <= n
@@ -161,6 +169,8 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
     to full relative accuracy as rho -> 1.  The blocks are those of
     :func:`_green_tables` with a_i = 1 - rho^(2i) and den = s (1 - rho^(2M)).
     """
+    if tau in triple._resolvents:
+        return triple._resolvents[tau]
     n = triple.interior_points
     r = tau / triple.dx**2
     s = math.sqrt(1.0 + 4.0 * r)
@@ -169,7 +179,9 @@ def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTabl
     # log below -745 makes every positive power exactly 0, as rho -> 0 does, and G = I
     log_rho = math.log1p(-gap) if gap < 1.0 else -1e3
     a = -np.expm1(2.0 * log_rho * np.arange(1, n + 1))
-    return _green_tables(a, s * -math.expm1(2.0 * (n + 1) * log_rho), log_rho)
+    tables = _green_tables(a, s * -math.expm1(2.0 * (n + 1) * log_rho), log_rho)
+    triple._resolvents[tau] = tables
+    return tables
 
 
 def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
@@ -461,17 +473,24 @@ def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
     return tau * pairing + triple.dx * float(a[0] @ b[0])
 
 
+def inner_state_nodes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
+    """:func:`inner_state` of two states given by their nodal rows: graph rows
+    (u^{n+1} - u^n)/tau + K u^{n+1} (formed once when b is a), paired through
+    K^-1 in one Green's solve, and the initial term dx u^0 . v^0."""
+    rows = [(u[1:] - u[:-1]) / tau + apply_stiffness(triple, u[1:]) for u in ((a,) if b is a else (a, b))]
+    pairing = triple.dx * float(np.vdot(solve_resolvent(triple.green, rows[0]), rows[-1]))
+    return tau * pairing + triple.dx * float(a[0] @ b[0])
+
+
 def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
     """Graph inner product on state trajectories.
 
     Sum of tau * (du + Ku, dv + Kv)_{V*} over steps plus the H product of the
     initial values; this is the Hilbert structure in which the all-at-once
-    adjoint is taken.  The graph rows are paired through K^-1, one Green's solve.
+    adjoint is taken (:func:`inner_state_nodes`).
     """
     _same_grid(u, v)
-    riesz = solve_resolvent(triple.green, graph_rows(triple, u))
-    pairing = triple.dx * float(np.vdot(riesz, graph_rows(triple, v)))
-    return u.grid.tau * pairing + triple.dx * float(u.values[0] @ v.values[0])
+    return inner_state_nodes(triple, u.grid.tau, u.values, v.values)
 
 
 def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyninv.aao import AaoPoint, ResidualTriple
+from dyninv.aao import _NODAL_FROM, AaoPoint, ResidualTriple
 from dyninv.harness import make_instance, synthesize_truth, truth_nodes
 from dyninv.methods import conjugate_gradient
 from dyninv.spaces import Trajectory, from_modes, inner_state, to_modes
@@ -27,6 +27,14 @@ def tiny_truth(tiny_instance):
 def small_instance():
     """Mid-size instance for matrix-free property tests."""
     return make_instance(24, 24, 0.1, gain=10.0, m=4)
+
+
+@pytest.fixture(scope="session")
+def above_cut():
+    """The smallest size on the nodal side of the all-at-once operator's size
+    cut, at N = 8 and m = 2, with its synthesized truth (theta, state, y)."""
+    inst = make_instance(_NODAL_FROM, 8, 0.1, gain=10.0, m=2)
+    return inst, synthesize_truth(inst, "sine", 0.1)
 
 
 def positive_theta(triple, amplitude=0.3, offset=0.5):

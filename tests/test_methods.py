@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyninv import methods
+from dyninv import aao, methods
 from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
@@ -533,6 +533,61 @@ def test_aao_irgnm_basis_products(monkeypatch, cg_counts):
     assert len(rec.rows) == 4
     assert cg_counts == [4, 4, 4]
     assert _CountedBasis.counts == {"block": 3 * (1 + 2 * 4 + 1), "vector": 0}
+
+
+@pytest.mark.parametrize("tag", ["aLW", "aLWK", "aIRGNM"])
+def test_aao_basis_products_above_the_cut(tag, above_cut, monkeypatch):
+    """From the size cut on, no all-at-once step, residual or "norm" stepsize
+    applies the eigenbasis: both sweeps march on nodes and the joint CG pairs
+    nodal states through the Green's matrix of K."""
+    inst, (theta, state, y) = above_cut
+    basis = inst.triple.eigenvectors.view(_CountedBasis)
+    triple = replace(inst.triple, eigenvectors=basis)
+    counted = replace(
+        inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
+    )
+    monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
+    if tag == "aIRGNM":
+        cfg = MethodConfig(tag=tag, k_max=2, alpha0=1.0, q=0.4)
+    else:
+        cfg = MethodConfig(tag=tag, k_max=4, m=2 if tag == "aLWK" else 1, stepsize="norm")
+    rec = run(cfg, counted, y, 0.0, truth=(theta, state))
+    assert len(rec.rows) == cfg.k_max + 1
+    assert _CountedBasis.counts == {"block": 0, "vector": 0}
+
+
+def test_aao_sides_of_the_size_cut_agree(monkeypatch, cg_counts):
+    """One small instance run with the operator forced to each side of the
+    cut: modal and nodal coordinates give the same rows to rounding, the same
+    stopping index and the same CG counts.  The aIRGNM steps stop at
+    alpha = 0.4^5: below about 1e-4 CG magnifies any change of rounding past
+    1e-12 (see test_modal_joint_cg_equals_nodal_joint_cg)."""
+    inst = make_instance(24, 12, 0.1, gain=10.0, m=2)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    sides = []
+    for cut in (inst.triple.interior_points + 1, inst.triple.interior_points):
+        monkeypatch.setattr(aao, "_NODAL_FROM", cut)
+        op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
+        sides.append(replace(inst, aao=op))
+    assert [hasattr(side.aao, "_march") for side in sides] == [True, False]
+    configs = (
+        MethodConfig(tag="aLW", stepsize="norm", k_max=300),
+        MethodConfig(tag="aLWK", m=2, stepsize="norm", k_max=300),
+        MethodConfig(tag="aIRGNM", alpha0=1.0, q=0.4, k_max=6),
+    )
+    for cfg in configs:
+        records, cgs = [], []
+        for side in sides:
+            records.append(run(cfg, side, y, 0.0, truth=(theta, state)))
+            cgs.append(cg_counts.copy())
+            cg_counts.clear()
+        modal, nodal = records
+        assert nodal.k_star == modal.k_star == cfg.k_max
+        assert cgs[0] == cgs[1] and len(cgs[0]) == (6 if cfg.tag == "aIRGNM" else 0)
+        assert nodal.metadata["mu"] == pytest.approx(modal.metadata["mu"], rel=1e-12)
+        for name in ("res_total", "res_w", "res_h", "res_y", "err_theta", "err_u_L2V"):
+            a, b = modal.column(name), nodal.column(name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 _LANDWEBER = {"k_max": 10}
