@@ -14,6 +14,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args
 
@@ -524,30 +525,35 @@ class ExperimentData:
     dataset: NoisyDataset
 
 
-def prepare_data(config: ExperimentConfig) -> ExperimentData:
-    """The data part of :func:`run_experiment`: a tiny oracle gate first
-    (SelfTestError when it fails), then the instance, the truth and the noise.
-    Of the method settings only the slab count m enters."""
+def prepare_exact(config: ExperimentConfig):
+    """The noise-free part of :func:`prepare_data`: a tiny oracle gate first
+    (SelfTestError when it fails), then ``(instance, (theta, state, y))``.  Of
+    the method settings only the slab count m enters."""
     if not selftest(verbose=False):
         raise SelfTestError("oracle self-test failed; refusing to run the benchmark")
     instance = make_instance(
         config.n_x, config.n_t, config.horizon, config.gain,
         m=config.method.m, policy=config.policy,
     )
-    theta_true, state_true, y = synthesize_truth(
-        instance, config.truth_kind, config.truth_amplitude
-    )
+    return instance, synthesize_truth(instance, config.truth_kind, config.truth_amplitude)
+
+
+def prepare_data(config: ExperimentConfig, exact=None) -> ExperimentData:
+    """The data part of :func:`run_experiment`: the config's noise added to
+    ``exact`` from :func:`prepare_exact` (made here when not given)."""
+    instance, (theta_true, state_true, y) = prepare_exact(config) if exact is None else exact
     dataset = add_noise(instance, y, theta_true, config.delta_w, config.delta_z, config.seed)
     return ExperimentData(instance, theta_true, state_true, dataset)
 
 
-def run_experiment(config: ExperimentConfig):
+def run_experiment(config: ExperimentConfig, exact=None):
     """Synthesize data, run the configured method, and write report files.
 
-    Returns a summary dict including the emitted paths.  A tiny oracle gate
-    runs first; SelfTestError when it fails.
+    Returns a summary dict including the emitted paths.  Without ``exact``
+    (from :func:`prepare_exact`) a tiny oracle gate runs first; SelfTestError
+    when it fails.
     """
-    return run_on_data(config, prepare_data(config))
+    return run_on_data(config, prepare_data(config, exact))
 
 
 def run_on_data(config: ExperimentConfig, data: ExperimentData):
@@ -669,13 +675,14 @@ def _strip_paths(summary):
 def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     """Noise-level sweep: one run per (delta_z, seed) pair plus an aggregation.
 
-    With ``relative`` the deltas are interpreted as fractions of the exact
-    data norm; only then is the exact data synthesized.  Workers fan out over
-    independent processes; every worker owns its output directory, and every
-    run passes the self-test gate in the process that makes it.  Fewer than
-    one worker, two equal noise levels (0 and -0 among them, which would share
-    one median), or two runs sharing a directory (noise levels equal in their
-    ``:g`` form, or repeated seeds), is a ValidationError before any work.
+    The self-test gate, the instance and the truth are made once, for all
+    runs; each run only draws its noise.  With ``relative`` the deltas are
+    interpreted as fractions of the exact data norm.  Workers fan out over
+    independent processes, and every worker owns its output directory.  Fewer
+    than one worker, two equal noise levels (0 and -0 among them, which would
+    share one median), two runs sharing a directory (noise levels equal in
+    their ``:g`` form, or repeated seeds), or a run config that does not
+    validate (a negative level or seed) is a ValidationError before any work.
     """
     if workers < 1:
         raise ValidationError(f"a sweep needs at least 1 worker, got {workers}")
@@ -690,41 +697,30 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
         raise ValidationError(
             f"noise levels {list(deltas)} and seeds {list(seeds)} give two runs one directory"
         )
-    scale = 1.0
-    if relative:
-        instance = make_instance(
-            config.n_x, config.n_t, config.horizon, config.gain,
-            m=config.method.m, policy=config.policy,
-        )
-        _, _, y = synthesize_truth(instance, config.truth_kind, config.truth_amplitude)
-        scale = norm_observation(instance.triple, y)
-
     jobs = [
-        replace(config, delta_z=float(delta) * scale, seed=int(seed), output_dir=str(path))
+        replace(config, delta_z=float(delta), seed=int(seed), output_dir=str(path))
         for delta, seed, path in runs
     ]
+    exact = prepare_exact(config)
+    if relative:
+        instance, (_, _, y) = exact
+        scale = norm_observation(instance.triple, y)
+        jobs = [replace(job, delta_z=job.delta_z * scale) for job in jobs]
 
     # more processes than jobs or CPUs only add start-up cost and memory
     workers = min(workers, len(jobs), os.cpu_count() or 1)
+    run_job = partial(run_experiment, exact=exact)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_experiment, jobs))
+            results = list(pool.map(run_job, jobs))
     else:
-        results = [run_experiment(job) for job in jobs]
+        results = [run_job(job) for job in jobs]
 
-    table = []
-    for job, summary in zip(jobs, results):
-        table.append(
-            {
-                "delta_z": job.delta_z,
-                "seed": job.seed,
-                "k_star": summary["k_star"],
-                "stop_reason": summary["stop_reason"],
-                "final_res_total": summary["final_res_total"],
-                "final_err_theta": summary["final_err_theta"],
-                "achieved_delta": summary["achieved_delta"],
-            }
-        )
+    kept = ("k_star", "stop_reason", "final_res_total", "final_err_theta", "achieved_delta")
+    table = [
+        {"delta_z": job.delta_z, "seed": job.seed, **{key: summary[key] for key in kept}}
+        for job, summary in zip(jobs, results)
+    ]
     by_delta = {}
     for row in table:
         by_delta.setdefault(row["delta_z"], []).append(row["final_err_theta"])

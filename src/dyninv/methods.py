@@ -6,11 +6,15 @@ variants solve the regularized normal equations by conjugate gradients with
 matrix-free operator applications.  The joint CG holds its state part in the
 all-at-once operator's own coordinates, which the operator picks from the size
 (:meth:`~dyninv.aao.AllAtOnceOperator.to_nodes`); this module has one path.
+One loop runs every tag: :func:`run` resolves the formulation and the tag's
+update before it, and each pass evaluates, records, tests the stops and times
+one update.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +28,6 @@ from .spaces import (
     Trajectory,
     norm_l2_v,
     norm_observation,
-    zero_trajectory,
 )
 
 AAO_TAGS = ("aLW", "aLWK", "aIRGNM")
@@ -307,62 +310,66 @@ def run(
     Kaczmarz variants test the discrepancy once per completed sweep.  A
     non-finite residual ends the run with stop_reason 'diverged' and raises
     SolverError; like an inner-solver failure, ``exc.record`` keeps the rows.
+
+    Everything about the tag is resolved once, before the loop: the start, the
+    evaluation of an iterate (its four residual norms, (theta, state) and what
+    its update reads) and the update, which calls its step function by name.
     """
     if not 0 <= delta < math.inf:
         raise ValidationError(f"noise level must be finite and nonnegative, got {delta}")
-    tag = config.tag
+    tag, sweep_len = config.tag, 1
     if tag in ("aLWK", "rLWK"):
         if instance.partition is None or instance.partition.slab_count != config.m:
             raise ValidationError(
                 f"config requests m={config.m} but the instance partition has "
                 f"{None if instance.partition is None else instance.partition.slab_count} slabs"
             )
-    aao_method = tag in AAO_TAGS
-    op = instance.aao if aao_method else instance.reduced
+        sweep_len = config.m
     grid, triple, problem = instance.grid, instance.triple, instance.problem
-    width = triple.interior_points
 
-    truth_theta = truth_state = None
-    if truth is not None:
-        truth_theta, truth_state = truth
+    if tag in AAO_TAGS:
+        op, data = instance.aao, data_triple(grid, triple.interior_points, y_data)
+        x = zero_point(triple, grid, problem) if start is None else start
 
-    if aao_method:
-        data = data_triple(grid, width, y_data)
-        point = start if start is not None else zero_point(triple, grid, problem)
-    else:
-        theta = (
-            np.asarray(start, dtype=float).copy()
-            if start is not None
-            else np.zeros(problem.n_theta)
-        )
-
-    prior = _resolve_prior(config, triple, grid, problem)
-    mu = config.mu
-    if config.stepsize == "norm":
-        mu = _norm_stepsize(config, instance, point if aao_method else theta, y_data)
-
-    record = RunRecord(method=tag, metadata={"mu": mu, "delta": delta})
-    sweep_len = config.m if tag in ("aLWK", "rLWK") else 1
-
-    k, failure = 0, None
-    while True:
-        if aao_method:
+        def evaluate(point):
             resid = op.residual(point, data)
-            res_w, res_h, res_y, res_total = op.residual_norms(resid)
-            cur_theta, cur_state = point.theta, point.state
-        else:
+            return op.residual_norms(resid), point.theta, point.state, resid
+    else:
+        op = instance.reduced
+        x = np.zeros(problem.n_theta) if start is None else np.asarray(start, dtype=float).copy()
+
+        def evaluate(theta):
             y_pred, state = op.forward(theta)
             z = Trajectory(grid, y_pred.values - y_data.values, "observation")
             res_y = norm_observation(triple, z)
-            res_w = res_h = 0.0
-            res_total = res_y
-            cur_theta, cur_state = theta, state
+            return (0.0, 0.0, res_y, res_y), theta, state, (z, state)
 
+    prior = _resolve_prior(config, triple, grid, problem)
+    mu = config.mu if config.stepsize == "fixed" else _norm_stepsize(config, instance, x)
+    cg = (config.cg_tol, config.cg_max)
+
+    def alpha(k):
+        return config.alpha0 * config.q**k
+
+    # x -> x_{k+1} from what evaluate(x) returned for the update to read: the
+    # joint residual, or the reduced residual z and the state
+    step = {
+        "aLW": lambda x, k, r: step_aao_landweber(op, x, data, mu, resid=r),
+        "aLWK": lambda x, k, r: step_aao_landweber_kaczmarz(op, x, data, mu, k, resid=r),
+        "aIRGNM": lambda x, k, r: step_aao_irgnm(op, x, data, alpha(k), prior, *cg, resid=r),
+        "rLW": lambda x, k, r: step_reduced_landweber(op, x, *r, mu),
+        "rLWK": lambda x, k, r: step_reduced_landweber_kaczmarz(op, x, *r, mu, k),
+        "rIRGNM": lambda x, k, r: step_reduced_irgnm(op, x, *r, alpha(k), prior.theta, *cg),
+    }[tag]
+
+    record = RunRecord(method=tag, metadata={"mu": mu, "delta": delta})
+    k, failure = 0, None
+    while True:
+        (res_w, res_h, res_y, res_total), theta, state, reads = evaluate(x)
         err_theta = err_u = float("nan")
-        if truth_theta is not None:
-            err_theta = problem.norm_theta(cur_theta - truth_theta)
-            diff = Trajectory(grid, cur_state.values - truth_state.values, "state")
-            err_u = norm_l2_v(triple, diff)
+        if truth is not None:
+            err_theta = problem.norm_theta(theta - truth[0])
+            err_u = norm_l2_v(triple, Trajectory(grid, state.values - truth[1].values, "state"))
         row = IterationRow(k, res_total, res_w, res_h, res_y, err_theta, err_u)
         record.rows.append(row)
 
@@ -382,24 +389,7 @@ def run(
 
         tic = time.perf_counter()
         try:
-            if tag == "aLW":
-                point = step_aao_landweber(op, point, data, mu, resid=resid)
-            elif tag == "aLWK":
-                point = step_aao_landweber_kaczmarz(op, point, data, mu, k, resid=resid)
-            elif tag == "aIRGNM":
-                alpha = config.alpha0 * config.q**k
-                point = step_aao_irgnm(
-                    op, point, data, alpha, prior, config.cg_tol, config.cg_max, resid=resid
-                )
-            elif tag == "rLW":
-                theta = step_reduced_landweber(op, theta, z, state, mu)
-            elif tag == "rLWK":
-                theta = step_reduced_landweber_kaczmarz(op, theta, z, state, mu, k)
-            else:  # rIRGNM
-                alpha = config.alpha0 * config.q**k
-                theta = step_reduced_irgnm(
-                    op, theta, z, state, alpha, prior.theta, config.cg_tol, config.cg_max
-                )
+            x = step(x, k, reads)
         except SolverError as exc:
             # abort but keep what was measured so far
             reason, failure = "error", exc
@@ -408,8 +398,8 @@ def run(
         k += 1
 
     record.k_star, record.stop_reason = k, reason
-    record.theta_final = cur_theta.copy()
-    record.state_final = cur_state
+    record.theta_final = theta.copy()
+    record.state_final = state
     if failure is not None:
         failure.record = record
         raise failure
@@ -417,19 +407,14 @@ def run(
 
 
 def _resolve_prior(config, triple, grid, problem):
-    theta_bar = (
-        np.asarray(config.prior_theta, dtype=float)
-        if config.prior_theta is not None
-        else np.zeros(problem.n_theta)
-    )
-    if config.prior_state is not None:
-        state_bar = Trajectory(grid, np.asarray(config.prior_state, dtype=float), "state")
-    else:
-        state_bar = zero_trajectory(grid, triple.interior_points, "state")
-    return AaoPoint(state_bar, theta_bar)
+    """The IRGNM prior as a joint point; an unset part is zero."""
+    state, theta = config.prior_state, config.prior_theta
+    state = np.zeros((grid.node_count, triple.interior_points)) if state is None else state
+    theta = np.zeros(problem.n_theta) if theta is None else theta
+    return AaoPoint(Trajectory(grid, state, "state"), theta)
 
 
-def _norm_stepsize(config, instance, start, y_data):
+def _norm_stepsize(config, instance, start):
     """mu = 0.95 / ||derivative at the start point||^2, estimated by power iteration."""
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
@@ -442,13 +427,7 @@ def _norm_stepsize(config, instance, start, y_data):
     else:
         op = instance.reduced
         _, state = op.forward(start)
-
-        def fwd(xi):
-            return op.derivative(start, state, xi)
-
-        def adj(z):
-            return op.adjoint(start, state, z)
-
+        fwd, adj = partial(op.derivative, start, state), partial(op.adjoint, start, state)
         inner, y0 = op.problem.inner_theta, rng.standard_normal(start.size)
     est = estimate_operator_norm(fwd, adj, inner, y0)
     if est == 0.0:

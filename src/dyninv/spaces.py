@@ -15,12 +15,13 @@ fixed number of numpy calls.  Below the all-at-once operator's size cut the
 n x n DST-I eigenbasis q serves its marches (:func:`march_modes`) and the modal
 pairing of its joint CG (:func:`inner_state_modes`); from the cut on the
 operator marches through the resolvent tables and pairs nodal states
-(:func:`inner_state_nodes`).  Only :func:`to_modes` and :func:`from_modes`
-apply q.
+(:func:`inner_state_nodes`), and no run tabulates q, which is built on its first
+read.  Only :func:`to_modes` and :func:`from_modes` apply q.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,19 +61,34 @@ class DiscreteGelfandTriple:
 
     The stiffness operator K is the standard (2, -1, -1)/dx^2 tridiagonal,
     applied by :func:`apply_stiffness` as a stencil.  Its eigenpairs are known
-    in closed form (the orthonormal DST-I basis, ascending eigenvalues); they
-    are tabulated once for every march in the eigenbasis.  ``green`` holds the
-    blocked Green's matrix of K, the Riesz map V* -> V of every V* pairing.
-    The tables of (I + tau K)^-1 are kept per tau, as :func:`resolvent_tables`
-    first builds them, so every operator on the triple reads one copy.
+    in closed form (the orthonormal DST-I basis, ascending eigenvalues); the
+    eigenvalues are tabulated with the triple and the n x n basis on its first
+    read.  ``green`` holds the blocked Green's matrix of K, the Riesz map
+    V* -> V of every V* pairing.  The tables of (I + tau K)^-1 are kept per
+    tau, as :func:`resolvent_tables` first builds them, so every operator on
+    the triple reads one copy.
     """
 
     interior_points: int
     dx: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     green: ResolventTables
     _resolvents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """q_ij = sqrt(2 dx) sin(pi i j dx), i, j = 1..n, tabulated on the first
+        read from one sine table of length 2(n + 1) indexed by i*j mod 2(n + 1),
+        the sine's period; q_ij and q_ji read one entry, so q = q.T exactly."""
+        n, dx = self.interior_points, self.dx
+        j, period = np.arange(1, n + 1), 2 * (n + 1)
+        table = np.sqrt(2.0 * dx) * np.sin(np.pi * dx * np.arange(period))
+        q = np.empty((n, n))
+        for lo in range(0, n, _ROW_BLOCK):
+            phase = np.outer(j[lo : lo + _ROW_BLOCK], j)
+            phase %= period
+            np.take(table, phase, out=q[lo : lo + _ROW_BLOCK])
+        return q
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -86,29 +102,16 @@ class DiscreteGelfandTriple:
 
 
 def build_triple(n_x: int) -> DiscreteGelfandTriple:
-    """Tabulate the eigenpairs of the Dirichlet stiffness operator.
-
-    lam_j = (4/dx^2) sin^2(pi j dx/2) and q_ij = sqrt(2 dx) sin(pi i j dx) for
-    i, j = 1..n_x; the sines are read from one table of length 2(n_x + 1)
-    indexed by i*j mod 2(n_x + 1), where the sine has period 2(n_x + 1).
-    q_ij and q_ji read the same entry, so q = q.T exactly.  K^-1,
-    G_ij = dx^2 min(i, j) (M - max(i, j)) / M with M = n_x + 1, is the rho = 1
-    case of :func:`_green_tables`: a_i = i and den = M / dx^2, with no decay.
-    """
+    """The triple on n_x points: lam_j = (4/dx^2) sin^2(pi j dx/2), j = 1..n_x,
+    and K^-1, G_ij = dx^2 min(i, j) (M - max(i, j)) / M with M = n_x + 1, the
+    rho = 1 case of :func:`_green_tables` (a_i = i, den = M / dx^2, no decay).
+    The eigenbasis is tabulated on its first read."""
     if n_x < 1:
         raise ValidationError(f"need at least one interior point, got {n_x}")
     dx = 1.0 / (n_x + 1)
-    j = np.arange(1, n_x + 1)
-    lam = (4.0 / dx**2) * np.sin(0.5 * np.pi * dx * j) ** 2
-    period = 2 * (n_x + 1)
-    table = np.sqrt(2.0 * dx) * np.sin(np.pi * dx * np.arange(period))
-    q = np.empty((n_x, n_x))
-    for lo in range(0, n_x, _ROW_BLOCK):
-        phase = np.outer(j[lo : lo + _ROW_BLOCK], j)
-        phase %= period
-        np.take(table, phase, out=q[lo : lo + _ROW_BLOCK])
+    lam = (4.0 / dx**2) * np.sin(0.5 * np.pi * dx * np.arange(1, n_x + 1)) ** 2
     green = _green_tables(np.arange(1.0, n_x + 1), (n_x + 1) / dx**2, 0.0)
-    return DiscreteGelfandTriple(n_x, dx, lam, q, green)
+    return DiscreteGelfandTriple(n_x, dx, lam, green)
 
 
 def _check_width(triple: DiscreteGelfandTriple, v: np.ndarray, name: str = "vector"):
@@ -147,7 +150,7 @@ def to_modes(triple: DiscreteGelfandTriple, rows: np.ndarray) -> np.ndarray:
 
 def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
     """Nodal rows of modal coefficients: ``c @ q`` (q = q.T exactly, see
-    :func:`build_triple`), the inverse of :func:`to_modes`."""
+    :attr:`DiscreteGelfandTriple.eigenvectors`), the inverse of :func:`to_modes`."""
     return c @ triple.eigenvectors
 
 

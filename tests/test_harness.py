@@ -304,6 +304,36 @@ def test_sweep_aggregates_medians(tmp_path):
     assert (tmp_path / "sweep.json").exists()
 
 
+def test_sweep_gates_and_marches_the_truth_once(tmp_path, monkeypatch):
+    """2 relative levels x 3 seeds: one self-test and one truth march, and
+    each run, which only draws its noise, is the run made on its own."""
+    calls = {}
+    for name in ("selftest", "synthesize_truth", "add_noise"):
+        def counted(*args, _wrapped=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    cfg = small_config(tmp_path / "sweep", k_max=2, delta_w=1e-4)
+    out = sweep(cfg, deltas=[1e-3, 5e-4], seeds=[0, 1, 2], relative=True)
+    assert calls == {"selftest": 1, "synthesize_truth": 1, "add_noise": 6}
+    last = out["runs"][-1]
+    alone = run_experiment(replace(cfg, delta_z=last["delta_z"], seed=2, output_dir=str(tmp_path)))
+    assert {key: alone[key] for key in last if key not in ("delta_z", "seed")} == {
+        key: last[key] for key in last if key not in ("delta_z", "seed")
+    }
+
+
+@pytest.mark.parametrize("deltas, seeds", [([1e-3, -1e-3], [0]), ([1e-3], [0, -1])])
+def test_sweep_rejects_a_bad_run_before_any_work(tmp_path, monkeypatch, deltas, seeds):
+    """A negative level or seed from a Python caller fails before the gate
+    and the truth march."""
+    for name in ("selftest", "synthesize_truth"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name, **kw: pytest.fail(_name))
+    with pytest.raises(ValidationError):
+        sweep(small_config(tmp_path), deltas=deltas, seeds=seeds, relative=True)
+
+
 def test_config_round_trips_through_dict(tmp_path):
     """A config file written from to_dict loads back as the same config."""
     for stepsize, mu in (("fixed", 0.5), ("norm", 1.0)):

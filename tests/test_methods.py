@@ -9,6 +9,7 @@ from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
 from dyninv.methods import (
+    METHOD_TAGS,
     MethodConfig,
     _norm_stepsize,
     conjugate_gradient,
@@ -356,6 +357,36 @@ def test_run_kaczmarz_m1_equals_plain(newton_setup):
     )
 
 
+_STEPS = {
+    "aLW": "step_aao_landweber",
+    "aLWK": "step_aao_landweber_kaczmarz",
+    "aIRGNM": "step_aao_irgnm",
+    "rLW": "step_reduced_landweber",
+    "rLWK": "step_reduced_landweber_kaczmarz",
+    "rIRGNM": "step_reduced_irgnm",
+}
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_run_calls_the_tags_step_by_name(tag, newton_setup, monkeypatch):
+    """run looks its step function up in the module when it calls it, so a
+    function put in place of ``methods.step_*`` (as a tracer or a test does)
+    makes every update of a run of k steps, and no other tag's does."""
+    inst, (theta, state, y) = newton_setup
+    calls = {name: 0 for name in _STEPS.values()}
+    for name in calls:
+
+        def spy(*args, _name=name, _step=getattr(methods, name), **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(methods, name, spy)
+    cfg = MethodConfig(tag=tag, k_max=3, m=2 if tag.endswith("LWK") else 1)
+    rec = run(cfg, inst, y, delta=0.0)
+    assert rec.k_star == 3
+    assert calls == {name: 3 if name == _STEPS[tag] else 0 for name in _STEPS.values()}
+
+
 def test_run_irgnm_steps_receive_the_alpha_schedule(newton_setup, monkeypatch):
     """Both IRGNM updates are handed alpha_k = alpha0 * q**k at iteration k."""
     inst, (theta, state, y) = newton_setup
@@ -482,6 +513,14 @@ class _CountedBasis(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+def _counted_triple(triple):
+    """A copy of ``triple`` whose eigenbasis, tabulated for the copy alone,
+    counts its products."""
+    counted = replace(triple)
+    vars(counted)["eigenvectors"] = counted.eigenvectors.view(_CountedBasis)
+    return counted
+
+
 @pytest.mark.parametrize("tag", ["aLW", "aLWK"])
 def test_aao_landweber_basis_products(tag, monkeypatch):
     """Two n x n basis products per step, none per recorded row: the residual
@@ -489,8 +528,7 @@ def test_aao_landweber_basis_products(tag, monkeypatch):
     and start in one stacked product and its state direction back in one."""
     inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
-    basis = inst.triple.eigenvectors.view(_CountedBasis)
-    triple = replace(inst.triple, eigenvectors=basis)
+    triple = _counted_triple(inst.triple)
     counted = replace(
         inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
     )
@@ -499,6 +537,18 @@ def test_aao_landweber_basis_products(tag, monkeypatch):
               truth=(theta, state))
     assert len(rec.rows) == 11
     assert _CountedBasis.counts == {"block": 2 * 10, "vector": 0}
+
+
+def test_no_run_above_the_cut_tabulates_the_eigenbasis():
+    """From the size cut on, the set-up, the truth and every tag's run (with
+    the "norm" stepsize where it applies) leave the n x n eigenbasis unbuilt."""
+    inst = make_instance(aao._NODAL_FROM, 8, 0.1, gain=10.0, m=2)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    for tag in METHOD_TAGS:
+        stepsize = "fixed" if tag.endswith("IRGNM") else "norm"
+        cfg = MethodConfig(tag=tag, k_max=2, m=2 if tag.endswith("LWK") else 1, stepsize=stepsize)
+        assert len(run(cfg, inst, y, 0.0, truth=(theta, state)).rows) == 3
+    assert "eigenvectors" not in vars(inst.triple)
 
 
 @pytest.fixture
@@ -522,8 +572,7 @@ def test_aao_irgnm_basis_products(monkeypatch, cg_counts):
     taking the solution back to nodes; no vector product."""
     inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
-    basis = inst.triple.eigenvectors.view(_CountedBasis)
-    triple = replace(inst.triple, eigenvectors=basis)
+    triple = _counted_triple(inst.triple)
     counted = replace(
         inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
     )
@@ -541,8 +590,7 @@ def test_aao_basis_products_above_the_cut(tag, above_cut, monkeypatch):
     applies the eigenbasis: both sweeps march on nodes and the joint CG pairs
     nodal states through the Green's matrix of K."""
     inst, (theta, state, y) = above_cut
-    basis = inst.triple.eigenvectors.view(_CountedBasis)
-    triple = replace(inst.triple, eigenvectors=basis)
+    triple = _counted_triple(inst.triple)
     counted = replace(
         inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
     )
@@ -610,8 +658,7 @@ def test_reduced_basis_products(tag, policy, monkeypatch, cg_counts):
     matrix, and the newton sweeps are Thomas solves."""
     inst = make_instance(8, 10, 0.05, gain=10.0, m=2, policy=policy)
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
-    basis = inst.triple.eigenvectors.view(_CountedBasis)
-    triple = replace(inst.triple, eigenvectors=basis)
+    triple = _counted_triple(inst.triple)
     reduced = ReducedOperator(inst.problem, triple, inst.grid, inst.partition, policy)
     counted = replace(inst, triple=triple, reduced=reduced)
     monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
@@ -647,7 +694,7 @@ def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
         for a, b in ((got.state.values, want.state.values), (got.theta, want.theta)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point, y)
+    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point)
     fwd, adj, inner = nodal_joint_maps(op, point)
     start = np.random.default_rng(12345).standard_normal(state.values.size + theta.size)
     want = 0.95 / estimate_operator_norm(fwd, adj, inner, start) ** 2

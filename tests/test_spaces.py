@@ -663,11 +663,17 @@ def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
 
 
 def test_triple_stores_no_dense_stiffness():
-    """The eigenbasis is the only n x n field; K^-1 is kept as the blocks of
-    ``green`` and the stiffness is built on demand."""
+    """No n x n array until the eigenbasis is read, then exactly one, the
+    basis, kept for every later read; K^-1 is kept as the blocks of ``green``
+    and the stiffness is built on demand."""
     triple = build_triple(50)
-    square = [f for f in vars(triple).values() if isinstance(f, np.ndarray) and f.ndim == 2]
-    assert len(square) == 1 and square[0] is triple.eigenvectors
+
+    def square():
+        return [f for f in vars(triple).values() if isinstance(f, np.ndarray) and f.ndim == 2]
+
+    assert square() == []
+    q = triple.eigenvectors
+    assert len(square()) == 1 and square()[0] is q and triple.eigenvectors is q
 
 
 def test_only_spaces_applies_the_eigenbasis():
