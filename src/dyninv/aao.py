@@ -1,11 +1,13 @@
 """All-at-once formulation: residual map, derivative, adjoint and slab operators.
 
 The unknown is the pair (state trajectory, parameter); the residual stacks the
-model row, the initial-condition row and the observation row.  The adjoint is
-the exact transpose of the discrete derivative under the graph inner product
-on states, which fixes every endpoint and quadrature choice below: the
-backward sweep reads its source one node above, the forward sweep pairs the
-adjoint state at the left node of each step.
+model row, the initial-condition row and the observation row.  The problem
+observes the state in full from a zero start, so the initial row is u^0 and the
+observation row is u, less their data, and only the model row reads theta.
+The adjoint is the exact transpose of the discrete derivative under the graph
+inner product on states, which fixes every endpoint and quadrature choice
+below: the backward sweep reads its source one node above, the forward sweep
+pairs the adjoint state at the left node of each step.
 
 A slab map is the full map followed by the slab restriction P_j of
 :meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
@@ -148,16 +150,16 @@ class AllAtOnceOperator:
         """Stacked residual against the given data triple.
 
         Model row at the right endpoint of each step:
-        w^n = (u^n - u^{n-1})/tau - f(t_n, u^n, theta) for n = 1..N.
-        """
+        w^n = (u^n - u^{n-1})/tau - f(t_n, u^n, theta) for n = 1..N; initial
+        row u^0 and observation row u, less their data."""
         u = point.state.values
         theta = point.theta
         tau = self.grid.tau
         fvals = self.problem.f(self._t[1:], u[1:], theta)
         w = np.zeros_like(u)
         w[1:] = (u[1:] - u[:-1]) / tau - fvals - data.model.values[1:]
-        h = u[0] - self.problem.u0(theta) - data.initial
-        z = self.problem.g(self._t, u, theta) - data.observation.values
+        h = u[0] - data.initial
+        z = u - data.observation.values
         resid = ResidualTriple(
             Trajectory(self.grid, w, "dual_load"), h, Trajectory(self.grid, z, "observation")
         )
@@ -171,7 +173,8 @@ class AllAtOnceOperator:
         return solve_resolvent(self.triple.green, resid.model.values[1:])
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
-        """Directional derivative applied to (dstate, dtheta); exactly linear."""
+        """Directional derivative applied to (dstate, dtheta); exactly linear.  Its
+        initial and observation rows copy du^0 and du, which may view a CG vector."""
         u = point.state.values
         theta = point.theta
         du = dstate.values
@@ -185,14 +188,10 @@ class AllAtOnceOperator:
             - jac("f_u", "forward", t[1:], u[1:], theta, du[1:])
             - jac("f_theta", "forward", t[1:], u[1:], theta, dtheta)
         )
-        h = du[0] - jac("u0", "forward", None, None, theta, dtheta)
-        z = jac("g_u", "forward", t, u, theta, du) + jac(
-            "g_theta", "forward", t, u, theta, dtheta
-        )
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
-            h,
-            Trajectory(self.grid, z, "observation"),
+            du[0].copy(),
+            Trajectory(self.grid, du.copy(), "observation"),
         )
 
     # -- adjoint ----------------------------------------------------------------
@@ -216,22 +215,20 @@ class AllAtOnceOperator:
         u = point.state.values[1:]
         t = self._t[1:]
         theta = point.theta
-        jac = self.problem.apply_jac
         z = resid.observation.values[1:]
-        h = resid.initial
         iw = self._riesz(resid)
-        # the graph-norm source is -w - f_u^T K^{-1} w + g_u^T z.  The problem
+        # the graph-norm source is -w - f_u^T K^{-1} w + z.  The problem
         # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
         # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
-        # rows = g_u^T z - r_u K^{-1} w with no stiffness applied; the terms
-        # dropped are K (K^{-1} w) - w, which is rounding.  The rows, the forward
-        # loads w and the forward start h are stacked for one basis product.
+        # rows = z - r_u K^{-1} w with no stiffness applied; the terms dropped
+        # are K (K^{-1} w) - w, which is rounding.  The rows, the forward loads
+        # w and the forward start h are stacked for one basis product.
         steps, width = u.shape
         stack = np.empty((2 * steps + 1, width))
         rows = np.multiply(self.problem.reaction_slope(t, u, theta), iw, out=stack[:steps])
-        np.subtract(jac("g_u", "adjoint", t, u, theta, z), rows, out=rows)
+        np.subtract(z, rows, out=rows)
         stack[steps:-1] = resid.model.values[1:]
-        stack[-1] = h
+        stack[-1] = resid.initial
         # Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m.  Forward:
         # start p^0 + h, step onto node n driven by w^n + K p^{n-1}
         if self._nodal:
@@ -245,11 +242,9 @@ class AllAtOnceOperator:
             lam = self.triple.eigenvalues
             dh = march_modes(self._march, ph[0] + loads[-1], loads[steps:-1] + lam * ph[:-1])
 
-        dtheta = self.grid.tau * np.sum(
-            -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
-            axis=0,
+        dtheta = -self.grid.tau * np.sum(
+            self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw), axis=0
         )
-        dtheta = dtheta - jac("u0", "adjoint", None, None, theta, h)
         return dh, dtheta
 
     def _sweep_nodes(self, stack: np.ndarray) -> np.ndarray:

@@ -209,7 +209,7 @@ def synthesize_truth(instance: ProblemInstance, kind="sine", amplitude=0.1):
     theta = amplitude * np.sin(2.0 * np.pi * x)
     solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
     state = solver.solve_state(theta)
-    y = solver.observe(state, theta)
+    y = solver.observe(state)
     return theta, state, y
 
 
@@ -259,7 +259,7 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     y_pert, c_est = y, 0.0
     if delta_w > 0:
         solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
-        y_pert = solver.observe(solver.solve_state(theta_truth, perturbation=w_noise), theta_truth)
+        y_pert = solver.observe(solver.solve_state(theta_truth, perturbation=w_noise))
         shift = Trajectory(grid, y.values - y_pert.values, "observation")
         c_est = norm_observation(triple, shift) / delta_w
     y_noisy = Trajectory(grid, y_pert.values + z_noise.values, "observation")

@@ -345,7 +345,8 @@ def run(
             return (0.0, 0.0, res_y, res_y), theta, state, (z, state)
 
     prior = _resolve_prior(config, triple, grid, problem)
-    mu = config.mu if config.stepsize == "fixed" else _norm_stepsize(config, instance, x)
+    evaluated = evaluate(x)
+    mu = config.mu if config.stepsize == "fixed" else _norm_stepsize(config, instance, x, evaluated[2])
     cg = (config.cg_tol, config.cg_max)
 
     def alpha(k):
@@ -365,7 +366,7 @@ def run(
     record = RunRecord(method=tag, metadata={"mu": mu, "delta": delta})
     k, failure = 0, None
     while True:
-        (res_w, res_h, res_y, res_total), theta, state, reads = evaluate(x)
+        (res_w, res_h, res_y, res_total), theta, state, reads = evaluated
         err_theta = err_u = float("nan")
         if truth is not None:
             err_theta = problem.norm_theta(theta - truth[0])
@@ -396,6 +397,7 @@ def run(
             break
         row.step_ms = (time.perf_counter() - tic) * 1e3
         k += 1
+        evaluated = evaluate(x)
 
     record.k_star, record.stop_reason = k, reason
     record.theta_final = theta.copy()
@@ -414,8 +416,9 @@ def _resolve_prior(config, triple, grid, problem):
     return AaoPoint(Trajectory(grid, state, "state"), theta)
 
 
-def _norm_stepsize(config, instance, start):
-    """mu = 0.95 / ||derivative at the start point||^2, estimated by power iteration."""
+def _norm_stepsize(config, instance, start, state):
+    """mu = 0.95 / ||derivative at the start point||^2, estimated by power iteration;
+    the reduced maps read ``state``, which run's first evaluation solved for."""
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
         fwd, adj, inner = _joint_maps(instance.aao, start)
@@ -426,7 +429,6 @@ def _norm_stepsize(config, instance, start):
         y0 = _flatten(instance.aao.from_nodes(u), t)
     else:
         op = instance.reduced
-        _, state = op.forward(start)
         fwd, adj = partial(op.derivative, start, state), partial(op.adjoint, start, state)
         inner, y0 = op.problem.inner_theta, rng.standard_normal(start.size)
     est = estimate_operator_norm(fwd, adj, inner, y0)

@@ -1,14 +1,16 @@
 """The benchmark problem, semilinear diffusion with an unknown source, and its hooks.
 
-The operators call ``f``, the observation ``g``, the initial map ``u0``,
-forward/adjoint applications of their derivatives (``apply_jac``),
-``inner_theta``, the ``reaction`` (f plus K u, integrated explicitly under
-'imex') and its diagonal slope ``reaction_slope``; hooks broadcast over a
-leading axis of time nodes.  The reaction is pointwise, so f_u = -K +
-diag(reaction_slope): 'imex' is linearized through the slope alone and every
-'newton' matrix I - tau f_u is tridiagonal, solved without forming it
-(``f_u_matrix`` assembles f_u densely for tests only).  Every forward/adjoint
-pair is an exact transpose under the measure-weighted pairings.
+The problem contract: the state is observed in full (the observation is a
+copy of the state), the evolution starts from zero whatever theta is, and
+theta enters the model through f_theta alone.  The operators call the model
+``f``, forward/adjoint applications of its two derivatives f_u and f_theta
+(``apply_jac``), ``inner_theta``, the ``reaction`` (f plus K u, integrated
+explicitly under 'imex') and its diagonal slope ``reaction_slope``; hooks
+broadcast over a leading axis of time nodes.  The reaction is pointwise, so
+f_u = -K + diag(reaction_slope): 'imex' is linearized through the slope alone
+and every 'newton' matrix I - tau f_u is tridiagonal, solved without forming
+it (``f_u_matrix`` assembles f_u densely for tests only).  Every
+forward/adjoint pair is an exact transpose under the measure-weighted pairings.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .spaces import DiscreteGelfandTriple, apply_stiffness
 
-JAC_TAGS = ("f_u", "f_theta", "g_u", "g_theta", "u0")
+JAC_TAGS = ("f_u", "f_theta")
 JAC_MODES = ("forward", "adjoint")
 
 
@@ -35,11 +37,12 @@ def signed_square_slope(x, gain: float = 10.0):
 
 
 class SemilinearDiffusion:
-    """Source identification for u' = -Ku - Phi(u) + theta, full observation.
+    """Source identification for u' = -Ku - Phi(u) + theta, u(0) = 0, full observation.
 
     The unknown source lives on every interior node, so the parameter space is
     the state's nodal space and ``embed_theta``/``restrict_theta`` only check
-    and pass values through.
+    and pass values through.  Observation and start are the operators'
+    contract (module docstring), not hooks.
 
     Parameters
     ----------
@@ -77,7 +80,7 @@ class SemilinearDiffusion:
     def norm_theta(self, a) -> float:
         return float(np.sqrt(max(self.inner_theta(a, a), 0.0)))
 
-    # -- model and observation ----------------------------------------------
+    # -- model ------------------------------------------------------------------
 
     def f(self, t, u, theta):
         u = np.asarray(u, dtype=float)
@@ -94,14 +97,6 @@ class SemilinearDiffusion:
         self._check_state(u)
         return -signed_square_slope(u, self.gain)
 
-    def g(self, t, u, theta):
-        u = np.asarray(u, dtype=float)
-        self._check_state(u)
-        return u.copy()
-
-    def u0(self, theta):
-        return np.zeros(self.triple.interior_points)
-
     # -- linearizations -------------------------------------------------------
 
     def apply_jac(self, which, mode, t, u, theta, arg):
@@ -114,18 +109,7 @@ class SemilinearDiffusion:
             # self-adjoint under the H pairing: K symmetric, multiplication diagonal
             u = np.asarray(u, dtype=float)
             return -apply_stiffness(self.triple, arg) - signed_square_slope(u, self.gain) * arg
-        if which == "f_theta":
-            return self.embed_theta(arg) if mode == "forward" else self.restrict_theta(arg)
-        if which == "g_u":
-            return arg.copy()
-        if which == "g_theta":
-            if mode == "forward":
-                return np.zeros(arg.shape[:-1] + (self.triple.interior_points,))
-            return np.zeros(arg.shape[:-1] + (self.n_theta,))
-        # u0 independent of theta in the benchmark
-        if mode == "forward":
-            return np.zeros(arg.shape[:-1] + (self.triple.interior_points,))
-        return np.zeros(arg.shape[:-1] + (self.n_theta,))
+        return self.embed_theta(arg) if mode == "forward" else self.restrict_theta(arg)
 
     def f_u_matrix(self, t, u, theta):
         u = np.asarray(u, dtype=float)

@@ -1,7 +1,10 @@
 """Reduced formulation: parameter-to-state map, sensitivities and adjoints.
 
-The state solve eliminates the model equation.  The derivative is the exact
-derivative of the step the state solve runs under the operator's policy:
+The state solve eliminates the model equation.  The problem observes the state
+in full from a zero start, so the observation is a copy of the state, the
+derivative is the sensitivity, and theta reaches the adjoint through f_theta
+alone.  The sensitivity is the exact derivative of the step the state solve
+runs under the operator's policy:
 
 - 'imex': v^k = R (v^{k-1} + tau r_u(u^{k-1}) v^{k-1} + tau f_theta xi) with
   the constant resolvent R = (I + tau K)^{-1}, and the diagonal reaction slope
@@ -21,7 +24,7 @@ closed-form Green's matrix of I + tau K, which the operator tabulates once
 and beyond a fixed number of batched products per step, whatever the block count.
 
 The adjoint is its exact discrete transpose (a backward sweep with the
-transposed step maps, followed by right-endpoint quadrature of the parameter
+transposed step maps, followed by right-endpoint quadrature of the f_theta
 terms).  A slab map is the full map followed by the slab restriction P_j of
 :meth:`ReducedOperator.slab_restrict`, so the slab adjoint is the full adjoint
 of P_j z.
@@ -51,7 +54,7 @@ def check_policy(policy):
 
 
 class ReducedOperator:
-    """Parameter-to-observation map theta -> g(., S(theta), theta), matrix-free.
+    """Parameter-to-observation map theta -> S(theta), matrix-free.
 
     Parameters
     ----------
@@ -81,14 +84,13 @@ class ReducedOperator:
     # -- nonlinear state solve ---------------------------------------------------
 
     def solve_state(self, theta, perturbation=None) -> Trajectory:
-        """March the nonlinear evolution from u0(theta) over the whole horizon; an
+        """March the nonlinear evolution from zero over the whole horizon; an
         optional model ``perturbation`` (noisy-data synthesis only) joins f."""
         theta = np.asarray(theta, dtype=float)
         pvals = perturbation.values if perturbation is not None else None
         n = self.triple.interior_points
         steps, tau = self.grid.step_count, self.grid.tau
-        out = np.empty((steps + 1, n))
-        out[0] = self.problem.u0(theta)
+        out = np.zeros((steps + 1, n))
         u = out[0]
         newton = self.policy == "newton"
         for k in range(1, steps + 1):
@@ -116,32 +118,32 @@ class ReducedOperator:
             v = v - solve_shifted_stiffness(self.triple, tau, shift, res, step=k)
         raise SolverError(f"Newton stalled at time step {k}", step=k)
 
-    def observe(self, state: Trajectory, theta) -> Trajectory:
-        return Trajectory(self.grid, self.problem.g(self._t, state.values, theta), "observation")
+    def observe(self, state: Trajectory) -> Trajectory:
+        """The full observation: a copy of the state."""
+        return Trajectory(self.grid, state.values.copy(), "observation")
 
     def forward(self, theta) -> tuple[Trajectory, Trajectory]:
         """Observation of the state solve; the state is returned for reuse."""
         state = self.solve_state(theta)
-        return self.observe(state, theta), state
+        return self.observe(state), state
 
     # -- linearizations ------------------------------------------------------------
 
     def solve_sensitivity(self, theta, state: Trajectory, xi) -> Trajectory:
-        """Linearized evolution along xi; exactly linear in xi."""
+        """Linearized evolution along xi from zero; exactly linear in xi."""
         self._check_state(state)
         theta = np.asarray(theta, dtype=float)
         xi = np.asarray(xi, dtype=float)
         u = state.values
         tau = self.grid.tau
-        jac = self.problem.apply_jac
-        out = np.empty_like(u)
-        out[0] = jac("u0", "forward", None, None, theta, xi)
+        out = np.zeros_like(u)
         v = out[0]
         imex = self.policy == "imex"
         u_f = self._f_rows(u)
         slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
         src = np.broadcast_to(
-            tau * jac("f_theta", "forward", self._t[1:], u_f, theta, xi), slope.shape
+            tau * self.problem.apply_jac("f_theta", "forward", self._t[1:], u_f, theta, xi),
+            slope.shape,
         )
         for k in range(1, self.grid.step_count + 1):
             if imex:
@@ -155,22 +157,19 @@ class ReducedOperator:
         """Backward sweep transposed against :meth:`solve_sensitivity`.
 
         Node n holds the multiplier of the step onto node n (n = 1..N).  The
-        initial slot holds the weight of the initial-condition term in the
-        parameter assembly: under 'imex' the multiplier of node 1 carried back
-        through the explicit reaction step, (I + tau r_u(u^0)) p^1; under
-        'newton' a copy of node 1.
+        start does not depend on theta, so no term reads an initial multiplier
+        and node 0 stays zero.
         """
         self._check_state(state)
         theta = np.asarray(theta, dtype=float)
         u = state.values
         z = z_src.values
         tau = self.grid.tau
-        jac = self.problem.apply_jac
         out = np.zeros_like(u)
         imex = self.policy == "imex"
         u_f = self._f_rows(u)
         slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
-        load = tau * jac("g_u", "adjoint", self._t[1:], u[1:], theta, z[1:])
+        load = tau * z[1:]
         carry = np.zeros(u.shape[1])
         for k in range(self.grid.step_count, 0, -1):
             rhs = load[k - 1] + carry
@@ -181,29 +180,19 @@ class ReducedOperator:
                 # the newton step matrix is symmetric: its transpose is itself
                 p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], rhs, k)
             out[k] = p
-        out[0] = carry
         return Trajectory(self.grid, out, "state")
 
     def derivative(self, theta, state: Trajectory, xi) -> Trajectory:
-        """Observation-space directional derivative at theta along xi."""
-        v = self.solve_sensitivity(theta, state, xi)
-        jac = self.problem.apply_jac
-        z = jac("g_u", "forward", self._t, state.values, theta, v.values) + jac(
-            "g_theta", "forward", self._t, state.values, theta, np.asarray(xi, dtype=float)
-        )
-        return Trajectory(self.grid, z, "observation")
+        """Observation-space directional derivative at theta along xi: the sensitivity."""
+        return Trajectory(self.grid, self.solve_sensitivity(theta, state, xi).values, "observation")
 
     def adjoint(self, theta, state: Trajectory, z: Trajectory) -> np.ndarray:
-        """Parameter-space adjoint: quadrature of the adjoint-state integrands."""
+        """Parameter-space adjoint: quadrature of the f_theta^T p integrands."""
         p = self.solve_adjoint(theta, state, z)
-        u = state.values
-        tau = self.grid.tau
-        jac = self.problem.apply_jac
-        terms = jac("g_theta", "adjoint", self._t[1:], u[1:], theta, z.values[1:]) + jac(
-            "f_theta", "adjoint", self._t[1:], self._f_rows(u), theta, p.values[1:]
+        terms = self.problem.apply_jac(
+            "f_theta", "adjoint", self._t[1:], self._f_rows(state.values), theta, p.values[1:]
         )
-        out = tau * np.sum(terms, axis=0)
-        return out + jac("u0", "adjoint", None, None, theta, p.values[0])
+        return self.grid.tau * np.sum(terms, axis=0)
 
     def _f_rows(self, u):
         """Rows of u where steps 1..N take f: old states under imex, new under newton."""

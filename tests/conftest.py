@@ -65,18 +65,14 @@ def spectral_adjoint(op, point, resid):
     Green's matrix of K and stacks its loads into one basis product."""
     triple, grid, lam = op.triple, op.grid, op.triple.eigenvalues
     u, t, theta = point.state.values[1:], grid.nodes()[1:], point.theta
-    jac = op.problem.apply_jac
     z, h = resid.observation.values[1:], resid.initial
     w_hat = to_modes(triple, resid.model.values[1:])
     iw = from_modes(triple, w_hat / lam)
-    rows = jac("g_u", "adjoint", t, u, theta, z) - op.problem.reaction_slope(t, u, theta) * iw
+    rows = z - op.problem.reaction_slope(t, u, theta) * iw
     ph = step_by_step_march(triple, grid, 0.0, to_modes(triple, rows[::-1]))[::-1]
     dh = step_by_step_march(triple, grid, ph[0] + to_modes(triple, h), w_hat + lam * ph[:-1])
-    dtheta = grid.tau * np.sum(
-        -jac("f_theta", "adjoint", t, u, theta, iw) + jac("g_theta", "adjoint", t, u, theta, z),
-        axis=0,
-    )
-    return from_modes(triple, dh), dtheta - jac("u0", "adjoint", None, None, theta, h)
+    dtheta = -grid.tau * np.sum(op.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw), axis=0)
+    return from_modes(triple, dh), dtheta
 
 
 def nodal_joint_maps(op, point):

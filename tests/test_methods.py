@@ -402,6 +402,20 @@ def test_run_irgnm_steps_receive_the_alpha_schedule(newton_setup, monkeypatch):
         assert alphas == [0.7, 0.35, 0.175], tag
 
 
+def test_reduced_norm_stepsize_reads_the_first_evaluations_state(newton_setup, monkeypatch):
+    """The "norm" stepsize estimate reads the state of run's first evaluation."""
+    inst, (theta, state, y) = newton_setup
+    calls, forward = [], ReducedOperator.forward
+
+    def counted(self, theta):
+        calls.append(theta)
+        return forward(self, theta)
+
+    monkeypatch.setattr(ReducedOperator, "forward", counted)
+    run(MethodConfig(tag="rLW", k_max=0, stepsize="norm"), inst, y, delta=0.0)
+    assert len(calls) == 1
+
+
 def test_run_apriori_stop(newton_setup):
     inst, (theta, state, y) = newton_setup
     config = MethodConfig(tag="rLW", k_max=50, k_apriori=3)
@@ -694,7 +708,7 @@ def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
         for a, b in ((got.state.values, want.state.values), (got.theta, want.theta)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point)
+    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point, point.state)
     fwd, adj, inner = nodal_joint_maps(op, point)
     start = np.random.default_rng(12345).standard_normal(state.values.size + theta.size)
     want = 0.95 / estimate_operator_norm(fwd, adj, inner, start) ** 2

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from dyninv.aao import AaoPoint
 from dyninv.errors import ValidationError
 from dyninv.problem import SemilinearDiffusion, signed_square, signed_square_slope
-from dyninv.spaces import build_triple, to_modes
+from dyninv.spaces import Trajectory, build_triple, to_modes
 
 
 def test_nonlinearity_paper_values():
@@ -52,13 +53,28 @@ def test_f_on_eigenvector(bench):
     np.testing.assert_allclose(prob.f(0.0, q, np.zeros(8)), expected, atol=1e-10)
 
 
-def test_observation_and_initial(bench, rng):
-    triple, prob = bench
-    u = rng.standard_normal(8)
-    theta = rng.standard_normal(8)
-    np.testing.assert_array_equal(prob.g(0.0, u, theta), u)
-    np.testing.assert_array_equal(prob.u0(theta), np.zeros(8))
-    np.testing.assert_array_equal(prob.g(0.0, np.zeros(8), theta), np.zeros(8))
+def test_observation_and_initial(tiny_instance, above_cut, rng):
+    """The operators observe the state in full, as a copy, from a zero start.
+
+    Above the size cut the all-at-once IRGNM hands the derivative a view of a
+    CG vector (``to_nodes`` returns its input), so its observation and initial
+    rows must not alias the direction.
+    """
+    theta = rng.standard_normal(tiny_instance.problem.n_theta)
+    y, state = tiny_instance.reduced.forward(theta)
+    np.testing.assert_array_equal(y.values, state.values)
+    assert not np.shares_memory(y.values, state.values)
+    np.testing.assert_array_equal(state.values[0], 0.0)
+    big, (big_theta, big_state, _) = above_cut
+    for inst, point in ((tiny_instance, AaoPoint(state, theta)), (big, AaoPoint(big_state, big_theta))):
+        width, nodes = inst.triple.interior_points, inst.grid.node_count
+        flat = rng.standard_normal(nodes * width + width)
+        dstate = Trajectory(inst.grid, flat[: nodes * width].reshape(nodes, width), "state")
+        lin = inst.aao.derivative(point, dstate, flat[nodes * width :])
+        np.testing.assert_array_equal(lin.observation.values, dstate.values)
+        np.testing.assert_array_equal(lin.initial, dstate.values[0])
+        assert not np.shares_memory(lin.observation.values, flat)
+        assert not np.shares_memory(lin.initial, flat)
 
 
 def test_f_dimension_mismatch(bench):
@@ -70,9 +86,11 @@ def test_f_dimension_mismatch(bench):
 
 
 def test_jac_unknown_tags(bench):
+    """Only the model's two blocks are hooks; observation and start are the contract."""
     _, prob = bench
-    with pytest.raises(ValidationError):
-        prob.apply_jac("f_x", "forward", 0.0, np.zeros(8), np.zeros(8), np.zeros(8))
+    for which in ("f_x", "g_u", "g_theta", "u0"):
+        with pytest.raises(ValidationError):
+            prob.apply_jac(which, "forward", 0.0, np.zeros(8), np.zeros(8), np.zeros(8))
     with pytest.raises(ValidationError):
         prob.apply_jac("f_u", "sideways", 0.0, np.zeros(8), np.zeros(8), np.zeros(8))
 
@@ -87,14 +105,6 @@ def test_state_jacobian_at_zero(bench, rng):
     )
 
 
-def test_g_theta_vanishes(bench, rng):
-    _, prob = bench
-    xi = rng.standard_normal(8)
-    np.testing.assert_array_equal(
-        prob.apply_jac("g_theta", "forward", 0.0, np.zeros(8), np.zeros(8), xi), np.zeros(8)
-    )
-
-
 def _dense_jacobian(apply_fwd, dim_in, dim_out):
     jac = np.empty((dim_out, dim_in))
     for i in range(dim_in):
@@ -104,14 +114,14 @@ def _dense_jacobian(apply_fwd, dim_in, dim_out):
     return jac
 
 
-@pytest.mark.parametrize("which", ["f_u", "f_theta", "g_u", "g_theta", "u0"])
+@pytest.mark.parametrize("which", ["f_u", "f_theta"])
 def test_forward_adjoint_duality_dense_oracle(bench, rng, which):
     """dx-weighted transpose of the probed dense Jacobian matches adjoint mode."""
     triple, prob = bench
     u = 0.4 * rng.standard_normal(8)
     theta = 0.3 * rng.standard_normal(8)
     t = 0.01
-    dim_in = prob.n_theta if which in ("f_theta", "g_theta", "u0") else 8
+    dim_in = prob.n_theta if which == "f_theta" else 8
     jac = _dense_jacobian(
         lambda x: prob.apply_jac(which, "forward", t, u, theta, x), dim_in, 8
     )
@@ -120,7 +130,7 @@ def test_forward_adjoint_duality_dense_oracle(bench, rng, which):
         y = rng.standard_normal(8)
         lhs = triple.dx * ((jac @ x) @ y)
         adj = prob.apply_jac(which, "adjoint", t, u, theta, y)
-        if which in ("f_theta", "g_theta", "u0"):
+        if which == "f_theta":
             rhs = prob.inner_theta(x, adj)
         else:
             rhs = triple.dx * (x @ adj)

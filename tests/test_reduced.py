@@ -135,7 +135,6 @@ def test_adjoint_linear_eigenbasis_recursion():
     for n in range(grid.step_count, 0, -1):
         coef = (coef + tau) / (1.0 + tau * lam)
         expected[n] = coef
-    expected[0] = expected[1]
     np.testing.assert_allclose(p.values, np.outer(expected, q), atol=1e-12)
 
 
@@ -196,7 +195,7 @@ def test_imex_state_across_blocks_matches_spectral_march():
     op = ReducedOperator(SemilinearDiffusion(triple, gain=10.0), triple, grid)
     theta = positive_theta(triple)
     t, tau, decay = grid.nodes(), grid.tau, 1.0 + grid.tau * triple.eigenvalues
-    want = [op.problem.u0(theta)]
+    want = [np.zeros(triple.interior_points)]
     for k in range(1, grid.node_count):
         rhs = want[-1] + tau * op.problem.reaction(t[k], want[-1], theta)
         want.append(from_modes(triple, to_modes(triple, rhs) / decay))
@@ -208,7 +207,7 @@ def test_imex_state_across_blocks_matches_spectral_march():
 def test_forward_reuses_state(bench_op):
     theta = positive_theta(bench_op.triple)
     y, state = bench_op.forward(theta)
-    np.testing.assert_array_equal(y.values, bench_op.observe(state, theta).values)
+    np.testing.assert_array_equal(y.values, bench_op.observe(state).values)
     y2, state2 = bench_op.forward(theta)
     np.testing.assert_array_equal(y.values, y2.values)
     np.testing.assert_array_equal(state.values, state2.values)
@@ -358,19 +357,6 @@ def test_newton_linearization_runs_no_dense_solve(monkeypatch):
     op.slab_adjoint(theta, state, z, 1)
 
 
-class _SeededStart(SemilinearDiffusion):
-    """Benchmark problem whose initial value is u0(theta) = 0.5 * theta."""
-
-    def u0(self, theta):
-        return 0.5 * self.embed_theta(theta)
-
-    def apply_jac(self, which, mode, t, u, theta, arg):
-        if which != "u0":
-            return super().apply_jac(which, mode, t, u, theta, arg)
-        arg = np.asarray(arg, dtype=float)
-        return 0.5 * (self.embed_theta(arg) if mode == "forward" else self.restrict_theta(arg))
-
-
 def _assert_exact_linearization(op, theta, rng):
     """Adjoint dot-product gap <= 1e-12 and reduced Taylor order >= 1.9."""
     grid, triple = op.grid, op.triple
@@ -389,15 +375,6 @@ def _assert_exact_linearization(op, theta, rng):
         diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
         errs.append(norm_observation(triple, diff))
     assert np.log10(errs[0] / errs[1]) >= 1.9
-
-
-@pytest.mark.parametrize("policy", ["imex", "newton"])
-def test_initial_slot_of_adjoint_with_parameter_dependent_start(policy, rng):
-    """The node-0 adjoint slot weights the initial-value term of the parameter."""
-    triple = build_triple(10)
-    grid = make_time_grid(0.05, 12)
-    op = ReducedOperator(_SeededStart(triple, gain=10.0), triple, grid, policy=policy)
-    _assert_exact_linearization(op, positive_theta(triple), rng)
 
 
 class _StateWeightedSource(SemilinearDiffusion):
