@@ -11,7 +11,10 @@ pairs the adjoint state at the left node of each step.
 
 A slab map is the full map followed by the slab restriction P_j of
 :meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
-and idempotent, so the slab adjoint is the full adjoint of P_j r.
+and idempotent, so the slab adjoint is the full adjoint of P_j r.  It reads r
+on the slab alone: its backward sweep, zero above the slab's last node, starts
+there, and its forward sweep runs all N steps, as the graph product couples the
+whole horizon.  The full adjoint is the span (0, N).
 
 The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
 model row is built by the triple's Green's matrix of K, its one Riesz map; the
@@ -202,63 +205,80 @@ class AllAtOnceOperator:
         dh, dtheta = self.adjoint_coords(point, resid)
         return Trajectory(self.grid, self.to_nodes(dh), "state"), dtheta
 
-    def adjoint_coords(self, point: AaoPoint, resid: ResidualTriple) -> tuple[np.ndarray, np.ndarray]:
+    def adjoint_coords(self, point: AaoPoint, resid: ResidualTriple, nodes=None) -> tuple[np.ndarray, np.ndarray]:
         """The adjoint with its state direction left in the operator's coordinates.
 
         Returns the state direction (shape (node_count, width)) via one
         backward and one forward stiffness evolution and the parameter
         direction via right-endpoint quadrature of the adjoint integrands.
-        Below the cut the loads of both sweeps and the start of the forward one
-        enter the eigenbasis in one basis product.
+        A slab's ``nodes`` = (lo, hi) (its ``node_range``) read the model and
+        observation rows on nodes lo+1..hi and the initial row if lo = 0: the
+        adjoint of P_j resid.  The default (0, N) reads every row.  Below the
+        cut the loads of both sweeps and the start of the forward one enter the
+        eigenbasis in one basis product of the rows read.
         """
-        # every channel but the initial one is read at nodes 1..N only
-        u = point.state.values[1:]
-        t = self._t[1:]
+        steps = self.grid.step_count
+        lo, hi = nodes or (0, steps)
+        # every channel but the initial one is read at the slab's nodes lo+1..hi only
+        u = point.state.values[lo + 1 : hi + 1]
+        t = self._t[lo + 1 : hi + 1]
         theta = point.theta
-        z = resid.observation.values[1:]
-        iw = self._riesz(resid)
+        z = resid.observation.values[lo + 1 : hi + 1]
+        iw = self._riesz(resid)[lo:hi]
         # the graph-norm source is -w - f_u^T K^{-1} w + z.  The problem
         # contract f_u = -K + diag(r_u) turns f_u^T K^{-1} w into
         # -w + r_u K^{-1} w, whose -w cancels the first term exactly, so
         # rows = z - r_u K^{-1} w with no stiffness applied; the terms dropped
         # are K (K^{-1} w) - w, which is rounding.  The rows, the forward loads
-        # w and the forward start h are stacked for one basis product.
-        steps, width = u.shape
-        stack = np.empty((2 * steps + 1, width))
-        rows = np.multiply(self.problem.reaction_slope(t, u, theta), iw, out=stack[:steps])
+        # w and, on slab 0, the forward start h are stacked for one basis product.
+        slab, width = u.shape
+        stack = np.empty((2 * slab + (lo == 0), width))
+        rows = np.multiply(self.problem.reaction_slope(t, u, theta), iw, out=stack[:slab])
         np.subtract(z, rows, out=rows)
-        stack[steps:-1] = resid.model.values[1:]
-        stack[-1] = resid.initial
-        # Backward: p^N = 0, (I + tau K) p^m = p^{m+1} + tau rows^m.  Forward:
-        # start p^0 + h, step onto node n driven by w^n + K p^{n-1}
+        stack[slab : 2 * slab] = resid.model.values[lo + 1 : hi + 1]
+        if lo == 0:
+            stack[-1] = resid.initial
+        # Backward: p^m = 0 from m = hi on, (I + tau K) p^m = p^{m+1} + tau rows^m.
+        # Forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
         if self._nodal:
-            dh = self._sweep_nodes(stack)
+            dh = self._sweep_nodes(stack, lo, hi)
         else:
-            loads = to_modes(self.triple, stack)
+            modes = to_modes(self.triple, stack)
             # the eigenbasis of K diagonalizes both steps.  The backward sweep is
-            # marched on the time-reversed nodes (the loads read backward) and
-            # flipped back (ph[m] is p^m)
-            ph = march_modes(self._march, 0.0, loads[steps - 1 :: -1])[::-1]
-            lam = self.triple.eigenvalues
-            dh = march_modes(self._march, ph[0] + loads[-1], loads[steps:-1] + lam * ph[:-1])
+            # marched on the time-reversed nodes hi..0 (the loads read backward,
+            # zero below the slab) and flipped back (ph[m] is p^m); the forward
+            # loads w^n + lam p^{n-1} are zero above the slab
+            back = modes[slab - 1 :: -1]
+            if lo:
+                back = np.concatenate((back, np.zeros((lo, width))))
+            ph = march_modes(self._march, 0.0, back)[::-1]
+            loads = self.triple.eigenvalues * ph[:-1]
+            loads[lo:] += modes[slab : 2 * slab]
+            if hi < steps:
+                loads = np.concatenate((loads, np.zeros((steps - hi, width))))
+            dh = march_modes(self._march, ph[0] + modes[-1] if lo == 0 else ph[0], loads)
 
         dtheta = -self.grid.tau * np.sum(
             self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw), axis=0
         )
         return dh, dtheta
 
-    def _sweep_nodes(self, stack: np.ndarray) -> np.ndarray:
-        """Both sweeps of :meth:`adjoint_coords` on the nodal stack (rows, w, h):
-        one resolvent solve per step and sweep, K p^{n-1} by the stencil."""
-        steps = stack.shape[0] // 2
+    def _sweep_nodes(self, stack: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Both sweeps of :meth:`adjoint_coords` on its nodal stack: one resolvent
+        solve per step, from node hi down and then forward, K p^{n-1} by the stencil."""
+        steps, slab, width = self.grid.step_count, hi - lo, stack.shape[1]
         tau, tables = self.grid.tau, self._resolvent
-        back = tau * stack[:steps]
-        p = np.zeros((steps + 1, stack.shape[1]))
-        for m in range(steps - 1, -1, -1):
+        back = np.zeros((hi, width))
+        back[lo:] = tau * stack[:slab]
+        p = np.zeros((steps + 1, width))
+        for m in range(hi - 1, -1, -1):
             p[m] = solve_resolvent(tables, p[m + 1] + back[m])
-        loads = tau * (stack[steps:-1] + apply_stiffness(self.triple, p[:-1]))
+        loads = np.zeros((steps, width))
+        loads[:hi] = apply_stiffness(self.triple, p[:hi])
+        loads[lo:hi] += stack[slab : 2 * slab]
+        loads *= tau
         dh = np.empty_like(p)
-        dh[0] = p[0] + stack[-1]
+        dh[0] = p[0] + stack[-1] if lo == 0 else p[0]
         for n in range(steps):
             dh[n + 1] = solve_resolvent(tables, dh[n] + loads[n])
         return dh
@@ -282,12 +302,14 @@ class AllAtOnceOperator:
     def slab_adjoint(self, point, j, resid) -> tuple[Trajectory, np.ndarray]:
         """Adjoint of the slab derivative: the full adjoint of P_j resid.
 
-        The sources are supported on the slab, but both sweeps run over the
-        whole horizon: below the slab the backward state keeps evolving with
-        zero source; it is not frozen.  The exact-transpose requirement
-        forces this choice.
+        :meth:`adjoint_coords` over the slab's node range reads resid on the
+        slab alone, with no copy of P_j resid.  The backward sweep starts at the
+        slab's last node, above which it is zero; the forward sweep runs over the
+        whole horizon, where the graph product couples every step.
         """
-        return self.adjoint(point, self.slab_restrict(resid, j))
+        nodes = require_partition(self.partition).node_range(j)
+        dh, dtheta = self.adjoint_coords(point, resid, nodes)
+        return Trajectory(self.grid, self.to_nodes(dh), "state"), dtheta
 
     # -- norms -------------------------------------------------------------------
 

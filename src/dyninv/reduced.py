@@ -27,7 +27,8 @@ The adjoint is its exact discrete transpose (a backward sweep with the
 transposed step maps, followed by right-endpoint quadrature of the f_theta
 terms).  A slab map is the full map followed by the slab restriction P_j of
 :meth:`ReducedOperator.slab_restrict`, so the slab adjoint is the full adjoint
-of P_j z.
+of P_j z.  Its sweep is loaded with z on the slab alone and starts at the slab's
+last node, above which every multiplier is zero; the full adjoint is the span (0, N).
 """
 
 import numpy as np
@@ -153,25 +154,26 @@ class ReducedOperator:
             out[k] = v
         return Trajectory(self.grid, out, "state")
 
-    def solve_adjoint(self, theta, state: Trajectory, z_src: Trajectory) -> Trajectory:
+    def solve_adjoint(self, theta, state: Trajectory, z_src: Trajectory, nodes=None) -> Trajectory:
         """Backward sweep transposed against :meth:`solve_sensitivity`.
 
         Node n holds the multiplier of the step onto node n (n = 1..N).  The
         start does not depend on theta, so no term reads an initial multiplier
-        and node 0 stays zero.
+        and node 0 stays zero.  A slab's ``nodes`` = (lo, hi) (its ``node_range``)
+        load z on nodes lo+1..hi and start the sweep at node hi; the default is (0, N).
         """
         self._check_state(state)
+        lo, hi = nodes or (0, self.grid.step_count)
         theta = np.asarray(theta, dtype=float)
         u = state.values
-        z = z_src.values
         tau = self.grid.tau
         out = np.zeros_like(u)
         imex = self.policy == "imex"
-        u_f = self._f_rows(u)
-        slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
-        load = tau * z[1:]
+        slope = tau * self.problem.reaction_slope(self._t[1 : hi + 1], self._f_rows(u)[:hi], theta)
+        load = tau * z_src.values[1 : hi + 1]
+        load[:lo] = 0.0
         carry = np.zeros(u.shape[1])
-        for k in range(self.grid.step_count, 0, -1):
+        for k in range(hi, 0, -1):
             rhs = load[k - 1] + carry
             if imex:
                 p = solve_resolvent(self._resolvent, rhs)
@@ -186,9 +188,9 @@ class ReducedOperator:
         """Observation-space directional derivative at theta along xi: the sensitivity."""
         return Trajectory(self.grid, self.solve_sensitivity(theta, state, xi).values, "observation")
 
-    def adjoint(self, theta, state: Trajectory, z: Trajectory) -> np.ndarray:
-        """Parameter-space adjoint: quadrature of the f_theta^T p integrands."""
-        p = self.solve_adjoint(theta, state, z)
+    def adjoint(self, theta, state: Trajectory, z: Trajectory, nodes=None) -> np.ndarray:
+        """Parameter-space adjoint: quadrature of the f_theta^T p integrands (p over ``nodes``)."""
+        p = self.solve_adjoint(theta, state, z, nodes)
         terms = self.problem.apply_jac(
             "f_theta", "adjoint", self._t[1:], self._f_rows(state.values), theta, p.values[1:]
         )
@@ -211,10 +213,11 @@ class ReducedOperator:
     def slab_adjoint(self, theta, state, z: Trajectory, j) -> np.ndarray:
         """Adjoint of the slab derivative: the full adjoint of P_j z.
 
-        The observation source is supported on the slab while the backward
-        sweep and the model-term quadrature run over the whole horizon.
+        It loads z on the slab's weighted nodes alone, with no copy of P_j z.
+        The backward sweep starts at the slab's last node, above which the
+        multiplier is zero, and below the slab keeps evolving with zero source.
         """
-        return self.adjoint(theta, state, self.slab_restrict(z, j))
+        return self.adjoint(theta, state, z, require_partition(self.partition).node_range(j))
 
     def _check_state(self, state: Trajectory):
         if state.grid != self.grid:

@@ -430,24 +430,28 @@ def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
 def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
     """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
 
-    Returns c of shape (node_count, width) with c^0 = start and
-    c^k = (c^{k-1} + tau * loads[k-1]) / d for k = 1..N; start and the rows of
-    loads are modal coefficients (:func:`to_modes` of nodal rows), loads may be
-    a scalar.  ``tables`` comes from :func:`march_tables`: an operator that
-    marches often tabulates once, any other caller builds them for the call.
+    Returns c of shape (S + 1, width) with c^0 = start and
+    c^k = (c^{k-1} + tau * loads[k-1]) / d for k = 1..S; start and the rows of
+    loads are modal coefficients (:func:`to_modes` of nodal rows).  S >= 1 is
+    the row count of loads, which may stop short of the grid's N steps or run
+    past them, or N = node_count - 1 when loads is a scalar.  ``tables`` comes
+    from :func:`march_tables`: an operator that marches often tabulates once,
+    any other caller builds them for the call.
     From the carry c^r a block of B steps is the scaled prefix sum
     c^{r+k} = d^-k (c^r + sum_{i=1..k} tau d^(i-1) loads[r+i-1]), one triangular
     product ``shrink * (prefix @ x)`` with x = (c^r, the scaled loads); its last
     row carries into the next block.  Loads beyond about 1e100 can overflow a
     block, which gives non-finite rows, never finite wrong ones.
     """
-    steps, length = tables.node_count - 1, tables.growth.shape[0]
+    scalar = np.ndim(loads) == 0
+    steps = tables.node_count - 1 if scalar else len(loads)
+    length = tables.growth.shape[0]
     c = np.empty((steps + 1, tables.shrink.shape[1]))
     x = np.empty_like(tables.shrink)
     for r in range(0, steps, length):
         b = min(length, steps - r)
         x[0] = c[r] if r else start
-        np.multiply(tables.growth[:b], loads[r : r + b] if np.ndim(loads) else loads, out=x[1 : b + 1])
+        np.multiply(tables.growth[:b], loads if scalar else loads[r : r + b], out=x[1 : b + 1])
         block = c[r : r + b + 1]
         np.matmul(tables.prefix[: b + 1, : b + 1], x[: b + 1], out=block)
         block *= tables.shrink[: b + 1]

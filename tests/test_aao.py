@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dyninv.aao import AaoPoint, ResidualTriple, data_triple, zero_point
+from dyninv import aao
+from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
 from dyninv.errors import ValidationError
+from dyninv.grids import make_partition
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
 from dyninv.methods import step_aao_irgnm
 from dyninv.problem import SemilinearDiffusion
@@ -338,17 +340,28 @@ def test_slab_trivial_partition_identity(rng):
     np.testing.assert_allclose(dt_s, dt_f, atol=1e-13)
 
 
-def test_slab_adjoint_matches_dense_oracle(tiny_instance, rng):
-    oracle = DenseOracle(tiny_instance)
-    op = tiny_instance.aao
-    point = random_point(tiny_instance, rng)
-    for j in range(tiny_instance.partition.slab_count):
-        adj = oracle.aao_adjoint_matrix(point, slab=j)
-        rf = rng.standard_normal(oracle.cod_dim)
-        dstate, dtheta = op.slab_adjoint(point, j, oracle.unflatten_triple(rf))
-        got = np.concatenate([dstate.values.ravel(), dtheta])
-        want = adj @ rf
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-12)
+def test_slab_adjoint_matches_dense_oracle(tiny_instance, rng, monkeypatch):
+    """On both sides of the size cut every slab adjoint, whose backward sweep
+    starts at the slab's last node, is the oracle's transpose of the slab map,
+    and the single slab of m = 1 is the full adjoint exactly."""
+    inst = tiny_instance
+    oracle = DenseOracle(inst)
+    point = random_point(inst, rng)
+    for nodal in (False, True):
+        monkeypatch.setattr(aao, "_NODAL_FROM", inst.triple.interior_points + (not nodal))
+        op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
+        assert hasattr(op, "_resolvent") == nodal
+        for j in range(inst.partition.slab_count):
+            adj = oracle.aao_adjoint_matrix(point, slab=j)
+            rf = rng.standard_normal(oracle.cod_dim)
+            dstate, dtheta = op.slab_adjoint(point, j, oracle.unflatten_triple(rf))
+            got = np.concatenate([dstate.values.ravel(), dtheta])
+            want = adj @ rf
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-12)
+        one = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, make_partition(inst.grid, 1))
+        resid = oracle.unflatten_triple(rng.standard_normal(oracle.cod_dim))
+        (s1, t1), (s, t) = one.slab_adjoint(point, 0, resid), op.adjoint(point, resid)
+        assert np.array_equal(s1.values, s.values) and np.array_equal(t1, t)
 
 
 def test_sum_over_slabs_identity(small_instance, rng):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyninv import aao, methods
+from dyninv import aao, methods, reduced
 from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
@@ -516,14 +516,19 @@ def test_method_config_validation():
 
 class _CountedBasis(np.ndarray):
     """An eigenbasis that counts the matrix products it enters, with a block
-    of rows (an n x n product) or with one vector."""
+    of rows (an n x n product) or with one vector; a test that sets ``rows`` to
+    a list also gets the row count of each block product (rows on the left)."""
 
     counts = {"block": 0, "vector": 0}
+    rows = None
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [x.view(np.ndarray) if isinstance(x, _CountedBasis) else x for x in inputs]
         if ufunc is np.matmul:
-            self.counts["block" if min(np.ndim(x) for x in plain) == 2 else "vector"] += 1
+            block = min(np.ndim(x) for x in plain) == 2
+            self.counts["block" if block else "vector"] += 1
+            if block and self.rows is not None:
+                self.rows.append(plain[0].shape[0])
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
@@ -539,7 +544,9 @@ def _counted_triple(triple):
 def test_aao_landweber_basis_products(tag, monkeypatch):
     """Two n x n basis products per step, none per recorded row: the residual
     carries K^{-1} w from the Green's matrix of K, the adjoint takes its loads
-    and start in one stacked product and its state direction back in one."""
+    and start in one stacked product and its state direction back in one.  The
+    stacked product takes the rows and w on the N/m nodes of the step's slab,
+    and h on slab 0: 2N + 1 rows for aLW, 2N/m (+ 1 on slab 0) for aLWK."""
     inst = make_instance(8, 10, 0.05, gain=10.0, m=2)
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
     triple = _counted_triple(inst.triple)
@@ -547,10 +554,12 @@ def test_aao_landweber_basis_products(tag, monkeypatch):
         inst, triple=triple, aao=AllAtOnceOperator(inst.problem, triple, inst.grid, inst.partition)
     )
     monkeypatch.setattr(_CountedBasis, "counts", {"block": 0, "vector": 0})
-    rec = run(MethodConfig(tag=tag, k_max=10, m=2 if tag == "aLWK" else 1), counted, y, 0.0,
-              truth=(theta, state))
+    monkeypatch.setattr(_CountedBasis, "rows", [])
+    m = 2 if tag == "aLWK" else 1
+    rec = run(MethodConfig(tag=tag, k_max=10, m=m), counted, y, 0.0, truth=(theta, state))
     assert len(rec.rows) == 11
     assert _CountedBasis.counts == {"block": 2 * 10, "vector": 0}
+    assert _CountedBasis.rows == [r for k in range(10) for r in (2 * 10 // m + (k % m == 0), 11)]
 
 
 def test_no_run_above_the_cut_tabulates_the_eigenbasis():
@@ -616,6 +625,51 @@ def test_aao_basis_products_above_the_cut(tag, above_cut, monkeypatch):
     rec = run(cfg, counted, y, 0.0, truth=(theta, state))
     assert len(rec.rows) == cfg.k_max + 1
     assert _CountedBasis.counts == {"block": 0, "vector": 0}
+
+
+def _recorded_calls(monkeypatch, module, name):
+    """The positional arguments of every call of ``module.name``."""
+    calls, inner = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("policy, solve", [("imex", "solve_resolvent"), ("newton", "solve_shifted_stiffness")])
+def test_reduced_slab_adjoint_sweeps_from_the_slabs_last_node(policy, solve, monkeypatch):
+    """The reduced slab adjoint solves one step per node from the slab's last
+    node hi down to node 1, hi solves in all; the full adjoint solves N."""
+    inst = make_instance(8, 12, 0.05, gain=10.0, m=3, policy=policy)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    op, part = inst.reduced, inst.partition
+    calls = _recorded_calls(monkeypatch, reduced, solve)
+    op.adjoint(theta, state, y)
+    assert len(calls) == 12
+    for j in range(part.slab_count):
+        calls.clear()
+        op.slab_adjoint(theta, state, y, j)
+        assert len(calls) == part.node_range(j)[1]
+
+
+def test_aao_slab_adjoint_above_the_cut_sweeps_from_the_slabs_last_node(above_cut, monkeypatch):
+    """From the size cut on, the slab adjoint makes one one-row resolvent solve
+    per step of its backward sweep, from the slab's last node hi down, and per
+    step of its full-length forward sweep: hi + N; the full adjoint makes 2N."""
+    inst, (theta, state, y) = above_cut
+    op, part, steps, n = inst.aao, inst.partition, inst.grid.step_count, inst.triple.interior_points
+    point = AaoPoint(state, 0.5 * theta)
+    resid = op.residual(point, data_triple(inst.grid, n, y))
+    calls = _recorded_calls(monkeypatch, aao, "solve_resolvent")
+    op.adjoint(point, resid)
+    assert [rows.shape for _, rows in calls] == [(n,)] * 2 * steps
+    for j in range(part.slab_count):
+        calls.clear()
+        op.slab_adjoint(point, j, resid)
+        assert [rows.shape for _, rows in calls] == [(n,)] * (part.node_range(j)[1] + steps)
 
 
 def test_aao_sides_of_the_size_cut_agree(monkeypatch, cg_counts):

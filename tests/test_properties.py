@@ -69,16 +69,21 @@ def test_march_modes_equals_row_broadcast_march(n_x, n_t, seed, horizon):
        seed=seeds, horizon=st.floats(min_value=1e-3, max_value=10.0))
 def test_march_modes_across_blocks_equals_step_by_step_march(n_x, n_t, seed, horizon):
     """Over more than 128 steps, or stiff enough for the range bound, the march
-    takes several blocks and still agrees with the march taken one step at a time."""
+    takes several blocks and still agrees with the march taken one step at a time.
+    So does a march over fewer loads than the grid has steps, the count read from
+    the loads: below the block length B, equal to it and across blocks."""
     triple = build_triple(n_x)
     grid = make_time_grid(horizon, n_t)
     tables = march_tables(triple, grid)
-    assert tables.growth.shape[0] < n_t
+    length = tables.growth.shape[0]
+    assert length < n_t
     rng = np.random.default_rng(seed)
     start, loads = rng.standard_normal(n_x), rng.standard_normal((n_t, n_x))
-    got = march_modes(tables, start, loads)
     want = step_by_step_march(triple, grid, start, loads)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for steps in (max(1, length // 2), length, length + 1, n_t):
+        got = march_modes(tables, start, loads[:steps])
+        assert got.shape == (steps + 1, n_x)
+        assert np.max(np.abs(got - want[: steps + 1])) <= 1e-13 * np.max(np.abs(want[: steps + 1]))
 
 
 @SMALL
