@@ -1,6 +1,6 @@
 """All-at-once versus reduced iterative regularization for dynamic inverse problems."""
 
-from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
+from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
 from .errors import InnerSolveError, SelfTestError, SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, make_partition, make_time_grid
 from .harness import (

@@ -2,8 +2,9 @@
 
 The unknown is the pair (state trajectory, parameter); the residual stacks the
 model row, the initial-condition row and the observation row.  The problem
-observes the state in full from a zero start, so the initial row is u^0 and the
-observation row is u, less their data, and only the model row reads theta.
+observes the state in full from a zero start, so the data are (0, 0, y): the
+initial row is u^0, the observation row u - y, and only the model row reads
+theta.  Shapes are taken as given; :func:`~dyninv.methods.run` checks them once.
 The adjoint is the exact transpose of the discrete derivative under the graph
 inner product on states, which fixes every endpoint and quadrature choice
 below: the backward sweep reads its source one node above, the forward sweep
@@ -14,7 +15,8 @@ A slab map is the full map followed by the slab restriction P_j of
 and idempotent, so the slab adjoint is the full adjoint of P_j r.  It reads r
 on the slab alone: its backward sweep, zero above the slab's last node, starts
 there, and its forward sweep runs all N steps, as the graph product couples the
-whole horizon.  The full adjoint is the span (0, N).
+whole horizon; below the size cut the forward march stops at that node, past
+which it is a decay.  The full adjoint is the span (0, N).
 
 The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
 model row is built by the triple's Green's matrix of K, its one Riesz map; the
@@ -29,11 +31,15 @@ sweeps are block marches there, and the state direction returns in one
 :func:`~dyninv.spaces.from_modes`, two O(N n^2) products.  From the cut on they
 are nodal: 2N sequential one-vector solves with the (I + tau K)^{-1} tables the
 reduced sweeps read, O(N n * 128), K p by the stencil, and no basis at all.
+So an aLW iteration below the cut is a stencil and a Green's product (residual),
+three dot products (norms), the stacked basis product, two marches and the
+product back (update): no PDE solve, and no object but residual and iterate.
 The joint CG of the IRGNM runs in the same coordinates, through
 :meth:`AllAtOnceOperator.to_nodes`, :meth:`~AllAtOnceOperator.from_nodes` and
 :meth:`~AllAtOnceOperator.inner_coords`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +56,6 @@ from .spaces import (
     inner_state_nodes,
     march_modes,
     march_tables,
-    norm_observation,
     resolvent_tables,
     solve_resolvent,
     to_modes,
@@ -66,18 +71,15 @@ _NODAL_FROM = 896
 
 @dataclass
 class AaoPoint:
-    """Joint iterate (state trajectory, parameter)."""
+    """Joint iterate (state trajectory, parameter array)."""
 
     state: Trajectory
     theta: np.ndarray
 
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-
 
 @dataclass
 class ResidualTriple:
-    """Element of the residual/data space: model row, initial row, observation row.
+    """Element of the residual space: model row, initial row, observation row.
 
     ``riesz``, when given, holds the nodal rows of K^{-1} w for
     ``model.values[1:]``; only :class:`AllAtOnceOperator` fills it, from the
@@ -89,20 +91,10 @@ class ResidualTriple:
     observation: Trajectory
     riesz: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.initial = np.asarray(self.initial, dtype=float)
-
 
 def zero_point(triple: DiscreteGelfandTriple, grid: TimeGrid, problem: SemilinearDiffusion) -> AaoPoint:
     return AaoPoint(
         zero_trajectory(grid, triple.interior_points, "state"), np.zeros(problem.n_theta)
-    )
-
-
-def data_triple(grid: TimeGrid, width: int, y: Trajectory) -> ResidualTriple:
-    """Wrap observed data as (0, 0, y) in the residual layout."""
-    return ResidualTriple(
-        zero_trajectory(grid, width, "dual_load"), np.zeros(width), y
     )
 
 
@@ -149,25 +141,25 @@ class AllAtOnceOperator:
 
     # -- forward --------------------------------------------------------------
 
-    def residual(self, point: AaoPoint, data: ResidualTriple) -> ResidualTriple:
-        """Stacked residual against the given data triple.
+    def residual(self, point: AaoPoint, y: Trajectory) -> ResidualTriple:
+        """Stacked residual against the data (0, 0, y): the problem contract puts
+        all data in the observation row, so no arithmetic touches the other two.
 
         Model row at the right endpoint of each step:
-        w^n = (u^n - u^{n-1})/tau - f(t_n, u^n, theta) for n = 1..N; initial
-        row u^0 and observation row u, less their data."""
+        w^n = (u^n - u^{n-1})/tau - f(t_n, u^n, theta) for n = 1..N (w^0 = 0);
+        initial row u^0 and observation row u - y."""
         u = point.state.values
-        theta = point.theta
-        tau = self.grid.tau
-        fvals = self.problem.f(self._t[1:], u[1:], theta)
-        w = np.zeros_like(u)
-        w[1:] = (u[1:] - u[:-1]) / tau - fvals - data.model.values[1:]
-        h = u[0] - data.initial
-        z = u - data.observation.values
-        resid = ResidualTriple(
-            Trajectory(self.grid, w, "dual_load"), h, Trajectory(self.grid, z, "observation")
+        w = np.empty(u.shape)
+        w[0] = 0.0
+        rows = np.subtract(u[1:], u[:-1], out=w[1:])
+        rows /= self.grid.tau
+        rows -= self.problem.f(self._t[1:], u[1:], point.theta)
+        return ResidualTriple(
+            Trajectory(self.grid, w, "dual_load"),
+            u[0].copy(),
+            Trajectory(self.grid, u - y.values, "observation"),
+            solve_resolvent(self.triple.green, rows),
         )
-        resid.riesz = self._riesz(resid)
-        return resid
 
     def _riesz(self, resid: ResidualTriple) -> np.ndarray:
         """Nodal rows 1..N of K^{-1} w: carried, or one Green's solve."""
@@ -245,22 +237,16 @@ class AllAtOnceOperator:
         else:
             modes = to_modes(self.triple, stack)
             # the eigenbasis of K diagonalizes both steps.  The backward sweep is
-            # marched on the time-reversed nodes hi..0 (the loads read backward,
-            # zero below the slab) and flipped back (ph[m] is p^m); the forward
-            # loads w^n + lam p^{n-1} are zero above the slab
-            back = modes[slab - 1 :: -1]
-            if lo:
-                back = np.concatenate((back, np.zeros((lo, width))))
-            ph = march_modes(self._march, 0.0, back)[::-1]
+            # marched on the time-reversed nodes hi..0 (the loads read backward)
+            # and flipped back (ph[m] is p^m); the forward loads w^n + lam p^{n-1}
+            # end at the slab's last node.  Past its loads each march is a decay
+            ph = march_modes(self._march, 0.0, modes[slab - 1 :: -1], hi)[::-1]
             loads = self.triple.eigenvalues * ph[:-1]
             loads[lo:] += modes[slab : 2 * slab]
-            if hi < steps:
-                loads = np.concatenate((loads, np.zeros((steps - hi, width))))
-            dh = march_modes(self._march, ph[0] + modes[-1] if lo == 0 else ph[0], loads)
+            dh = march_modes(self._march, ph[0] + modes[-1] if lo == 0 else ph[0], loads, steps)
 
-        dtheta = -self.grid.tau * np.sum(
-            self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw), axis=0
-        )
+        dtheta = self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw).sum(axis=0)
+        dtheta *= -self.grid.tau
         return dh, dtheta
 
     def _sweep_nodes(self, stack: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -305,7 +291,8 @@ class AllAtOnceOperator:
         :meth:`adjoint_coords` over the slab's node range reads resid on the
         slab alone, with no copy of P_j resid.  The backward sweep starts at the
         slab's last node, above which it is zero; the forward sweep runs over the
-        whole horizon, where the graph product couples every step.
+        whole horizon, where the graph product couples every step, and its
+        modal march is a decay past the slab's last node.
         """
         nodes = require_partition(self.partition).node_range(j)
         dh, dtheta = self.adjoint_coords(point, resid, nodes)
@@ -315,10 +302,12 @@ class AllAtOnceOperator:
 
     def residual_norms(self, resid: ResidualTriple) -> tuple[float, float, float, float]:
         """Channel norms (model, initial, observation) and the total norm."""
-        nw = float(np.sqrt(max(self._inner_model(resid, resid), 0.0)))
-        nh = float(np.sqrt(self.triple.dx * float(resid.initial @ resid.initial)))
-        ny = norm_observation(self.triple, resid.observation)
-        return nw, nh, ny, float(np.sqrt(nw**2 + nh**2 + ny**2))
+        tau, dx = self.grid.tau, self.triple.dx
+        h, z = resid.initial, resid.observation.values[1:]
+        nw = math.sqrt(max(tau * (dx * float(np.vdot(self._riesz(resid), resid.model.values[1:]))), 0.0))
+        nh = math.sqrt(dx * float(h @ h))
+        ny = math.sqrt(max(tau * dx * float(np.vdot(z, z)), 0.0))
+        return nw, nh, ny, math.sqrt(nw**2 + nh**2 + ny**2)
 
     def inner_residual(self, a: ResidualTriple, b: ResidualTriple) -> float:
         """Inner product of the residual space (all three channels)."""

@@ -317,9 +317,6 @@ class DenseOracle:
     # 1..N, initial row, observation rows 1..N); observation node 0 carries no
     # quadrature weight and is dropped.
 
-    def flatten_point(self, point: AaoPoint) -> np.ndarray:
-        return np.concatenate([point.state.values.ravel(), point.theta])
-
     def unflatten_point(self, flat) -> AaoPoint:
         cut = self.grid.node_count * self.width
         state = Trajectory(self.grid, flat[:cut].reshape(-1, self.width), "state")
@@ -417,9 +414,6 @@ class DenseOracle:
         if jac is None:
             jac = self.aao_derivative_matrix(point, slab=slab)
         return np.linalg.solve(self.gram_domain, jac.T @ self.gram_codomain)
-
-    def aao_residual_flat(self, point: AaoPoint, data: ResidualTriple) -> np.ndarray:
-        return self.flatten_triple(self.instance.aao.residual(point, data))
 
     # -- reduced operator matrices --------------------------------------------------
 

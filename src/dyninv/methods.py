@@ -6,9 +6,9 @@ variants solve the regularized normal equations by conjugate gradients with
 matrix-free operator applications.  The joint CG holds its state part in the
 all-at-once operator's own coordinates, which the operator picks from the size
 (:meth:`~dyninv.aao.AllAtOnceOperator.to_nodes`); this module has one path.
-One loop runs every tag: :func:`run` resolves the formulation and the tag's
-update before it, and each pass evaluates, records, tests the stops and times
-one update.
+One loop runs every tag: :func:`run` checks its inputs and resolves the
+formulation and the tag's update before it, and each pass evaluates, records,
+tests the stops and times one update; the operators and hooks check no shapes.
 """
 
 import math
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
+from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
 from .errors import InnerSolveError, SolverError, ValidationError, require_finite
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
@@ -214,29 +214,32 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
 # -- single steps ------------------------------------------------------------------
 
 
-def step_aao_landweber(op: AllAtOnceOperator, point, data, mu, resid=None):
+def step_aao_landweber(op: AllAtOnceOperator, point, y, mu, resid=None):
     """One joint Landweber update; reuses a precomputed residual if given."""
     if resid is None:
-        resid = op.residual(point, data)
-    return _descend(point, mu, op.adjoint(point, resid))
+        resid = op.residual(point, y)
+    return _descend(op, point, mu, op.adjoint_coords(point, resid))
 
 
-def step_aao_landweber_kaczmarz(op, point, data, mu, k, resid=None):
+def step_aao_landweber_kaczmarz(op, point, y, mu, k, resid=None):
     """One cyclic slab update; the slab is k mod m, the residual the full one."""
     if resid is None:
-        resid = op.residual(point, data)
-    j = require_partition(op.partition).slab_index(k)
-    return _descend(point, mu, op.slab_adjoint(point, j, resid))
+        resid = op.residual(point, y)
+    part = require_partition(op.partition)
+    return _descend(op, point, mu, op.adjoint_coords(point, resid, part.node_range(part.slab_index(k))))
 
 
-def _descend(point, mu, direction):
-    """The Landweber update x - mu * direction of a joint iterate."""
-    dstate, dtheta = direction
-    new_state = Trajectory(point.state.grid, point.state.values - mu * dstate.values, "state")
-    return AaoPoint(new_state, point.theta - mu * dtheta)
+def _descend(op, point, mu, direction):
+    """x - mu * direction, the direction as :meth:`AllAtOnceOperator.adjoint_coords` returns it."""
+    dh, dtheta = direction
+    du = op.to_nodes(dh)  # a new array on either side of the size cut
+    du *= mu
+    dtheta *= mu
+    state = Trajectory(op.grid, np.subtract(point.state.values, du, out=du), "state")
+    return AaoPoint(state, np.subtract(point.theta, dtheta, out=dtheta))
 
 
-def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
+def step_aao_irgnm(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
     """Regularized Gauss-Newton step via CG on the joint normal equations,
     run in the operator's state coordinates (see :func:`_joint_maps`)."""
     grid = op.grid
@@ -246,7 +249,7 @@ def step_aao_irgnm(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500, resid
         return adjoint(forward(flat)) + alpha * flat
 
     if resid is None:
-        resid = op.residual(point, data)
+        resid = op.residual(point, y)
     shift_state = Trajectory(grid, point.state.values - prior.state.values, "state")
     shift_theta = point.theta - prior.theta
     lin = op.derivative(point, shift_state, shift_theta)
@@ -311,6 +314,10 @@ def run(
     non-finite residual ends the run with stop_reason 'diverged' and raises
     SolverError; like an inner-solver failure, ``exc.record`` keeps the rows.
 
+    Inputs are checked here, once, before any iteration (ValidationError):
+    ``y_data`` and the states of ``start`` and ``truth`` = (theta, state) are
+    trajectories of shape (N + 1, n) on the grid; every theta has n_theta entries.
+
     Everything about the tag is resolved once, before the loop: the start, the
     evaluation of an iterate (its four residual norms, (theta, state) and what
     its update reads) and the update, which calls its step function by name.
@@ -326,17 +333,26 @@ def run(
             )
         sweep_len = config.m
     grid, triple, problem = instance.grid, instance.triple, instance.problem
+    _check_trajectory(y_data, grid, triple, "observation data")
+    if truth is not None:
+        truth_theta = _check_theta(truth[0], problem, "truth parameter")
+        truth_rows = _check_trajectory(truth[1], grid, triple, "truth state").values[1:]
 
     if tag in AAO_TAGS:
-        op, data = instance.aao, data_triple(grid, triple.interior_points, y_data)
-        x = zero_point(triple, grid, problem) if start is None else start
+        op = instance.aao
+        if start is not None and not isinstance(start, AaoPoint):
+            raise ValidationError(f"{tag} starts from a joint point, got {type(start).__name__}")
+        x = zero_point(triple, grid, problem) if start is None else AaoPoint(
+            _check_trajectory(start.state, grid, triple, "start state"),
+            _check_theta(start.theta, problem, "start parameter"),
+        )
 
         def evaluate(point):
-            resid = op.residual(point, data)
+            resid = op.residual(point, y_data)
             return op.residual_norms(resid), point.theta, point.state, resid
     else:
         op = instance.reduced
-        x = np.zeros(problem.n_theta) if start is None else np.asarray(start, dtype=float).copy()
+        x = np.zeros(problem.n_theta) if start is None else _check_theta(start, problem, "start").copy()
 
         def evaluate(theta):
             y_pred, state = op.forward(theta)
@@ -355,22 +371,23 @@ def run(
     # x -> x_{k+1} from what evaluate(x) returned for the update to read: the
     # joint residual, or the reduced residual z and the state
     step = {
-        "aLW": lambda x, k, r: step_aao_landweber(op, x, data, mu, resid=r),
-        "aLWK": lambda x, k, r: step_aao_landweber_kaczmarz(op, x, data, mu, k, resid=r),
-        "aIRGNM": lambda x, k, r: step_aao_irgnm(op, x, data, alpha(k), prior, *cg, resid=r),
+        "aLW": lambda x, k, r: step_aao_landweber(op, x, y_data, mu, resid=r),
+        "aLWK": lambda x, k, r: step_aao_landweber_kaczmarz(op, x, y_data, mu, k, resid=r),
+        "aIRGNM": lambda x, k, r: step_aao_irgnm(op, x, y_data, alpha(k), prior, *cg, resid=r),
         "rLW": lambda x, k, r: step_reduced_landweber(op, x, *r, mu),
         "rLWK": lambda x, k, r: step_reduced_landweber_kaczmarz(op, x, *r, mu, k),
         "rIRGNM": lambda x, k, r: step_reduced_irgnm(op, x, *r, alpha(k), prior.theta, *cg),
     }[tag]
 
     record = RunRecord(method=tag, metadata={"mu": mu, "delta": delta})
+    tau, bound = grid.tau, config.tau_disc * delta
     k, failure = 0, None
     while True:
         (res_w, res_h, res_y, res_total), theta, state, reads = evaluated
         err_theta = err_u = float("nan")
         if truth is not None:
-            err_theta = problem.norm_theta(theta - truth[0])
-            err_u = norm_l2_v(triple, Trajectory(grid, state.values - truth[1].values, "state"))
+            err_theta = problem.norm_theta(theta - truth_theta)
+            err_u = norm_l2_v(triple, tau, state.values[1:] - truth_rows)
         row = IterationRow(k, res_total, res_w, res_h, res_y, err_theta, err_u)
         record.rows.append(row)
 
@@ -378,7 +395,7 @@ def run(
             reason = "diverged"
             failure = SolverError(f"{tag} diverged: residual {res_total} at iteration {k}")
             break
-        if k % sweep_len == 0 and res_total <= config.tau_disc * delta:
+        if k % sweep_len == 0 and res_total <= bound:
             reason = "discrepancy"
             break
         if config.k_apriori is not None and k >= config.k_apriori:
@@ -408,12 +425,26 @@ def run(
     return record
 
 
+def _check_trajectory(traj, grid, triple, name):
+    shape = (grid.node_count, triple.interior_points)
+    if not (isinstance(traj, Trajectory) and traj.grid == grid and traj.values.shape == shape):
+        raise ValidationError(f"{name} must be a trajectory of shape {shape} on the run's grid")
+    return traj
+
+
+def _check_theta(theta, problem, name):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (problem.n_theta,):
+        raise ValidationError(f"{name} must have shape ({problem.n_theta},), got {theta.shape}")
+    return theta
+
+
 def _resolve_prior(config, triple, grid, problem):
     """The IRGNM prior as a joint point; an unset part is zero."""
     state, theta = config.prior_state, config.prior_theta
     state = np.zeros((grid.node_count, triple.interior_points)) if state is None else state
     theta = np.zeros(problem.n_theta) if theta is None else theta
-    return AaoPoint(Trajectory(grid, state, "state"), theta)
+    return AaoPoint(Trajectory(grid, state, "state"), np.asarray(theta, dtype=float))
 
 
 def _norm_stepsize(config, instance, start, state):

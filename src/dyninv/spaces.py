@@ -135,7 +135,7 @@ def apply_stiffness(triple: DiscreteGelfandTriple, v: np.ndarray) -> np.ndarray:
     flat = v.ravel()
     out = flat * 2.0
     out[:-1] -= flat[1:]
-    out[n - 1 :: n] = flat[n - 1 :: n] * 2.0  # row ends: no right neighbour
+    np.multiply(flat[n - 1 :: n], 2.0, out=out[n - 1 :: n])  # row ends: no right neighbour
     starts = out[::n].copy()
     out[1:] -= flat[:-1]
     out[::n] = starts  # row starts: no left neighbour
@@ -427,47 +427,44 @@ def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
     return MarchTables(grid.node_count, growth, shrink[: length + 1], np.tri(length + 1))
 
 
-def march_modes(tables: MarchTables, start, loads) -> np.ndarray:
+def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
     """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
 
-    Returns c of shape (S + 1, width) with c^0 = start and
-    c^k = (c^{k-1} + tau * loads[k-1]) / d for k = 1..S; start and the rows of
-    loads are modal coefficients (:func:`to_modes` of nodal rows).  S >= 1 is
-    the row count of loads, which may stop short of the grid's N steps or run
-    past them, or N = node_count - 1 when loads is a scalar.  ``tables`` comes
-    from :func:`march_tables`: an operator that marches often tabulates once,
-    any other caller builds them for the call.
+    Returns c of shape (steps + 1, width) with c^0 = start and c^k =
+    (c^{k-1} + tau * loads[k-1]) / d for k = 1..steps, the loads zero past their
+    S >= 1 rows (a scalar loads all N = node_count - 1 steps); steps defaults to
+    S.  start and loads are modal coefficients (:func:`to_modes` of nodal rows).
+    ``tables`` comes from :func:`march_tables`: an operator that marches often
+    tabulates once, any other caller builds them for the call.
     From the carry c^r a block of B steps is the scaled prefix sum
     c^{r+k} = d^-k (c^r + sum_{i=1..k} tau d^(i-1) loads[r+i-1]), one triangular
     product ``shrink * (prefix @ x)`` with x = (c^r, the scaled loads); its last
-    row carries into the next block.  Loads beyond about 1e100 can overflow a
-    block, which gives non-finite rows, never finite wrong ones.
+    row carries into the next block.  Past the loads a block is the decay
+    c^{r+k} = d^-k c^r, one product with ``shrink``.  Loads beyond about 1e100
+    can overflow a block, which gives non-finite rows, never finite wrong ones.
     """
-    scalar = np.ndim(loads) == 0
-    steps = tables.node_count - 1 if scalar else len(loads)
+    scalar = not isinstance(loads, np.ndarray)
+    loaded = tables.node_count - 1 if scalar else loads.shape[0]
+    steps = loaded if steps is None else steps
     length = tables.growth.shape[0]
     c = np.empty((steps + 1, tables.shrink.shape[1]))
-    x = np.empty_like(tables.shrink)
-    for r in range(0, steps, length):
-        b = min(length, steps - r)
+    x = np.empty(tables.shrink.shape)
+    for r in range(0, loaded, length):
+        b = min(length, loaded - r)
         x[0] = c[r] if r else start
         np.multiply(tables.growth[:b], loads if scalar else loads[r : r + b], out=x[1 : b + 1])
         block = c[r : r + b + 1]
         np.matmul(tables.prefix[: b + 1, : b + 1], x[: b + 1], out=block)
         block *= tables.shrink[: b + 1]
+    for r in range(loaded, steps, length):
+        b = min(length, steps - r)
+        np.multiply(tables.shrink[1 : b + 1], c[r], out=c[r + 1 : r + b + 1])
     return c
 
 
 def _same_grid_source(grid: TimeGrid, source: Trajectory):
     if source.grid != grid:
         raise ValidationError("source trajectory lives on a different grid")
-
-
-def graph_rows(triple: DiscreteGelfandTriple, u: Trajectory) -> np.ndarray:
-    """Rows (u^{n+1} - u^n)/tau + K u^{n+1} for n = 0..N-1, shape (N, width)."""
-    tau = u.grid.tau
-    v = u.values
-    return (v[1:] - v[:-1]) / tau + apply_stiffness(triple, v[1:])
 
 
 def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
@@ -523,8 +520,7 @@ def norm_observation(triple, z):
     return float(np.sqrt(max(inner_observation(triple, z, z), 0.0)))
 
 
-def norm_l2_v(triple: DiscreteGelfandTriple, u: Trajectory) -> float:
-    """L2(0,T; V) norm with the same right-endpoint quadrature."""
-    tau, dx = u.grid.tau, triple.dx
-    v = u.values[1:]
-    return float(np.sqrt(max(tau * dx * np.vdot(v, apply_stiffness(triple, v)), 0.0)))
+def norm_l2_v(triple: DiscreteGelfandTriple, tau: float, v: np.ndarray) -> float:
+    """L2(0,T; V) norm of a state given by its rows v on nodes 1..N, with the same
+    right-endpoint quadrature."""
+    return math.sqrt(max(tau * triple.dx * float(np.vdot(v, apply_stiffness(triple, v))), 0.0))

@@ -43,6 +43,19 @@ def positive_theta(triple, amplitude=0.3, offset=0.5):
     return offset + amplitude * np.sin(2.0 * np.pi * x) ** 2
 
 
+def dense_graph_rows(triple, u):
+    """Rows (u^{n+1} - u^n)/tau + K u^{n+1} for n = 0..N-1 of a state
+    trajectory, with K the dense stiffness matrix."""
+    v = u.values
+    return (v[1:] - v[:-1]) / u.grid.tau + v[1:] @ triple.stiffness
+
+
+def flat_point(point):
+    """A joint point as one vector, (state nodes 0..N, theta): the dense
+    oracle's domain layout."""
+    return np.concatenate([point.state.values.ravel(), point.theta])
+
+
 def step_by_step_march(triple, grid, start, loads):
     """The implicit-Euler march in the eigenbasis taken one step at a time,
     c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam), the recursion that
@@ -101,12 +114,12 @@ def nodal_joint_maps(op, point):
     return forward, adjoint, pair_inner
 
 
-def nodal_irgnm_step(op, point, data, alpha, prior, cg_tol=1e-8, cg_max=500):
+def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
     """:func:`dyninv.methods.step_aao_irgnm` with CG on nodal joint vectors
     (:func:`nodal_joint_maps`); returns the new iterate and the CG count."""
     grid = op.grid
     forward, adjoint, pair_inner = nodal_joint_maps(op, point)
-    resid = op.residual(point, data)
+    resid = op.residual(point, y)
     shift_state = Trajectory(grid, point.state.values - prior.state.values, "state")
     lin = op.derivative(point, shift_state, point.theta - prior.theta)
     rhs = adjoint(ResidualTriple(

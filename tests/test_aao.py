@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyninv import aao
-from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple, data_triple, zero_point
+from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
 from dyninv.errors import ValidationError
 from dyninv.grids import make_partition
 from dyninv.harness import DenseOracle, make_instance, synthesize_truth
@@ -45,7 +45,12 @@ def random_triple(instance, rng):
 
 def zero_data(instance):
     grid, n = instance.grid, instance.triple.interior_points
-    return data_triple(grid, n, zero_trajectory(grid, n, "observation"))
+    return zero_trajectory(grid, n, "observation")
+
+
+def random_data(instance, rng):
+    grid, n = instance.grid, instance.triple.interior_points
+    return Trajectory(grid, rng.standard_normal((grid.node_count, n)), "observation")
 
 
 @pytest.mark.parametrize("n_x, n_t, m", [(24, 24, 4), (30, 50, 5)])
@@ -56,7 +61,7 @@ def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
     inst = make_instance(n_x, n_t, 0.5, 10.0, m=m)
     op = inst.aao
     point = random_point(inst, rng)
-    data = random_triple(inst, rng)
+    data = random_data(inst, rng)
     built = op.residual(point, data)
     bare = ResidualTriple(built.model, built.initial, built.observation)
     assert built.riesz.shape == (n_t, n_x) and bare.riesz is None
@@ -79,7 +84,7 @@ def test_model_channel_pairs_through_the_one_riesz_map(n_x, n_t, horizon, rng):
     without; inner_residual of model rows alone is inner_dual_load."""
     inst = make_instance(n_x, n_t, horizon, 10.0)
     op, triple = inst.aao, inst.triple
-    resid = op.residual(random_point(inst, rng), random_triple(inst, rng))
+    resid = op.residual(random_point(inst, rng), random_data(inst, rng))
     assert norm_dual_load(triple, resid.model) == op.residual_norms(resid)[0]
     a, b = random_triple(inst, rng), random_triple(inst, rng)
     for r in (a, b):
@@ -104,7 +109,7 @@ def test_adjoint_matches_spectral_reference(n_x, n_t, horizon, m, rng):
     inst = make_instance(n_x, n_t, horizon, 10.0, m=m)
     op = inst.aao
     point = random_point(inst, rng)
-    resid = op.residual(point, random_triple(inst, rng))
+    resid = op.residual(point, random_data(inst, rng))
     theta_tol = 1e-12 if n_x <= 100 else 1e-11
     for r in (resid, *(op.slab_restrict(resid, j) for j in range(m))):
         (dstate, dtheta), want = op.adjoint(point, r), spectral_adjoint(op, point, r)
@@ -115,8 +120,7 @@ def test_adjoint_matches_spectral_reference(n_x, n_t, horizon, m, rng):
 def test_residual_vanishes_at_synthesized_truth(tiny_instance, tiny_truth):
     theta, state, y = tiny_truth
     op = tiny_instance.aao
-    data = data_triple(tiny_instance.grid, 8, y)
-    resid = op.residual(AaoPoint(state, theta), data)
+    resid = op.residual(AaoPoint(state, theta), y)
     _, _, _, total = op.residual_norms(resid)
     assert total <= 1e-11
 
@@ -410,7 +414,7 @@ def test_operator_without_partition_rejects_slabs(rng):
     grid = make_time_grid(0.1, 4)
     op = AllAtOnceOperator(SemilinearDiffusion(triple), triple, grid)
     point = AaoPoint(zero_trajectory(grid, 5), np.zeros(5))
-    resid = op.residual(point, data_triple(grid, 5, zero_trajectory(grid, 5, "observation")))
+    resid = op.residual(point, zero_trajectory(grid, 5, "observation"))
     with pytest.raises(ValidationError):
         op.slab_restrict(resid, 0)
 
@@ -424,12 +428,11 @@ def test_run_path_never_builds_the_dense_stiffness(monkeypatch, rng):
     monkeypatch.setattr(DiscreteGelfandTriple, "stiffness", property(forbidden))
     inst = make_instance(8, 6, 0.05, gain=10.0, m=2)
     theta, state, y = synthesize_truth(inst)
-    data = data_triple(inst.grid, 8, y)
     point = random_point(inst, rng)
     op = inst.aao
-    resid = op.residual(point, data)
+    resid = op.residual(point, y)
     op.residual_norms(resid)
     op.adjoint(point, resid)
     op.slab_adjoint(point, 1, resid)
-    step_aao_irgnm(op, point, data, alpha=0.5, prior=AaoPoint(state, theta), resid=resid)
-    norm_l2_v(inst.triple, state)
+    step_aao_irgnm(op, point, y, alpha=0.5, prior=AaoPoint(state, theta), resid=resid)
+    norm_l2_v(inst.triple, inst.grid.tau, state.values[1:])

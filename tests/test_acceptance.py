@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dyninv.aao import AaoPoint, ResidualTriple, data_triple, zero_point
+from dyninv.aao import AaoPoint, ResidualTriple, zero_point
 from dyninv.harness import (
     DenseOracle,
     add_noise,
@@ -41,6 +41,8 @@ from dyninv.spaces import (
     norm_observation,
     zero_trajectory,
 )
+
+from conftest import flat_point
 
 FULL = os.environ.get("ACCEPTANCE_FULL", "") == "1"
 needs_full = pytest.mark.skipif(not FULL, reason="set ACCEPTANCE_FULL=1 for the benchmark-scale run")
@@ -225,7 +227,7 @@ def test_criterion_4_taylor_orders():
     point = AaoPoint(state, 0.4 + 0.2 * rng.random(50))
     dstate = Trajectory(grid, 0.1 + 0.05 * rng.random((51, 50)), "state")
     dtheta = 0.1 * rng.random(50)
-    data = data_triple(grid, 50, zero_trajectory(grid, 50, "observation"))
+    data = zero_trajectory(grid, 50, "observation")
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         moved = AaoPoint(
@@ -284,7 +286,6 @@ def dense_setup():
 def test_criterion_5_residual_and_linearizations(dense_setup, rng):
     inst, oracle, (theta_t, state_t, y) = dense_setup
     grid, triple = inst.grid, inst.triple
-    data = data_triple(grid, 8, y)
     point = AaoPoint(
         Trajectory(grid, 0.3 * rng.standard_normal((7, 8)), "state"), 0.3 * rng.standard_normal(8)
     )
@@ -299,7 +300,7 @@ def test_criterion_5_residual_and_linearizations(dense_setup, rng):
     h_row = u[0].copy()
     z_rows = u[1:] - y.values[1:]
     flat_expected = np.concatenate([w_rows.ravel(), h_row, z_rows.ravel()])
-    got = oracle.aao_residual_flat(point, data)
+    got = oracle.flatten_triple(inst.aao.residual(point, y))
     assert np.max(np.abs(got - flat_expected)) <= 1e-12 * max(np.max(np.abs(flat_expected)), 1.0)
 
     # linear applications against column-assembled matrices
@@ -359,36 +360,35 @@ def test_criterion_5_residual_and_linearizations(dense_setup, rng):
 def test_criterion_5_method_steps_match_dense(dense_setup, rng):
     inst, oracle, (theta_t, state_t, y) = dense_setup
     grid = inst.grid
-    data = data_triple(grid, 8, y)
     point = zero_point(inst.triple, grid, inst.problem)
     prior = zero_point(inst.triple, grid, inst.problem)
     mu = 1.0
 
-    resid_flat = oracle.aao_residual_flat(point, data)
+    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
     worst = 0.0
 
     # aLW
-    moved = step_aao_landweber(inst.aao, point, data, mu)
-    want = oracle.flatten_point(point) - mu * oracle.aao_adjoint_matrix(point) @ resid_flat
-    worst = max(worst, _maxgap(oracle.flatten_point(moved), want, floor=1e-12))
+    moved = step_aao_landweber(inst.aao, point, y, mu)
+    want = flat_point(point) - mu * oracle.aao_adjoint_matrix(point) @ resid_flat
+    worst = max(worst, _maxgap(flat_point(moved), want, floor=1e-12))
 
     # aLWK: one step on each slab
     for j in range(2):
-        movedk = step_aao_landweber_kaczmarz(inst.aao, point, data, mu, k=j)
+        movedk = step_aao_landweber_kaczmarz(inst.aao, point, y, mu, k=j)
         mask = _slab_mask_flat(oracle, inst.partition, j)
-        want = oracle.flatten_point(point) - mu * oracle.aao_adjoint_matrix(point, slab=j) @ (
+        want = flat_point(point) - mu * oracle.aao_adjoint_matrix(point, slab=j) @ (
             mask * resid_flat
         )
-        worst = max(worst, _maxgap(oracle.flatten_point(movedk), want, floor=1e-12))
+        worst = max(worst, _maxgap(flat_point(movedk), want, floor=1e-12))
 
     # aIRGNM via dense normal equations
     alpha = 0.3
-    moved = step_aao_irgnm(inst.aao, point, data, alpha, prior, cg_tol=1e-12, cg_max=5000)
+    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior, cg_tol=1e-12, cg_max=5000)
     jac = oracle.aao_derivative_matrix(point)
     adj = oracle.aao_adjoint_matrix(point)
-    rhs = adj @ (jac @ (oracle.flatten_point(point) - oracle.flatten_point(prior)) - resid_flat)
+    rhs = adj @ (jac @ (flat_point(point) - flat_point(prior)) - resid_flat)
     delta = np.linalg.solve(adj @ jac + alpha * np.eye(oracle.dom_dim), rhs)
-    worst_cg = _maxgap(oracle.flatten_point(moved), oracle.flatten_point(prior) + delta, floor=1e-8)
+    worst_cg = _maxgap(flat_point(moved), flat_point(prior) + delta, floor=1e-8)
 
     # reduced steps
     theta0 = np.zeros(8)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dyninv import aao, methods, reduced
-from dyninv.aao import AaoPoint, AllAtOnceOperator, data_triple, zero_point
+from dyninv.aao import AaoPoint, AllAtOnceOperator, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
-from dyninv.harness import DenseOracle, make_instance, synthesize_truth
+from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth
 from dyninv.methods import (
     METHOD_TAGS,
     MethodConfig,
@@ -23,9 +23,10 @@ from dyninv.methods import (
     step_reduced_landweber_kaczmarz,
 )
 from dyninv.reduced import ReducedOperator
-from dyninv.spaces import Trajectory, inner_observation, inner_state
+from dyninv.grids import make_time_grid
+from dyninv.spaces import Trajectory, inner_observation, inner_state, norm_l2_v, norm_observation
 
-from conftest import nodal_irgnm_step, nodal_joint_maps
+from conftest import flat_point, nodal_irgnm_step, nodal_joint_maps
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +46,14 @@ def theta_drift(problem, a, b):
 
 def test_landweber_methods_stationary_at_truth(newton_setup):
     inst, (theta, state, y) = newton_setup
-    data = data_triple(inst.grid, 8, y)
     point = AaoPoint(state.copy(), theta.copy())
 
-    moved = step_aao_landweber(inst.aao, point, data, mu=1.0)
+    moved = step_aao_landweber(inst.aao, point, y, mu=1.0)
     assert theta_drift(inst.problem, moved.theta, theta) <= 1e-12
     assert np.max(np.abs(moved.state.values - state.values)) <= 1e-12
 
     for k in range(2):
-        moved = step_aao_landweber_kaczmarz(inst.aao, point, data, 1.0, k)
+        moved = step_aao_landweber_kaczmarz(inst.aao, point, y, 1.0, k)
         assert theta_drift(inst.problem, moved.theta, theta) <= 1e-12
 
     z = Trajectory(inst.grid, np.zeros_like(y.values), "observation")
@@ -66,10 +66,9 @@ def test_landweber_methods_stationary_at_truth(newton_setup):
 
 def test_irgnm_stationary_with_prior_at_truth(newton_setup):
     inst, (theta, state, y) = newton_setup
-    data = data_triple(inst.grid, 8, y)
     point = AaoPoint(state.copy(), theta.copy())
     prior = AaoPoint(state.copy(), theta.copy())
-    moved = step_aao_irgnm(inst.aao, point, data, alpha=0.5, prior=prior)
+    moved = step_aao_irgnm(inst.aao, point, y, alpha=0.5, prior=prior)
     assert theta_drift(inst.problem, moved.theta, theta) <= 1e-10
     z = Trajectory(inst.grid, np.zeros_like(y.values), "observation")
     new_theta = step_reduced_irgnm(inst.reduced, theta, z, state, 0.5, theta.copy())
@@ -78,12 +77,11 @@ def test_irgnm_stationary_with_prior_at_truth(newton_setup):
 
 def test_zero_stepsize_is_identity(newton_setup, rng):
     inst, (theta, state, y) = newton_setup
-    data = data_triple(inst.grid, 8, y)
     point = AaoPoint(
         Trajectory(inst.grid, rng.standard_normal(state.values.shape), "state"),
         rng.standard_normal(8),
     )
-    moved = step_aao_landweber(inst.aao, point, data, mu=0.0)
+    moved = step_aao_landweber(inst.aao, point, y, mu=0.0)
     np.testing.assert_array_equal(moved.state.values, point.state.values)
     np.testing.assert_array_equal(moved.theta, point.theta)
 
@@ -94,14 +92,13 @@ def test_zero_stepsize_is_identity(newton_setup, rng):
 def test_aao_landweber_step_matches_dense(newton_setup):
     inst, (theta, state, y) = newton_setup
     oracle = DenseOracle(inst)
-    data = data_triple(inst.grid, 8, y)
     point = zero_point(inst.triple, inst.grid, inst.problem)
     mu = 1.0
-    moved = step_aao_landweber(inst.aao, point, data, mu)
-    resid_flat = oracle.aao_residual_flat(point, data)
+    moved = step_aao_landweber(inst.aao, point, y, mu)
+    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
     adj = oracle.aao_adjoint_matrix(point)
-    dense_new = oracle.flatten_point(point) - mu * adj @ resid_flat
-    got = oracle.flatten_point(moved)
+    dense_new = flat_point(point) - mu * adj @ resid_flat
+    got = flat_point(moved)
     assert np.max(np.abs(got - dense_new)) <= 1e-12 * max(np.max(np.abs(dense_new)), 1e-12)
 
 
@@ -121,20 +118,19 @@ def test_reduced_landweber_step_matches_dense(newton_setup):
 def test_aao_irgnm_step_matches_dense_solve(newton_setup):
     inst, (theta, state, y) = newton_setup
     oracle = DenseOracle(inst)
-    data = data_triple(inst.grid, 8, y)
     point = zero_point(inst.triple, inst.grid, inst.problem)
     prior = zero_point(inst.triple, inst.grid, inst.problem)
     alpha = 0.3
-    moved = step_aao_irgnm(inst.aao, point, data, alpha, prior, cg_tol=1e-12, cg_max=3000)
+    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior, cg_tol=1e-12, cg_max=3000)
     jac = oracle.aao_derivative_matrix(point)
     adj = oracle.aao_adjoint_matrix(point)
-    resid_flat = oracle.aao_residual_flat(point, data)
-    shift = oracle.flatten_point(point) - oracle.flatten_point(prior)
+    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
+    shift = flat_point(point) - flat_point(prior)
     rhs = adj @ (jac @ shift - resid_flat)
     normal = adj @ jac + alpha * np.eye(oracle.dom_dim)
     delta = np.linalg.solve(normal, rhs)
-    want = oracle.flatten_point(prior) + delta
-    got = oracle.flatten_point(moved)
+    want = flat_point(prior) + delta
+    got = flat_point(moved)
     assert np.max(np.abs(got - want)) <= 1e-8 * max(np.max(np.abs(want)), 1.0)
 
 
@@ -161,19 +157,18 @@ def test_reduced_irgnm_step_matches_dense_solve(newton_setup):
 
 def test_irgnm_huge_alpha_pins_to_prior(newton_setup, rng):
     inst, (theta, state, y) = newton_setup
-    data = data_triple(inst.grid, 8, y)
     point = AaoPoint(
         Trajectory(inst.grid, 0.1 * rng.standard_normal(state.values.shape), "state"),
         0.1 * rng.standard_normal(8),
     )
     prior = zero_point(inst.triple, inst.grid, inst.problem)
     alpha = 1e12
-    moved = step_aao_irgnm(inst.aao, point, data, alpha, prior)
+    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior)
     shift_norm = np.sqrt(
         inner_state(inst.triple, moved.state, moved.state)
         + inst.problem.inner_theta(moved.theta, moved.theta)
     )
-    resid = inst.aao.residual(point, data)
+    resid = inst.aao.residual(point, y)
     lin = inst.aao.derivative(
         point,
         Trajectory(inst.grid, point.state.values - prior.state.values, "state"),
@@ -199,10 +194,9 @@ def test_irgnm_huge_alpha_pins_to_prior(newton_setup, rng):
 def test_irgnm_linear_consistent_recovers_truth(rng):
     inst = make_instance(6, 5, 0.05, gain=0.0, m=1, policy="newton")
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
-    data = data_triple(inst.grid, 6, y)
     start = zero_point(inst.triple, inst.grid, inst.problem)
     prior = AaoPoint(state.copy(), theta.copy())  # consistent linear system
-    moved = step_aao_irgnm(inst.aao, start, data, alpha=1e-8, prior=prior, cg_tol=1e-12, cg_max=2000)
+    moved = step_aao_irgnm(inst.aao, start, y, alpha=1e-8, prior=prior, cg_tol=1e-12, cg_max=2000)
     assert inst.problem.norm_theta(moved.theta - theta) <= 1e-6
 
 
@@ -437,15 +431,14 @@ def test_aao_kaczmarz_full_sweep_matches_dense(newton_setup):
     """Composing one step per slab reproduces the dense sweep computation."""
     inst, (theta, state, y) = newton_setup
     oracle = DenseOracle(inst)
-    data = data_triple(inst.grid, 8, y)
     mu = 1.0
     point = zero_point(inst.triple, inst.grid, inst.problem)
-    flat = oracle.flatten_point(point)
+    flat = flat_point(point)
     for k in range(inst.partition.slab_count):
         j = inst.partition.slab_index(k)
         # dense step on the current iterate
         dense_point = oracle.unflatten_point(flat)
-        resid_flat = oracle.aao_residual_flat(dense_point, data)
+        resid_flat = oracle.flatten_triple(inst.aao.residual(dense_point, y))
         mask = np.zeros(oracle.cod_dim)
         nodes = np.zeros(inst.grid.node_count, dtype=bool)
         nodes[inst.partition.weighted_nodes(j)] = True
@@ -455,8 +448,8 @@ def test_aao_kaczmarz_full_sweep_matches_dense(newton_setup):
             mask[blk : blk + 8] = 1.0
         mask[blk + 8 :] = np.repeat(nodes[1:], 8)
         flat = flat - mu * oracle.aao_adjoint_matrix(dense_point, slab=j) @ (mask * resid_flat)
-        point = step_aao_landweber_kaczmarz(inst.aao, point, data, mu, k)
-    got = oracle.flatten_point(point)
+        point = step_aao_landweber_kaczmarz(inst.aao, point, y, mu, k)
+    got = flat_point(point)
     assert np.max(np.abs(got - flat)) <= 1e-12 * max(np.max(np.abs(flat)), 1e-12)
 
 
@@ -485,6 +478,77 @@ def test_run_stops_loudly_on_divergence():
     assert record.k_star == len(res) - 1 < 10
     assert np.all(np.isfinite(res[:-1])) and not np.isfinite(res[-1])
     assert record.theta_final is not None
+
+
+def _malformed_inputs(inst, theta, state, y):
+    """(name, keyword arguments of run) for every input run must reject."""
+    grid, n = inst.grid, inst.triple.interior_points
+    nodes = grid.node_count
+    other = make_time_grid(2.0 * grid.horizon, grid.step_count)
+    return [
+        ("data of width 1", {"y_data": Trajectory(grid, y.values[:, :1], "observation")}),
+        ("data on another grid", {"y_data": Trajectory(other, y.values, "observation")}),
+        ("data as a bare array", {"y_data": y.values}),
+        ("truth theta of length 1", {"truth": (theta[:1], state)}),
+        ("truth state of width 1", {"truth": (theta, Trajectory(grid, state.values[:, :1], "state"))}),
+        ("start theta of length 1", {"start": theta[:1]}),
+        ("joint start theta of length 1", {"start": AaoPoint(state, theta[:1])}),
+        ("joint start state of width n - 1", {"start": AaoPoint(Trajectory(grid, np.zeros((nodes, n - 1))), theta)}),
+    ]
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_run_rejects_malformed_inputs_before_any_iteration(tag, newton_setup, monkeypatch):
+    """Observation data, start and truth of the wrong shape, grid or type raise
+    ValidationError at run entry, before the first evaluation; a start of the
+    other formulation's kind is malformed too."""
+    inst, (theta, state, y) = newton_setup
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("run evaluated an iterate of malformed input")
+
+    monkeypatch.setattr(AllAtOnceOperator, "residual", evaluated)
+    monkeypatch.setattr(ReducedOperator, "forward", evaluated)
+    cfg = MethodConfig(tag=tag, k_max=20, m=2 if tag.endswith("LWK") else 1)
+    for name, bad in _malformed_inputs(inst, theta, state, y):
+        if name.startswith("joint") and tag in methods.REDUCED_TAGS:
+            continue
+        kwargs = {"y_data": y, "truth": (theta, state), **bad}
+        if name == "start theta of length 1" and tag in methods.AAO_TAGS:
+            kwargs["start"] = theta  # a parameter alone is no joint start
+        with pytest.raises(ValidationError):
+            run(cfg, inst, kwargs.pop("y_data"), 0.0, **kwargs)
+            pytest.fail(f"{tag} accepted {name}")
+
+
+@pytest.mark.parametrize("tag", ["aLW", "aLWK"])
+def test_run_rows_equal_a_plain_loop_over_the_operator_api(tag):
+    """run's rows (every column but step_ms) and final iterate are bit for bit
+    those of a plain loop over residual, residual_norms, adjoint/slab_adjoint,
+    norm_theta and norm_l2_v, on the noisy (30, 50) instance with the truth."""
+    inst = make_instance(30, 50, 0.5, gain=10.0, m=5)
+    theta, state, y = synthesize_truth(inst, "sine", 0.1)
+    data = add_noise(inst, y, theta, 0.0, 2e-3 * norm_observation(inst.triple, y), 0)
+    m, k_max, mu = (5 if tag == "aLWK" else 1), 300, 1.0
+    rec = run(MethodConfig(tag=tag, m=m, k_max=k_max, mu=mu), inst, data.y_noisy, data.achieved_delta, truth=(theta, state))
+    assert rec.stop_reason == "k_max"
+
+    op, problem, grid = inst.aao, inst.problem, inst.grid
+    point, rows = zero_point(inst.triple, grid, problem), []
+    for k in range(k_max + 1):
+        resid = op.residual(point, data.y_noisy)
+        res_w, res_h, res_y, res_total = op.residual_norms(resid)
+        err_theta = problem.norm_theta(point.theta - theta)
+        err_u = norm_l2_v(inst.triple, grid.tau, point.state.values[1:] - state.values[1:])
+        rows.append((k, res_total, res_w, res_h, res_y, err_theta, err_u))
+        if k < k_max:
+            ds, dt = op.adjoint(point, resid) if tag == "aLW" else op.slab_adjoint(point, k % m, resid)
+            point = AaoPoint(Trajectory(grid, point.state.values - mu * ds.values, "state"), point.theta - mu * dt)
+    columns = ("k", "res_total", "res_w", "res_h", "res_y", "err_theta", "err_u_L2V")
+    for i, name in enumerate(columns):
+        assert np.array_equal(rec.column(name), [r[i] for r in rows]), name
+    assert np.array_equal(rec.theta_final, point.theta)
+    assert np.array_equal(rec.state_final.values, point.state.values)
 
 
 def test_run_rejects_partition_mismatch(newton_setup):
@@ -662,7 +726,7 @@ def test_aao_slab_adjoint_above_the_cut_sweeps_from_the_slabs_last_node(above_cu
     inst, (theta, state, y) = above_cut
     op, part, steps, n = inst.aao, inst.partition, inst.grid.step_count, inst.triple.interior_points
     point = AaoPoint(state, 0.5 * theta)
-    resid = op.residual(point, data_triple(inst.grid, n, y))
+    resid = op.residual(point, y)
     calls = _recorded_calls(monkeypatch, aao, "solve_resolvent")
     op.adjoint(point, resid)
     assert [rows.shape for _, rows in calls] == [(n,)] * 2 * steps
@@ -754,10 +818,9 @@ def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
         theta + 0.05 * rng.standard_normal(theta.size),
     )
     prior = zero_point(inst.triple, grid, inst.problem)
-    data = data_triple(grid, n_x, y)
     for alpha in (1.0, 0.4, 1e-2):
-        got = step_aao_irgnm(op, point, data, alpha, prior, cg_max=2000)
-        want, its = nodal_irgnm_step(op, point, data, alpha, prior, cg_max=2000)
+        got = step_aao_irgnm(op, point, y, alpha, prior, cg_max=2000)
+        want, its = nodal_irgnm_step(op, point, y, alpha, prior, cg_max=2000)
         assert cg_counts.pop() == its
         for a, b in ((got.state.values, want.state.values), (got.theta, want.theta)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

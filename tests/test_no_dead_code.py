@@ -22,9 +22,6 @@ ALLOWED = {
     "f_u_matrix": "perfbench/ wraps it by name; tests assemble f_u densely with it",
     "inner_residual": "perfbench/ checks the adjoint identity with it",
     "inner_state": "perfbench/ wraps it by name and checks the adjoint identity with it",
-    "graph_rows": "test-only dense-oracle helper (ROADMAP item 17)",
-    "flatten_point": "test-only dense-oracle helper (ROADMAP item 17)",
-    "aao_residual_flat": "test-only dense-oracle helper (ROADMAP item 17)",
 }
 
 

@@ -17,7 +17,6 @@ from dyninv.spaces import (  # noqa: E402
     apply_stiffness,
     build_triple,
     from_modes,
-    graph_rows,
     inner_observation,
     inner_state,
     march_modes,
@@ -28,7 +27,7 @@ from dyninv.spaces import (  # noqa: E402
     to_modes,
 )
 
-from conftest import positive_theta, step_by_step_march  # noqa: E402
+from conftest import dense_graph_rows, positive_theta, step_by_step_march  # noqa: E402
 
 SMALL = settings(max_examples=60, deadline=None)
 sizes = st.integers(min_value=1, max_value=12)
@@ -127,7 +126,7 @@ def test_inner_state_symmetric_and_equal_to_dense_formula(n_x, n_t, seed):
     u = Trajectory(grid, rng.standard_normal((n_t + 1, n_x)), "state")
     v = Trajectory(grid, rng.standard_normal((n_t + 1, n_x)), "state")
     dense = grid.tau * triple.dx * np.sum(
-        graph_rows(triple, u) * solve_stiffness(triple, graph_rows(triple, v))
+        dense_graph_rows(triple, u) * solve_stiffness(triple, dense_graph_rows(triple, v))
     ) + triple.dx * (u.values[0] @ v.values[0])
     uv, vu = inner_state(triple, u, v), inner_state(triple, v, u)
     scale = np.sqrt(inner_state(triple, u, u) * inner_state(triple, v, v))

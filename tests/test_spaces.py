@@ -14,7 +14,6 @@ from dyninv.spaces import (
     evolve_backward,
     evolve_forward,
     from_modes,
-    graph_rows,
     inner_dual_load,
     inner_state,
     march_modes,
@@ -29,7 +28,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import step_by_step_march
+from conftest import dense_graph_rows, step_by_step_march
 
 
 def dirichlet_eigenpairs(n_x):
@@ -534,7 +533,7 @@ def test_green_tables_are_built_once_per_triple(monkeypatch, rng):
     inner_state(triple, u, u.copy())
     op = aao.AllAtOnceOperator(problem.SemilinearDiffusion(triple), triple, grid)
     point = aao.AaoPoint(u, np.zeros(30))
-    op.residual_norms(op.residual(point, aao.data_triple(grid, 30, u)))
+    op.residual_norms(op.residual(point, u))
     assert len(calls) == 1
 
 
@@ -592,12 +591,13 @@ def test_trajectory_validation():
 
 
 def test_graph_rows_of_constant():
+    """The graph rows the pairings below are checked against are K c for a constant c."""
     triple = build_triple(4)
     grid = make_time_grid(0.2, 5)
     c = np.array([1.0, -2.0, 0.5, 3.0])
     u = Trajectory(grid, np.tile(c, (6, 1)), "state")
-    rows = graph_rows(triple, u)
-    np.testing.assert_allclose(rows, np.tile(apply_stiffness(triple, c), (5, 1)), rtol=1e-12)
+    rows = dense_graph_rows(triple, u)
+    np.testing.assert_allclose(rows, np.tile(c @ triple.stiffness, (5, 1)), rtol=1e-12)
 
 
 def _batches(rng, n):
@@ -632,7 +632,7 @@ def test_stencil_does_not_touch_its_input(rng):
 
 def _dense_inner_state(triple, u, v):
     """The graph product from nodal graph rows and a Riesz solve."""
-    bulk = np.sum(graph_rows(triple, u) * solve_stiffness(triple, graph_rows(triple, v)))
+    bulk = np.sum(dense_graph_rows(triple, u) * solve_stiffness(triple, dense_graph_rows(triple, v)))
     return u.grid.tau * triple.dx * bulk + triple.dx * (u.values[0] @ v.values[0])
 
 
@@ -659,7 +659,7 @@ def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
     )
     assert inner_v(triple, a, b) == pytest.approx(triple.dx * (a @ triple.stiffness @ b), rel=1e-12)
     l2v = grid.tau * triple.dx * np.sum(u.values[1:] * (u.values[1:] @ triple.stiffness))
-    assert norm_l2_v(triple, u) ** 2 == pytest.approx(l2v, rel=1e-12)
+    assert norm_l2_v(triple, grid.tau, u.values[1:]) ** 2 == pytest.approx(l2v, rel=1e-12)
 
 
 def test_triple_stores_no_dense_stiffness():
