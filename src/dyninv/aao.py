@@ -30,7 +30,8 @@ the loads enter the eigenbasis in one :func:`~dyninv.spaces.to_modes`, both
 sweeps are block marches there, and the state direction returns in one
 :func:`~dyninv.spaces.from_modes`, two O(N n^2) products.  From the cut on they
 are nodal: 2N sequential one-vector solves with the (I + tau K)^{-1} tables the
-reduced sweeps read, O(N n * 128), K p by the stencil, and no basis at all.
+reduced sweeps read, O(N n * 32) in blocks of at most 32 points, K p by the
+stencil, and no basis at all.
 So an aLW iteration below the cut is a stencil and a Green's product (residual),
 three dot products (norms), the stacked basis product, two marches and the
 product back (update): no PDE solve, and no object but residual and iterate.

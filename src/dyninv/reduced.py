@@ -21,7 +21,8 @@ The resolvent R, of the imex steps and of the Newton initial guesses, is the
 closed-form Green's matrix of I + tau K, which the operator tabulates once
 (:func:`~dyninv.spaces.resolvent_tables`) and applies with
 :func:`~dyninv.spaces.solve_resolvent`: one product per step up to 128 points,
-and beyond a fixed number of batched products per step, whatever the block count.
+and beyond, in blocks of at most 32 points, a fixed number of batched products
+per step, whatever the block count.
 
 The adjoint is its exact discrete transpose (a backward sweep with the
 transposed step maps, followed by right-endpoint quadrature of the f_theta

@@ -7,10 +7,11 @@ map V -> V*: it is applied as the 3-point stencil (the dense matrix exists only
 on demand, for the dense oracle and tests).  Its inverse K^-1, the Riesz map
 V* -> V of every V* pairing of nodal rows (||w||_{V*}^2 = dx * <K^-1 w, w>), and
 the implicit-Euler resolvent (I + tau K)^-1 of the reduced sweeps are
-closed-form Green's matrices, tabulated in diagonal blocks of at most 128 points
-(once per triple by :func:`build_triple`, and once per triple and tau by
-:func:`resolvent_tables`) and applied to nodal rows with carries between the
-blocks (:func:`solve_resolvent`), in O(n * 128), without the basis and in a
+closed-form Green's matrices, tabulated as one n x n block up to 128 points and
+beyond in diagonal blocks of at most 32 points, so that both tables stay in a
+core's L2 cache (once per triple by :func:`build_triple`, and once per triple and
+tau by :func:`resolvent_tables`), and applied to nodal rows with carries between
+the blocks (:func:`solve_resolvent`), in O(n * 32), without the basis and in a
 fixed number of numpy calls.  Below the all-at-once operator's size cut the
 n x n DST-I eigenbasis q serves its marches (:func:`march_modes`) and the modal
 pairing of its joint CG (:func:`inner_state_modes`); from the cut on the
@@ -38,7 +39,8 @@ _ROW_BLOCK = 256
 class ResolventTables:
     """What :func:`solve_resolvent` needs of one Green's matrix G, (I + tau K)^-1 or
     K^-1, tabulated once for its ``points`` n, cut into nb blocks of B points in
-    order (the last one zero-padded).  ``blocks`` holds the diagonal blocks of G,
+    order (the last one zero-padded): one block up to 128 points, beyond
+    nb = ceil(n / 32) blocks of B <= 32.  ``blocks`` holds the diagonal blocks of G,
     each exactly symmetric: (1, n, n) for one block, else (nb, B, B + 2) with
     every block's lower and upper carry weights as its last two columns.
     Beyond one block, ``decay`` (2, nb, nb) holds the decay of a lower and of an
@@ -154,14 +156,19 @@ def from_modes(triple: DiscreteGelfandTriple, c: np.ndarray) -> np.ndarray:
     return c @ triple.eigenvectors
 
 
-# the blocks hold n * B floats and a solve costs O(n * B): 128 keeps every size up to
-# 128 points (the benchmark's 30 and 100 among them) at one product per solve
-_GREEN_BLOCK = 128
+# the blocks hold n * (B + 2) floats and a solve costs O(n * B).  Up to _GREEN_BLOCK
+# points (the benchmark's 30 and 100 among them) one n x n product does a solve;
+# beyond, blocks of at most _GREEN_SPLIT points.  An iteration alternates K^-1 and
+# (I + tau K)^-1, and 32-point blocks keep both in a 2 MB per-core L2 up to
+# n ~ 3700 (0.9 MB at n = 1600; 128-point blocks took 3.2 MB).  Over B = 16..128 at
+# n = 300..1600, 32 gave 1-, 8- and 100-row solves within 9 % of the fastest
+_GREEN_BLOCK, _GREEN_SPLIT = 128, 32
 
 
 def resolvent_tables(triple: DiscreteGelfandTriple, tau: float) -> ResolventTables:
-    """The Green's matrix of I + tau K in blocks of B = ceil(n / ceil(n / 128)),
-    tabulated on the first call for this triple and tau and kept on the triple.
+    """The Green's matrix of I + tau K, one block up to 128 points and beyond
+    nb = ceil(n / 32) blocks of B = ceil(n / nb), tabulated on the first call for
+    this triple and tau and kept on the triple.
 
     With r = tau / dx^2, s = sqrt(1 + 4r), rho = 2r / (1 + 2r + s) in [0, 1) and
     M = n + 1, for 1 <= i <= j <= n
@@ -201,7 +208,7 @@ def _green_tables(a: np.ndarray, den: float, log_rho: float) -> ResolventTables:
     n = a.shape[0]
     b = a[::-1]
     scale = math.sqrt(math.exp(log_rho) / den)
-    count = -(-n // _GREEN_BLOCK)
+    count = 1 if n <= _GREEN_BLOCK else -(-n // _GREEN_SPLIT)
     length = -(-n // count)
     powers = np.exp(log_rho * np.arange(length))
     # rho^|i-j| as a view: row i of the windows of (rho^(B-1), .., rho, 1, rho, .., rho^(B-1))
@@ -242,13 +249,14 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
     :func:`resolvent_tables` or the triple's ``green``.
 
     Up to 128 points there is one block and no carry, and the solve is
-    ``rows @ G``.  Beyond, the rows are zero-padded to nb * B points and laid out
-    block axis first, (nb, rows, B), and a fixed number of numpy calls, whatever
-    nb, does the solve: one batched product with the blocks gives every diagonal
-    block's part and, in its two extra columns, every block's partial sums
-    x_k . lower_k and x_k . upper_k; one product with the decay products turns
-    them into every lower carry l_k = sum_(j<k) d^(k-j-1) x_j . lower_j and the
-    mirrored upper carry; one more adds l_k upper_k + u_k lower_k to block k.
+    ``rows @ G``.  Beyond, in blocks of at most 32 points, the rows are
+    zero-padded to nb * B points and laid out block axis first, (nb, rows, B),
+    and a fixed number of numpy calls, whatever nb, does the solve: one batched
+    product with the blocks gives every diagonal block's part and, in its two
+    extra columns, every block's partial sums x_k . lower_k and x_k . upper_k;
+    one product with the decay products turns them into every lower carry
+    l_k = sum_(j<k) d^(k-j-1) x_j . lower_j and the mirrored upper carry; one
+    more adds l_k upper_k + u_k lower_k to block k.
     A non-finite entry in a row gives non-finite output in that row only.
     """
     if tables.matrix is not None:
@@ -478,11 +486,14 @@ def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
 
 
 def inner_state_nodes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
-    """:func:`inner_state` of two states given by their nodal rows: graph rows
-    (u^{n+1} - u^n)/tau + K u^{n+1} (formed once when b is a), paired through
-    K^-1 in one Green's solve, and the initial term dx u^0 . v^0."""
-    rows = [(u[1:] - u[:-1]) / tau + apply_stiffness(triple, u[1:]) for u in ((a,) if b is a else (a, b))]
-    pairing = triple.dx * float(np.vdot(solve_resolvent(triple.green, rows[0]), rows[-1]))
+    """:func:`inner_state` of two states given by their nodal rows: the graph rows
+    (v^{n+1} - v^n)/tau + K v^{n+1} of b by the stencil, paired with their K^-1
+    image for a, K^-1 (u^{n+1} - u^n)/tau + u^{n+1}, in one Green's solve, and the
+    initial term dx u^0 . v^0.  K^-1 of a's whole graph rows would cancel K^-1 K u
+    in rounding, up to 2.1e-12 relative at n = 896."""
+    rows = (b[1:] - b[:-1]) / tau + apply_stiffness(triple, b[1:])
+    riesz = solve_resolvent(triple.green, (a[1:] - a[:-1]) / tau) + a[1:]
+    pairing = triple.dx * float(np.vdot(riesz, rows))
     return tau * pairing + triple.dx * float(a[0] @ b[0])
 
 

@@ -424,17 +424,19 @@ def test_resolvent_matches_dense_and_spectral_solves(n_x, rng):
             assert np.max(np.abs(solve_resolvent(tables, x[1]) - want[1])) <= 1e-12 * scale, r
 
 
-@pytest.mark.parametrize("n_x, count", [(1, 1), (100, 1), (128, 1), (129, 2), (300, 3), (1600, 13)])
+@pytest.mark.parametrize("n_x, count", [(1, 1), (100, 1), (128, 1), (129, 5), (300, 10), (1600, 50)])
 def test_resolvent_blocks_are_exactly_symmetric(n_x, count):
-    """ceil(n / 128) blocks of at most 128 points that cover the grid in order,
-    the last one zero-padded; every diagonal block equals its transpose bit for
-    bit, for I + tau K and for K, whose carries cross a block with no decay.
-    Beyond one block each block carries its weights as two extra columns."""
+    """One block up to 128 points, beyond ceil(n / 32) blocks of at most 32
+    points, that cover the grid in order, the last one zero-padded; every
+    diagonal block equals its transpose bit for bit, for I + tau K and for K,
+    whose carries cross a block with no decay.  Beyond one block each block
+    carries its weights as two extra columns."""
     triple = build_triple(n_x)
     for tables in (resolvent_tables(triple, 0.3), triple.green):
         blocks, length = tables.blocks, tables.blocks.shape[1]
         assert tables.points == n_x and len(blocks) == count
-        assert length <= 128 and (count - 1) * length < n_x <= count * length
+        assert length <= (128 if count == 1 else 32)
+        assert (count - 1) * length < n_x <= count * length
         assert blocks.shape[2] == (length + 2 if count > 1 else length)
         for k, g in enumerate(blocks[:, :, :length]):
             m = min(length, n_x - k * length)  # the points of block k, the rest padding
@@ -464,7 +466,7 @@ def test_resolvent_at_r_zero_is_exactly_the_identity(n_x, tau, rng):
 
 @pytest.mark.parametrize("r", [1e-8, 1.0, 1e10, None])
 def test_resolvent_tables_and_solve_raise_no_warning(r, rng):
-    """At 1600 points (13 blocks, the last one padded) building the tables and
+    """At 1600 points (50 blocks of 32) building the tables and
     solving give no numpy warning, for I + tau K with r = tau / dx^2 from 1e-8
     to 1e10 (where the decay products underflow) and for K^-1 (r = None)."""
     with warnings.catch_warnings():
@@ -660,6 +662,27 @@ def test_modal_pairings_match_dense_formulas(n_x, n_t, rng):
     assert inner_v(triple, a, b) == pytest.approx(triple.dx * (a @ triple.stiffness @ b), rel=1e-12)
     l2v = grid.tau * triple.dx * np.sum(u.values[1:] * (u.values[1:] @ triple.stiffness))
     assert norm_l2_v(triple, grid.tau, u.values[1:]) ** 2 == pytest.approx(l2v, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_x", [896, 1600])
+def test_nodal_state_pairing_matches_refined_dense_pairing(n_x):
+    """The nodal graph product agrees with the refined dense solve of the whole
+    graph rows, to 1e-13 at N = 8 over five seeds, for (a, b) and (a, a).  The
+    rows hold K u, and a Green's solve of them cancels K^-1 K u in rounding, up
+    to 2.1e-12 relative at n = 896."""
+    triple = build_triple(n_x)
+    grid = make_time_grid(0.1, 8)
+    draws = [np.random.default_rng(seed).standard_normal((2, 9, n_x)) for seed in range(5)]
+    states = [[Trajectory(grid, u, "state") for u in pair] for pair in draws]
+    rows = [[dense_graph_rows(triple, u) for u in pair] for pair in states]
+    # one refined solve for every seed's a: each solve refactors the dense K
+    riesz = refined_dense_solve(triple.stiffness, np.concatenate([g[0] for g in rows]))
+    for seed, ((a, b), graph) in enumerate(zip(states, rows)):
+        for other, other_rows in ((b, graph[1]), (a, graph[0])):
+            pairing = np.sum(riesz[8 * seed : 8 * seed + 8] * other_rows)
+            want = grid.tau * triple.dx * pairing + triple.dx * (a.values[0] @ other.values[0])
+            got = spaces.inner_state_nodes(triple, grid.tau, a.values, other.values)
+            assert abs(got - want) <= 1e-13 * abs(want), seed
 
 
 def test_triple_stores_no_dense_stiffness():
