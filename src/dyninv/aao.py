@@ -15,23 +15,27 @@ A slab map is the full map followed by the slab restriction P_j of
 and idempotent, so the slab adjoint is the full adjoint of P_j r.  It reads r
 on the slab alone: its backward sweep, zero above the slab's last node, starts
 there, and its forward sweep runs all N steps, as the graph product couples the
-whole horizon; below the size cut the forward march stops at that node, past
-which it is a decay.  The full adjoint is the span (0, N).
+whole horizon; past that node its loads stop and it is a decay.  The full
+adjoint is the span (0, N).
 
 The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
 model row is built by the triple's Green's matrix of K, its one Riesz map; the
 V* norm and product and the adjoint read them, so an iteration applies K^{-1}
-once and never through the eigenbasis.  P_j acts by rows, so it commutes with
-K^{-1} and restricts the carried rows directly.
+once and never through the eigenbasis.  P_j leaves the carried rows out, and
+what reads a restricted residual solves for its own: P_j acts by rows, so they
+are the restricted rows.
 
 The adjoint's two sweeps run in the operator's state coordinates, fixed by the
-number of points n alone (:data:`_NODAL_FROM`).  Below the cut they are modal:
-the loads enter the eigenbasis in one :func:`~dyninv.spaces.to_modes`, both
-sweeps are block marches there, and the state direction returns in one
-:func:`~dyninv.spaces.from_modes`, two O(N n^2) products.  From the cut on they
-are nodal: 2N sequential one-vector solves with the (I + tau K)^{-1} tables the
-reduced sweeps read, O(N n * 32) in blocks of at most 32 points, K p by the
-stencil, and no basis at all.
+number of points n alone (:data:`_NODAL_FROM`), and
+:meth:`AllAtOnceOperator.adjoint_coords` has one body for both: the operator
+picks the march and the stiffness of its coordinates once.  Below the cut they
+are modal: the loads enter the eigenbasis in one :func:`~dyninv.spaces.to_modes`,
+both sweeps are block marches there (:func:`~dyninv.spaces.march_modes`), K is
+lam, and the state direction returns in one :func:`~dyninv.spaces.from_modes`,
+two O(N n^2) products.  From the cut on they are nodal
+(:func:`~dyninv.spaces.march_nodes`): 2N sequential one-vector solves with the
+(I + tau K)^{-1} tables the reduced sweeps read, O(N n * 32) in blocks of at
+most 32 points, K p by the stencil, and no basis at all.
 So an aLW iteration below the cut is a stencil and a Green's product (residual),
 three dot products (norms), the stacked basis product, two marches and the
 product back (update): no PDE solve, and no object but residual and iterate.
@@ -42,6 +46,7 @@ The joint CG of the IRGNM runs in the same coordinates, through
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,6 +61,7 @@ from .spaces import (
     inner_state_modes,
     inner_state_nodes,
     march_modes,
+    march_nodes,
     march_tables,
     resolvent_tables,
     solve_resolvent,
@@ -119,10 +125,13 @@ class AllAtOnceOperator:
         self.partition = partition
         self._t = grid.nodes()
         self._nodal = triple.interior_points >= _NODAL_FROM
+        # the adjoint's march and K in the operator's coordinates
         if self._nodal:
-            self._resolvent = resolvent_tables(triple, grid.tau)
+            self._march = partial(march_nodes, resolvent_tables(triple, grid.tau), grid.tau)
+            self._stiffness = partial(apply_stiffness, triple)
         else:
-            self._march = march_tables(triple, grid)
+            self._march = partial(march_modes, march_tables(triple, grid))
+            self._stiffness = partial(np.multiply, triple.eigenvalues)
 
     # -- state coordinates -----------------------------------------------------
 
@@ -231,56 +240,31 @@ class AllAtOnceOperator:
         stack[slab : 2 * slab] = resid.model.values[lo + 1 : hi + 1]
         if lo == 0:
             stack[-1] = resid.initial
-        # Backward: p^m = 0 from m = hi on, (I + tau K) p^m = p^{m+1} + tau rows^m.
-        # Forward: start p^0 + h, step onto node n driven by w^n + K p^{n-1}
-        if self._nodal:
-            dh = self._sweep_nodes(stack, lo, hi)
-        else:
-            modes = to_modes(self.triple, stack)
-            # the eigenbasis of K diagonalizes both steps.  The backward sweep is
-            # marched on the time-reversed nodes hi..0 (the loads read backward)
-            # and flipped back (ph[m] is p^m); the forward loads w^n + lam p^{n-1}
-            # end at the slab's last node.  Past its loads each march is a decay
-            ph = march_modes(self._march, 0.0, modes[slab - 1 :: -1], hi)[::-1]
-            loads = self.triple.eigenvalues * ph[:-1]
-            loads[lo:] += modes[slab : 2 * slab]
-            dh = march_modes(self._march, ph[0] + modes[-1] if lo == 0 else ph[0], loads, steps)
+        # Backward: p^m = 0 from m = hi on, (I + tau K) p^m = p^{m+1} + tau rows^m,
+        # marched on the time-reversed nodes hi..0 (the loads read backward) and
+        # flipped back (ph[m] is p^m).  Forward: start p^0 + h, step onto node n
+        # driven by w^n + K p^{n-1}, loads that end at the slab's last node.  Past
+        # its loads each march is a decay
+        coords = self.from_nodes(stack)
+        ph = self._march(0.0, coords[slab - 1 :: -1], hi)[::-1]
+        loads = self._stiffness(ph[:-1])
+        loads[lo:] += coords[slab : 2 * slab]
+        dh = self._march(ph[0] + coords[-1] if lo == 0 else ph[0], loads, steps)
 
         dtheta = self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw).sum(axis=0)
         dtheta *= -self.grid.tau
         return dh, dtheta
 
-    def _sweep_nodes(self, stack: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Both sweeps of :meth:`adjoint_coords` on its nodal stack: one resolvent
-        solve per step, from node hi down and then forward, K p^{n-1} by the stencil."""
-        steps, slab, width = self.grid.step_count, hi - lo, stack.shape[1]
-        tau, tables = self.grid.tau, self._resolvent
-        back = np.zeros((hi, width))
-        back[lo:] = tau * stack[:slab]
-        p = np.zeros((steps + 1, width))
-        for m in range(hi - 1, -1, -1):
-            p[m] = solve_resolvent(tables, p[m + 1] + back[m])
-        loads = np.zeros((steps, width))
-        loads[:hi] = apply_stiffness(self.triple, p[:hi])
-        loads[lo:hi] += stack[slab : 2 * slab]
-        loads *= tau
-        dh = np.empty_like(p)
-        dh[0] = p[0] + stack[-1] if lo == 0 else p[0]
-        for n in range(steps):
-            dh[n + 1] = solve_resolvent(tables, dh[n] + loads[n])
-        return dh
-
     # -- slab operators --------------------------------------------------------
 
     def slab_restrict(self, resid: ResidualTriple, j: int) -> ResidualTriple:
         """P_j: the model and observation rows on the weighted nodes of slab j,
-        the initial row on slab 0 only; carried rows of K^{-1} w are restricted too."""
+        the initial row on slab 0 only; no rows of K^{-1} w are carried."""
         part = require_partition(self.partition)
         return ResidualTriple(
             Trajectory(self.grid, part.restrict(resid.model.values, j), "dual_load"),
             resid.initial if j == 0 else np.zeros_like(resid.initial),
             Trajectory(self.grid, part.restrict(resid.observation.values, j), "observation"),
-            None if resid.riesz is None else part.restrict(resid.riesz, j),
         )
 
     def slab_derivative(self, point, j, dstate, dtheta) -> ResidualTriple:
@@ -292,8 +276,8 @@ class AllAtOnceOperator:
         :meth:`adjoint_coords` over the slab's node range reads resid on the
         slab alone, with no copy of P_j resid.  The backward sweep starts at the
         slab's last node, above which it is zero; the forward sweep runs over the
-        whole horizon, where the graph product couples every step, and its
-        modal march is a decay past the slab's last node.
+        whole horizon, where the graph product couples every step, and is a
+        decay past the slab's last node.
         """
         nodes = require_partition(self.partition).node_range(j)
         dh, dtheta = self.adjoint_coords(point, resid, nodes)

@@ -308,10 +308,14 @@ class DenseOracle:
         self.n_theta = instance.problem.n_theta
         self.dom_dim = grid.node_count * self.width + self.n_theta
         self.cod_dim = 2 * grid.step_count * self.width + self.width
+        # each channel's Gram once: V*-valued model rows, the initial row, H-valued
+        # observation rows; the graph Gram of states reads the model rows' one
+        tau, dx = grid.tau, triple.dx
+        gram_model = tau * dx * np.kron(np.eye(grid.step_count), np.linalg.inv(triple.stiffness))
+        self.gram_obs = tau * dx * np.eye(grid.step_count * self.width)
         self.gram_theta = self._assemble_gram_theta()
-        self.gram_domain = self._assemble_gram_domain()
-        self.gram_codomain = self._assemble_gram_codomain()
-        self.gram_obs = self._assemble_gram_obs()
+        self.gram_domain = self._assemble_gram_domain(gram_model)
+        self.gram_codomain = self._assemble_gram_codomain(gram_model)
 
     # flat layouts: domain = (state nodes 0..N, theta); codomain = (model rows
     # 1..N, initial row, observation rows 1..N); observation node 0 carries no
@@ -347,18 +351,16 @@ class DenseOracle:
         z[1:] = flat.reshape(self.grid.step_count, self.width)
         return Trajectory(self.grid, z, "observation")
 
-    def _assemble_gram_domain(self):
+    def _assemble_gram_domain(self, gram_model):
         triple, grid = self.triple, self.grid
         steps, width = grid.step_count, self.width
         tau, dx = grid.tau, triple.dx
-        a_inv = np.linalg.inv(triple.stiffness)
         e = np.zeros((steps * width, grid.node_count * width))
         for n in range(steps):
             rows = slice(n * width, (n + 1) * width)
             e[rows, n * width : (n + 1) * width] = -np.eye(width) / tau
             e[rows, (n + 1) * width : (n + 2) * width] = np.eye(width) / tau + triple.stiffness
-        w_gram = tau * dx * np.kron(np.eye(steps), a_inv)
-        g_state = e.T @ w_gram @ e
+        g_state = e.T @ gram_model @ e
         g_state[:width, :width] += dx * np.eye(width)
         out = np.zeros((self.dom_dim, self.dom_dim))
         cut = grid.node_count * width
@@ -366,13 +368,8 @@ class DenseOracle:
         out[cut:, cut:] = self.gram_theta
         return out
 
-    def _assemble_gram_codomain(self):
-        triple, grid = self.triple, self.grid
-        steps, width = grid.step_count, self.width
-        tau, dx = grid.tau, triple.dx
-        a_inv = np.linalg.inv(triple.stiffness)
-        blocks = [tau * dx * np.kron(np.eye(steps), a_inv), dx * np.eye(width),
-                  tau * dx * np.eye(steps * width)]
+    def _assemble_gram_codomain(self, gram_model):
+        blocks = (gram_model, self.triple.dx * np.eye(self.width), self.gram_obs)
         out = np.zeros((self.cod_dim, self.cod_dim))
         pos = 0
         for b in blocks:
@@ -388,10 +385,6 @@ class DenseOracle:
             for j in range(n):
                 g[i, j] = self.instance.problem.inner_theta(basis[i], basis[j])
         return g
-
-    def _assemble_gram_obs(self):
-        steps, width = self.grid.step_count, self.width
-        return self.grid.tau * self.triple.dx * np.eye(steps * width)
 
     # -- joint operator matrices --------------------------------------------------
 

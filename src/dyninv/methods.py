@@ -214,17 +214,13 @@ def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
 # -- single steps ------------------------------------------------------------------
 
 
-def step_aao_landweber(op: AllAtOnceOperator, point, y, mu, resid=None):
-    """One joint Landweber update; reuses a precomputed residual if given."""
-    if resid is None:
-        resid = op.residual(point, y)
+def step_aao_landweber(op: AllAtOnceOperator, point, resid, mu):
+    """One joint Landweber update from the residual resid = F(point) - data."""
     return _descend(op, point, mu, op.adjoint_coords(point, resid))
 
 
-def step_aao_landweber_kaczmarz(op, point, y, mu, k, resid=None):
-    """One cyclic slab update; the slab is k mod m, the residual the full one."""
-    if resid is None:
-        resid = op.residual(point, y)
+def step_aao_landweber_kaczmarz(op, point, resid, mu, k):
+    """One cyclic slab update from the full residual; the slab is k mod m."""
     part = require_partition(op.partition)
     return _descend(op, point, mu, op.adjoint_coords(point, resid, part.node_range(part.slab_index(k))))
 
@@ -239,17 +235,16 @@ def _descend(op, point, mu, direction):
     return AaoPoint(state, np.subtract(point.theta, dtheta, out=dtheta))
 
 
-def step_aao_irgnm(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500, resid=None):
-    """Regularized Gauss-Newton step via CG on the joint normal equations,
-    run in the operator's state coordinates (see :func:`_joint_maps`)."""
+def step_aao_irgnm(op, point, resid, alpha, prior, cg_tol=1e-8, cg_max=500):
+    """Regularized Gauss-Newton step from the residual at point via CG on the
+    joint normal equations, run in the operator's state coordinates (see
+    :func:`_joint_maps`)."""
     grid = op.grid
     forward, adjoint, pair_inner = _joint_maps(op, point)
 
     def normal_apply(flat):
         return adjoint(forward(flat)) + alpha * flat
 
-    if resid is None:
-        resid = op.residual(point, y)
     shift_state = Trajectory(grid, point.state.values - prior.state.values, "state")
     shift_theta = point.theta - prior.theta
     lin = op.derivative(point, shift_state, shift_theta)
@@ -371,9 +366,9 @@ def run(
     # x -> x_{k+1} from what evaluate(x) returned for the update to read: the
     # joint residual, or the reduced residual z and the state
     step = {
-        "aLW": lambda x, k, r: step_aao_landweber(op, x, y_data, mu, resid=r),
-        "aLWK": lambda x, k, r: step_aao_landweber_kaczmarz(op, x, y_data, mu, k, resid=r),
-        "aIRGNM": lambda x, k, r: step_aao_irgnm(op, x, y_data, alpha(k), prior, *cg, resid=r),
+        "aLW": lambda x, k, r: step_aao_landweber(op, x, r, mu),
+        "aLWK": lambda x, k, r: step_aao_landweber_kaczmarz(op, x, r, mu, k),
+        "aIRGNM": lambda x, k, r: step_aao_irgnm(op, x, r, alpha(k), prior, *cg),
         "rLW": lambda x, k, r: step_reduced_landweber(op, x, *r, mu),
         "rLWK": lambda x, k, r: step_reduced_landweber_kaczmarz(op, x, *r, mu, k),
         "rIRGNM": lambda x, k, r: step_reduced_irgnm(op, x, *r, alpha(k), prior.theta, *cg),

@@ -12,10 +12,12 @@ beyond in diagonal blocks of at most 32 points, so that both tables stay in a
 core's L2 cache (once per triple by :func:`build_triple`, and once per triple and
 tau by :func:`resolvent_tables`), and applied to nodal rows with carries between
 the blocks (:func:`solve_resolvent`), in O(n * 32), without the basis and in a
-fixed number of numpy calls.  Below the all-at-once operator's size cut the
-n x n DST-I eigenbasis q serves its marches (:func:`march_modes`) and the modal
-pairing of its joint CG (:func:`inner_state_modes`); from the cut on the
-operator marches through the resolvent tables and pairs nodal states
+fixed number of numpy calls.  Both implicit-Euler marches take the same loads
+and starts: :func:`march_modes` on modal coefficients, where every mode decays
+alone, and :func:`march_nodes` on nodal rows, one resolvent solve per step.
+Below the all-at-once operator's size cut the n x n DST-I eigenbasis q serves
+its marches and the modal pairing of its joint CG (:func:`inner_state_modes`);
+from the cut on the operator marches on nodes and pairs nodal states
 (:func:`inner_state_nodes`), and no run tabulates q, which is built on its first
 read.  Only :func:`to_modes` and :func:`from_modes` apply q.
 """
@@ -467,6 +469,21 @@ def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
     for r in range(loaded, steps, length):
         b = min(length, steps - r)
         np.multiply(tables.shrink[1 : b + 1], c[r], out=c[r + 1 : r + b + 1])
+    return c
+
+
+def march_nodes(tables: ResolventTables, tau: float, start, loads: np.ndarray, steps=None) -> np.ndarray:
+    """The march of :func:`march_modes` on nodal rows, one :func:`solve_resolvent`
+    per step with ``tables`` from :func:`resolvent_tables`: c^0 = start and
+    c^k = (I + tau K)^-1 (c^{k-1} + tau * loads[k-1]) for k = 1..steps, the loads
+    zero past their S rows (a decay); steps defaults to S."""
+    loaded = loads.shape[0]
+    steps = loaded if steps is None else steps
+    loads = tau * loads
+    c = np.empty((steps + 1, tables.points))
+    c[0] = start
+    for k in range(1, steps + 1):
+        c[k] = solve_resolvent(tables, c[k - 1] + loads[k - 1] if k <= loaded else c[k - 1])
     return c
 
 

@@ -59,7 +59,8 @@ def flat_point(point):
 def step_by_step_march(triple, grid, start, loads):
     """The implicit-Euler march in the eigenbasis taken one step at a time,
     c^k = (c^{k-1} + tau * loads[k-1]) / (1 + tau * lam), the recursion that
-    :func:`dyninv.spaces.march_modes` takes a block at a time."""
+    :func:`dyninv.spaces.march_modes` takes a block at a time and
+    :func:`dyninv.spaces.march_nodes` on nodal rows."""
     denom = 1.0 + grid.tau * triple.eigenvalues
     loads = np.broadcast_to(loads, (grid.node_count - 1, triple.interior_points))
     c = np.empty((grid.node_count, triple.interior_points))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyninv import aao
+from dyninv import aao, spaces
 from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
 from dyninv.errors import ValidationError
 from dyninv.grids import make_partition
@@ -283,13 +283,25 @@ def test_state_pairing_above_the_cut_is_inner_state(above_cut, rng):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_instance):
-    """From the size cut on, the operator builds no march tables and reads the
-    (I + tau K)^-1 tables of the reduced operator, not a copy; below, it marches."""
-    inst = above_cut[0]
-    assert inst.aao._resolvent is inst.reduced._resolvent
-    assert not hasattr(inst.aao, "_march")
-    assert not hasattr(tiny_instance.aao, "_resolvent")
+def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_instance, rng, monkeypatch):
+    """From the size cut on, the operator builds no march tables and its adjoint
+    solves with the (I + tau K)^-1 tables of the reduced operator, not a copy;
+    below, it builds march tables and its adjoint makes no resolvent solve."""
+    built, tabulate = [], aao.march_tables
+    solves, solve = [], spaces.solve_resolvent
+    monkeypatch.setattr(aao, "march_tables", lambda *args: built.append(args) or tabulate(*args))
+    # the nodal march solves through the spaces module's binding
+    monkeypatch.setattr(spaces, "solve_resolvent", lambda t, rows: solves.append(t) or solve(t, rows))
+    for inst, nodal in ((above_cut[0], True), (tiny_instance, False)):
+        built.clear()
+        op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
+        point = random_point(inst, rng)
+        resid = op.residual(point, random_data(inst, rng))
+        solves.clear()
+        op.adjoint(point, resid)
+        assert len(built) == (not nodal)
+        assert len(solves) == (2 * inst.grid.step_count if nodal else 0)
+        assert all(t is inst.reduced._resolvent for t in solves)
 
 
 def test_adjoint_initial_channel_closed_form(tiny_instance, rng):
@@ -351,10 +363,11 @@ def test_slab_adjoint_matches_dense_oracle(tiny_instance, rng, monkeypatch):
     inst = tiny_instance
     oracle = DenseOracle(inst)
     point = random_point(inst, rng)
+    probe = rng.standard_normal((inst.grid.node_count, inst.triple.interior_points))
     for nodal in (False, True):
         monkeypatch.setattr(aao, "_NODAL_FROM", inst.triple.interior_points + (not nodal))
         op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
-        assert hasattr(op, "_resolvent") == nodal
+        assert (op.from_nodes(probe) is probe) == nodal
         for j in range(inst.partition.slab_count):
             adj = oracle.aao_adjoint_matrix(point, slab=j)
             rf = rng.standard_normal(oracle.cod_dim)
@@ -434,5 +447,5 @@ def test_run_path_never_builds_the_dense_stiffness(monkeypatch, rng):
     op.residual_norms(resid)
     op.adjoint(point, resid)
     op.slab_adjoint(point, 1, resid)
-    step_aao_irgnm(op, point, y, alpha=0.5, prior=AaoPoint(state, theta), resid=resid)
+    step_aao_irgnm(op, point, resid, alpha=0.5, prior=AaoPoint(state, theta))
     norm_l2_v(inst.triple, inst.grid.tau, state.values[1:])

@@ -364,17 +364,18 @@ def test_criterion_5_method_steps_match_dense(dense_setup, rng):
     prior = zero_point(inst.triple, grid, inst.problem)
     mu = 1.0
 
-    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
+    resid = inst.aao.residual(point, y)
+    resid_flat = oracle.flatten_triple(resid)
     worst = 0.0
 
     # aLW
-    moved = step_aao_landweber(inst.aao, point, y, mu)
+    moved = step_aao_landweber(inst.aao, point, resid, mu)
     want = flat_point(point) - mu * oracle.aao_adjoint_matrix(point) @ resid_flat
     worst = max(worst, _maxgap(flat_point(moved), want, floor=1e-12))
 
     # aLWK: one step on each slab
     for j in range(2):
-        movedk = step_aao_landweber_kaczmarz(inst.aao, point, y, mu, k=j)
+        movedk = step_aao_landweber_kaczmarz(inst.aao, point, resid, mu, k=j)
         mask = _slab_mask_flat(oracle, inst.partition, j)
         want = flat_point(point) - mu * oracle.aao_adjoint_matrix(point, slab=j) @ (
             mask * resid_flat
@@ -383,7 +384,7 @@ def test_criterion_5_method_steps_match_dense(dense_setup, rng):
 
     # aIRGNM via dense normal equations
     alpha = 0.3
-    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior, cg_tol=1e-12, cg_max=5000)
+    moved = step_aao_irgnm(inst.aao, point, resid, alpha, prior, cg_tol=1e-12, cg_max=5000)
     jac = oracle.aao_derivative_matrix(point)
     adj = oracle.aao_adjoint_matrix(point)
     rhs = adj @ (jac @ (flat_point(point) - flat_point(prior)) - resid_flat)

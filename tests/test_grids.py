@@ -85,3 +85,17 @@ def test_slab_range_check():
     part = make_partition(make_time_grid(1.0, 4), 2)
     with pytest.raises(ValidationError):
         part.node_range(2)
+
+
+def test_restrict_reads_the_rows_of_nodes_0_to_n_only():
+    """P_j keeps slab j's weighted nodes of node rows 0..N, the P_j sum to the
+    identity on nodes 1..N, and any other row count is rejected."""
+    grid = make_time_grid(1.0, 6)
+    part = make_partition(grid, 3)
+    values = np.arange(1.0, 15.0).reshape(7, 2)
+    parts = [part.restrict(values, j) for j in range(3)]
+    assert np.array_equal(parts[1][3:5], values[3:5]) and not parts[1][:3].any() and not parts[1][5:].any()
+    assert np.array_equal(sum(parts)[1:], values[1:]) and not sum(parts)[0].any()
+    for rows in (6, 8):
+        with pytest.raises(ValidationError):
+            part.restrict(np.ones((rows, 2)), 0)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyninv import aao, methods, reduced
+from dyninv import aao, methods, reduced, spaces
 from dyninv.aao import AaoPoint, AllAtOnceOperator, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth
@@ -47,13 +47,14 @@ def theta_drift(problem, a, b):
 def test_landweber_methods_stationary_at_truth(newton_setup):
     inst, (theta, state, y) = newton_setup
     point = AaoPoint(state.copy(), theta.copy())
+    resid = inst.aao.residual(point, y)
 
-    moved = step_aao_landweber(inst.aao, point, y, mu=1.0)
+    moved = step_aao_landweber(inst.aao, point, resid, mu=1.0)
     assert theta_drift(inst.problem, moved.theta, theta) <= 1e-12
     assert np.max(np.abs(moved.state.values - state.values)) <= 1e-12
 
     for k in range(2):
-        moved = step_aao_landweber_kaczmarz(inst.aao, point, y, 1.0, k)
+        moved = step_aao_landweber_kaczmarz(inst.aao, point, resid, 1.0, k)
         assert theta_drift(inst.problem, moved.theta, theta) <= 1e-12
 
     z = Trajectory(inst.grid, np.zeros_like(y.values), "observation")
@@ -68,7 +69,7 @@ def test_irgnm_stationary_with_prior_at_truth(newton_setup):
     inst, (theta, state, y) = newton_setup
     point = AaoPoint(state.copy(), theta.copy())
     prior = AaoPoint(state.copy(), theta.copy())
-    moved = step_aao_irgnm(inst.aao, point, y, alpha=0.5, prior=prior)
+    moved = step_aao_irgnm(inst.aao, point, inst.aao.residual(point, y), alpha=0.5, prior=prior)
     assert theta_drift(inst.problem, moved.theta, theta) <= 1e-10
     z = Trajectory(inst.grid, np.zeros_like(y.values), "observation")
     new_theta = step_reduced_irgnm(inst.reduced, theta, z, state, 0.5, theta.copy())
@@ -81,7 +82,7 @@ def test_zero_stepsize_is_identity(newton_setup, rng):
         Trajectory(inst.grid, rng.standard_normal(state.values.shape), "state"),
         rng.standard_normal(8),
     )
-    moved = step_aao_landweber(inst.aao, point, y, mu=0.0)
+    moved = step_aao_landweber(inst.aao, point, inst.aao.residual(point, y), mu=0.0)
     np.testing.assert_array_equal(moved.state.values, point.state.values)
     np.testing.assert_array_equal(moved.theta, point.theta)
 
@@ -94,8 +95,9 @@ def test_aao_landweber_step_matches_dense(newton_setup):
     oracle = DenseOracle(inst)
     point = zero_point(inst.triple, inst.grid, inst.problem)
     mu = 1.0
-    moved = step_aao_landweber(inst.aao, point, y, mu)
-    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
+    resid = inst.aao.residual(point, y)
+    moved = step_aao_landweber(inst.aao, point, resid, mu)
+    resid_flat = oracle.flatten_triple(resid)
     adj = oracle.aao_adjoint_matrix(point)
     dense_new = flat_point(point) - mu * adj @ resid_flat
     got = flat_point(moved)
@@ -121,10 +123,11 @@ def test_aao_irgnm_step_matches_dense_solve(newton_setup):
     point = zero_point(inst.triple, inst.grid, inst.problem)
     prior = zero_point(inst.triple, inst.grid, inst.problem)
     alpha = 0.3
-    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior, cg_tol=1e-12, cg_max=3000)
+    resid = inst.aao.residual(point, y)
+    moved = step_aao_irgnm(inst.aao, point, resid, alpha, prior, cg_tol=1e-12, cg_max=3000)
     jac = oracle.aao_derivative_matrix(point)
     adj = oracle.aao_adjoint_matrix(point)
-    resid_flat = oracle.flatten_triple(inst.aao.residual(point, y))
+    resid_flat = oracle.flatten_triple(resid)
     shift = flat_point(point) - flat_point(prior)
     rhs = adj @ (jac @ shift - resid_flat)
     normal = adj @ jac + alpha * np.eye(oracle.dom_dim)
@@ -163,7 +166,7 @@ def test_irgnm_huge_alpha_pins_to_prior(newton_setup, rng):
     )
     prior = zero_point(inst.triple, inst.grid, inst.problem)
     alpha = 1e12
-    moved = step_aao_irgnm(inst.aao, point, y, alpha, prior)
+    moved = step_aao_irgnm(inst.aao, point, inst.aao.residual(point, y), alpha, prior)
     shift_norm = np.sqrt(
         inner_state(inst.triple, moved.state, moved.state)
         + inst.problem.inner_theta(moved.theta, moved.theta)
@@ -196,7 +199,8 @@ def test_irgnm_linear_consistent_recovers_truth(rng):
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
     start = zero_point(inst.triple, inst.grid, inst.problem)
     prior = AaoPoint(state.copy(), theta.copy())  # consistent linear system
-    moved = step_aao_irgnm(inst.aao, start, y, alpha=1e-8, prior=prior, cg_tol=1e-12, cg_max=2000)
+    resid = inst.aao.residual(start, y)
+    moved = step_aao_irgnm(inst.aao, start, resid, alpha=1e-8, prior=prior, cg_tol=1e-12, cg_max=2000)
     assert inst.problem.norm_theta(moved.theta - theta) <= 1e-6
 
 
@@ -448,7 +452,7 @@ def test_aao_kaczmarz_full_sweep_matches_dense(newton_setup):
             mask[blk : blk + 8] = 1.0
         mask[blk + 8 :] = np.repeat(nodes[1:], 8)
         flat = flat - mu * oracle.aao_adjoint_matrix(dense_point, slab=j) @ (mask * resid_flat)
-        point = step_aao_landweber_kaczmarz(inst.aao, point, y, mu, k)
+        point = step_aao_landweber_kaczmarz(inst.aao, point, inst.aao.residual(point, y), mu, k)
     got = flat_point(point)
     assert np.max(np.abs(got - flat)) <= 1e-12 * max(np.max(np.abs(flat)), 1e-12)
 
@@ -720,14 +724,15 @@ def test_reduced_slab_adjoint_sweeps_from_the_slabs_last_node(policy, solve, mon
 
 
 def test_aao_slab_adjoint_above_the_cut_sweeps_from_the_slabs_last_node(above_cut, monkeypatch):
-    """From the size cut on, the slab adjoint makes one one-row resolvent solve
-    per step of its backward sweep, from the slab's last node hi down, and per
-    step of its full-length forward sweep: hi + N; the full adjoint makes 2N."""
+    """From the size cut on, the slab adjoint's nodal march makes one one-row
+    resolvent solve per step of its backward sweep, from the slab's last node hi
+    down, and per step of its full-length forward sweep: hi + N; the full
+    adjoint makes 2N, counted in the spaces module, where the march solves."""
     inst, (theta, state, y) = above_cut
     op, part, steps, n = inst.aao, inst.partition, inst.grid.step_count, inst.triple.interior_points
     point = AaoPoint(state, 0.5 * theta)
     resid = op.residual(point, y)
-    calls = _recorded_calls(monkeypatch, aao, "solve_resolvent")
+    calls = _recorded_calls(monkeypatch, spaces, "solve_resolvent")
     op.adjoint(point, resid)
     assert [rows.shape for _, rows in calls] == [(n,)] * 2 * steps
     for j in range(part.slab_count):
@@ -749,7 +754,7 @@ def test_aao_sides_of_the_size_cut_agree(monkeypatch, cg_counts):
         monkeypatch.setattr(aao, "_NODAL_FROM", cut)
         op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
         sides.append(replace(inst, aao=op))
-    assert [hasattr(side.aao, "_march") for side in sides] == [True, False]
+    assert [side.aao.from_nodes(y.values) is y.values for side in sides] == [False, True]
     configs = (
         MethodConfig(tag="aLW", stepsize="norm", k_max=300),
         MethodConfig(tag="aLWK", m=2, stepsize="norm", k_max=300),
@@ -819,7 +824,7 @@ def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
     )
     prior = zero_point(inst.triple, grid, inst.problem)
     for alpha in (1.0, 0.4, 1e-2):
-        got = step_aao_irgnm(op, point, y, alpha, prior, cg_max=2000)
+        got = step_aao_irgnm(op, point, op.residual(point, y), alpha, prior, cg_max=2000)
         want, its = nodal_irgnm_step(op, point, y, alpha, prior, cg_max=2000)
         assert cg_counts.pop() == its
         for a, b in ((got.state.values, want.state.values), (got.theta, want.theta)):

@@ -1,5 +1,6 @@
 import inspect
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dyninv.spaces import (
     inner_dual_load,
     inner_state,
     march_modes,
+    march_nodes,
     march_tables,
     norm_dual_load,
     norm_l2_v,
@@ -300,9 +302,22 @@ def test_evolutions_dense_transpose():
     assert np.max(np.abs(bwd - fwd.T)) <= 1e-12 * np.max(np.abs(fwd))
 
 
+def both_marches(triple, grid, steps):
+    """(march, coords, no loads) of each kernel: march_modes, and march_nodes,
+    whose start and loads are the nodal rows coords gives of modal ones.  No
+    loads over all N steps are the scalar 0 for march_modes, which needs at
+    least one load row, and an empty load block for march_nodes."""
+    modal = partial(march_modes, march_tables(triple, grid))
+    nodal = partial(march_nodes, resolvent_tables(triple, grid.tau), grid.tau)
+    no_rows = np.empty((0, triple.interior_points))
+    return (modal, lambda c: c, (0.0,)), (nodal, partial(from_modes, triple), (no_rows, steps))
+
+
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300)])
 def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
-    """The blocked march reproduces the march taken one step at a time.
+    """Both marches, the blocked modal one and the nodal one, reproduce the
+    march taken one step at a time: over all N load rows, over the first
+    slab of them with the decay past it, and with no loads at all.
 
     On the longest horizon the powers of the fastest decay factors fall far
     below the smallest normal double.
@@ -312,17 +327,28 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
     denom = 1.0 + grid.tau * triple.eigenvalues
     start = rng.standard_normal(n_x)
     loads = rng.standard_normal((steps, n_x))
+    slab = -(-steps // 3)
     want = np.empty((steps + 1, n_x))
     decay = np.empty((steps + 1, n_x))
     want[0] = decay[0] = start
     for k in range(1, steps + 1):
         want[k] = (want[k - 1] + grid.tau * loads[k - 1]) / denom
         decay[k] = decay[k - 1] / denom
-    tables = march_tables(triple, grid)
-    got = march_modes(tables, start, loads)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    np.testing.assert_allclose(march_modes(tables, start, 0.0), decay, rtol=1e-13, atol=1e-300)
+    padded = np.concatenate((loads[:slab], np.zeros((steps - slab, n_x))))
+    want_slab = step_by_step_march(triple, grid, start, padded)
+    for march, coords, no_loads in both_marches(triple, grid, steps):
+        for got, ref in (
+            (march(coords(start), coords(loads)), coords(want)),
+            (march(coords(start), coords(loads[:slab]), steps), coords(want_slab)),
+        ):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        got = march(coords(start), *no_loads)
+        if march.func is march_modes:  # every mode decays alone, to its own relative accuracy
+            np.testing.assert_allclose(got, decay, rtol=1e-13, atol=1e-300)
+        else:  # nodal rows mix the modes: each row to its own relative accuracy
+            ref = coords(decay)
+            assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-13 * np.max(np.abs(ref), axis=1))
 
 
 @pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
@@ -347,18 +373,22 @@ def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
 
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (30, 50), (100, 100), (40, 300)])
 def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
-    """The blocked march agrees with the step-by-step recursion from a start,
-    from loads and from both, over one block and, at (100, 100) by the range
-    bound and at (40, 300) by the cap, over several."""
+    """Both marches agree with the step-by-step recursion from a start, from
+    loads and from both; the modal march over one block and, at (100, 100) by
+    the range bound and at (40, 300) by the cap, over several."""
     triple = build_triple(n_x)
     grid = make_time_grid(0.5, steps)
     start = rng.standard_normal(n_x)
     loads = rng.standard_normal((steps, n_x))
-    tables = march_tables(triple, grid)
-    assert (tables.growth.shape[0] < steps) == (steps >= 100)
-    for args in ((start, loads), (start, 0.0), (0.0, loads)):
-        got, want = march_modes(tables, *args), step_by_step_march(triple, grid, *args)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert (march_tables(triple, grid).growth.shape[0] < steps) == (steps >= 100)
+    for march, coords, no_loads in both_marches(triple, grid, steps):
+        for got, args in (
+            (march(coords(start), coords(loads)), (start, loads)),
+            (march(coords(start), *no_loads), (start, 0.0)),
+            (march(0.0, coords(loads)), (0.0, loads)),
+        ):
+            want = coords(step_by_step_march(triple, grid, *args))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("horizon, length", [(1e-30, 128), (2e200, 1)])
