@@ -442,8 +442,8 @@ def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
 
     Returns c of shape (steps + 1, width) with c^0 = start and c^k =
     (c^{k-1} + tau * loads[k-1]) / d for k = 1..steps, the loads zero past their
-    S >= 1 rows (a scalar loads all N = node_count - 1 steps); steps defaults to
-    S.  start and loads are modal coefficients (:func:`to_modes` of nodal rows).
+    S rows (a scalar loads all N = node_count - 1 steps; S = 0 is a decay);
+    steps defaults to S.  start and loads are modal coefficients (:func:`to_modes` of nodal rows).
     ``tables`` comes from :func:`march_tables`: an operator that marches often
     tabulates once, any other caller builds them for the call.
     From the carry c^r a block of B steps is the scaled prefix sum
@@ -458,10 +458,11 @@ def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
     steps = loaded if steps is None else steps
     length = tables.growth.shape[0]
     c = np.empty((steps + 1, tables.shrink.shape[1]))
+    c[0] = start
     x = np.empty(tables.shrink.shape)
     for r in range(0, loaded, length):
         b = min(length, loaded - r)
-        x[0] = c[r] if r else start
+        x[0] = c[r]
         np.multiply(tables.growth[:b], loads if scalar else loads[r : r + b], out=x[1 : b + 1])
         block = c[r : r + b + 1]
         np.matmul(tables.prefix[: b + 1, : b + 1], x[: b + 1], out=block)

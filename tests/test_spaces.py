@@ -303,14 +303,14 @@ def test_evolutions_dense_transpose():
 
 
 def both_marches(triple, grid, steps):
-    """(march, coords, no loads) of each kernel: march_modes, and march_nodes,
-    whose start and loads are the nodal rows coords gives of modal ones.  No
-    loads over all N steps are the scalar 0 for march_modes, which needs at
-    least one load row, and an empty load block for march_nodes."""
+    """(march, coords, ways to load nothing) of each kernel: march_modes, and
+    march_nodes, whose start and loads are the nodal rows coords gives of modal
+    ones.  No loads over all N steps are an empty load block marched for N
+    steps, and for march_modes also the scalar 0."""
     modal = partial(march_modes, march_tables(triple, grid))
     nodal = partial(march_nodes, resolvent_tables(triple, grid.tau), grid.tau)
-    no_rows = np.empty((0, triple.interior_points))
-    return (modal, lambda c: c, (0.0,)), (nodal, partial(from_modes, triple), (no_rows, steps))
+    empty = (np.empty((0, triple.interior_points)), steps)
+    return (modal, lambda c: c, ((0.0,), empty)), (nodal, partial(from_modes, triple), (empty,))
 
 
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300)])
@@ -343,12 +343,13 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
         ):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        got = march(coords(start), *no_loads)
-        if march.func is march_modes:  # every mode decays alone, to its own relative accuracy
-            np.testing.assert_allclose(got, decay, rtol=1e-13, atol=1e-300)
-        else:  # nodal rows mix the modes: each row to its own relative accuracy
-            ref = coords(decay)
-            assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-13 * np.max(np.abs(ref), axis=1))
+        for args in no_loads:
+            got = march(coords(start), *args)
+            if march.func is march_modes:  # every mode decays alone, to its own relative accuracy
+                np.testing.assert_allclose(got, decay, rtol=1e-13, atol=1e-300)
+            else:  # nodal rows mix the modes: each row to its own relative accuracy
+                ref = coords(decay)
+                assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-13 * np.max(np.abs(ref), axis=1))
 
 
 @pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
@@ -384,7 +385,7 @@ def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
     for march, coords, no_loads in both_marches(triple, grid, steps):
         for got, args in (
             (march(coords(start), coords(loads)), (start, loads)),
-            (march(coords(start), *no_loads), (start, 0.0)),
+            *((march(coords(start), *none), (start, 0.0)) for none in no_loads),
             (march(0.0, coords(loads)), (0.0, loads)),
         ):
             want = coords(step_by_step_march(triple, grid, *args))
