@@ -178,21 +178,18 @@ class AllAtOnceOperator:
         return solve_resolvent(self.triple.green, resid.model.values[1:])
 
     def derivative(self, point: AaoPoint, dstate: Trajectory, dtheta: np.ndarray) -> ResidualTriple:
-        """Directional derivative applied to (dstate, dtheta); exactly linear.  Its
-        initial and observation rows copy du^0 and du, which may view a CG vector."""
+        """Directional derivative applied to (dstate, dtheta); exactly linear.
+
+        Model row w^n = (du^n - du^{n-1})/tau - f_u(u^n) du^n - dtheta, theta
+        being the nodal source.  The initial and observation rows copy du^0 and
+        du, which may view a CG vector."""
         u = point.state.values
         theta = point.theta
         du = dstate.values
         dtheta = np.asarray(dtheta, dtype=float)
-        tau = self.grid.tau
-        t = self._t
-        jac = self.problem.apply_jac
         w = np.zeros_like(du)
-        w[1:] = (
-            (du[1:] - du[:-1]) / tau
-            - jac("f_u", "forward", t[1:], u[1:], theta, du[1:])
-            - jac("f_theta", "forward", t[1:], u[1:], theta, dtheta)
-        )
+        f_u = self.problem.apply_jac(self._t[1:], u[1:], theta, du[1:])
+        w[1:] = (du[1:] - du[:-1]) / self.grid.tau - f_u - dtheta
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
             du[0].copy(),
@@ -212,7 +209,7 @@ class AllAtOnceOperator:
 
         Returns the state direction (shape (node_count, width)) via one
         backward and one forward stiffness evolution and the parameter
-        direction via right-endpoint quadrature of the adjoint integrands.
+        direction -tau * sum of the rows of K^{-1} w that the nodes read.
         A slab's ``nodes`` = (lo, hi) (its ``node_range``) read the model and
         observation rows on nodes lo+1..hi and the initial row if lo = 0: the
         adjoint of P_j resid.  The default (0, N) reads every row.  Below the
@@ -251,7 +248,7 @@ class AllAtOnceOperator:
         loads[lo:] += coords[slab : 2 * slab]
         dh = self._march(ph[0] + coords[-1] if lo == 0 else ph[0], loads, steps)
 
-        dtheta = self.problem.apply_jac("f_theta", "adjoint", t, u, theta, iw).sum(axis=0)
+        dtheta = iw.sum(axis=0)
         dtheta *= -self.grid.tau
         return dh, dtheta
 

@@ -197,7 +197,7 @@ def make_instance(n_x, n_t, horizon, gain, m=1, policy="imex") -> ProblemInstanc
 
 
 def synthesize_truth(instance: ProblemInstance, kind="sine", amplitude=0.1):
-    """Exact parameter on the interior nodes plus its state and observation.
+    """Exact parameter on the interior nodes, its state and its observation, a copy of the state.
 
     The state is marched with the fully implicit solver so the pair satisfies
     the discrete model equation to Newton tolerance; this makes the truth an
@@ -209,8 +209,7 @@ def synthesize_truth(instance: ProblemInstance, kind="sine", amplitude=0.1):
     theta = amplitude * np.sin(2.0 * np.pi * x)
     solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
     state = solver.solve_state(theta)
-    y = solver.observe(state)
-    return theta, state, y
+    return theta, state, Trajectory(grid, state.values.copy(), "observation")
 
 
 def check_truth_kind(kind):
@@ -259,7 +258,7 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     y_pert, c_est = y, 0.0
     if delta_w > 0:
         solver = ReducedOperator(instance.problem, triple, grid, policy="newton")
-        y_pert = solver.observe(solver.solve_state(theta_truth, perturbation=w_noise))
+        y_pert = solver.solve_state(theta_truth, perturbation=w_noise)
         shift = Trajectory(grid, y.values - y_pert.values, "observation")
         c_est = norm_observation(triple, shift) / delta_w
     y_noisy = Trajectory(grid, y_pert.values + z_noise.values, "observation")
@@ -475,11 +474,11 @@ def selftest(verbose=True) -> bool:
         checks.append((f"reduced adjoint vs dense ({op.policy})", gap, 1e-11))
 
     xi = 0.1 * rng.standard_normal(inst.problem.n_theta)
-    y0, s0 = newton.forward(theta0)
-    lin = newton.derivative(theta0, s0, xi)
+    y0 = newton.solve_state(theta0)
+    lin = newton.derivative(theta0, y0, xi)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
-        y1, _ = newton.forward(theta0 + eps * xi)
+        y1 = newton.solve_state(theta0 + eps * xi)
         diff = Trajectory(inst.grid, y1.values - y0.values - eps * lin.values, "observation")
         errs.append(norm_observation(inst.triple, diff))
     order = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))

@@ -330,7 +330,7 @@ def run(
     grid, triple, problem = instance.grid, instance.triple, instance.problem
     _check_trajectory(y_data, grid, triple, "observation data")
     if truth is not None:
-        truth_theta = _check_theta(truth[0], problem, "truth parameter")
+        truth_theta = problem.check_theta(truth[0], "truth parameter")
         truth_rows = _check_trajectory(truth[1], grid, triple, "truth state").values[1:]
 
     if tag in AAO_TAGS:
@@ -339,7 +339,7 @@ def run(
             raise ValidationError(f"{tag} starts from a joint point, got {type(start).__name__}")
         x = zero_point(triple, grid, problem) if start is None else AaoPoint(
             _check_trajectory(start.state, grid, triple, "start state"),
-            _check_theta(start.theta, problem, "start parameter"),
+            problem.check_theta(start.theta, "start parameter"),
         )
 
         def evaluate(point):
@@ -347,11 +347,11 @@ def run(
             return op.residual_norms(resid), point.theta, point.state, resid
     else:
         op = instance.reduced
-        x = np.zeros(problem.n_theta) if start is None else _check_theta(start, problem, "start").copy()
+        x = np.zeros(problem.n_theta) if start is None else problem.check_theta(start, "start").copy()
 
         def evaluate(theta):
-            y_pred, state = op.forward(theta)
-            z = Trajectory(grid, y_pred.values - y_data.values, "observation")
+            state = op.solve_state(theta)
+            z = Trajectory(grid, state.values - y_data.values, "observation")
             res_y = norm_observation(triple, z)
             return (0.0, 0.0, res_y, res_y), theta, state, (z, state)
 
@@ -425,13 +425,6 @@ def _check_trajectory(traj, grid, triple, name):
     if not (isinstance(traj, Trajectory) and traj.grid == grid and traj.values.shape == shape):
         raise ValidationError(f"{name} must be a trajectory of shape {shape} on the run's grid")
     return traj
-
-
-def _check_theta(theta, problem, name):
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (problem.n_theta,):
-        raise ValidationError(f"{name} must have shape ({problem.n_theta},), got {theta.shape}")
-    return theta
 
 
 def _resolve_prior(config, triple, grid, problem):

@@ -1,16 +1,16 @@
 """Reduced formulation: parameter-to-state map, sensitivities and adjoints.
 
 The state solve eliminates the model equation.  The problem observes the state
-in full from a zero start, so the observation is a copy of the state, the
-derivative is the sensitivity, and theta reaches the adjoint through f_theta
-alone.  The sensitivity is the exact derivative of the step the state solve
-runs under the operator's policy:
+in full from a zero start and theta is the nodal source, so the observation is
+the state, the derivative is the sensitivity, and each step's source direction
+is xi itself.  The sensitivity is the exact derivative of the step the state
+solve runs under the operator's policy:
 
-- 'imex': v^k = R (v^{k-1} + tau r_u(u^{k-1}) v^{k-1} + tau f_theta xi) with
-  the constant resolvent R = (I + tau K)^{-1}, and the diagonal reaction slope
+- 'imex': v^k = R (v^{k-1} + tau r_u(u^{k-1}) v^{k-1} + tau xi) with the
+  constant resolvent R = (I + tau K)^{-1}, and the diagonal reaction slope
   r_u taken at the old time level, as the step takes the reaction;
-- 'newton': (I - tau f_u(u^k)) v^k = v^{k-1} + tau f_theta xi, the fully
-  implicit step with coefficients frozen at the new time level.
+- 'newton': (I - tau f_u(u^k)) v^k = v^{k-1} + tau xi, the fully implicit
+  step with coefficients frozen at the new time level.
 
 Neither policy assembles or factors a system matrix.  The reaction is
 pointwise, so f_u = -K + diag(r_u): every newton matrix
@@ -24,9 +24,9 @@ closed-form Green's matrix of I + tau K, which the operator tabulates once
 and beyond, in blocks of at most 32 points, a fixed number of batched products
 per step, whatever the block count.
 
-The adjoint is its exact discrete transpose (a backward sweep with the
-transposed step maps, followed by right-endpoint quadrature of the f_theta
-terms).  A slab map is the full map followed by the slab restriction P_j of
+The adjoint is its exact discrete transpose: a backward sweep with the
+transposed step maps, then tau times the sum of the multipliers of steps
+1..N.  A slab map is the full map followed by the slab restriction P_j of
 :meth:`ReducedOperator.slab_restrict`, so the slab adjoint is the full adjoint
 of P_j z.  Its sweep is loaded with z on the slab alone and starts at the slab's
 last node, above which every multiplier is zero; the full adjoint is the span (0, N).
@@ -87,8 +87,9 @@ class ReducedOperator:
 
     def solve_state(self, theta, perturbation=None) -> Trajectory:
         """March the nonlinear evolution from zero over the whole horizon; an
-        optional model ``perturbation`` (noisy-data synthesis only) joins f."""
-        theta = np.asarray(theta, dtype=float)
+        optional model ``perturbation`` (noisy-data synthesis only) joins f.
+        The state is also the observation."""
+        theta = self.problem.check_theta(theta)
         pvals = perturbation.values if perturbation is not None else None
         n = self.triple.interior_points
         steps, tau = self.grid.step_count, self.grid.tau
@@ -120,15 +121,6 @@ class ReducedOperator:
             v = v - solve_shifted_stiffness(self.triple, tau, shift, res, step=k)
         raise SolverError(f"Newton stalled at time step {k}", step=k)
 
-    def observe(self, state: Trajectory) -> Trajectory:
-        """The full observation: a copy of the state."""
-        return Trajectory(self.grid, state.values.copy(), "observation")
-
-    def forward(self, theta) -> tuple[Trajectory, Trajectory]:
-        """Observation of the state solve; the state is returned for reuse."""
-        state = self.solve_state(theta)
-        return self.observe(state), state
-
     # -- linearizations ------------------------------------------------------------
 
     def solve_sensitivity(self, theta, state: Trajectory, xi) -> Trajectory:
@@ -143,15 +135,12 @@ class ReducedOperator:
         imex = self.policy == "imex"
         u_f = self._f_rows(u)
         slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
-        src = np.broadcast_to(
-            tau * self.problem.apply_jac("f_theta", "forward", self._t[1:], u_f, theta, xi),
-            slope.shape,
-        )
+        src = tau * xi
         for k in range(1, self.grid.step_count + 1):
             if imex:
-                v = solve_resolvent(self._resolvent, v + slope[k - 1] * v + src[k - 1])
+                v = solve_resolvent(self._resolvent, v + slope[k - 1] * v + src)
             else:
-                v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src[k - 1], k)
+                v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
             out[k] = v
         return Trajectory(self.grid, out, "state")
 
@@ -190,12 +179,10 @@ class ReducedOperator:
         return Trajectory(self.grid, self.solve_sensitivity(theta, state, xi).values, "observation")
 
     def adjoint(self, theta, state: Trajectory, z: Trajectory, nodes=None) -> np.ndarray:
-        """Parameter-space adjoint: quadrature of the f_theta^T p integrands (p over ``nodes``)."""
+        """Parameter-space adjoint: tau times the sum of the multipliers p^1..p^N
+        (p over ``nodes``)."""
         p = self.solve_adjoint(theta, state, z, nodes)
-        terms = self.problem.apply_jac(
-            "f_theta", "adjoint", self._t[1:], self._f_rows(state.values), theta, p.values[1:]
-        )
-        return self.grid.tau * np.sum(terms, axis=0)
+        return self.grid.tau * np.sum(p.values[1:], axis=0)
 
     def _f_rows(self, u):
         """Rows of u where steps 1..N take f: old states under imex, new under newton."""

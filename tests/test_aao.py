@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import positive_theta, spectral_adjoint
+from conftest import CubicReaction, positive_theta, spectral_adjoint
 
 
 def random_point(instance, rng, scale=0.3):
@@ -174,23 +176,19 @@ def test_linear_problem_residual_is_affine(rng):
             assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
 
-def test_derivative_taylor_order(tiny_instance, rng):
-    op = tiny_instance.aao
-    grid = tiny_instance.grid
-    state = Trajectory(grid, 0.5 + 0.2 * rng.random((grid.node_count, 8)), "state")
-    point = AaoPoint(state, positive_theta(tiny_instance.triple))
-    dstate = Trajectory(grid, 0.1 + 0.05 * rng.random((grid.node_count, 8)), "state")
-    dtheta = 0.1 * rng.random(8)
-    data = zero_data(tiny_instance)
+def residual_taylor_orders(op, point, dstate, dtheta, data):
+    """Convergence orders of the residual's first-order Taylor remainder along
+    (dstate, dtheta) at eps = 1e-1, 1e-2, 1e-3: 2 for an exact derivative."""
+    grid = op.grid
+    r0 = op.residual(point, data)
+    lin = op.derivative(point, dstate, dtheta)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         moved = AaoPoint(
-            Trajectory(grid, state.values + eps * dstate.values, "state"),
+            Trajectory(grid, point.state.values + eps * dstate.values, "state"),
             point.theta + eps * dtheta,
         )
         r1 = op.residual(moved, data)
-        r0 = op.residual(point, data)
-        lin = op.derivative(point, dstate, dtheta)
         diff = ResidualTriple(
             Trajectory(grid, r1.model.values - r0.model.values - eps * lin.model.values, "dual_load"),
             r1.initial - r0.initial - eps * lin.initial,
@@ -201,7 +199,16 @@ def test_derivative_taylor_order(tiny_instance, rng):
             ),
         )
         errs.append(op.residual_norms(diff)[3])
-    orders = [np.log10(errs[i] / errs[i + 1]) for i in range(2)]
+    return [np.log10(errs[i] / errs[i + 1]) for i in range(2)]
+
+
+def test_derivative_taylor_order(tiny_instance, rng):
+    grid = tiny_instance.grid
+    state = Trajectory(grid, 0.5 + 0.2 * rng.random((grid.node_count, 8)), "state")
+    point = AaoPoint(state, positive_theta(tiny_instance.triple))
+    dstate = Trajectory(grid, 0.1 + 0.05 * rng.random((grid.node_count, 8)), "state")
+    dtheta = 0.1 * rng.random(8)
+    orders = residual_taylor_orders(tiny_instance.aao, point, dstate, dtheta, zero_data(tiny_instance))
     assert min(orders) >= 1.9
 
 
@@ -267,6 +274,36 @@ def test_adjoint_dot_product_above_the_cut(above_cut, rng):
         lhs = op.inner_residual(lin, resid)
         rhs = inner_state(inst.triple, dstate, astate) + op.problem.inner_theta(dtheta, atheta)
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-10
+
+
+@pytest.mark.parametrize("cut", [10**9, 1], ids=["modal", "nodal"])
+def test_a_problem_stating_its_reaction_slope_once_gets_exact_linearizations(cut, tiny_instance, rng, monkeypatch):
+    """A problem that states an extra reaction in f, the reaction and its slope
+    alone (:class:`CubicReaction`) gets the derivative of the residual that
+    runs and its exact transpose, in both state coordinates: the derivative
+    and the adjoint read f_u from the slope alone."""
+    monkeypatch.setattr(aao, "_NODAL_FROM", cut)
+    triple, grid = tiny_instance.triple, tiny_instance.grid
+    problem = CubicReaction(triple, gain=10.0)
+    op = AllAtOnceOperator(problem, triple, grid, tiny_instance.partition)
+    inst = replace(tiny_instance, problem=problem, aao=op)
+    state = Trajectory(grid, 0.5 + 0.2 * rng.random((grid.node_count, 8)), "state")
+    point = AaoPoint(state, positive_theta(triple))
+    dstate = Trajectory(grid, 0.1 + 0.05 * rng.random((grid.node_count, 8)), "state")
+    assert min(residual_taylor_orders(op, point, dstate, 0.1 * rng.random(8), zero_data(inst))) >= 1.9
+    oracle = DenseOracle(inst)
+    adj = oracle.aao_adjoint_matrix(point)
+    for _ in range(5):
+        dstate = Trajectory(grid, rng.standard_normal(state.values.shape), "state")
+        dtheta = rng.standard_normal(8)
+        resid = random_triple(inst, rng)
+        lhs = op.inner_residual(op.derivative(point, dstate, dtheta), resid)
+        astate, atheta = op.adjoint(point, resid)
+        rhs = inner_state(triple, dstate, astate) + problem.inner_theta(dtheta, atheta)
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-10
+        want = adj @ oracle.flatten_triple(resid)
+        got = np.concatenate([astate.values.ravel(), atheta])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_state_pairing_above_the_cut_is_inner_state(above_cut, rng):

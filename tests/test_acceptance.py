@@ -257,11 +257,11 @@ def test_criterion_4_taylor_orders():
     imex = ReducedOperator(inst.problem, inst.triple, grid, policy="imex")
     red_orders = {}
     for op in (inst.reduced, imex):
-        y0, s0 = op.forward(theta)
-        lin = op.derivative(theta, s0, xi)
+        y0 = op.solve_state(theta)
+        lin = op.derivative(theta, y0, xi)
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
-            y1, _ = op.forward(theta + eps * xi)
+            y1 = op.solve_state(theta + eps * xi)
             diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
             errs.append(norm_observation(inst.triple, diff))
         red_orders[op.policy] = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))
@@ -319,7 +319,7 @@ def test_criterion_5_residual_and_linearizations(dense_setup, rng):
 
     # reduced chain: forward value against a dense implicit-Euler reimplementation
     theta = 0.3 + 0.1 * np.sin(2 * np.pi * truth_nodes(triple))
-    yv, state = inst.reduced.forward(theta)
+    state = inst.reduced.solve_state(theta)
     u_dense = np.zeros((7, 8))
     eye = np.eye(8)
     for n in range(1, 7):
@@ -393,8 +393,8 @@ def test_criterion_5_method_steps_match_dense(dense_setup, rng):
 
     # reduced steps
     theta0 = np.zeros(8)
-    y_pred, state0 = inst.reduced.forward(theta0)
-    z = Trajectory(grid, y_pred.values - y.values, "observation")
+    state0 = inst.reduced.solve_state(theta0)
+    z = Trajectory(grid, state0.values - y.values, "observation")
     adj_r = oracle.reduced_adjoint_matrix(theta0, state0)
     got = step_reduced_landweber(inst.reduced, theta0, z, state0, mu)
     want = theta0 - mu * adj_r @ oracle.flatten_obs(z)

@@ -21,3 +21,5 @@ def test_tracer_finds_and_removes_every_wrapped_name():
         assert tracer.uninstall()
     assert tracer.calls["harness.selftest"] == 1
     assert tracer.calls["aao.adjoint"] > 0
+    # the all-at-once derivative applies f_u through the hook the tracer wraps
+    assert tracer.calls["problem.apply_jac"] > 0

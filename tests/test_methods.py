@@ -109,8 +109,8 @@ def test_reduced_landweber_step_matches_dense(newton_setup):
     oracle = DenseOracle(inst)
     op = inst.reduced
     theta = np.zeros(8)
-    y_pred, state = op.forward(theta)
-    z = Trajectory(inst.grid, y_pred.values - y.values, "observation")
+    state = op.solve_state(theta)
+    z = Trajectory(inst.grid, state.values - y.values, "observation")
     got = step_reduced_landweber(op, theta, z, state, mu=1.0)
     adj = oracle.reduced_adjoint_matrix(theta, state)
     want = theta - adj @ oracle.flatten_obs(z)
@@ -143,8 +143,8 @@ def test_reduced_irgnm_step_matches_dense_solve(newton_setup):
     op = inst.reduced
     theta = 0.02 * np.ones(8)
     theta_bar = np.zeros(8)
-    y_pred, state = op.forward(theta)
-    z = Trajectory(inst.grid, y_pred.values - y.values, "observation")
+    state = op.solve_state(theta)
+    z = Trajectory(inst.grid, state.values - y.values, "observation")
     alpha = 0.1
     got = step_reduced_irgnm(op, theta, z, state, alpha, theta_bar, cg_tol=1e-12, cg_max=2000)
     jac = oracle.reduced_derivative_matrix(theta, state)
@@ -208,8 +208,8 @@ def test_irgnm_normal_equation_residual_within_cg_tol(newton_setup):
     inst, (theta, state, y) = newton_setup
     op = inst.reduced
     theta0 = np.zeros(8)
-    y_pred, st = op.forward(theta0)
-    z = Trajectory(inst.grid, y_pred.values - y.values, "observation")
+    st = op.solve_state(theta0)
+    z = Trajectory(inst.grid, st.values - y.values, "observation")
     alpha, tol = 0.05, 1e-8
     theta1 = step_reduced_irgnm(op, theta0, z, st, alpha, np.zeros(8), cg_tol=tol, cg_max=1000)
     # recompute the normal-equation residual at the returned point
@@ -403,13 +403,13 @@ def test_run_irgnm_steps_receive_the_alpha_schedule(newton_setup, monkeypatch):
 def test_reduced_norm_stepsize_reads_the_first_evaluations_state(newton_setup, monkeypatch):
     """The "norm" stepsize estimate reads the state of run's first evaluation."""
     inst, (theta, state, y) = newton_setup
-    calls, forward = [], ReducedOperator.forward
+    calls, solve_state = [], ReducedOperator.solve_state
 
     def counted(self, theta):
         calls.append(theta)
-        return forward(self, theta)
+        return solve_state(self, theta)
 
-    monkeypatch.setattr(ReducedOperator, "forward", counted)
+    monkeypatch.setattr(ReducedOperator, "solve_state", counted)
     run(MethodConfig(tag="rLW", k_max=0, stepsize="norm"), inst, y, delta=0.0)
     assert len(calls) == 1
 
@@ -512,7 +512,7 @@ def test_run_rejects_malformed_inputs_before_any_iteration(tag, newton_setup, mo
         raise AssertionError("run evaluated an iterate of malformed input")
 
     monkeypatch.setattr(AllAtOnceOperator, "residual", evaluated)
-    monkeypatch.setattr(ReducedOperator, "forward", evaluated)
+    monkeypatch.setattr(ReducedOperator, "solve_state", evaluated)
     cfg = MethodConfig(tag=tag, k_max=20, m=2 if tag.endswith("LWK") else 1)
     for name, bad in _malformed_inputs(inst, theta, state, y):
         if name.startswith("joint") and tag in methods.REDUCED_TAGS:

@@ -54,16 +54,15 @@ def test_f_on_eigenvector(bench):
 
 
 def test_observation_and_initial(tiny_instance, above_cut, rng):
-    """The operators observe the state in full, as a copy, from a zero start.
+    """The operators observe the state in full from a zero start: the reduced
+    observation is the state, the all-at-once observation row a copy of it.
 
     Above the size cut the all-at-once IRGNM hands the derivative a view of a
     CG vector (``to_nodes`` returns its input), so its observation and initial
     rows must not alias the direction.
     """
     theta = rng.standard_normal(tiny_instance.problem.n_theta)
-    y, state = tiny_instance.reduced.forward(theta)
-    np.testing.assert_array_equal(y.values, state.values)
-    assert not np.shares_memory(y.values, state.values)
+    state = tiny_instance.reduced.solve_state(theta)
     np.testing.assert_array_equal(state.values[0], 0.0)
     big, (big_theta, big_state, _) = above_cut
     for inst, point in ((tiny_instance, AaoPoint(state, theta)), (big, AaoPoint(big_state, big_theta))):
@@ -85,21 +84,11 @@ def test_f_dimension_mismatch(bench):
         prob.f(0.0, np.zeros(8), np.zeros(5))
 
 
-def test_jac_unknown_tags(bench):
-    """Only the model's two blocks are hooks; observation and start are the contract."""
-    _, prob = bench
-    for which in ("f_x", "g_u", "g_theta", "u0"):
-        with pytest.raises(ValidationError):
-            prob.apply_jac(which, "forward", 0.0, np.zeros(8), np.zeros(8), np.zeros(8))
-    with pytest.raises(ValidationError):
-        prob.apply_jac("f_u", "sideways", 0.0, np.zeros(8), np.zeros(8), np.zeros(8))
-
-
 def test_state_jacobian_at_zero(bench, rng):
     triple, prob = bench
     v = rng.standard_normal(8)
     np.testing.assert_allclose(
-        prob.apply_jac("f_u", "forward", 0.0, np.zeros(8), np.zeros(8), v),
+        prob.apply_jac(0.0, np.zeros(8), np.zeros(8), v),
         -triple.stiffness @ v,
         rtol=1e-12,
     )
@@ -116,24 +105,25 @@ def _dense_jacobian(apply_fwd, dim_in, dim_out):
 
 @pytest.mark.parametrize("which", ["f_u", "f_theta"])
 def test_forward_adjoint_duality_dense_oracle(bench, rng, which):
-    """dx-weighted transpose of the probed dense Jacobian matches adjoint mode."""
+    """The operators take both derivatives of f as self-adjoint under the
+    dx-weighted pairing: f_u from ``apply_jac``, and f_theta as the identity.
+    The probed dense Jacobians (f_theta from differences of f in theta, exact
+    up to rounding for a source) are symmetric, and f_theta is the identity."""
     triple, prob = bench
     u = 0.4 * rng.standard_normal(8)
     theta = 0.3 * rng.standard_normal(8)
     t = 0.01
-    dim_in = prob.n_theta if which == "f_theta" else 8
-    jac = _dense_jacobian(
-        lambda x: prob.apply_jac(which, "forward", t, u, theta, x), dim_in, 8
-    )
+    if which == "f_u":
+        jac = _dense_jacobian(lambda x: prob.apply_jac(t, u, theta, x), 8, 8)
+    else:
+        jac = _dense_jacobian(lambda x: prob.f(t, u, theta + x) - prob.f(t, u, theta), prob.n_theta, 8)
+        scale = np.max(np.abs(prob.f(t, u, theta)))  # the differences round at the size of f
+        np.testing.assert_allclose(jac, np.eye(8), rtol=0, atol=1e-14 * scale)
     for _ in range(5):
-        x = rng.standard_normal(dim_in)
+        x = rng.standard_normal(8)
         y = rng.standard_normal(8)
         lhs = triple.dx * ((jac @ x) @ y)
-        adj = prob.apply_jac(which, "adjoint", t, u, theta, y)
-        if which == "f_theta":
-            rhs = prob.inner_theta(x, adj)
-        else:
-            rhs = triple.dx * (x @ adj)
+        rhs = prob.inner_theta(x, jac @ y)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -143,7 +133,7 @@ def test_f_u_matrix_matches_forward_mode(bench, rng):
     mat = prob.f_u_matrix(0.0, u, np.zeros(8))
     v = rng.standard_normal(8)
     np.testing.assert_allclose(
-        mat @ v, prob.apply_jac("f_u", "forward", 0.0, u, np.zeros(8), v), rtol=1e-12
+        mat @ v, prob.apply_jac(0.0, u, np.zeros(8), v), rtol=1e-12
     )
 
 
@@ -156,7 +146,7 @@ def test_taylor_order_of_f(bench, rng):
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         lhs = prob.f(0.0, u + eps * v, theta)
-        lin = prob.f(0.0, u, theta) + eps * prob.apply_jac("f_u", "forward", 0.0, u, theta, v)
+        lin = prob.f(0.0, u, theta) + eps * prob.apply_jac(0.0, u, theta, v)
         diff = lhs - lin
         modes = to_modes(triple, diff)
         errs.append(np.sqrt(triple.dx * float(np.vdot(modes / triple.eigenvalues, modes))))

@@ -16,7 +16,7 @@ from dyninv.spaces import (
     to_modes,
 )
 
-from conftest import positive_theta
+from conftest import CubicReaction, positive_theta
 
 
 @pytest.fixture(params=["imex", "newton"])
@@ -204,15 +204,6 @@ def test_imex_state_across_blocks_matches_spectral_march():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_forward_reuses_state(bench_op):
-    theta = positive_theta(bench_op.triple)
-    y, state = bench_op.forward(theta)
-    np.testing.assert_array_equal(y.values, bench_op.observe(state).values)
-    y2, state2 = bench_op.forward(theta)
-    np.testing.assert_array_equal(y.values, y2.values)
-    np.testing.assert_array_equal(state.values, state2.values)
-
-
 def test_linear_forward_is_affine(rng):
     triple = build_triple(7)
     grid = make_time_grid(0.1, 10)
@@ -220,13 +211,13 @@ def test_linear_forward_is_affine(rng):
     op = ReducedOperator(prob, triple, grid)
     theta = rng.standard_normal(7)
     xi = rng.standard_normal(7)
-    y1, s1 = op.forward(theta)
-    y2, _ = op.forward(theta + xi)
-    lin = op.derivative(theta, s1, xi)
+    y1 = op.solve_state(theta)
+    y2 = op.solve_state(theta + xi)
+    lin = op.derivative(theta, y1, xi)
     assert np.max(np.abs(y2.values - y1.values - lin.values)) <= 1e-12
     # derivative independent of the linearization point
     theta_b = rng.standard_normal(7)
-    _, sb = op.forward(theta_b)
+    sb = op.solve_state(theta_b)
     lin_b = op.derivative(theta_b, sb, xi)
     assert np.max(np.abs(lin.values - lin_b.values)) <= 1e-14 * max(np.max(np.abs(lin.values)), 1.0)
 
@@ -273,7 +264,7 @@ def test_slab_concatenation_reproduces_forward(small_instance):
     op = small_instance.reduced
     part = small_instance.partition
     theta = positive_theta(small_instance.triple)
-    y, state = op.forward(theta)
+    y = op.solve_state(theta)
     stitched = np.zeros_like(y.values)
     for j in range(part.slab_count):
         stitched += op.slab_restrict(y, j).values
@@ -360,7 +351,7 @@ def test_newton_linearization_runs_no_dense_solve(monkeypatch):
 def _assert_exact_linearization(op, theta, rng):
     """Adjoint dot-product gap <= 1e-12 and reduced Taylor order >= 1.9."""
     grid, triple = op.grid, op.triple
-    y0, state = op.forward(theta)
+    y0 = state = op.solve_state(theta)
     xi = rng.standard_normal(op.problem.n_theta)
     zv = np.zeros((grid.node_count, triple.interior_points))
     zv[1:] = rng.standard_normal((grid.step_count, triple.interior_points))
@@ -371,53 +362,35 @@ def _assert_exact_linearization(op, theta, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
     errs = []
     for eps in (1e-2, 1e-3):
-        y1, _ = op.forward(theta + eps * xi)
+        y1 = op.solve_state(theta + eps * xi)
         diff = Trajectory(grid, y1.values - y0.values - eps * lin.values, "observation")
         errs.append(norm_observation(triple, diff))
     assert np.log10(errs[0] / errs[1]) >= 1.9
 
 
-class _StateWeightedSource(SemilinearDiffusion):
-    """Benchmark problem whose source enters as (1 + u^2 / 2) * theta."""
-
-    def f(self, t, u, theta):
-        return super().f(t, u, theta) + 0.5 * np.asarray(u) ** 2 * theta
-
-    def reaction(self, t, u, theta):
-        return super().reaction(t, u, theta) + 0.5 * np.asarray(u) ** 2 * theta
-
-    def reaction_slope(self, t, u, theta):
-        return super().reaction_slope(t, u, theta) + np.asarray(u) * theta
-
-    def f_u_matrix(self, t, u, theta):
-        return super().f_u_matrix(t, u, theta) + np.diag(np.asarray(u) * theta)
-
-    def apply_jac(self, which, mode, t, u, theta, arg):
-        if which == "f_u":
-            extra = np.asarray(u) * theta * np.asarray(arg)
-            return super().apply_jac(which, mode, t, u, theta, arg) + extra
-        if which == "f_theta":
-            return (1.0 + 0.5 * np.asarray(u) ** 2) * np.asarray(arg)
-        return super().apply_jac(which, mode, t, u, theta, arg)
-
-
 @pytest.mark.parametrize("policy", ["imex", "newton"])
-def test_exact_linearization_with_state_dependent_source(policy, rng):
-    """f_theta depends on the state: each policy pairs it with the state its step reads."""
+def test_exact_linearization_with_a_cubic_reaction(policy, rng):
+    """A problem that states an extra reaction in f, the reaction and its slope
+    alone: each policy's linearization reads f_u from the slope."""
     triple = build_triple(10)
     grid = make_time_grid(0.05, 12)
-    op = ReducedOperator(_StateWeightedSource(triple, gain=10.0), triple, grid, policy=policy)
+    op = ReducedOperator(CubicReaction(triple, gain=10.0), triple, grid, policy=policy)
     _assert_exact_linearization(op, positive_theta(triple), rng)
 
 
-@pytest.mark.parametrize("cls", [SemilinearDiffusion, _StateWeightedSource])
+@pytest.mark.parametrize("cls", [SemilinearDiffusion, CubicReaction])
 def test_reaction_slope_and_stiffness_give_dense_jacobian(cls, rng):
-    """The newton solves rely on f_u = -K + diag(reaction_slope)."""
+    """The newton solves rely on f_u = -K + diag(reaction_slope), which
+    ``f_u_matrix`` assembles: it is the Jacobian of f, probed by central
+    differences along each unit vector."""
     triple = build_triple(9)
     prob = cls(triple, gain=10.0)
-    u = rng.standard_normal(9)
+    u = 0.5 + rng.random(9)  # away from the kink of |u| at 0
     theta = rng.standard_normal(9)
-    structured = -triple.stiffness + np.diag(prob.reaction_slope(0.3, u, theta))
+    h = 1e-6
+    probed = np.column_stack(
+        [(prob.f(0.3, u + h * e, theta) - prob.f(0.3, u - h * e, theta)) / (2 * h) for e in np.eye(9)]
+    )
     np.testing.assert_allclose(
-        structured, prob.f_u_matrix(0.3, u, theta), rtol=0, atol=1e-13 * np.max(triple.stiffness)
+        prob.f_u_matrix(0.3, u, theta), probed, rtol=0, atol=1e-7 * np.max(triple.stiffness)
     )
