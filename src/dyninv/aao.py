@@ -186,7 +186,7 @@ class AllAtOnceOperator:
         u = point.state.values
         theta = point.theta
         du = dstate.values
-        dtheta = np.asarray(dtheta, dtype=float)
+        dtheta = self.problem.check_theta(dtheta, "parameter direction")
         w = np.zeros_like(du)
         f_u = self.problem.apply_jac(self._t[1:], u[1:], theta, du[1:])
         w[1:] = (du[1:] - du[:-1]) / self.grid.tau - f_u - dtheta

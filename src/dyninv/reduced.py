@@ -127,7 +127,7 @@ class ReducedOperator:
         """Linearized evolution along xi from zero; exactly linear in xi."""
         self._check_state(state)
         theta = np.asarray(theta, dtype=float)
-        xi = np.asarray(xi, dtype=float)
+        xi = self.problem.check_theta(xi, "parameter direction")
         u = state.values
         tau = self.grid.tau
         out = np.zeros_like(u)

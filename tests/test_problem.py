@@ -84,6 +84,23 @@ def test_f_dimension_mismatch(bench):
         prob.f(0.0, np.zeros(8), np.zeros(5))
 
 
+def test_parameters_of_the_wrong_length_are_rejected(tiny_instance):
+    """theta reaches the operators as arithmetic, so each entry point that takes
+    a parameter or a parameter direction checks its length: a length-1 array
+    would broadcast over the nodes."""
+    inst = tiny_instance
+    state = inst.reduced.solve_state(np.zeros(8))
+    point = AaoPoint(state, np.zeros(8))
+    for bad in (np.ones(1), np.ones(5)):
+        for call in (
+            lambda: inst.reduced.solve_state(bad),
+            lambda: inst.reduced.derivative(np.zeros(8), state, bad),
+            lambda: inst.aao.derivative(point, state, bad),
+        ):
+            with pytest.raises(ValidationError):
+                call()
+
+
 def test_state_jacobian_at_zero(bench, rng):
     triple, prob = bench
     v = rng.standard_normal(8)
