@@ -15,9 +15,14 @@ holds only at a fixed BLAS thread count, so the script runs with one thread.
 
     python tests/bit_identity.py            # print the record as JSON
     python tests/bit_identity.py --write    # rewrite tests/bit_identity.json
+    python tests/bit_identity.py --npz A.npz         # save every run's arrays
+    python tests/bit_identity.py --diff A.npz B.npz  # compare two saved sets
 
 ``tests/test_bit_identity.py`` runs it in a child process and compares the
-output with the committed reference.
+output with the committed reference.  A change that moves bits saves the
+arrays of both trees with ``--npz`` and reports ``--diff``: per cell and
+column, the largest absolute difference and that difference relative to the
+largest magnitude in the first file's column, or "equal" where the arrays are.
 """
 
 import os
@@ -87,33 +92,40 @@ def fingerprint() -> dict:
     }
 
 
-def record_run(rec) -> dict:
+def run_arrays(rec) -> dict:
+    """The arrays a run's digests cover: every non-timing column and the finals."""
     cols = {name: rec.column(name) for name in COLUMNS}
+    return {**cols, "theta_final": rec.theta_final, "state_final": rec.state_final.values}
+
+
+def record_run(rec, arrays) -> dict:
+    """k*, the stop reason, the digests of :func:`run_arrays` and a few summary values."""
     return {
         "k_star": rec.k_star,
         "stop_reason": rec.stop_reason,
-        "digests": {
-            **{name: digest(col) for name, col in cols.items()},
-            "theta_final": digest(rec.theta_final),
-            "state_final": digest(rec.state_final.values),
-        },
+        "digests": {name: digest(a) for name, a in arrays.items()},
         "summary": {
             "mu": rec.metadata["mu"],
-            "res_total": float(cols["res_total"][-1]),
-            "err_theta": float(cols["err_theta"][-1]),
+            "res_total": float(arrays["res_total"][-1]),
+            "err_theta": float(arrays["err_theta"][-1]),
             "theta_norm": float(np.linalg.norm(rec.theta_final)),
             "state_norm": float(np.linalg.norm(rec.state_final.values)),
         },
     }
 
 
-def compute() -> dict:
+def compute(arrays=None) -> dict:
+    """The record; with a dict ``arrays``, also every run's and dataset's arrays,
+    keyed "cell/column"."""
+    arrays = {} if arrays is None else arrays
     out = {"fingerprint": fingerprint(), "data": {}, "runs": {}}
     for name, (n_x, n_t, horizon, m, rel_noise, runs) in INSTANCES.items():
         inst = harness.make_instance(n_x, n_t, horizon, GAIN, m=m)
         theta, state, y = harness.synthesize_truth(inst, "sine", AMPLITUDE)
         delta_z = rel_noise * norm_observation(inst.triple, y)
         data = harness.add_noise(inst, y, theta, 0.0, delta_z, NOISE_SEED)
+        for key, a in (("theta", theta), ("state", state.values), ("y_noisy", data.y_noisy.values)):
+            arrays[f"{name}/{key}"] = a
         out["data"][name] = {
             "theta": digest(theta),
             "state": digest(state.values),
@@ -141,18 +153,54 @@ def compute() -> dict:
                 )
                 rec = methods.run(cfg, instance, data.y_noisy, data.achieved_delta, truth=(theta, state))
                 key = f"{name}/{tag}" if tag in methods.AAO_TAGS else f"{name}/{tag}/{policy}"
-                out["runs"][key] = record_run(rec)
+                run = run_arrays(rec)
+                out["runs"][key] = record_run(rec, run)
+                arrays.update({f"{key}/{col}": a for col, a in run.items()})
     return out
+
+
+def diff(path_a, path_b) -> list[str]:
+    """Lines "cell column abs rel" for every array of two ``--npz`` files, or
+    "equal"; arrays of different shapes (a moved k*) are compared on their
+    common leading rows, and their shapes are named."""
+    a, b = np.load(path_a), np.load(path_b)
+    lines = [f"only in {path}: {key}" for path, mine, other in ((path_a, a, b), (path_b, b, a))
+             for key in sorted(set(mine.files) - set(other.files))]
+    for key in sorted(set(a.files) & set(b.files)):
+        x, y = a[key], b[key]
+        cell, col = key.rsplit("/", 1)
+        shapes = "" if x.shape == y.shape else f" shapes {x.shape} {y.shape}"
+        rows = min(len(x), len(y)) if x.ndim else None
+        x, y = (x, y) if rows is None else (x[:rows], y[:rows])
+        if np.array_equal(x, y):
+            lines.append(f"{cell} {col} equal{shapes}")
+            continue
+        gap = float(np.max(np.abs(x.astype(float) - y.astype(float))))
+        scale = float(np.max(np.abs(x.astype(float))))
+        rel = gap / scale if scale else float("inf")
+        lines.append(f"{cell} {col} {gap:.2e} {rel:.2e}{shapes}")
+    return lines
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--diff":
+        print("\n".join(diff(*argv[1:])))
+        return
+    if len(argv) == 2 and argv[0] == "--npz":
+        arrays = {}
+        compute(arrays)
+        np.savez(argv[1], **arrays)
+        print(f"wrote {argv[1]}")
+        return
     text = json.dumps(compute(), indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
         REFERENCE.write_text(text)
         print(f"wrote {REFERENCE}")
     elif argv:
-        raise SystemExit("usage: python tests/bit_identity.py [--write]")
+        raise SystemExit(
+            "usage: python tests/bit_identity.py [--write | --npz FILE | --diff FILE FILE]"
+        )
     else:
         sys.stdout.write(text)
 
