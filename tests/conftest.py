@@ -151,3 +151,16 @@ def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
     du = sol[:cut].reshape(grid.node_count, -1)
     new = AaoPoint(Trajectory(grid, prior.state.values + du, "state"), prior.theta + sol[cut:])
     return new, its
+
+
+def refined_dense_solve(a, x):
+    """np.linalg.solve with the symmetric matrix a (I + tau K or K), refined once
+    with the residual taken in extended precision.  The LU solve alone is off by
+    up to 1.2e-12 relative at n = 1600 and r >= 1e6, where the condition number
+    of I + tau K is ~1e6, and a residual in double precision does not reliably
+    improve it; the refined solve agrees with the spectral one to ~1e-15, so the
+    comparison measures the Green's matrix.  x may be in extended precision,
+    which the residual keeps."""
+    y = np.linalg.solve(a, x.astype(float).T).T
+    residual = x - y.astype(np.longdouble) @ a.astype(np.longdouble)
+    return y + np.linalg.solve(a, residual.astype(float).T).T

@@ -23,7 +23,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import CubicReaction, positive_theta, spectral_adjoint
+from conftest import CubicReaction, positive_theta, refined_dense_solve, spectral_adjoint
 
 
 def random_point(instance, rng, scale=0.3):
@@ -57,9 +57,11 @@ def random_data(instance, rng):
 
 @pytest.mark.parametrize("n_x, n_t, m", [(24, 24, 4), (30, 50, 5)])
 def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
-    """adjoint and residual_norms read the same values from the nodal rows of
-    K^-1 w an operator-built residual carries as from a bare triple, which
-    solves for them, on every slab too."""
+    """adjoint and residual_norms read the same values, to rounding, from the
+    nodal rows of K^-1 w an operator-built residual carries as from a bare
+    triple, which solves for them, on every slab too.  The carried rows never
+    solve for K u, so they differ from the bare triple's solve of the whole
+    row by its K^-1 K u cancellation, below 1e-14 relative at these sizes."""
     inst = make_instance(n_x, n_t, 0.5, 10.0, m=m)
     op = inst.aao
     point = random_point(inst, rng)
@@ -68,11 +70,16 @@ def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
     bare = ResidualTriple(built.model, built.initial, built.observation)
     assert built.riesz.shape == (n_t, n_x) and bare.riesz is None
 
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def same(a, b):
-        assert op.residual_norms(a) == op.residual_norms(b)
-        assert op.inner_residual(a, a) == op.inner_residual(b, b)
+        close(op.residual_norms(a), op.residual_norms(b))
+        close(op.inner_residual(a, a), op.inner_residual(b, b))
         (sa, ta), (sb, tb) = op.adjoint(point, a), op.adjoint(point, b)
-        assert np.array_equal(sa.values, sb.values) and np.array_equal(ta, tb)
+        close(sa.values, sb.values)
+        close(ta, tb)
 
     same(built, bare)
     for j in range(m):
@@ -82,17 +89,44 @@ def test_carried_modal_rows_change_no_value(n_x, n_t, m, rng):
 @pytest.mark.parametrize("n_x, n_t, horizon", [(30, 50, 0.5), (100, 100, 0.1), (1600, 8, 0.1)])
 def test_model_channel_pairs_through_the_one_riesz_map(n_x, n_t, horizon, rng):
     """norm_dual_load and residual_norms pair the model row through the same
-    Green's matrix of K and agree bit for bit, with the carried K^-1 w or
-    without; inner_residual of model rows alone is inner_dual_load."""
+    Green's matrix of K and agree bit for bit without the carried K^-1 w, and
+    to rounding with it (the carried rows skip the K^-1 K u cancellation);
+    inner_residual of model rows alone is inner_dual_load."""
     inst = make_instance(n_x, n_t, horizon, 10.0)
     op, triple = inst.aao, inst.triple
     resid = op.residual(random_point(inst, rng), random_data(inst, rng))
-    assert norm_dual_load(triple, resid.model) == op.residual_norms(resid)[0]
+    bare = ResidualTriple(resid.model, resid.initial, resid.observation)
+    assert norm_dual_load(triple, resid.model) == op.residual_norms(bare)[0]
+    assert norm_dual_load(triple, resid.model) == pytest.approx(op.residual_norms(resid)[0], rel=1e-13)
     a, b = random_triple(inst, rng), random_triple(inst, rng)
     for r in (a, b):
         r.initial[:] = 0.0
         r.observation.values[:] = 0.0
     assert op.inner_residual(a, b) == inner_dual_load(triple, a.model, b.model)
+
+
+@pytest.mark.parametrize("n_x", [896, 1600])
+def test_carried_rows_match_refined_dense_solve(n_x):
+    """The residual's carried rows K^-1 (du/tau - reaction) + u agree to 1e-13
+    with the refined dense solve of the model rows formed in extended precision,
+    at N = 8 over six random states and parameters near the truth.  The rows
+    hold K u: rounded to double they carry an error of order eps |K u|, and a
+    Green's solve of them cancels K^-1 K u, up to 3.1e-12 relative at n = 1600."""
+    inst = make_instance(n_x, 8, 0.1, 10.0)
+    theta, _, y = synthesize_truth(inst, "sine", 0.1)
+    stiffness, tau, t = inst.triple.stiffness, inst.grid.tau, inst.grid.nodes()
+    rows, resids = [], []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        u, th = rng.standard_normal((9, n_x)), theta + 0.1 * rng.standard_normal(n_x)
+        resids.append(inst.aao.residual(AaoPoint(Trajectory(inst.grid, u, "state"), th), y))
+        rest = (u[1:] - u[:-1]) / tau - inst.problem.reaction(t[1:], u[1:], th)
+        rows.append(rest.astype(np.longdouble) + u[1:].astype(np.longdouble) @ stiffness.astype(np.longdouble))
+    # one refined solve for every seed: each solve refactors the dense K
+    want = refined_dense_solve(stiffness, np.concatenate(rows))
+    for seed, resid in enumerate(resids):
+        ref = want[8 * seed : 8 * seed + 8]
+        assert np.max(np.abs(resid.riesz - ref)) <= 1e-13 * np.max(np.abs(ref)), seed
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import dense_graph_rows, step_by_step_march
+from conftest import dense_graph_rows, refined_dense_solve, step_by_step_march
 
 
 def dirichlet_eigenpairs(n_x):
@@ -424,18 +424,6 @@ def test_march_modes_overflow_is_never_finite_and_wrong(rng):
 
 
 # -- the reduced resolvent (I + tau K)^-1 ---------------------------------------------
-
-
-def refined_dense_solve(a, x):
-    """np.linalg.solve with the symmetric matrix a (I + tau K or K), refined once
-    with the residual taken in extended precision.  The LU solve alone is off by
-    up to 1.2e-12 relative at n = 1600 and r >= 1e6, where the condition number
-    of I + tau K is ~1e6, and a residual in double precision does not reliably
-    improve it; the refined solve agrees with the spectral one to ~1e-15, so the
-    comparison measures the Green's matrix."""
-    y = np.linalg.solve(a, x.T).T
-    residual = x - y.astype(np.longdouble) @ a.astype(np.longdouble)
-    return y + np.linalg.solve(a, residual.astype(float).T).T
 
 
 @pytest.mark.parametrize("n_x", [1, 2, 6, 30, 100, 128, 129, 300, 1600])
