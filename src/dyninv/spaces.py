@@ -420,15 +420,18 @@ class MarchTables:
 
 
 # d^-B >= 1e-200 keeps shrink factors normal and scaled loads within 1e200 |l|, about
-# 1e100 of headroom for loads; the cap bounds the prefix matrix and the O(B^2 n) product
-_BLOCK_RANGE, _BLOCK_CAP = 1e-200, 128
+# 1e100 of headroom for loads.  The cap bounds the O(B^2 n) product: up to n = 236 a
+# 64-step block's (B + 1)^2 n stays under OpenBLAS's small-matrix cutoff
+# (M * N * K <= 1e6), and N = 100 takes blocks of 64 and 36 steps, about half the
+# flops of one 100-step block (42 against 62 us per march at n = 100, one BLAS thread)
+_BLOCK_RANGE, _BLOCK_CAP = 1e-200, 64
 
 
 def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
     """Tabulate the blocks of :func:`march_modes`.  B is the largest length up to
-    min(N, 128) with d^-B >= 1e-200 for the stiffest mode, and at least 1; powers
+    min(N, 64) with d^-B >= 1e-200 for the stiffest mode, and at least 1; powers
     are compared, not logarithms, so a d that rounds to 1 gives the full length.
-    At n_x = N = 100 the tables take 0.24 MB."""
+    At n_x = N = 100 the tables take 0.14 MB (B = 64)."""
     d = 1.0 + grid.tau * triple.eigenvalues
     k = np.arange(min(grid.node_count - 1, _BLOCK_CAP) + 1)[:, None]
     shrink = d ** -k

@@ -354,7 +354,7 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
 
 @pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
 def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
-    """B steps per block, at most min(N, 128), the longest with d^-B >= 1e-200."""
+    """B steps per block, at most min(N, cap), the longest with d^-B >= 1e-200."""
     triple = build_triple(n_x)
     grid = make_time_grid(0.5, steps)
     tables = march_tables(triple, grid)
@@ -365,8 +365,9 @@ def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
     assert np.array_equal(tables.prefix, np.tril(np.ones((length + 1, length + 1))))
     assert all(a.flags.c_contiguous for a in (tables.growth, tables.shrink, tables.prefix))
     # the range bound: the stiffest mode's shrink stays >= 1e-200, one more step would not
-    assert 1 <= length <= min(steps, 128) and tables.shrink[-1, -1] >= 1e-200
-    assert length == min(steps, 128) or d[-1] ** -(length + 1) < 1e-200
+    cap = spaces._BLOCK_CAP
+    assert 1 <= length <= min(steps, cap) and tables.shrink[-1, -1] >= 1e-200
+    assert length == min(steps, cap) or d[-1] ** -(length + 1) < 1e-200
     assert np.all(tables.shrink[0] == 1.0)
     assert np.all(np.abs(tables.growth * tables.shrink[1:] * d / grid.tau - 1.0) <= 1e-14)
     np.testing.assert_allclose(tables.shrink[1:] * d, tables.shrink[:-1], rtol=1e-14)
@@ -375,13 +376,13 @@ def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
 @pytest.mark.parametrize("n_x, steps", [(5, 1), (30, 50), (100, 100), (40, 300)])
 def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
     """Both marches agree with the step-by-step recursion from a start, from
-    loads and from both; the modal march over one block and, at (100, 100) by
-    the range bound and at (40, 300) by the cap, over several."""
+    loads and from both; the modal march over one block and, at (100, 100)
+    and (40, 300) by the cap, over several."""
     triple = build_triple(n_x)
     grid = make_time_grid(0.5, steps)
     start = rng.standard_normal(n_x)
     loads = rng.standard_normal((steps, n_x))
-    assert (march_tables(triple, grid).growth.shape[0] < steps) == (steps >= 100)
+    assert (march_tables(triple, grid).growth.shape[0] < steps) == (steps > spaces._BLOCK_CAP)
     for march, coords, no_loads in both_marches(triple, grid, steps):
         for got, args in (
             (march(coords(start), coords(loads)), (start, loads)),
@@ -392,7 +393,25 @@ def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("horizon, length", [(1e-30, 128), (2e200, 1)])
+def test_march_modes_across_blocks_at_the_paper_size(rng):
+    """At n_x = N = 100, the paper's benchmark, the march takes a block of the
+    capped length and a shorter remainder.  It matches the step-by-step
+    recursion to 1e-13 with loads on every step, on 70 steps (a remainder load
+    block) and on 30 steps, past which the decay crosses a block boundary."""
+    triple = build_triple(100)
+    grid = make_time_grid(0.1, 100)
+    tables = march_tables(triple, grid)
+    length = tables.growth.shape[0]
+    assert length == spaces._BLOCK_CAP and 100 % length and 30 + length < 100
+    start, loads = rng.standard_normal(100), rng.standard_normal((100, 100))
+    for rows in (100, 70, 30):
+        padded = np.concatenate((loads[:rows], np.zeros((100 - rows, 100))))
+        want = step_by_step_march(triple, grid, start, padded)
+        got = march_modes(tables, start, loads[:rows], 100)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("horizon, length", [(1e-30, spaces._BLOCK_CAP), (2e200, 1)])
 def test_march_block_length_at_the_extremes(horizon, length, rng):
     """A d that rounds to 1 gives the capped length; a d beyond 1e200 gives
     blocks of one step, which are the recursion itself."""
@@ -407,10 +426,12 @@ def test_march_block_length_at_the_extremes(horizon, length, rng):
 
 def test_march_modes_overflow_is_never_finite_and_wrong(rng):
     """Loads within the 1e100 headroom march to rounding; loads that overflow a
-    scaled block give non-finite entries, and every finite entry is still right."""
+    scaled block give non-finite entries, and every finite entry is still right.
+    The steps are long enough for the range bound, not the cap, to set B."""
     triple = build_triple(40)
-    grid = make_time_grid(1.0, 300)
+    grid = make_time_grid(300.0, 300)
     tables = march_tables(triple, grid)
+    assert tables.growth.shape[0] < spaces._BLOCK_CAP
     loads = rng.standard_normal((300, 40))
     want = step_by_step_march(triple, grid, 0.0, 1e100 * loads)
     got = march_modes(tables, 0.0, 1e100 * loads)
