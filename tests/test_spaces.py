@@ -76,6 +76,21 @@ def test_eigenbasis_is_exactly_symmetric(n_x):
     assert np.array_equal(q, q.T)
 
 
+@pytest.mark.parametrize("n_x, rows", [(100, 101), (100, 201), (120, 401), (50, 601)])
+def test_chunked_basis_products_equal_one_product(n_x, rows, rng):
+    """Above OpenBLAS's small-matrix cutoff, to_modes and from_modes multiply
+    in row chunks of 1e6 // n^2 rows; they equal one product with the basis to
+    1e-15 relative (Frobenius norm), and from_modes inverts to_modes."""
+    triple = build_triple(n_x)
+    q = triple.eigenvectors
+    assert rows > spaces._SMALL_GEMM // n_x**2 >= n_x / 2
+    x = rng.standard_normal((rows, n_x))
+    c = to_modes(triple, x)
+    for got, want in ((c, x @ q), (from_modes(triple, c), c @ q)):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    assert np.max(np.abs(from_modes(triple, c) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
 @pytest.mark.parametrize("n_x", [1, 3, 37, 200])
 def test_closed_form_eigenpairs_match_eigh(n_x):
     """The tabulated DST-I eigenpairs agree with a dense eigendecomposition."""
