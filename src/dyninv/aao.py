@@ -24,7 +24,7 @@ K^{-1} (w - K u) + u, so the solve never cancels K^{-1} K u; the V* norm and
 product and the adjoint read them, so an iteration applies K^{-1} once and
 never through the eigenbasis.  P_j leaves the carried rows out, and
 what reads a restricted residual solves for its own: P_j acts by rows, so they
-are the restricted rows.
+are the restricted rows, to rounding.
 
 The adjoint's two sweeps run in the operator's state coordinates, fixed by the
 number of points n alone (:data:`_NODAL_FROM`), and
@@ -71,10 +71,11 @@ from .spaces import (
 )
 
 # the smallest n from which the nodal sweeps were no slower than the modal ones, for
-# whole aLW and aIRGNM iterations at every N in {8, 50, 100, 200, 400} (one BLAS
-# thread; the crossover table is in CHANGES.md).  The joint IRGNM sets it: its CG
-# pairs nodal states by a Green's solve of N rows, the modal ones with none
-_NODAL_FROM = 896
+# whole aLW and aIRGNM iterations at every N in {8, 50, 100, 200, 400}, in each of
+# three sweeps (one BLAS thread; the crossover table is in CHANGES.md).  The joint
+# IRGNM at N = 400 sets it (0.93-1.01 at 768 points, 1.00-1.08 at 832): its CG pairs
+# nodal states by a Green's solve of N rows, the modal ones with none
+_NODAL_FROM = 832
 
 
 @dataclass
@@ -162,7 +163,8 @@ class AllAtOnceOperator:
         initial row u^0 and observation row u - y.  The carried rows are
         K^{-1} (du/tau - reaction) + u, one Green's solve that never meets K u:
         K^{-1} of the whole row would cancel K^{-1} K u in rounding, up to
-        2.0e-12 relative at n = 1600."""
+        3.1e-12 relative at n = 1600 (against a refined dense solve of the row
+        formed in extended precision; the carried rows agree to 1e-15)."""
         u = point.state.values
         w = np.zeros(u.shape)
         rows = np.subtract(u[1:], u[:-1], out=w[1:])

@@ -4,8 +4,8 @@ The runs use dyninv's public functions only: ``harness.make_instance``,
 ``synthesize_truth`` and ``add_noise`` set up the data, and ``methods.run``
 iterates each tag for a few steps; aLW and rLW on the noisy instance run to
 their discrepancy stop.  The instances are
-(n_x, N) = (30, 50) with noisy data, (100, 100) and (896, 8), the smallest
-size on the nodal side of the all-at-once operator's size cut.  The reduced
+(n_x, N) = (30, 50) with noisy data, (100, 100) and (896, 8), on the nodal
+side of the all-at-once operator's size cut.  The reduced
 tags run under both solve policies, imex and newton.
 
 For every run the record keeps k*, the stop reason, a SHA-256 digest of each
