@@ -328,11 +328,13 @@ def both_marches(triple, grid, steps):
     return (modal, lambda c: c, ((0.0,), empty)), (nodal, partial(from_modes, triple), (empty,))
 
 
-@pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300)])
+@pytest.mark.parametrize("n_x, steps", [(5, 1), (7, 2), (9, 6), (40, 300), (100, 100)])
 def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
     """Both marches, the blocked modal one and the nodal one, reproduce the
     march taken one step at a time: over all N load rows, over the first
-    slab of them with the decay past it, and with no loads at all.
+    slab of them with the decay past it, and with no loads at all.  At
+    (100, 100) the modal march takes a capped block and a remainder, and the
+    decay past the slab crosses a block boundary.
 
     On the longest horizon the powers of the fastest decay factors fall far
     below the smallest normal double.
@@ -406,24 +408,6 @@ def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
         ):
             want = coords(step_by_step_march(triple, grid, *args))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_march_modes_across_blocks_at_the_paper_size(rng):
-    """At n_x = N = 100, the paper's benchmark, the march takes a block of the
-    capped length and a shorter remainder.  It matches the step-by-step
-    recursion to 1e-13 with loads on every step, on 70 steps (a remainder load
-    block) and on 30 steps, past which the decay crosses a block boundary."""
-    triple = build_triple(100)
-    grid = make_time_grid(0.1, 100)
-    tables = march_tables(triple, grid)
-    length = tables.growth.shape[0]
-    assert length == spaces._BLOCK_CAP and 100 % length and 30 + length < 100
-    start, loads = rng.standard_normal(100), rng.standard_normal((100, 100))
-    for rows in (100, 70, 30):
-        padded = np.concatenate((loads[:rows], np.zeros((100 - rows, 100))))
-        want = step_by_step_march(triple, grid, start, padded)
-        got = march_modes(tables, start, loads[:rows], 100)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("horizon, length", [(1e-30, spaces._BLOCK_CAP), (2e200, 1)])
