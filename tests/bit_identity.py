@@ -170,8 +170,8 @@ def diff(path_a, path_b) -> list[str]:
         x, y = a[key], b[key]
         cell, col = key.rsplit("/", 1)
         shapes = "" if x.shape == y.shape else f" shapes {x.shape} {y.shape}"
-        rows = min(len(x), len(y)) if x.ndim else None
-        x, y = (x, y) if rows is None else (x[:rows], y[:rows])
+        rows = min(len(x), len(y))
+        x, y = x[:rows], y[:rows]
         if np.array_equal(x, y):
             lines.append(f"{cell} {col} equal{shapes}")
             continue
