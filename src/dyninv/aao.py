@@ -125,7 +125,6 @@ class AllAtOnceOperator:
         self.triple = triple
         self.grid = grid
         self.partition = partition
-        self._t = grid.nodes()
         self._nodal = triple.interior_points >= _NODAL_FROM
         # the adjoint's march and K in the operator's coordinates
         if self._nodal:
@@ -158,7 +157,7 @@ class AllAtOnceOperator:
         all data in the observation row, so no arithmetic touches the other two.
 
         Model row at the right endpoint of each step:
-        w^n = (u^n - u^{n-1})/tau - f(t_n, u^n, theta) for n = 1..N (w^0 = 0),
+        w^n = (u^n - u^{n-1})/tau - f(u^n, theta) for n = 1..N (w^0 = 0),
         formed as (du/tau - reaction) + K u since f = reaction - K u;
         initial row u^0 and observation row u - y.  The carried rows are
         K^{-1} (du/tau - reaction) + u, one Green's solve that never meets K u:
@@ -169,7 +168,7 @@ class AllAtOnceOperator:
         w = np.zeros(u.shape)
         rows = np.subtract(u[1:], u[:-1], out=w[1:])
         rows /= self.grid.tau
-        rows -= self.problem.reaction(self._t[1:], u[1:], point.theta)
+        rows -= self.problem.reaction(u[1:], point.theta)
         riesz = solve_resolvent(self.triple.green, rows)
         riesz += u[1:]
         rows += apply_stiffness(self.triple, u[1:])
@@ -193,11 +192,10 @@ class AllAtOnceOperator:
         being the nodal source.  The initial and observation rows copy du^0 and
         du, which may view a CG vector."""
         u = point.state.values
-        theta = point.theta
         du = dstate.values
         dtheta = self.problem.check_theta(dtheta, "parameter direction")
         w = np.zeros_like(du)
-        f_u = self.problem.apply_jac(self._t[1:], u[1:], theta, du[1:])
+        f_u = self.problem.apply_jac(u[1:], du[1:])
         w[1:] = (du[1:] - du[:-1]) / self.grid.tau - f_u - dtheta
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
@@ -229,8 +227,6 @@ class AllAtOnceOperator:
         lo, hi = nodes or (0, steps)
         # every channel but the initial one is read at the slab's nodes lo+1..hi only
         u = point.state.values[lo + 1 : hi + 1]
-        t = self._t[lo + 1 : hi + 1]
-        theta = point.theta
         z = resid.observation.values[lo + 1 : hi + 1]
         iw = self._riesz(resid)[lo:hi]
         # the graph-norm source is -w - f_u^T K^{-1} w + z.  The problem
@@ -241,7 +237,7 @@ class AllAtOnceOperator:
         # w and, on slab 0, the forward start h are stacked for one basis product.
         slab, width = u.shape
         stack = np.empty((2 * slab + (lo == 0), width))
-        rows = np.multiply(self.problem.reaction_slope(t, u, theta), iw, out=stack[:slab])
+        rows = np.multiply(self.problem.reaction_slope(u), iw, out=stack[:slab])
         np.subtract(z, rows, out=rows)
         stack[slab : 2 * slab] = resid.model.values[lo + 1 : hi + 1]
         if lo == 0:

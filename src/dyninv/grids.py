@@ -28,9 +28,6 @@ class TimeGrid:
     def node_count(self) -> int:
         return self.step_count + 1
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.node_count)
-
 
 def make_time_grid(horizon: float, step_count: int) -> TimeGrid:
     """Build a uniform grid on (0, horizon) with the given number of steps."""

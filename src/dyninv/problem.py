@@ -1,17 +1,19 @@
 """The benchmark problem, semilinear diffusion with an unknown source, and its hooks.
 
-The problem contract: theta is the source on every interior node, so f_theta
-is the identity; the state is observed in full (the observation is the state)
-and the evolution starts from zero whatever theta is.  The operators state
-these as arithmetic, not hooks.  They call the model ``f``, ``inner_theta``,
-the ``reaction`` (f plus K u, integrated explicitly under 'imex') and its
-diagonal slope ``reaction_slope``; hooks broadcast over a leading axis of time
-nodes and rely on ``methods.run`` for shape checks.  The reaction is
-pointwise, so f_u = -K + diag(reaction_slope) is read from the slope alone:
-``apply_jac`` applies it (f_u is self-adjoint under the H pairing), 'imex' is
-linearized through the slope, and every 'newton' matrix I - tau f_u is
-tridiagonal, solved without forming it (``f_u_matrix`` assembles f_u densely
-for tests only).
+The problem contract: the model is autonomous, so no hook takes a time; theta
+is the source on every interior node, so f_theta is the identity; the state
+is observed in full (the observation is the state) and the evolution starts
+from zero whatever theta is.  The operators state these as arithmetic, not
+hooks.  They call the model ``f(u, theta)``, ``inner_theta``, the
+``reaction(u, theta)`` (f plus K u, integrated explicitly under 'imex') and
+its diagonal slope ``reaction_slope(u)``, which theta, a source, does not
+enter; hooks broadcast over a leading axis of time nodes and rely on
+``methods.run`` for shape checks.  The reaction is pointwise, so
+f_u = -K + diag(reaction_slope) is read from the slope of u alone:
+``apply_jac(u, v)`` applies it (f_u is self-adjoint under the H pairing),
+'imex' is linearized through the slope, and every 'newton' matrix
+I - tau f_u is tridiagonal, solved without forming it (``f_u_matrix(u)``
+assembles f_u densely for tests only).
 """
 
 import math
@@ -75,24 +77,24 @@ class SemilinearDiffusion:
 
     # -- model ------------------------------------------------------------------
 
-    def f(self, t, u, theta):
+    def f(self, u, theta):
         # theta - (K u + Phi(u)) rounds as -K u - Phi(u) + theta: negation is exact
         out = apply_stiffness(self.triple, u)
         out += signed_square(u, self.gain)
         return np.subtract(self.check_theta(theta), out, out=out)
 
-    def reaction(self, t, u, theta):
+    def reaction(self, u, theta):
         return -signed_square(u, self.gain) + theta
 
-    def reaction_slope(self, t, u, theta):
+    def reaction_slope(self, u):
         # the slope of -Phi = signed_square(., -gain); it rounds as -signed_square_slope(u)
         return signed_square_slope(u, -self.gain)
 
     # -- linearization --------------------------------------------------------
 
-    def apply_jac(self, t, u, theta, arg):
+    def apply_jac(self, u, arg):
         """f_u arg = -K arg + r_u arg; self-adjoint under the H pairing."""
-        return -apply_stiffness(self.triple, arg) + self.reaction_slope(t, u, theta) * arg
+        return -apply_stiffness(self.triple, arg) + self.reaction_slope(u) * arg
 
-    def f_u_matrix(self, t, u, theta):
-        return -self.triple.stiffness + np.diag(self.reaction_slope(t, u, theta))
+    def f_u_matrix(self, u):
+        return -self.triple.stiffness + np.diag(self.reaction_slope(u))

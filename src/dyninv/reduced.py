@@ -80,7 +80,6 @@ class ReducedOperator:
         self.grid = grid
         self.partition = partition
         self.policy = policy
-        self._t = grid.nodes()
         self._resolvent = resolvent_tables(triple, grid.tau)
 
     # -- nonlinear state solve ---------------------------------------------------
@@ -97,7 +96,7 @@ class ReducedOperator:
         u = out[0]
         newton = self.policy == "newton"
         for k in range(1, steps + 1):
-            rhs = u + tau * self.problem.reaction(self._t[k], u, theta)
+            rhs = u + tau * self.problem.reaction(u, theta)
             if pvals is not None:
                 rhs = rhs + tau * pvals[k]
             u_next = solve_resolvent(self._resolvent, rhs)
@@ -109,32 +108,29 @@ class ReducedOperator:
         return Trajectory(self.grid, out, "state")
 
     def _newton_step(self, k, base, guess, theta, tau):
-        t = self._t[k]
         v = guess
         for _ in range(_NEWTON_MAX):
             if not np.all(np.isfinite(v)):
                 raise SolverError(f"Newton diverged at time step {k}", step=k)
-            res = v - tau * self.problem.f(t, v, theta) - base
+            res = v - tau * self.problem.f(v, theta) - base
             if np.max(np.abs(res)) <= _NEWTON_TOL:
                 return v
-            shift = tau * self.problem.reaction_slope(t, v, theta)
+            shift = tau * self.problem.reaction_slope(v)
             v = v - solve_shifted_stiffness(self.triple, tau, shift, res, step=k)
         raise SolverError(f"Newton stalled at time step {k}", step=k)
 
     # -- linearizations ------------------------------------------------------------
 
-    def solve_sensitivity(self, theta, state: Trajectory, xi) -> Trajectory:
+    def solve_sensitivity(self, state: Trajectory, xi) -> Trajectory:
         """Linearized evolution along xi from zero; exactly linear in xi."""
         self._check_state(state)
-        theta = np.asarray(theta, dtype=float)
         xi = self.problem.check_theta(xi, "parameter direction")
         u = state.values
         tau = self.grid.tau
         out = np.zeros_like(u)
         v = out[0]
         imex = self.policy == "imex"
-        u_f = self._f_rows(u)
-        slope = tau * self.problem.reaction_slope(self._t[1:], u_f, theta)
+        slope = tau * self.problem.reaction_slope(self._f_rows(u))
         src = tau * xi
         for k in range(1, self.grid.step_count + 1):
             if imex:
@@ -144,7 +140,7 @@ class ReducedOperator:
             out[k] = v
         return Trajectory(self.grid, out, "state")
 
-    def solve_adjoint(self, theta, state: Trajectory, z_src: Trajectory, nodes=None) -> Trajectory:
+    def solve_adjoint(self, state: Trajectory, z_src: Trajectory, nodes=None) -> Trajectory:
         """Backward sweep transposed against :meth:`solve_sensitivity`.
 
         Node n holds the multiplier of the step onto node n (n = 1..N).  The
@@ -154,12 +150,11 @@ class ReducedOperator:
         """
         self._check_state(state)
         lo, hi = nodes or (0, self.grid.step_count)
-        theta = np.asarray(theta, dtype=float)
         u = state.values
         tau = self.grid.tau
         out = np.zeros_like(u)
         imex = self.policy == "imex"
-        slope = tau * self.problem.reaction_slope(self._t[1 : hi + 1], self._f_rows(u)[:hi], theta)
+        slope = tau * self.problem.reaction_slope(self._f_rows(u)[:hi])
         load = tau * z_src.values[1 : hi + 1]
         load[:lo] = 0.0
         carry = np.zeros(u.shape[1])
@@ -176,12 +171,12 @@ class ReducedOperator:
 
     def derivative(self, theta, state: Trajectory, xi) -> Trajectory:
         """Observation-space directional derivative at theta along xi: the sensitivity."""
-        return Trajectory(self.grid, self.solve_sensitivity(theta, state, xi).values, "observation")
+        return Trajectory(self.grid, self.solve_sensitivity(state, xi).values, "observation")
 
     def adjoint(self, theta, state: Trajectory, z: Trajectory, nodes=None) -> np.ndarray:
         """Parameter-space adjoint: tau times the sum of the multipliers p^1..p^N
         (p over ``nodes``)."""
-        p = self.solve_adjoint(theta, state, z, nodes)
+        p = self.solve_adjoint(state, z, nodes)
         return self.grid.tau * np.sum(p.values[1:], axis=0)
 
     def _f_rows(self, u):

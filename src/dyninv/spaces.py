@@ -396,11 +396,11 @@ def evolve_forward(
     """
     v0 = np.asarray(v0, dtype=float)
     _check_width(triple, v0, "initial value")
-    loads = 0.0
+    loads = np.empty((0, triple.interior_points))
     if source is not None:
         _same_grid_source(grid, source)
         loads = to_modes(triple, source.values[1:])
-    c = march_modes(march_tables(triple, grid), to_modes(triple, v0), loads)
+    c = march_modes(march_tables(triple, grid), to_modes(triple, v0), loads, grid.step_count)
     return Trajectory(grid, from_modes(triple, c), "state")
 
 
@@ -418,12 +418,13 @@ def evolve_backward(
     """
     v_final = np.asarray(v_final, dtype=float)
     _check_width(triple, v_final, "terminal value")
-    loads = 0.0
+    loads = np.empty((0, triple.interior_points))
     if source is not None:
         _same_grid_source(grid, source)
         loads = to_modes(triple, source.values[-2::-1])
     # the backward march is a forward one on the time-reversed nodes
-    out = march_modes(march_tables(triple, grid), to_modes(triple, v_final), loads)[::-1]
+    tables = march_tables(triple, grid)
+    out = march_modes(tables, to_modes(triple, v_final), loads, grid.step_count)[::-1]
     return Trajectory(grid, from_modes(triple, out), "state")
 
 
@@ -432,9 +433,9 @@ class MarchTables:
     """What :func:`march_modes` needs of one (triple, grid) pair, tabulated once:
     with d = 1 + tau * lam and B steps per block, ``growth`` holds tau d^(i-1)
     on rows i = 1..B, ``shrink`` d^-k on rows k = 0..B and ``prefix`` the
-    (B + 1)-square lower triangle of ones, all C-contiguous."""
+    (B + 1)-square lower triangle of ones, all C-contiguous.  The tables hold
+    no step count: a march reads it from its loads and ``steps``."""
 
-    node_count: int
     growth: np.ndarray
     shrink: np.ndarray
     prefix: np.ndarray
@@ -458,16 +459,17 @@ def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
     shrink = d ** -k
     length = max(1, np.count_nonzero(shrink[:, -1] >= _BLOCK_RANGE) - 1)
     growth = grid.tau * d ** k[:length]
-    return MarchTables(grid.node_count, growth, shrink[: length + 1], np.tri(length + 1))
+    return MarchTables(growth, shrink[: length + 1], np.tri(length + 1))
 
 
-def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
+def march_modes(tables: MarchTables, start, loads: np.ndarray, steps=None) -> np.ndarray:
     """Implicit-Euler march in the eigenbasis of K, where every mode decays alone.
 
     Returns c of shape (steps + 1, width) with c^0 = start and c^k =
-    (c^{k-1} + tau * loads[k-1]) / d for k = 1..steps, the loads zero past their
-    S rows (a scalar loads all N = node_count - 1 steps; S = 0 is a decay);
-    steps defaults to S.  start and loads are modal coefficients (:func:`to_modes` of nodal rows).
+    (c^{k-1} + tau * loads[k-1]) / d for k = 1..steps.  ``loads`` is a block of
+    S rows, as for :func:`march_nodes`, and zero past them: an empty (0, width)
+    block with ``steps`` given is a decay.  steps defaults to S.  start and the
+    loads are modal coefficients (:func:`to_modes` of nodal rows).
     ``tables`` comes from :func:`march_tables`: an operator that marches often
     tabulates once, any other caller builds them for the call.
     From the carry c^r a block of B steps is the scaled prefix sum
@@ -477,8 +479,7 @@ def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
     c^{r+k} = d^-k c^r, one product with ``shrink``.  Loads beyond about 1e100
     can overflow a block, which gives non-finite rows, never finite wrong ones.
     """
-    scalar = not isinstance(loads, np.ndarray)
-    loaded = tables.node_count - 1 if scalar else loads.shape[0]
+    loaded = loads.shape[0]
     steps = loaded if steps is None else steps
     length = tables.growth.shape[0]
     c = np.empty((steps + 1, tables.shrink.shape[1]))
@@ -487,7 +488,7 @@ def march_modes(tables: MarchTables, start, loads, steps=None) -> np.ndarray:
     for r in range(0, loaded, length):
         b = min(length, loaded - r)
         x[0] = c[r]
-        np.multiply(tables.growth[:b], loads if scalar else loads[r : r + b], out=x[1 : b + 1])
+        np.multiply(tables.growth[:b], loads[r : r + b], out=x[1 : b + 1])
         block = c[r : r + b + 1]
         np.matmul(tables.prefix[: b + 1, : b + 1], x[: b + 1], out=block)
         block *= tables.shrink[: b + 1]

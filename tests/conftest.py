@@ -43,14 +43,14 @@ class CubicReaction(SemilinearDiffusion):
     ``reaction`` and ``reaction_slope`` alone: the operators must read f_u
     from the slope."""
 
-    def f(self, t, u, theta):
-        return super().f(t, u, theta) - np.asarray(u) ** 3
+    def f(self, u, theta):
+        return super().f(u, theta) - np.asarray(u) ** 3
 
-    def reaction(self, t, u, theta):
-        return super().reaction(t, u, theta) - np.asarray(u) ** 3
+    def reaction(self, u, theta):
+        return super().reaction(u, theta) - np.asarray(u) ** 3
 
-    def reaction_slope(self, t, u, theta):
-        return super().reaction_slope(t, u, theta) - 3.0 * np.asarray(u) ** 2
+    def reaction_slope(self, u):
+        return super().reaction_slope(u) - 3.0 * np.asarray(u) ** 2
 
 
 def positive_theta(triple, amplitude=0.3, offset=0.5):
@@ -94,11 +94,11 @@ def spectral_adjoint(op, point, resid):
     :meth:`dyninv.aao.AllAtOnceOperator.adjoint`, which reads K^-1 w from the
     Green's matrix of K and stacks its loads into one basis product."""
     triple, grid, lam = op.triple, op.grid, op.triple.eigenvalues
-    u, t, theta = point.state.values[1:], grid.nodes()[1:], point.theta
+    u = point.state.values[1:]
     z, h = resid.observation.values[1:], resid.initial
     w_hat = to_modes(triple, resid.model.values[1:])
     iw = from_modes(triple, w_hat / lam)
-    rows = z - op.problem.reaction_slope(t, u, theta) * iw
+    rows = z - op.problem.reaction_slope(u) * iw
     ph = step_by_step_march(triple, grid, 0.0, to_modes(triple, rows[::-1]))[::-1]
     dh = step_by_step_march(triple, grid, ph[0] + to_modes(triple, h), w_hat + lam * ph[:-1])
     dtheta = -grid.tau * np.sum(iw, axis=0)

@@ -114,13 +114,13 @@ def test_carried_rows_match_refined_dense_solve(n_x):
     Green's solve of them cancels K^-1 K u, up to 3.1e-12 relative at n = 1600."""
     inst = make_instance(n_x, 8, 0.1, 10.0)
     theta, _, y = synthesize_truth(inst, "sine", 0.1)
-    stiffness, tau, t = inst.triple.stiffness, inst.grid.tau, inst.grid.nodes()
+    stiffness, tau = inst.triple.stiffness, inst.grid.tau
     rows, resids = [], []
     for seed in range(6):
         rng = np.random.default_rng(seed)
         u, th = rng.standard_normal((9, n_x)), theta + 0.1 * rng.standard_normal(n_x)
         resids.append(inst.aao.residual(AaoPoint(Trajectory(inst.grid, u, "state"), th), y))
-        rest = (u[1:] - u[:-1]) / tau - inst.problem.reaction(t[1:], u[1:], th)
+        rest = (u[1:] - u[:-1]) / tau - inst.problem.reaction(u[1:], th)
         rows.append(rest.astype(np.longdouble) + u[1:].astype(np.longdouble) @ stiffness.astype(np.longdouble))
     # one refined solve for every seed: each solve refactors the dense K
     want = refined_dense_solve(stiffness, np.concatenate(rows))

@@ -42,15 +42,15 @@ def bench():
 def test_f_at_zero_state(bench, rng):
     triple, prob = bench
     theta = rng.standard_normal(8)
-    np.testing.assert_allclose(prob.f(0.0, np.zeros(8), theta), theta, atol=1e-15)
-    np.testing.assert_allclose(prob.f(0.0, np.zeros(8), np.zeros(8)), np.zeros(8))
+    np.testing.assert_allclose(prob.f(np.zeros(8), theta), theta, atol=1e-15)
+    np.testing.assert_allclose(prob.f(np.zeros(8), np.zeros(8)), np.zeros(8))
 
 
 def test_f_on_eigenvector(bench):
     triple, prob = bench
     q = triple.eigenvectors[:, 0]
     expected = -triple.eigenvalues[0] * q - signed_square(q)
-    np.testing.assert_allclose(prob.f(0.0, q, np.zeros(8)), expected, atol=1e-10)
+    np.testing.assert_allclose(prob.f(q, np.zeros(8)), expected, atol=1e-10)
 
 
 def test_observation_and_initial(tiny_instance, above_cut, rng):
@@ -79,9 +79,9 @@ def test_observation_and_initial(tiny_instance, above_cut, rng):
 def test_f_dimension_mismatch(bench):
     triple, prob = bench
     with pytest.raises(ValidationError):
-        prob.f(0.0, np.zeros(5), np.zeros(8))
+        prob.f(np.zeros(5), np.zeros(8))
     with pytest.raises(ValidationError):
-        prob.f(0.0, np.zeros(8), np.zeros(5))
+        prob.f(np.zeros(8), np.zeros(5))
 
 
 def test_parameters_of_the_wrong_length_are_rejected(tiny_instance):
@@ -105,7 +105,7 @@ def test_state_jacobian_at_zero(bench, rng):
     triple, prob = bench
     v = rng.standard_normal(8)
     np.testing.assert_allclose(
-        prob.apply_jac(0.0, np.zeros(8), np.zeros(8), v),
+        prob.apply_jac(np.zeros(8), v),
         -triple.stiffness @ v,
         rtol=1e-12,
     )
@@ -129,12 +129,11 @@ def test_forward_adjoint_duality_dense_oracle(bench, rng, which):
     triple, prob = bench
     u = 0.4 * rng.standard_normal(8)
     theta = 0.3 * rng.standard_normal(8)
-    t = 0.01
     if which == "f_u":
-        jac = _dense_jacobian(lambda x: prob.apply_jac(t, u, theta, x), 8, 8)
+        jac = _dense_jacobian(lambda x: prob.apply_jac(u, x), 8, 8)
     else:
-        jac = _dense_jacobian(lambda x: prob.f(t, u, theta + x) - prob.f(t, u, theta), prob.n_theta, 8)
-        scale = np.max(np.abs(prob.f(t, u, theta)))  # the differences round at the size of f
+        jac = _dense_jacobian(lambda x: prob.f(u, theta + x) - prob.f(u, theta), prob.n_theta, 8)
+        scale = np.max(np.abs(prob.f(u, theta)))  # the differences round at the size of f
         np.testing.assert_allclose(jac, np.eye(8), rtol=0, atol=1e-14 * scale)
     for _ in range(5):
         x = rng.standard_normal(8)
@@ -147,10 +146,10 @@ def test_forward_adjoint_duality_dense_oracle(bench, rng, which):
 def test_f_u_matrix_matches_forward_mode(bench, rng):
     triple, prob = bench
     u = rng.standard_normal(8)
-    mat = prob.f_u_matrix(0.0, u, np.zeros(8))
+    mat = prob.f_u_matrix(u)
     v = rng.standard_normal(8)
     np.testing.assert_allclose(
-        mat @ v, prob.apply_jac(0.0, u, np.zeros(8), v), rtol=1e-12
+        mat @ v, prob.apply_jac(u, v), rtol=1e-12
     )
 
 
@@ -162,8 +161,8 @@ def test_taylor_order_of_f(bench, rng):
     theta = np.zeros(8)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
-        lhs = prob.f(0.0, u + eps * v, theta)
-        lin = prob.f(0.0, u, theta) + eps * prob.apply_jac(0.0, u, theta, v)
+        lhs = prob.f(u + eps * v, theta)
+        lin = prob.f(u, theta) + eps * prob.apply_jac(u, v)
         diff = lhs - lin
         modes = to_modes(triple, diff)
         errs.append(np.sqrt(triple.dx * float(np.vdot(modes / triple.eigenvalues, modes))))
@@ -176,7 +175,7 @@ def test_reaction_is_f_plus_stiffness(bench, rng):
     u = rng.standard_normal(8)
     theta = rng.standard_normal(8)
     np.testing.assert_allclose(
-        prob.reaction(0.0, u, theta),
-        prob.f(0.0, u, theta) + u @ triple.stiffness,
+        prob.reaction(u, theta),
+        prob.f(u, theta) + u @ triple.stiffness,
         atol=1e-10,
     )

@@ -75,7 +75,7 @@ def test_newton_failure_carries_step_index():
 def test_sensitivity_zero_direction(bench_op):
     theta = positive_theta(bench_op.triple)
     state = bench_op.solve_state(theta)
-    v = bench_op.solve_sensitivity(theta, state, np.zeros(8))
+    v = bench_op.solve_sensitivity(state, np.zeros(8))
     np.testing.assert_array_equal(v.values, 0.0)
 
 
@@ -87,7 +87,7 @@ def test_sensitivity_exact_for_linear_problem(rng):
     theta = rng.standard_normal(7)
     xi = rng.standard_normal(7)
     state = op.solve_state(theta)
-    v = op.solve_sensitivity(theta, state, xi)
+    v = op.solve_sensitivity(state, xi)
     diff = op.solve_state(theta + xi).values - state.values
     assert np.max(np.abs(v.values - diff)) <= 1e-12 * max(np.max(np.abs(diff)), 1.0)
 
@@ -99,7 +99,7 @@ def test_sensitivity_finite_difference_order(rng):
     theta = positive_theta(inst.triple)
     xi = 0.2 + 0.1 * rng.random(20)
     state = op.solve_state(theta)
-    v = op.solve_sensitivity(theta, state, xi)
+    v = op.solve_sensitivity(state, xi)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         fd = (op.solve_state(theta + eps * xi).values - state.values) / eps
@@ -113,7 +113,7 @@ def test_adjoint_zero_source(bench_op):
     theta = positive_theta(bench_op.triple)
     state = bench_op.solve_state(theta)
     z = Trajectory(bench_op.grid, np.zeros((bench_op.grid.node_count, 8)), "observation")
-    p = bench_op.solve_adjoint(theta, state, z)
+    p = bench_op.solve_adjoint(state, z)
     np.testing.assert_array_equal(p.values, 0.0)
     np.testing.assert_array_equal(bench_op.adjoint(theta, state, z), np.zeros(8))
 
@@ -128,7 +128,7 @@ def test_adjoint_linear_eigenbasis_recursion():
     q = triple.eigenvectors[:, k]
     state = op.solve_state(np.zeros(6))
     z = Trajectory(grid, np.tile(q, (grid.node_count, 1)), "observation")
-    p = op.solve_adjoint(np.zeros(6), state, z)
+    p = op.solve_adjoint(state, z)
     lam, tau = triple.eigenvalues[k], grid.tau
     coef = 0.0
     expected = np.zeros(grid.node_count)
@@ -194,10 +194,10 @@ def test_imex_state_across_blocks_matches_spectral_march():
     grid = make_time_grid(0.1, 20)
     op = ReducedOperator(SemilinearDiffusion(triple, gain=10.0), triple, grid)
     theta = positive_theta(triple)
-    t, tau, decay = grid.nodes(), grid.tau, 1.0 + grid.tau * triple.eigenvalues
+    tau, decay = grid.tau, 1.0 + grid.tau * triple.eigenvalues
     want = [np.zeros(triple.interior_points)]
     for k in range(1, grid.node_count):
-        rhs = want[-1] + tau * op.problem.reaction(t[k], want[-1], theta)
+        rhs = want[-1] + tau * op.problem.reaction(want[-1], theta)
         want.append(from_modes(triple, to_modes(triple, rhs) / decay))
     want = np.array(want)
     got = op.solve_state(theta).values
@@ -296,7 +296,7 @@ def test_state_grid_mismatch():
     other = make_time_grid(0.1, 6)
     state = Trajectory(other, np.zeros((7, 5)), "state")
     with pytest.raises(ValidationError):
-        op.solve_sensitivity(np.zeros(5), state, np.zeros(5))
+        op.solve_sensitivity(state, np.zeros(5))
 
 
 def test_perturbation_field_used_as_default(rng):
@@ -323,9 +323,9 @@ def test_imex_linearization_runs_no_dense_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     monkeypatch.setattr(SemilinearDiffusion, "f_u_matrix", forbidden)
-    op.solve_sensitivity(theta, state, np.ones(8))
+    op.solve_sensitivity(state, np.ones(8))
     z = Trajectory(inst.grid, np.ones((inst.grid.node_count, 8)), "observation")
-    op.solve_adjoint(theta, state, z)
+    op.solve_adjoint(state, z)
     op.slab_adjoint(theta, state, z, 1)
 
 
@@ -342,9 +342,9 @@ def test_newton_linearization_runs_no_dense_solve(monkeypatch):
     theta, state, y = synthesize_truth(inst)
     add_noise(inst, y, theta, 1e-3, 1e-3, seed=0)
     op = inst.reduced
-    op.solve_sensitivity(theta, state, np.ones(8))
+    op.solve_sensitivity(state, np.ones(8))
     z = Trajectory(inst.grid, np.ones((inst.grid.node_count, 8)), "observation")
-    op.solve_adjoint(theta, state, z)
+    op.solve_adjoint(state, z)
     op.slab_adjoint(theta, state, z, 1)
 
 
@@ -389,8 +389,8 @@ def test_reaction_slope_and_stiffness_give_dense_jacobian(cls, rng):
     theta = rng.standard_normal(9)
     h = 1e-6
     probed = np.column_stack(
-        [(prob.f(0.3, u + h * e, theta) - prob.f(0.3, u - h * e, theta)) / (2 * h) for e in np.eye(9)]
+        [(prob.f(u + h * e, theta) - prob.f(u - h * e, theta)) / (2 * h) for e in np.eye(9)]
     )
     np.testing.assert_allclose(
-        prob.f_u_matrix(0.3, u, theta), probed, rtol=0, atol=1e-7 * np.max(triple.stiffness)
+        prob.f_u_matrix(u), probed, rtol=0, atol=1e-7 * np.max(triple.stiffness)
     )
