@@ -631,14 +631,13 @@ def compare(config: ExperimentConfig, tags):
     """Run several methods against one shared dataset; returns the comparison.
 
     The self-test, the instance, the truth and the noise are made once, for
-    all tags.  A repeated tag, whose run would overwrite the first one's files,
-    is a ValidationError before any work."""
-    if len(set(tags)) < len(tags):
-        raise ValidationError(f"method tags {list(tags)} name one method twice")
+    all tags.  No tag, a repeated tag, whose run would overwrite the first one's
+    files, or an unknown one is a ValidationError before any work."""
+    if not tags or len(set(tags)) < len(tags):
+        raise ValidationError(f"method tags {list(tags)} name no method or one method twice")
+    configs = {tag: replace(config, method=replace(config.method, tag=tag)) for tag in tags}
     data = prepare_data(config)
-    summaries = {}
-    for tag in tags:
-        summaries[tag] = run_on_data(replace(config, method=replace(config.method, tag=tag)), data)
+    summaries = {tag: run_on_data(run_config, data) for tag, run_config in configs.items()}
     means = {tag: s["timing"]["step_ms_mean"] for tag, s in summaries.items()}
     ratios = {
         f"{a}/{b}": (means[a] / means[b] if means[b] > 0 else None)
@@ -664,12 +663,15 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     The self-test gate, the instance and the truth are made once, for all
     runs; each run only draws its noise.  With ``relative`` the deltas are
     interpreted as fractions of the exact data norm.  Workers fan out over
-    independent processes, and every worker owns its output directory.  Fewer
-    than one worker, two equal noise levels (0 and -0 among them, which would
-    share one median), two runs sharing a directory (noise levels equal in
-    their ``:g`` form, or repeated seeds), or a run config that does not
-    validate (a negative level or seed) is a ValidationError before any work.
+    independent processes, and every worker owns its output directory.  No
+    noise level or no seed, fewer than one worker, two equal noise levels (0
+    and -0 among them, which would share one median), two runs sharing a
+    directory (noise levels equal in their ``:g`` form, or repeated seeds), or
+    a run config that does not validate (a negative or non-finite level, a
+    negative seed) is a ValidationError before any work.
     """
+    if not len(deltas) or not len(seeds):
+        raise ValidationError(f"a sweep needs levels and seeds, got {list(deltas)}, {list(seeds)}")
     if workers < 1:
         raise ValidationError(f"a sweep needs at least 1 worker, got {workers}")
     if len(set(map(float, deltas))) < len(deltas):

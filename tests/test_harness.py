@@ -324,14 +324,27 @@ def test_sweep_gates_and_marches_the_truth_once(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("deltas, seeds", [([1e-3, -1e-3], [0]), ([1e-3], [0, -1])])
+@pytest.mark.parametrize(
+    "deltas, seeds", [([1e-3, -1e-3], [0]), ([1e-3], [0, -1]), ([], range(3)), ([1e-3], [])]
+)
 def test_sweep_rejects_a_bad_run_before_any_work(tmp_path, monkeypatch, deltas, seeds):
-    """A negative level or seed from a Python caller fails before the gate
-    and the truth march."""
+    """A negative level or seed, or no level or no seed, from a Python caller
+    fails before the gate and the truth march."""
     for name in ("selftest", "synthesize_truth"):
         monkeypatch.setattr(harness, name, lambda *args, _name=name, **kw: pytest.fail(_name))
     with pytest.raises(ValidationError):
         sweep(small_config(tmp_path), deltas=deltas, seeds=seeds, relative=True)
+
+
+@pytest.mark.parametrize("tags", [["aLW", "rLW", "bogus"], []], ids=["unknown-tag", "no-tag"])
+def test_compare_rejects_bad_tags_before_any_work(tmp_path, monkeypatch, tags):
+    """An unknown tag after good ones, or no tag, fails before the gate and
+    the truth march, and no method runs or writes a file."""
+    for name in ("selftest", "synthesize_truth"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name, **kw: pytest.fail(_name))
+    with pytest.raises(ValidationError):
+        compare(small_config(tmp_path / "out"), tags)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_round_trips_through_dict(tmp_path):
@@ -616,6 +629,14 @@ def test_cli_failed_selftest_gate_exits_3(tmp_path, monkeypatch, capsys, args):
     assert cli_main([command, "--config", write_config(tmp_path), *rest]) == 3
     assert "self-test" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_compare_with_an_unknown_tag_runs_nothing(tmp_path):
+    """aLW is a good tag, but the run of a list with a bad one starts no method."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli_main(["compare", "--config", write_config(tmp_path), "--methods", "aLW,bogus"]) == 1
+    assert list(out.iterdir()) == []
 
 
 def test_cli_compare(tmp_path, capsys):
