@@ -1,8 +1,10 @@
-"""Every function and method defined in ``src/dyninv`` is referenced there.
+"""Every function and method defined in ``src/dyninv`` is referenced there, and
+reads every parameter it takes.
 
 A reference is a name or an attribute read anywhere in the package outside the
 definition itself; imports do not count, so a re-export in ``__init__`` keeps
-nothing alive.  What only callers outside the package read is named below, and
+nothing alive.  A parameter is read when its body loads the name, passing it on
+included.  What only callers outside the package read is named below, and
 what is allowed for the benchmark's sake stays allowed only while the benchmark
 names it.
 """
@@ -25,6 +27,12 @@ ALLOWED = {
     "f_u_matrix": "perfbench/ wraps it by name; tests assemble f_u densely with it",
     "inner_residual": "perfbench/ checks the adjoint identity with it",
     "inner_state": "perfbench/ wraps it by name and checks the adjoint identity with it",
+}
+
+# parameters left unread, one reason each
+UNREAD = {
+    ("reduced.ReducedOperator.derivative", "theta"): "perfbench/ calls derivative(theta, state, xi) positionally",
+    ("reduced.ReducedOperator.adjoint", "theta"): "perfbench/ calls adjoint(theta, state, z) positionally",
 }
 
 
@@ -51,6 +59,25 @@ def _definitions(tree, prefix):
             yield from _definitions(node, prefix)
 
 
+def _package_definitions():
+    """{qualified name: node} of every function and method in the package."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        out.update(_definitions(ast.parse(path.read_text()), path.stem))
+    return out
+
+
+def _parameters(node):
+    """The parameters of a function, a method's self or cls left out."""
+    args = node.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    return [a.arg for a in every if a is not None and a.arg not in ("self", "cls")]
+
+
+def _perfbench_trees():
+    return [ast.parse((PERFBENCH / name).read_text()) for name in ("tracer.py", "bench.py")]
+
+
 def test_every_function_in_the_package_is_referenced():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
@@ -74,8 +101,39 @@ def test_every_perfbench_allowance_names_what_perfbench_still_reads():
     the benchmark still names: a string the tracer wraps by, or a name or an
     attribute read.  When the benchmark drops one, its entry and the function go."""
     named = Counter()
-    for path in (PERFBENCH / "tracer.py", PERFBENCH / "bench.py"):
-        tree = ast.parse(path.read_text())
+    for tree in _perfbench_trees():
         named += _reads(tree)
         named.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
     assert sorted(name for name, why in ALLOWED.items() if "perfbench" in why and not named[name]) == []
+
+
+def test_every_parameter_of_a_package_function_is_read():
+    """A parameter no body reads is a contract the code does not keep: a hook
+    that takes a time the model never reads.  Lambdas are not checked, as a
+    dispatch table fixes their one signature."""
+    unread = set()
+    for qualname, node in _package_definitions().items():
+        body = ast.Module(node.body, [])
+        loads = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.update((qualname, name) for name in _parameters(node) if name not in loads)
+    assert sorted(unread - UNREAD.keys()) == []
+    # an allowance whose parameter is read again, or gone, leaves the list
+    assert sorted(UNREAD.keys() - unread) == []
+
+
+def test_every_unread_parameter_allowance_names_a_call_perfbench_still_makes():
+    """An unread parameter kept for perfbench/ is one the benchmark fills by
+    position: it calls the method by name with an argument there.  When it
+    stops, the allowance and the parameter go."""
+    filled = Counter()  # the most positional arguments of a call by attribute name
+    for tree in _perfbench_trees():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                filled[n.func.attr] = max(filled[n.func.attr], len(n.args))
+    defined = _package_definitions()
+    stale = []
+    for (qualname, name), why in UNREAD.items():
+        node = defined[qualname]
+        if "perfbench" in why and filled[node.name] <= _parameters(node).index(name):
+            stale.append((qualname, name))
+    assert stale == []
