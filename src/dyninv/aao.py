@@ -4,7 +4,8 @@ The unknown is the pair (state trajectory, parameter); the residual stacks the
 model row, the initial-condition row and the observation row.  The problem
 observes the state in full from a zero start, so the data are (0, 0, y): the
 initial row is u^0, the observation row u - y, and only the model row reads
-theta.  Shapes are taken as given; :func:`~dyninv.methods.run` checks them once.
+theta.  :meth:`AllAtOnceOperator.derivative` checks its theta direction per
+call; other shapes are taken as given, and :func:`~dyninv.methods.run` checks them.
 The adjoint is the exact transpose of the discrete derivative under the graph
 inner product on states, which fixes every endpoint and quadrature choice
 below: the backward sweep reads its source one node above, the forward sweep

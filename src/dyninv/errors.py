@@ -38,3 +38,10 @@ def require_finite(config, names):
     bad = [name for name in names if not math.isfinite(getattr(config, name))]
     if bad:
         raise ValidationError(f"{bad[0]} must be finite, got {getattr(config, bad[0])}")
+
+
+def require_noise_levels(*levels):
+    """Reject a noise level that is NaN, infinite or negative."""
+    bad = [level for level in levels if not 0 <= level < math.inf]
+    if bad:
+        raise ValidationError(f"noise levels must be finite and nonnegative, got {bad[0]}")

@@ -1,5 +1,6 @@
 """Uniform time grids on (0, T) and node-aligned partitions for cyclic sweeps."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ class TimeGrid:
     step_count: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValidationError(f"horizon must be finite and positive, got {self.horizon}")
         if self.step_count < 1:
             raise ValidationError(f"step_count must be at least 1, got {self.step_count}")
 

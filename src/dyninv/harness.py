@@ -8,7 +8,6 @@ plus JSON summaries.
 
 import csv
 import json
-import math
 import numbers
 import os
 import time
@@ -21,9 +20,9 @@ from typing import get_args
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple
-from .errors import SelfTestError, ValidationError, require_finite
+from .errors import SelfTestError, ValidationError, require_finite, require_noise_levels
 from .grids import make_partition, make_time_grid
-from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, run
+from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, check_prior, run
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator, check_policy
 from .spaces import Trajectory, build_triple, norm_dual_load, norm_observation
@@ -68,26 +67,17 @@ class ExperimentConfig:
     start_at_truth: bool = False
 
     def __post_init__(self):
-        require_finite(self, ("gain", "truth_amplitude", "delta_w", "delta_z"))
-        if self.delta_w < 0 or self.delta_z < 0:
-            raise ValidationError("noise levels must be nonnegative")
-        if self.n_x < 1 or self.n_t < 1 or self.seed < 0:
-            raise ValidationError(
-                f"need n_x >= 1, n_t >= 1 and seed >= 0, got {self.n_x}, {self.n_t}, {self.seed}"
-            )
+        # each rule by its owner (the grid and m by building them, with no tables);
+        # n_x >= 1 is restated, as build_triple tabulates, and gain and amplitude have no owner
+        require_finite(self, ("gain", "truth_amplitude"))
+        require_noise_levels(self.delta_w, self.delta_z)
+        if self.n_x < 1 or self.seed < 0:
+            raise ValidationError(f"need n_x >= 1 and seed >= 0, got {self.n_x}, {self.seed}")
         check_truth_kind(self.truth_kind)
         check_policy(self.policy)
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError(f"horizon T must be finite and positive, got {self.horizon}")
-        if self.n_t % self.method.m:
-            raise ValidationError(
-                f"slab count m = {self.method.m} does not divide n_t = {self.n_t}"
-            )
-        shapes = {"prior_theta": (self.n_x,), "prior_state": (self.n_t + 1, self.n_x)}
-        for name, shape in shapes.items():
-            value = getattr(self.method, name)
-            if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
-                raise ValidationError(f"{name} must be finite of shape {shape}, got {np.shape(value)}")
+        grid = make_time_grid(self.horizon, self.n_t)
+        make_partition(grid, self.method.m)
+        check_prior(self.method, grid.node_count, self.n_x)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -228,11 +218,9 @@ class NoisyDataset:
     model_noise: Trajectory
     obs_noise: Trajectory
     y_noisy: Trajectory
-    y_exact: Trajectory
     achieved_delta: float
     bound_delta: float
     c_estimate: float
-    seed: int
 
 
 def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, delta_z, seed) -> NoisyDataset:
@@ -246,10 +234,7 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     consumes.  The analytic bound c*delta_w + delta_z is reported alongside
     with c estimated from the current draw.
     """
-    if not (0 <= delta_w < math.inf and 0 <= delta_z < math.inf):
-        raise ValidationError(
-            f"noise levels must be finite and nonnegative, got {delta_w}, {delta_z}"
-        )
+    require_noise_levels(delta_w, delta_z)
     triple, grid = instance.triple, instance.grid
     rng = np.random.default_rng(seed)
     w_noise = _scaled_noise(rng, instance, delta_w, "dual_load", norm_dual_load)
@@ -265,9 +250,7 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
 
     diff = Trajectory(grid, y_noisy.values - y.values, "observation")
     achieved = norm_observation(triple, diff)
-    return NoisyDataset(
-        w_noise, z_noise, y_noisy, y, achieved, c_est * delta_w + delta_z, c_est, seed
-    )
+    return NoisyDataset(w_noise, z_noise, y_noisy, achieved, c_est * delta_w + delta_z, c_est)
 
 
 def _scaled_noise(rng, instance, delta, space_tag, norm):

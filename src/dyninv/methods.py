@@ -8,7 +8,9 @@ all-at-once operator's own coordinates, which the operator picks from the size
 (:meth:`~dyninv.aao.AllAtOnceOperator.to_nodes`); this module has one path.
 One loop runs every tag: :func:`run` checks its inputs and resolves the
 formulation and the tag's update before it, and each pass evaluates, records,
-tests the stops and times one update; the operators and hooks check no shapes.
+tests the stops and times one update.  Each input rule has one owner, which run
+calls (:func:`check_prior` owns the IRGNM prior); the public operator methods
+also check their theta and state per call, for direct callers.
 """
 
 import math
@@ -19,13 +21,14 @@ from functools import partial
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
-from .errors import InnerSolveError, SolverError, ValidationError, require_finite
+from .errors import InnerSolveError, SolverError, ValidationError, require_finite, require_noise_levels
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
+    check_trajectory,
     norm_l2_v,
     norm_observation,
 )
@@ -311,14 +314,15 @@ def run(
 
     Inputs are checked here, once, before any iteration (ValidationError):
     ``y_data`` and the states of ``start`` and ``truth`` = (theta, state) are
-    trajectories of shape (N + 1, n) on the grid; every theta has n_theta entries.
+    trajectories of shape (N + 1, n) on the grid, every theta has n_theta
+    entries, ``delta`` is a noise level and the config's prior passes
+    :func:`check_prior`.
 
     Everything about the tag is resolved once, before the loop: the start, the
     evaluation of an iterate (its four residual norms, (theta, state) and what
     its update reads) and the update, which calls its step function by name.
     """
-    if not 0 <= delta < math.inf:
-        raise ValidationError(f"noise level must be finite and nonnegative, got {delta}")
+    require_noise_levels(delta)
     tag, sweep_len = config.tag, 1
     if tag in ("aLWK", "rLWK"):
         if instance.partition is None or instance.partition.slab_count != config.m:
@@ -328,17 +332,18 @@ def run(
             )
         sweep_len = config.m
     grid, triple, problem = instance.grid, instance.triple, instance.problem
-    _check_trajectory(y_data, grid, triple, "observation data")
+    width = triple.interior_points
+    check_trajectory(y_data, grid, width, "observation data")
     if truth is not None:
         truth_theta = problem.check_theta(truth[0], "truth parameter")
-        truth_rows = _check_trajectory(truth[1], grid, triple, "truth state").values[1:]
+        truth_rows = check_trajectory(truth[1], grid, width, "truth state").values[1:]
 
     if tag in AAO_TAGS:
         op = instance.aao
         if start is not None and not isinstance(start, AaoPoint):
             raise ValidationError(f"{tag} starts from a joint point, got {type(start).__name__}")
         x = zero_point(triple, grid, problem) if start is None else AaoPoint(
-            _check_trajectory(start.state, grid, triple, "start state"),
+            check_trajectory(start.state, grid, width, "start state"),
             problem.check_theta(start.theta, "start parameter"),
         )
 
@@ -355,7 +360,8 @@ def run(
             res_y = norm_observation(triple, z)
             return (0.0, 0.0, res_y, res_y), theta, state, (z, state)
 
-    prior = _resolve_prior(config, triple, grid, problem)
+    prior_state, prior_theta = check_prior(config, grid.node_count, width)
+    prior = AaoPoint(Trajectory(grid, prior_state, "state"), prior_theta)
     evaluated = evaluate(x)
     mu = config.mu if config.stepsize == "fixed" else _norm_stepsize(config, instance, x, evaluated[2])
     cg = (config.cg_tol, config.cg_max)
@@ -420,19 +426,17 @@ def run(
     return record
 
 
-def _check_trajectory(traj, grid, triple, name):
-    shape = (grid.node_count, triple.interior_points)
-    if not (isinstance(traj, Trajectory) and traj.grid == grid and traj.values.shape == shape):
-        raise ValidationError(f"{name} must be a trajectory of shape {shape} on the run's grid")
-    return traj
-
-
-def _resolve_prior(config, triple, grid, problem):
-    """The IRGNM prior as a joint point; an unset part is zero."""
-    state, theta = config.prior_state, config.prior_theta
-    state = np.zeros((grid.node_count, triple.interior_points)) if state is None else state
-    theta = np.zeros(problem.n_theta) if theta is None else theta
-    return AaoPoint(Trajectory(grid, state, "state"), np.asarray(theta, dtype=float))
+def check_prior(config: MethodConfig, node_count: int, width: int):
+    """The IRGNM prior of ``config`` as float arrays (state rows, theta), an unset
+    part zero; ValidationError unless each set part is finite, of shape
+    (node_count, width) and (width,)."""
+    parts = []
+    for name, shape in (("prior_state", (node_count, width)), ("prior_theta", (width,))):
+        value = getattr(config, name)
+        if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
+            raise ValidationError(f"{name} must be finite of shape {shape}, got {np.shape(value)}")
+        parts.append(np.zeros(shape) if value is None else np.asarray(value, dtype=float))
+    return parts
 
 
 def _norm_stepsize(config, instance, start, state):

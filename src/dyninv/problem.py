@@ -7,8 +7,9 @@ from zero whatever theta is.  The operators state these as arithmetic, not
 hooks.  They call the model ``f(u, theta)``, ``inner_theta``, the
 ``reaction(u, theta)`` (f plus K u, integrated explicitly under 'imex') and
 its diagonal slope ``reaction_slope(u)``, which theta, a source, does not
-enter; hooks broadcast over a leading axis of time nodes and rely on
-``methods.run`` for shape checks.  The reaction is pointwise, so
+enter; hooks broadcast over a leading axis of time nodes.  ``f`` checks its
+theta per call (:meth:`SemilinearDiffusion.check_theta`); the other hooks rely
+on ``methods.run`` for shape checks.  The reaction is pointwise, so
 f_u = -K + diag(reaction_slope) is read from the slope of u alone:
 ``apply_jac(u, v)`` applies it (f_u is self-adjoint under the H pairing),
 'imex' is linearized through the slope, and every 'newton' matrix

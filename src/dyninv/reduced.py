@@ -40,6 +40,7 @@ from .problem import SemilinearDiffusion
 from .spaces import (
     DiscreteGelfandTriple,
     Trajectory,
+    check_trajectory,
     resolvent_tables,
     solve_resolvent,
     solve_shifted_stiffness,
@@ -123,7 +124,7 @@ class ReducedOperator:
 
     def solve_sensitivity(self, state: Trajectory, xi) -> Trajectory:
         """Linearized evolution along xi from zero; exactly linear in xi."""
-        self._check_state(state)
+        check_trajectory(state, self.grid, self.triple.interior_points, "state")
         xi = self.problem.check_theta(xi, "parameter direction")
         u = state.values
         tau = self.grid.tau
@@ -148,7 +149,7 @@ class ReducedOperator:
         and node 0 stays zero.  A slab's ``nodes`` = (lo, hi) (its ``node_range``)
         load z on nodes lo+1..hi and start the sweep at node hi; the default is (0, N).
         """
-        self._check_state(state)
+        check_trajectory(state, self.grid, self.triple.interior_points, "state")
         lo, hi = nodes or (0, self.grid.step_count)
         u = state.values
         tau = self.grid.tau
@@ -201,9 +202,3 @@ class ReducedOperator:
         multiplier is zero, and below the slab keeps evolving with zero source.
         """
         return self.adjoint(theta, state, z, require_partition(self.partition).node_range(j))
-
-    def _check_state(self, state: Trajectory):
-        if state.grid != self.grid:
-            raise ValidationError("state lives on a different grid")
-        if state.width != self.triple.interior_points:
-            raise ValidationError("state width does not match the discretisation")

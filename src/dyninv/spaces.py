@@ -378,6 +378,13 @@ def zero_trajectory(grid: TimeGrid, width: int, space_tag: str = "state") -> Tra
     return Trajectory(grid, np.zeros((grid.node_count, width)), space_tag)
 
 
+def check_trajectory(traj, grid: TimeGrid, width: int, name: str) -> Trajectory:
+    """traj as a trajectory of ``width`` on ``grid``, or ValidationError."""
+    if not (isinstance(traj, Trajectory) and traj.grid == grid and traj.width == width):
+        raise ValidationError(f"{name} must be a trajectory of shape {(grid.node_count, width)} on the grid")
+    return traj
+
+
 def _same_grid(a: Trajectory, b: Trajectory):
     if a.grid != b.grid:
         raise ValidationError("trajectories live on different grids")
@@ -398,7 +405,7 @@ def evolve_forward(
     _check_width(triple, v0, "initial value")
     loads = np.empty((0, triple.interior_points))
     if source is not None:
-        _same_grid_source(grid, source)
+        check_trajectory(source, grid, triple.interior_points, "source")
         loads = to_modes(triple, source.values[1:])
     c = march_modes(march_tables(triple, grid), to_modes(triple, v0), loads, grid.step_count)
     return Trajectory(grid, from_modes(triple, c), "state")
@@ -420,7 +427,7 @@ def evolve_backward(
     _check_width(triple, v_final, "terminal value")
     loads = np.empty((0, triple.interior_points))
     if source is not None:
-        _same_grid_source(grid, source)
+        check_trajectory(source, grid, triple.interior_points, "source")
         loads = to_modes(triple, source.values[-2::-1])
     # the backward march is a forward one on the time-reversed nodes
     tables = march_tables(triple, grid)
@@ -511,11 +518,6 @@ def march_nodes(tables: ResolventTables, tau: float, start, loads: np.ndarray, s
     for k in range(1, steps + 1):
         c[k] = solve_resolvent(tables, c[k - 1] + loads[k - 1] if k <= loaded else c[k - 1])
     return c
-
-
-def _same_grid_source(grid: TimeGrid, source: Trajectory):
-    if source.grid != grid:
-        raise ValidationError("source trajectory lives on a different grid")
 
 
 def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:

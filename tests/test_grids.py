@@ -30,6 +30,8 @@ def test_grid_validation():
         make_time_grid(-1.0, 10)
     with pytest.raises(ValidationError):
         make_time_grid(1.0, 0)
+    with pytest.raises(ValidationError):
+        make_time_grid(math.inf, 10)  # an infinite tau would make the truth march diverge
 
 
 def test_trivial_partition():

@@ -7,7 +7,7 @@ import pytest
 from dyninv import aao, methods, reduced, spaces
 from dyninv.aao import AaoPoint, AllAtOnceOperator, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
-from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth
+from dyninv.harness import DenseOracle, ExperimentConfig, add_noise, make_instance, synthesize_truth
 from dyninv.methods import (
     METHOD_TAGS,
     MethodConfig,
@@ -522,6 +522,41 @@ def test_run_rejects_malformed_inputs_before_any_iteration(tag, newton_setup, mo
             kwargs["start"] = theta  # a parameter alone is no joint start
         with pytest.raises(ValidationError):
             run(cfg, inst, kwargs.pop("y_data"), 0.0, **kwargs)
+            pytest.fail(f"{tag} accepted {name}")
+
+
+def _malformed_priors(nodes, n):
+    """(name, MethodConfig prior fields) for every prior the config loader rejects."""
+    nan_state = np.zeros((nodes, n))
+    nan_state[1, 0] = np.nan
+    return [
+        ("prior theta of length 1", {"prior_theta": np.zeros(1)}),
+        ("prior theta with a NaN", {"prior_theta": np.full(n, np.nan)}),
+        ("prior state of width 1", {"prior_state": np.zeros((nodes, 1))}),
+        ("prior state of N rows", {"prior_state": np.zeros((nodes - 1, n))}),
+        ("prior state with a NaN", {"prior_state": nan_state}),
+    ]
+
+
+@pytest.mark.parametrize("tag", ["aIRGNM", "rIRGNM"])
+def test_run_rejects_a_malformed_prior_before_any_iteration(tag, newton_setup, monkeypatch):
+    """Every prior the config loader rejects raises ValidationError from run
+    too, before the first evaluation; it would otherwise broadcast into the IRGNM steps."""
+    inst, (theta, state, y) = newton_setup
+    grid, n = inst.grid, inst.triple.interior_points
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("run evaluated an iterate with a malformed prior")
+
+    monkeypatch.setattr(AllAtOnceOperator, "residual", evaluated)
+    monkeypatch.setattr(ReducedOperator, "solve_state", evaluated)
+    for name, prior in _malformed_priors(grid.node_count, n):
+        cfg = MethodConfig(tag=tag, k_max=2, **prior)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(n_x=n, n_t=grid.step_count, horizon=grid.horizon, method=cfg)
+            pytest.fail(f"the config loader accepted {name}")
+        with pytest.raises(ValidationError):
+            run(cfg, inst, y, 0.0, truth=(theta, state))
             pytest.fail(f"{tag} accepted {name}")
 
 

@@ -1,5 +1,5 @@
 """Every function and method defined in ``src/dyninv`` is referenced there, and
-reads every parameter it takes.
+reads every parameter it takes; every name a module imports is read in it.
 
 A reference is a name or an attribute read anywhere in the package outside the
 definition itself; imports do not count, so a re-export in ``__init__`` keeps
@@ -45,6 +45,11 @@ def _reads(tree):
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out[node.attr] += 1
     return out
+
+
+def _loaded_names(tree):
+    """The bare names loaded under ``tree``."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def _definitions(tree, prefix):
@@ -113,12 +118,30 @@ def test_every_parameter_of_a_package_function_is_read():
     dispatch table fixes their one signature."""
     unread = set()
     for qualname, node in _package_definitions().items():
-        body = ast.Module(node.body, [])
-        loads = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        loads = _loaded_names(ast.Module(node.body, []))
         unread.update((qualname, name) for name in _parameters(node) if name not in loads)
     assert sorted(unread - UNREAD.keys()) == []
     # an allowance whose parameter is read again, or gone, leaves the list
     assert sorted(UNREAD.keys() - unread) == []
+
+
+def test_every_name_a_package_module_imports_is_read():
+    """An import its module never reads is left over from a use that moved
+    away, as ``import math`` is once its last caller calls a helper instead.
+    ``__init__`` imports to re-export, so it is left out."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        loads = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loads:
+                        unread.append(f"{path.stem}: {name}")
+    assert unread == []
 
 
 def test_every_unread_parameter_allowance_names_a_call_perfbench_still_makes():
