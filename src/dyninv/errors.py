@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -45,3 +46,9 @@ def require_noise_levels(*levels):
     bad = [level for level in levels if not 0 <= level < math.inf]
     if bad:
         raise ValidationError(f"noise levels must be finite and nonnegative, got {bad[0]}")
+
+
+def require_count(value, name, least=1):
+    """Reject a count that is not an integer (numpy integers count, bools do not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_count
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.step_count < 1:
-            raise ValidationError(f"step_count must be at least 1, got {self.step_count}")
+        require_count(self.step_count, "step_count")
 
     @property
     def tau(self) -> float:
@@ -31,8 +30,8 @@ class TimeGrid:
 
 
 def make_time_grid(horizon: float, step_count: int) -> TimeGrid:
-    """Build a uniform grid on (0, horizon) with the given number of steps."""
-    return TimeGrid(float(horizon), int(step_count))
+    """Build a uniform grid on (0, horizon) with step_count steps; the count is checked, not truncated."""
+    return TimeGrid(float(horizon), step_count)
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,7 @@ class KaczmarzPartition:
     slab_count: int
 
     def __post_init__(self):
-        if self.slab_count < 1:
-            raise ValidationError(f"slab_count must be at least 1, got {self.slab_count}")
+        require_count(self.slab_count, "slab_count")
         if self.grid.step_count % self.slab_count != 0:
             raise ValidationError(
                 f"slab_count {self.slab_count} does not divide "
@@ -100,5 +98,5 @@ def require_partition(partition: KaczmarzPartition | None) -> KaczmarzPartition:
 
 
 def make_partition(grid: TimeGrid, slab_count: int) -> KaczmarzPartition:
-    """Partition the horizon into slab_count uniform slabs aligned to grid nodes."""
-    return KaczmarzPartition(grid, int(slab_count))
+    """Split the horizon into slab_count node-aligned uniform slabs; the count is checked, not truncated."""
+    return KaczmarzPartition(grid, slab_count)

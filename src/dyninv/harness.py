@@ -20,7 +20,7 @@ from typing import get_args
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple
-from .errors import SelfTestError, ValidationError, require_finite, require_noise_levels
+from .errors import SelfTestError, ValidationError, require_count, require_finite, require_noise_levels
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, check_prior, run
 from .problem import SemilinearDiffusion
@@ -67,12 +67,13 @@ class ExperimentConfig:
     start_at_truth: bool = False
 
     def __post_init__(self):
-        # each rule by its owner (the grid and m by building them, with no tables);
-        # n_x >= 1 is restated, as build_triple tabulates, and gain and amplitude have no owner
+        # each rule by its owner (the grid and m by building them, with no tables); build_triple
+        # and add_noise run late, so n_x and seed restate their require_count; gain and amplitude
+        # have no owner
         require_finite(self, ("gain", "truth_amplitude"))
         require_noise_levels(self.delta_w, self.delta_z)
-        if self.n_x < 1 or self.seed < 0:
-            raise ValidationError(f"need n_x >= 1 and seed >= 0, got {self.n_x}, {self.seed}")
+        require_count(self.n_x, "n_x")
+        require_count(self.seed, "seed", least=0)
         check_truth_kind(self.truth_kind)
         check_policy(self.policy)
         grid = make_time_grid(self.horizon, self.n_t)
@@ -232,9 +233,11 @@ def add_noise(instance: ProblemInstance, y: Trajectory, theta_truth, delta_w, de
     observation noise is added to ``y`` itself.  The achieved noise level is
     the measured observation-space distance, which the discrepancy principle
     consumes.  The analytic bound c*delta_w + delta_z is reported alongside
-    with c estimated from the current draw.
+    with c estimated from the current draw.  The seed is checked, not
+    truncated: it must be an integer of at least 0.
     """
     require_noise_levels(delta_w, delta_z)
+    require_count(seed, "seed", least=0)
     triple, grid = instance.triple, instance.grid
     rng = np.random.default_rng(seed)
     w_noise = _scaled_noise(rng, instance, delta_w, "dual_load", norm_dual_load)
@@ -314,24 +317,21 @@ class DenseOracle:
         )
 
     def unflatten_triple(self, flat) -> ResidualTriple:
-        steps, width = self.grid.step_count, self.width
-        cut = steps * width
-        w = np.zeros((steps + 1, width))
-        w[1:] = flat[:cut].reshape(steps, width)
-        h = flat[cut : cut + width].copy()
-        z = np.zeros((steps + 1, width))
-        z[1:] = flat[cut + width :].reshape(steps, width)
-        return ResidualTriple(
-            Trajectory(self.grid, w, "dual_load"), h, Trajectory(self.grid, z, "observation")
-        )
+        cut = self.grid.step_count * self.width
+        w, h = self._rows(flat[:cut], "dual_load"), flat[cut : cut + self.width].copy()
+        return ResidualTriple(w, h, self._rows(flat[cut + self.width :], "observation"))
 
     def flatten_obs(self, traj: Trajectory) -> np.ndarray:
         return traj.values[1:].ravel()
 
     def unflatten_obs(self, flat) -> Trajectory:
-        z = np.zeros((self.grid.step_count + 1, self.width))
-        z[1:] = flat.reshape(self.grid.step_count, self.width)
-        return Trajectory(self.grid, z, "observation")
+        return self._rows(flat, "observation")
+
+    def _rows(self, flat, space_tag) -> Trajectory:
+        """The trajectory whose rows 1..N are ``flat`` laid out row by row; row 0 is zero."""
+        values = np.zeros((self.grid.node_count, self.width))
+        values[1:] = flat.reshape(self.grid.step_count, self.width)
+        return Trajectory(self.grid, values, space_tag)
 
     def _assemble_gram_domain(self, gram_model):
         triple, grid = self.triple, self.grid
@@ -360,29 +360,21 @@ class DenseOracle:
         return out
 
     def _assemble_gram_theta(self):
-        n = self.n_theta
-        g = np.empty((n, n))
-        basis = np.eye(n)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = self.instance.problem.inner_theta(basis[i], basis[j])
-        return g
+        inner, basis = self.instance.problem.inner_theta, np.eye(self.n_theta)
+        return _columns(lambda unit: [inner(b, unit) for b in basis], self.n_theta)
 
     # -- joint operator matrices --------------------------------------------------
 
     def aao_derivative_matrix(self, point: AaoPoint, slab=None) -> np.ndarray:
         op = self.instance.aao
-        cols = np.empty((self.cod_dim, self.dom_dim))
-        for i in range(self.dom_dim):
-            unit = np.zeros(self.dom_dim)
-            unit[i] = 1.0
+
+        def column(unit):
             probe = self.unflatten_point(unit)
             if slab is None:
-                out = op.derivative(point, probe.state, probe.theta)
-            else:
-                out = op.slab_derivative(point, slab, probe.state, probe.theta)
-            cols[:, i] = self.flatten_triple(out)
-        return cols
+                return self.flatten_triple(op.derivative(point, probe.state, probe.theta))
+            return self.flatten_triple(op.slab_derivative(point, slab, probe.state, probe.theta))
+
+        return _columns(column, self.dom_dim)
 
     def aao_adjoint_matrix(self, point: AaoPoint, slab=None, jac=None) -> np.ndarray:
         """Gram-weighted transpose of ``jac``, the derivative matrix (assembled if not given)."""
@@ -395,20 +387,22 @@ class DenseOracle:
     def reduced_derivative_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
         """Columns of the reduced derivative of ``op`` (default: the instance's)."""
         op = self.instance.reduced if op is None else op
-        cols = np.empty((self.grid.step_count * self.width, self.n_theta))
-        for i in range(self.n_theta):
-            unit = np.zeros(self.n_theta)
-            unit[i] = 1.0
+
+        def column(unit):
             if slab is None:
-                out = op.derivative(theta, state, unit)
-            else:
-                out = op.slab_derivative(theta, state, unit, slab)
-            cols[:, i] = self.flatten_obs(out)
-        return cols
+                return self.flatten_obs(op.derivative(theta, state, unit))
+            return self.flatten_obs(op.slab_derivative(theta, state, unit, slab))
+
+        return _columns(column, self.n_theta)
 
     def reduced_adjoint_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
         jac = self.reduced_derivative_matrix(theta, state, slab=slab, op=op)
         return np.linalg.solve(self.gram_theta, jac.T @ self.gram_obs)
+
+
+def _columns(column, size) -> np.ndarray:
+    """The matrix whose column i is ``column(e_i)``, e_i the i-th unit vector of length ``size``."""
+    return np.column_stack([column(unit) for unit in np.eye(size)])
 
 
 # -- self-test gate -----------------------------------------------------------------
@@ -547,21 +541,26 @@ def run_on_data(config: ExperimentConfig, data: ExperimentData):
     wall_total = time.perf_counter() - wall0
 
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tag = config.method.tag
+    summary = summarize(config, dataset, record, wall_total)
+    sum_path = _write_json(outdir / f"{tag}_summary.json", summary)
     it_path = outdir / f"{tag}_iterations.csv"
     rec_path = outdir / f"{tag}_reconstruction.csv"
-    sum_path = outdir / f"{tag}_summary.json"
     write_iterations_csv(it_path, record)
     write_reconstruction_csv(rec_path, instance, theta_true, state_true, record)
-    summary = summarize(config, dataset, record, wall_total)
-    sum_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     summary["paths"] = {
         "iterations": str(it_path),
         "reconstruction": str(rec_path),
         "summary": str(sum_path),
     }
     return summary
+
+
+def _write_json(path: Path, out) -> Path:
+    """Write ``out`` as indented, key-sorted JSON at ``path``, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def summarize(config, dataset, record: RunRecord, wall_total):
@@ -629,10 +628,7 @@ def compare(config: ExperimentConfig, tags):
         if a != b
     }
     out = {"methods": {t: _strip_paths(s) for t, s in summaries.items()}, "step_ms_mean_ratios": ratios}
-    path = Path(config.output_dir) / "comparison.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    out["paths"] = {"comparison": str(path)}
+    out["paths"] = {"comparison": str(_write_json(Path(config.output_dir) / "comparison.json", out))}
     return out
 
 
@@ -647,16 +643,16 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
     runs; each run only draws its noise.  With ``relative`` the deltas are
     interpreted as fractions of the exact data norm.  Workers fan out over
     independent processes, and every worker owns its output directory.  No
-    noise level or no seed, fewer than one worker, two equal noise levels (0
-    and -0 among them, which would share one median), two runs sharing a
-    directory (noise levels equal in their ``:g`` form, or repeated seeds), or
-    a run config that does not validate (a negative or non-finite level, a
-    negative seed) is a ValidationError before any work.
+    noise level or no seed, a worker count that is not an integer of at least
+    1, two equal noise levels (0 and -0 among them, which would share one
+    median), two runs sharing a directory (noise levels equal in their ``:g``
+    form, or repeated seeds), or a run config that does not validate (a
+    negative or non-finite level, a seed that is not an integer of at least 0)
+    is a ValidationError before any work.
     """
     if not len(deltas) or not len(seeds):
         raise ValidationError(f"a sweep needs levels and seeds, got {list(deltas)}, {list(seeds)}")
-    if workers < 1:
-        raise ValidationError(f"a sweep needs at least 1 worker, got {workers}")
+    require_count(workers, "workers")
     if len(set(map(float, deltas))) < len(deltas):
         raise ValidationError(f"noise levels {list(deltas)} repeat one level")
     runs = [
@@ -669,7 +665,7 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
             f"noise levels {list(deltas)} and seeds {list(seeds)} give two runs one directory"
         )
     jobs = [
-        replace(config, delta_z=float(delta), seed=int(seed), output_dir=str(path))
+        replace(config, delta_z=float(delta), seed=seed, output_dir=str(path))
         for delta, seed, path in runs
     ]
     exact = prepare_exact(config)
@@ -689,7 +685,7 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
 
     kept = ("k_star", "stop_reason", "final_res_total", "final_err_theta", "achieved_delta")
     table = [
-        {"delta_z": job.delta_z, "seed": job.seed, **{key: summary[key] for key in kept}}
+        {"delta_z": job.delta_z, "seed": _plain(job.seed), **{key: summary[key] for key in kept}}
         for job, summary in zip(jobs, results)
     ]
     by_delta = {}
@@ -697,8 +693,5 @@ def sweep(config: ExperimentConfig, deltas, seeds, relative=False, workers=1):
         by_delta.setdefault(row["delta_z"], []).append(row["final_err_theta"])
     medians = {str(d): float(np.median(v)) for d, v in sorted(by_delta.items())}
     out = {"runs": table, "median_err_theta_by_delta": medians}
-    path = Path(config.output_dir) / "sweep.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    out["paths"] = {"sweep": str(path)}
+    out["paths"] = {"sweep": str(_write_json(Path(config.output_dir) / "sweep.json", out))}
     return out

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
-from .errors import InnerSolveError, SolverError, ValidationError, require_finite, require_noise_levels
+from .errors import InnerSolveError, SolverError, ValidationError, require_count, require_finite, require_noise_levels
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
@@ -69,10 +69,11 @@ class MethodConfig:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.stepsize not in ("fixed", "norm"):
             raise ValidationError(f"unknown stepsize policy {self.stepsize!r}")
-        if self.m < 1 or self.k_max < 0 or self.cg_max < 1:
-            raise ValidationError("m and cg_max must be >= 1 and k_max >= 0")
-        if self.k_apriori is not None and self.k_apriori < 0:
-            raise ValidationError(f"k_apriori must be >= 0, got {self.k_apriori}")
+        require_count(self.m, "m")
+        require_count(self.cg_max, "cg_max")
+        require_count(self.k_max, "k_max", least=0)
+        if self.k_apriori is not None:
+            require_count(self.k_apriori, "k_apriori", least=0)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_count
 from .grids import TimeGrid
 
 TRAJECTORY_TAGS = ("state", "dual_load", "observation")
@@ -110,8 +110,7 @@ def build_triple(n_x: int) -> DiscreteGelfandTriple:
     and K^-1, G_ij = dx^2 min(i, j) (M - max(i, j)) / M with M = n_x + 1, the
     rho = 1 case of :func:`_green_tables` (a_i = i, den = M / dx^2, no decay).
     The eigenbasis is tabulated on its first read."""
-    if n_x < 1:
-        raise ValidationError(f"need at least one interior point, got {n_x}")
+    require_count(n_x, "n_x")
     dx = 1.0 / (n_x + 1)
     lam = (4.0 / dx**2) * np.sin(0.5 * np.pi * dx * np.arange(1, n_x + 1)) ** 2
     green = _green_tables(np.arange(1.0, n_x + 1), (n_x + 1) / dx**2, 0.0)

@@ -32,6 +32,14 @@ def test_grid_validation():
         make_time_grid(1.0, 0)
     with pytest.raises(ValidationError):
         make_time_grid(math.inf, 10)  # an infinite tau would make the truth march diverge
+    # a count is an integer, checked rather than truncated; a bool is not a count
+    for count in (6.9, 2.0, True, np.bool_(True)):
+        with pytest.raises(ValidationError):
+            make_time_grid(1.0, count)
+    for count in (2.7, 2.0, True):
+        with pytest.raises(ValidationError):
+            make_partition(make_time_grid(1.0, 4), count)
+    assert make_partition(make_time_grid(1.0, np.int64(4)), np.int64(2)).nodes_per_slab == 2
 
 
 def test_trivial_partition():

@@ -325,15 +325,18 @@ def test_sweep_gates_and_marches_the_truth_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "deltas, seeds", [([1e-3, -1e-3], [0]), ([1e-3], [0, -1]), ([], range(3)), ([1e-3], [])]
+    "deltas, seeds",
+    [([1e-3, -1e-3], [0]), ([1e-3], [0, -1]), ([], range(3)), ([1e-3], []), ([1e-3], [1.2, 1.7])],
 )
 def test_sweep_rejects_a_bad_run_before_any_work(tmp_path, monkeypatch, deltas, seeds):
-    """A negative level or seed, or no level or no seed, from a Python caller
-    fails before the gate and the truth march."""
+    """A negative level or seed, a fractional seed, or no level or no seed,
+    from a Python caller fails before the gate and the truth march, and no
+    directory is written."""
     for name in ("selftest", "synthesize_truth"):
         monkeypatch.setattr(harness, name, lambda *args, _name=name, **kw: pytest.fail(_name))
     with pytest.raises(ValidationError):
-        sweep(small_config(tmp_path), deltas=deltas, seeds=seeds, relative=True)
+        sweep(small_config(tmp_path / "out"), deltas=deltas, seeds=seeds, relative=True)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tags", [["aLW", "rLW", "bogus"], []], ids=["unknown-tag", "no-tag"])
@@ -414,7 +417,8 @@ class _InProcessPool:
 
 @pytest.mark.parametrize(
     "workers, seeds, cpus, expected",
-    [(64, [0, 1, 2], 8, [3]), (64, [0, 1, 2], 2, [2]), (2, [0, 1, 2], 8, [2]), (8, [0], 8, [])],
+    [(64, [0, 1, 2], 8, [3]), (64, [0, 1, 2], 2, [2]), (2, [0, 1, 2], 8, [2]), (8, [0], 8, []),
+     (np.int64(2), np.arange(2), 8, [2])],  # numpy counts run, and sweep.json reads them as plain ints
 )
 def test_sweep_clamps_workers(tmp_path, monkeypatch, workers, seeds, cpus, expected):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
@@ -496,6 +500,19 @@ def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
 def test_config_rejects_malformed_input_at_load(raw):
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("cls", [MethodConfig, ExperimentConfig])
+def test_every_count_field_is_checked_at_construction(cls):
+    """Every field typed int or int | None rejects a fractional or bool count
+    and accepts a numpy integer, so a count field added without its check fails here."""
+    counts = [f.name for f in fields(cls) if f.type in (int, int | None)]
+    assert counts
+    for name in counts:
+        for bad in (2.5, True):
+            with pytest.raises(ValidationError):
+                cls(**{name: bad})
+        assert getattr(cls(**{name: np.int64(3)}), name) == 3
 
 
 def test_config_loads_numpy_scalars():

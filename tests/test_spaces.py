@@ -203,8 +203,9 @@ def test_inner_validation():
 
 
 def test_build_triple_validation():
-    with pytest.raises(ValidationError):
-        build_triple(0)
+    for n_x in (0, 2.5, True):
+        with pytest.raises(ValidationError):
+            build_triple(n_x)
 
 
 # -- evolutions -------------------------------------------------------------------
