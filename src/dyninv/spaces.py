@@ -278,25 +278,52 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
     extra columns, every block's partial sums x_k . lower_k and x_k . upper_k;
     one product with the decay products turns them into every lower carry
     l_k = sum_(j<k) d^(k-j-1) x_j . lower_j and the mirrored upper carry; one
-    more adds l_k upper_k + u_k lower_k to block k.
+    more adds l_k upper_k + u_k lower_k to block k (:class:`_BlockSolve`, whose
+    buffers this call makes).
     A non-finite entry in a row gives non-finite output in that row only.
     """
     if tables.matrix is not None:
         return rows @ tables.matrix
-    blocks = tables.blocks
-    count, length = blocks.shape[:2]
-    n = tables.points
-    x = np.zeros((rows.size // n, count * length))
-    x[:, :n] = rows.reshape(-1, rows.shape[-1])
-    parts = np.matmul(x.reshape(-1, count, length).transpose(1, 0, 2), blocks)
-    carries = np.matmul(tables.decay, parts[..., length:].transpose(2, 0, 1))
-    out = np.empty_like(x)
-    np.add(
-        parts[..., :length],
-        np.matmul(carries.transpose(1, 2, 0), tables.weights),
-        out=out.reshape(-1, count, length).transpose(1, 0, 2),
-    )
-    return out[:, :n].reshape(rows.shape)
+    solve = _BlockSolve(tables, rows.size // tables.points)
+    solve.rows[:] = rows.reshape(solve.rows.shape)
+    return solve().reshape(rows.shape)
+
+
+class _BlockSolve:
+    """The products of one solve with ``tables`` on ``height`` rows, on buffers
+    made once: write the rows into ``rows``, call, and read the solution from
+    the returned ``out``.  With carries the rows sit zero-padded to nb * B
+    points, and the parts, the carries and their spread into the blocks have
+    buffers of the shapes :func:`solve_resolvent` documents; one block is the
+    product with G.  A march makes one and calls it every step, so each step
+    runs the products of :func:`solve_resolvent` in the same order with no
+    allocation."""
+
+    def __init__(self, tables: ResolventTables, height: int):
+        n = tables.points
+        if tables.matrix is not None:
+            x, result = np.zeros((height, n)), np.empty((height, n))
+            self._products, self._sum = ((x, tables.matrix, result),), None
+        else:
+            count, length = tables.blocks.shape[:2]
+            x, result = np.zeros((height, count * length)), np.empty((height, count * length))
+            parts = np.empty((count, height, length + 2))
+            carries = np.empty((2, count, height))
+            spread = np.empty((count, height, length))
+            self._products = (
+                (x.reshape(-1, count, length).transpose(1, 0, 2), tables.blocks, parts),
+                (tables.decay, parts[..., length:].transpose(2, 0, 1), carries),
+                (carries.transpose(1, 2, 0), tables.weights, spread),
+            )
+            self._sum = (parts[..., :length], spread, result.reshape(-1, count, length).transpose(1, 0, 2))
+        self.tables, self.rows, self.out = tables, x[:, :n], result[:, :n]
+
+    def __call__(self) -> np.ndarray:
+        for a, b, out in self._products:
+            np.matmul(a, b, out=out)
+        if self._sum is not None:
+            np.add(*self._sum)
+        return self.out
 
 
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
@@ -505,17 +532,25 @@ def march_modes(tables: MarchTables, start, loads: np.ndarray, steps=None) -> np
 
 
 def march_nodes(tables: ResolventTables, tau: float, start, loads: np.ndarray, steps=None) -> np.ndarray:
-    """The march of :func:`march_modes` on nodal rows, one :func:`solve_resolvent`
-    per step with ``tables`` from :func:`resolvent_tables`: c^0 = start and
+    """The march of :func:`march_modes` on nodal rows, one solve per step with
+    ``tables`` from :func:`resolvent_tables`: c^0 = start and
     c^k = (I + tau K)^-1 (c^{k-1} + tau * loads[k-1]) for k = 1..steps, the loads
-    zero past their S rows (a decay); steps defaults to S."""
+    zero past their S rows (a decay); steps defaults to S.  The steps share one
+    :class:`_BlockSolve`, so each runs the products of :func:`solve_resolvent`
+    on one row in its buffers."""
     loaded = loads.shape[0]
     steps = loaded if steps is None else steps
     loads = tau * loads
     c = np.empty((steps + 1, tables.points))
     c[0] = start
+    solve = _BlockSolve(tables, 1)
+    row = solve.rows[0]
     for k in range(1, steps + 1):
-        c[k] = solve_resolvent(tables, c[k - 1] + loads[k - 1] if k <= loaded else c[k - 1])
+        if k <= loaded:
+            np.add(c[k - 1], loads[k - 1], out=row)
+        else:
+            row[:] = c[k - 1]
+        c[k] = solve()[0]
     return c
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dyninv import spaces
 from dyninv.aao import _NODAL_FROM, AaoPoint, ResidualTriple
 from dyninv.harness import make_instance, synthesize_truth, truth_nodes
 from dyninv.methods import conjugate_gradient
@@ -151,6 +152,20 @@ def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
     du = sol[:cut].reshape(grid.node_count, -1)
     new = AaoPoint(Trajectory(grid, prior.state.values + du, "state"), prior.theta + sol[cut:])
     return new, its
+
+
+def recorded_block_solves(monkeypatch):
+    """(tables, row count) of every blocked Green's solve, a call of
+    :class:`dyninv.spaces._BlockSolve`: one per step of a nodal march, and one
+    per :func:`dyninv.spaces.solve_resolvent` beyond one block."""
+    calls, call = [], spaces._BlockSolve.__call__
+
+    def recorded(self):
+        calls.append((self.tables, self.rows.shape[0]))
+        return call(self)
+
+    monkeypatch.setattr(spaces._BlockSolve, "__call__", recorded)
+    return calls
 
 
 def refined_dense_solve(a, x):

@@ -23,7 +23,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import CubicReaction, positive_theta, refined_dense_solve, spectral_adjoint
+from conftest import CubicReaction, positive_theta, recorded_block_solves, refined_dense_solve, spectral_adjoint
 
 
 def random_point(instance, rng, scale=0.3):
@@ -359,10 +359,8 @@ def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_
     solves with the (I + tau K)^-1 tables of the reduced operator, not a copy;
     below, it builds march tables and its adjoint makes no resolvent solve."""
     built, tabulate = [], aao.march_tables
-    solves, solve = [], spaces.solve_resolvent
     monkeypatch.setattr(aao, "march_tables", lambda *args: built.append(args) or tabulate(*args))
-    # the nodal march solves through the spaces module's binding
-    monkeypatch.setattr(spaces, "solve_resolvent", lambda t, rows: solves.append(t) or solve(t, rows))
+    solves = recorded_block_solves(monkeypatch)
     for inst, nodal in ((above_cut[0], True), (tiny_instance, False)):
         built.clear()
         op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)
@@ -372,7 +370,7 @@ def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_
         op.adjoint(point, resid)
         assert len(built) == (not nodal)
         assert len(solves) == (2 * inst.grid.step_count if nodal else 0)
-        assert all(t is inst.reduced._resolvent for t in solves)
+        assert all(t is inst.reduced._resolvent for t, _ in solves)
 
 
 def test_adjoint_initial_channel_closed_form(tiny_instance, rng):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyninv import aao, methods, reduced, spaces
+from dyninv import aao, methods, reduced
 from dyninv.aao import AaoPoint, AllAtOnceOperator, zero_point
 from dyninv.errors import InnerSolveError, SolverError, ValidationError
 from dyninv.harness import DenseOracle, ExperimentConfig, add_noise, make_instance, synthesize_truth
@@ -26,7 +26,7 @@ from dyninv.reduced import ReducedOperator
 from dyninv.grids import make_time_grid
 from dyninv.spaces import Trajectory, inner_observation, inner_state, norm_l2_v, norm_observation
 
-from conftest import flat_point, nodal_irgnm_step, nodal_joint_maps
+from conftest import flat_point, nodal_irgnm_step, nodal_joint_maps, recorded_block_solves
 
 
 @pytest.fixture(scope="module")
@@ -762,18 +762,18 @@ def test_aao_slab_adjoint_above_the_cut_sweeps_from_the_slabs_last_node(above_cu
     """From the size cut on, the slab adjoint's nodal march makes one one-row
     resolvent solve per step of its backward sweep, from the slab's last node hi
     down, and per step of its full-length forward sweep: hi + N; the full
-    adjoint makes 2N, counted in the spaces module, where the march solves."""
+    adjoint makes 2N, counted where the march solves."""
     inst, (theta, state, y) = above_cut
-    op, part, steps, n = inst.aao, inst.partition, inst.grid.step_count, inst.triple.interior_points
+    op, part, steps = inst.aao, inst.partition, inst.grid.step_count
     point = AaoPoint(state, 0.5 * theta)
     resid = op.residual(point, y)
-    calls = _recorded_calls(monkeypatch, spaces, "solve_resolvent")
+    calls = recorded_block_solves(monkeypatch)
     op.adjoint(point, resid)
-    assert [rows.shape for _, rows in calls] == [(n,)] * 2 * steps
+    assert [rows for _, rows in calls] == [1] * 2 * steps
     for j in range(part.slab_count):
         calls.clear()
         op.slab_adjoint(point, j, resid)
-        assert [rows.shape for _, rows in calls] == [(n,)] * (part.node_range(j)[1] + steps)
+        assert [rows for _, rows in calls] == [1] * (part.node_range(j)[1] + steps)
 
 
 def test_aao_sides_of_the_size_cut_agree(monkeypatch, cg_counts):

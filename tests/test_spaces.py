@@ -369,6 +369,25 @@ def test_march_modes_matches_step_by_step_recursion(n_x, steps, rng):
             assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-13 * np.max(np.abs(ref), axis=1))
 
 
+@pytest.mark.parametrize("n_x, steps", [(100, 6), (1600, 8), (300, 5)])
+def test_nodal_march_is_step_by_step_solve_resolvent(n_x, steps, rng):
+    """march_nodes, which runs every step in one set of solve buffers, returns
+    exactly the step-by-step recursion with a fresh solve_resolvent per step,
+    over loaded steps and over the decay past the loads, for one-block tables
+    (100 points) and tables with carries (1600 and 300 points)."""
+    grid = make_time_grid(0.1, steps)
+    tables = resolvent_tables(build_triple(n_x), grid.tau)
+    assert (tables.matrix is not None) == (n_x <= 128)
+    start, loads = rng.standard_normal(n_x), rng.standard_normal((steps, n_x))
+    for loaded in (steps, 2, 0):
+        want = np.empty((steps + 1, n_x))
+        want[0] = start
+        scaled = grid.tau * loads[:loaded]
+        for k in range(1, steps + 1):
+            want[k] = solve_resolvent(tables, want[k - 1] + scaled[k - 1] if k <= loaded else want[k - 1])
+        assert np.array_equal(march_nodes(tables, grid.tau, start, loads[:loaded], steps), want)
+
+
 @pytest.mark.parametrize("n_x, steps", [(1, 1), (5, 1), (30, 50), (9, 64), (100, 100)])
 def test_march_tables_are_contiguous_blocks_of_the_multiplied_shape(n_x, steps):
     """B steps per block, at most min(N, cap), the longest with d^-B >= 1e-200."""
