@@ -123,7 +123,9 @@ def conjugate_gradient(apply_op, rhs, inner, tol=1e-8, max_iter=500):
     """CG for an operator that is SPD with respect to the given inner product.
 
     Returns (solution, iterations).  Raises InnerSolveError when the cap is
-    reached before the relative residual drops below tol.
+    reached before the relative residual drops below tol.  The iterates are
+    updated in place, by the products and sums of x + alpha d, r - alpha A d and
+    r + beta d; what apply_op returns is only read.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -135,12 +137,13 @@ def conjugate_gradient(apply_op, rhs, inner, tol=1e-8, max_iter=500):
     for it in range(1, max_iter + 1):
         ad = apply_op(d)
         alpha = rho / inner(d, ad)
-        x = x + alpha * d
-        r = r - alpha * ad
+        x += alpha * d
+        r -= alpha * ad
         rho_new = inner(r, r)
         if np.sqrt(rho_new) <= tol * rhs_norm:
             return x, it
-        d = r + (rho_new / rho) * d
+        d *= rho_new / rho
+        d += r
         rho = rho_new
     raise InnerSolveError(
         f"conjugate gradients did not reach tol {tol} within {max_iter} iterations",
