@@ -190,18 +190,27 @@ class AllAtOnceOperator:
         """Directional derivative applied to (dstate, dtheta); exactly linear.
 
         Model row w^n = (du^n - du^{n-1})/tau - f_u(u^n) du^n - dtheta, theta
-        being the nodal source.  The initial and observation rows copy du^0 and
-        du, which may view a CG vector."""
+        being the nodal source, formed as :meth:`residual` forms its row: f_u =
+        -K + diag(r_u), so w = (ddu/tau - r_u du - dtheta) + K du, and the
+        carried rows are K^{-1} (ddu/tau - r_u du - dtheta) + du, one Green's
+        solve that never meets K du.  The initial and observation rows copy
+        du^0 and du, which may view a CG vector."""
         u = point.state.values
         du = dstate.values
         dtheta = self.problem.check_theta(dtheta, "parameter direction")
-        w = np.zeros_like(du)
-        f_u = self.problem.apply_jac(u[1:], du[1:])
-        w[1:] = (du[1:] - du[:-1]) / self.grid.tau - f_u - dtheta
+        w = np.zeros(du.shape)
+        rows = np.subtract(du[1:], du[:-1], out=w[1:])
+        rows /= self.grid.tau
+        rows -= self.problem.reaction_slope(u[1:]) * du[1:]
+        rows -= dtheta
+        riesz = solve_resolvent(self.triple.green, rows)
+        riesz += du[1:]
+        rows += apply_stiffness(self.triple, du[1:])
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
             du[0].copy(),
             Trajectory(self.grid, du.copy(), "observation"),
+            riesz,
         )
 
     # -- adjoint ----------------------------------------------------------------

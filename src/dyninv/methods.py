@@ -259,6 +259,7 @@ def step_aao_irgnm(op, point, resid, alpha, prior, cg_tol=1e-8, cg_max=500):
         Trajectory(grid, lin.model.values - resid.model.values, "dual_load"),
         lin.initial - resid.initial,
         Trajectory(grid, lin.observation.values - resid.observation.values, "observation"),
+        lin.riesz - resid.riesz,
     )
     rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)

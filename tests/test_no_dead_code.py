@@ -25,6 +25,7 @@ ALLOWED = {
     "evolve_backward": "perfbench/ wraps it by name (spaces layer)",
     "solve_stiffness": "perfbench/ wraps it by name (spaces layer)",
     "f_u_matrix": "perfbench/ wraps it by name; tests assemble f_u densely with it",
+    "apply_jac": "perfbench/ wraps it by name; tests check f_u against it",
     "inner_residual": "perfbench/ checks the adjoint identity with it",
     "inner_state": "perfbench/ wraps it by name and checks the adjoint identity with it",
 }
