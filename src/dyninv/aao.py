@@ -61,7 +61,6 @@ from .spaces import (
     from_modes,
     inner_observation,
     inner_state_modes,
-    inner_state_nodes,
     march_modes,
     march_nodes,
     march_tables,
@@ -145,11 +144,53 @@ class AllAtOnceOperator:
         """The operator's coordinates of nodal state rows."""
         return u if self._nodal else to_modes(self.triple, u)
 
-    def inner_coords(self, a: np.ndarray, b: np.ndarray) -> float:
-        """The graph product :func:`~dyninv.spaces.inner_state` of two states in
-        the operator's coordinates."""
-        pair = inner_state_nodes if self._nodal else inner_state_modes
-        return pair(self.triple, self.grid.tau, a, b)
+    # -- joint vectors of the IRGNM's conjugate gradients ------------------------
+
+    def joint_vector(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The flat joint CG vector of nodal state rows u and theta: the state in
+        the operator's coordinates, from the cut on followed by its graph rows
+        g^n = (u^n - u^{n-1})/tau + K u^n, n = 1..N, and their K^{-1} image
+        K^{-1} (u^n - u^{n-1})/tau + u^n, one stencil and one Green's solve
+        (K^{-1} of g itself would cancel K^{-1} K u in rounding); theta last."""
+        if not self._nodal:
+            return np.concatenate((to_modes(self.triple, u).ravel(), theta))
+        step = (u[1:] - u[:-1]) / self.grid.tau
+        riesz = solve_resolvent(self.triple.green, step)
+        riesz += u[1:]
+        rows = step + apply_stiffness(self.triple, u[1:])
+        return np.concatenate((u.ravel(), rows.ravel(), riesz.ravel(), theta))
+
+    def joint_split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal state rows and theta of a joint CG vector; theta is a view."""
+        shape = (self.grid.node_count, self.triple.interior_points)
+        state = flat[: shape[0] * shape[1]].reshape(shape)
+        return self.to_nodes(state), flat[-self.problem.n_theta :]
+
+    def joint_adjoint(self, point: AaoPoint, resid: ResidualTriple) -> np.ndarray:
+        """The full adjoint as a joint CG vector.  From the cut on, the forward
+        sweep's loads K p^{n-1} + w^n are the graph rows of its output, and
+        p^{n-1} + K^{-1} w^n is their K^{-1} image: one add, no solve."""
+        dh, dtheta, ph, loads, iw = self._sweeps(point, resid, None)
+        if not self._nodal:
+            return np.concatenate((dh.ravel(), dtheta))
+        return np.concatenate((dh.ravel(), loads.ravel(), np.add(ph[:-1], iw).ravel(), dtheta))
+
+    def inner_joint(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The joint CG's inner product: the graph product
+        :func:`~dyninv.spaces.inner_state` of the states plus the parameter
+        product.  Below the cut :func:`~dyninv.spaces.inner_state_modes` pairs
+        the modal coefficients; from it on the carried rows pair as
+        tau dx <K^{-1} g_a, g_b> + dx a^0 . b^0, with no solve and no stencil."""
+        size, n = self.problem.n_theta, self.triple.interior_points
+        theta = self.problem.inner_theta(a[-size:], b[-size:])
+        if not self._nodal:
+            shape = (self.grid.node_count, n)
+            ca = a[:-size].reshape(shape)
+            cb = ca if b is a else b[:-size].reshape(shape)
+            return inner_state_modes(self.triple, self.grid.tau, ca, cb) + theta
+        cut, rows = self.grid.node_count * n, self.grid.step_count * n
+        pairing = self.triple.dx * float(np.vdot(a[cut + rows : -size], b[cut : cut + rows]))
+        return self.grid.tau * pairing + self.triple.dx * float(a[:n] @ b[:n]) + theta
 
     # -- forward --------------------------------------------------------------
 
@@ -233,6 +274,12 @@ class AllAtOnceOperator:
         cut the loads of both sweeps and the start of the forward one enter the
         eigenbasis in one basis product of the rows read.
         """
+        dh, dtheta, *_ = self._sweeps(point, resid, nodes)
+        return dh, dtheta
+
+    def _sweeps(self, point, resid, nodes):
+        """:meth:`adjoint_coords` and what its sweeps leave: (dh, dtheta, ph,
+        the forward loads, the rows of K^{-1} w read)."""
         steps = self.grid.step_count
         lo, hi = nodes or (0, steps)
         # every channel but the initial one is read at the slab's nodes lo+1..hi only
@@ -265,7 +312,7 @@ class AllAtOnceOperator:
 
         dtheta = iw.sum(axis=0)
         dtheta *= -self.grid.tau
-        return dh, dtheta
+        return dh, dtheta, ph, loads, iw
 
     # -- slab operators --------------------------------------------------------
 

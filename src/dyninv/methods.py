@@ -177,45 +177,29 @@ def estimate_operator_norm(forward, adjoint, inner, start, trials=50, stall_tol=
     return float(np.sqrt(max(lam, 0.0)))
 
 
-# -- flattening helpers for the joint unknown -------------------------------------
-
-
-def _flatten(du: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    return np.concatenate([du.ravel(), dtheta])
-
-
-def _split(flat, grid, width):
-    cut = grid.node_count * width
-    return flat[:cut].reshape(grid.node_count, width), flat[cut:]
+# -- the joint unknown -------------------------------------------------------------
 
 
 def _joint_maps(op: AllAtOnceOperator, point: AaoPoint):
-    """On flattened joint unknowns: the derivative at point, its adjoint, and
-    the inner product (graph product plus parameter product).
+    """On flat joint CG vectors (:meth:`~dyninv.aao.AllAtOnceOperator.joint_vector`):
+    the derivative at point, its adjoint, and the inner product (graph product
+    plus parameter product).
 
-    The state part of a joint vector is in the operator's coordinates, which
-    :meth:`~dyninv.aao.AllAtOnceOperator.inner_coords` pairs.  The derivative
-    takes it to nodes and the adjoint keeps the coordinates it marched in.
-    Below the operator's size cut these are modal coefficients c = u q, and a
-    CG iteration costs two basis products: the one to nodes and the adjoint's
-    stacked product of its loads.  From the cut on they are nodal values, and
-    it costs none.
+    The state part of a joint vector is in the operator's coordinates.  Below
+    the operator's size cut these are modal coefficients c = u q, paired by
+    :func:`~dyninv.spaces.inner_state_modes`, and a CG iteration costs two
+    basis products: the derivative's one to nodes and the adjoint's stacked
+    product of its loads.  From the cut on they are nodal values followed by
+    their graph rows g and K^{-1} g, which the adjoint's forward sweep yields
+    and every combination CG forms keeps, so the pairing makes no solve; an
+    iteration costs no basis product and the derivative's one Green's solve.
     """
-    grid, problem, width = op.grid, op.problem, point.state.width
 
     def forward(flat):
-        c, dtheta = _split(flat, grid, width)
-        return op.derivative(point, Trajectory(grid, op.to_nodes(c), "state"), dtheta)
+        du, dtheta = op.joint_split(flat)
+        return op.derivative(point, Trajectory(op.grid, du, "state"), dtheta)
 
-    def adjoint(resid):
-        return _flatten(*op.adjoint_coords(point, resid))
-
-    def pair_inner(a, b):
-        ca, ta = _split(a, grid, width)
-        cb, tb = (ca, ta) if b is a else _split(b, grid, width)
-        return op.inner_coords(ca, cb) + problem.inner_theta(ta, tb)
-
-    return forward, adjoint, pair_inner
+    return forward, partial(op.joint_adjoint, point), op.inner_joint
 
 
 # -- single steps ------------------------------------------------------------------
@@ -250,7 +234,9 @@ def step_aao_irgnm(op, point, resid, alpha, prior, cg_tol=1e-8, cg_max=500):
     forward, adjoint, pair_inner = _joint_maps(op, point)
 
     def normal_apply(flat):
-        return adjoint(forward(flat)) + alpha * flat
+        out = adjoint(forward(flat))
+        out += alpha * flat
+        return out
 
     shift_state = Trajectory(grid, point.state.values - prior.state.values, "state")
     shift_theta = point.theta - prior.theta
@@ -263,8 +249,7 @@ def step_aao_irgnm(op, point, resid, alpha, prior, cg_tol=1e-8, cg_max=500):
     )
     rhs = adjoint(rhs_triple)
     sol, _ = conjugate_gradient(normal_apply, rhs, pair_inner, tol=cg_tol, max_iter=cg_max)
-    c, dtheta = _split(sol, grid, point.state.width)
-    du = op.to_nodes(c)
+    du, dtheta = op.joint_split(sol)
     return AaoPoint(
         Trajectory(grid, prior.state.values + du, "state"), prior.theta + dtheta
     )
@@ -450,11 +435,10 @@ def _norm_stepsize(config, instance, start, state):
     rng = np.random.default_rng(12345)
     if config.tag in AAO_TAGS:
         fwd, adj, inner = _joint_maps(instance.aao, start)
-        # the nodal random start, mapped once to the state coordinates of the
-        # joint maps
-        size = start.state.values.size + start.theta.size
-        u, t = _split(rng.standard_normal(size), instance.grid, start.state.width)
-        y0 = _flatten(instance.aao.from_nodes(u), t)
+        # the nodal random start, made a joint vector once
+        cut = start.state.values.size
+        draw = rng.standard_normal(cut + start.theta.size)
+        y0 = instance.aao.joint_vector(draw[:cut].reshape(start.state.values.shape), draw[cut:])
     else:
         op = instance.reduced
         fwd, adj = partial(op.derivative, start, state), partial(op.adjoint, start, state)

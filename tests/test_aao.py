@@ -364,18 +364,38 @@ def test_a_problem_stating_its_reaction_slope_once_gets_exact_linearizations(cut
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_state_pairing_above_the_cut_is_inner_state(above_cut, rng):
-    """From the size cut on, the operator pairs nodal states: its pairing is
-    inner_state, and agrees with the modal pairing of the same states."""
+def test_state_pairing_above_the_cut_is_inner_state(above_cut, rng, monkeypatch):
+    """From the size cut on, the joint CG pairs nodal states by the graph rows
+    its vectors carry, with no solve and no stencil: the pairing is inner_state
+    of the same states plus the parameter product, and the modal pairing, to
+    1e-12 relative, for vectors made by joint_vector, by the adjoint's sweeps
+    and by a linear combination of the two."""
     inst = above_cut[0]
-    op, grid, triple = inst.aao, inst.grid, inst.triple
-    a, b = (rng.standard_normal((grid.node_count, triple.interior_points)) for _ in range(2))
-    assert np.array_equal(op.from_nodes(a), a) and np.array_equal(op.to_nodes(a), a)
-    for x, y in ((a, b), (a, a)):
-        want = inner_state(triple, Trajectory(grid, x, "state"), Trajectory(grid, y, "state"))
-        modal = inner_state_modes(triple, grid.tau, to_modes(triple, x), to_modes(triple, y))
-        for got in (op.inner_coords(x, y), modal):
-            assert abs(got - want) <= 1e-12 * abs(want)
+    op, grid, triple, problem = inst.aao, inst.grid, inst.triple, inst.problem
+    shape = (grid.node_count, triple.interior_points)
+    point = random_point(inst, rng)
+    a = op.joint_vector(rng.standard_normal(shape), rng.standard_normal(problem.n_theta))
+    b = op.joint_adjoint(point, op.residual(point, random_data(inst, rng)))
+    c = a - 0.3 * b
+
+    def exact(x, y):
+        (ux, tx), (uy, ty) = op.joint_split(x), op.joint_split(y)
+        graph = inner_state(triple, Trajectory(grid, ux, "state"), Trajectory(grid, uy, "state"))
+        modal = inner_state_modes(triple, grid.tau, to_modes(triple, ux), to_modes(triple, uy))
+        return graph + problem.inner_theta(tx, ty), modal + problem.inner_theta(tx, ty)
+
+    pairs = [(x, y) for x in (a, b, c) for y in (a, b, c)]
+    wants = [exact(x, y) for x, y in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("a solve or a stencil in the carried pairing")
+
+    monkeypatch.setattr(aao, "solve_resolvent", forbidden)
+    monkeypatch.setattr(aao, "apply_stiffness", forbidden)
+    for (x, y), (want, modal) in zip(pairs, wants):
+        scale = np.sqrt(exact(x, x)[0] * exact(y, y)[0]) if x is not y else want
+        for got in (op.inner_joint(x, y), modal):
+            assert abs(got - want) <= 1e-12 * scale
 
 
 def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_instance, rng, monkeypatch):
