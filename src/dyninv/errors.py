@@ -34,18 +34,18 @@ class SelfTestError(RuntimeError):
     """The oracle self-test gate failed, so no experiment was run."""
 
 
-def require_finite(config, names):
-    """Reject a config whose named number fields include NaN or an infinity."""
-    bad = [name for name in names if not math.isfinite(getattr(config, name))]
-    if bad:
-        raise ValidationError(f"{bad[0]} must be finite, got {getattr(config, bad[0])}")
+def require_real(value, name):
+    """Reject a value that is not a finite real number (numpy floats and integers count, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
 def require_noise_levels(*levels):
-    """Reject a noise level that is NaN, infinite or negative."""
-    bad = [level for level in levels if not 0 <= level < math.inf]
-    if bad:
-        raise ValidationError(f"noise levels must be finite and nonnegative, got {bad[0]}")
+    """Reject a noise level that is not a finite real number or is negative."""
+    for level in levels:
+        require_real(level, "a noise level")
+        if level < 0:
+            raise ValidationError(f"noise levels must be nonnegative, got {level}")
 
 
 def require_count(value, name, least=1):

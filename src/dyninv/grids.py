@@ -1,11 +1,10 @@
 """Uniform time grids on (0, T) and node-aligned partitions for cyclic sweeps."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_count
+from .errors import ValidationError, require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -16,9 +15,11 @@ class TimeGrid:
     step_count: int
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:
-            raise ValidationError(f"horizon must be finite and positive, got {self.horizon}")
+        require_real(self.horizon, "horizon")
+        if not self.horizon > 0.0:
+            raise ValidationError(f"horizon must be positive, got {self.horizon}")
         require_count(self.step_count, "step_count")
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     @property
     def tau(self) -> float:
@@ -30,8 +31,9 @@ class TimeGrid:
 
 
 def make_time_grid(horizon: float, step_count: int) -> TimeGrid:
-    """Build a uniform grid on (0, horizon) with step_count steps; the count is checked, not truncated."""
-    return TimeGrid(float(horizon), step_count)
+    """Build a uniform grid on (0, horizon) with step_count steps; the horizon and
+    the count are checked, not converted or truncated."""
+    return TimeGrid(horizon, step_count)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import get_args
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple
-from .errors import SelfTestError, ValidationError, require_count, require_finite, require_noise_levels
+from .errors import SelfTestError, ValidationError, require_count, require_noise_levels, require_real
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, check_prior, run
 from .problem import SemilinearDiffusion
@@ -67,10 +67,11 @@ class ExperimentConfig:
     start_at_truth: bool = False
 
     def __post_init__(self):
-        # each rule by its owner (the grid and m by building them, with no tables); build_triple
-        # and add_noise run late, so n_x and seed restate their require_count; gain and amplitude
-        # have no owner
-        require_finite(self, ("gain", "truth_amplitude"))
+        # each rule by its owner (the grid and m by building them, with no tables); build_triple,
+        # the problem, synthesize_truth and add_noise run late, so n_x, gain, amplitude and seed
+        # restate their owner's check
+        require_real(self.gain, "gain")
+        require_real(self.truth_amplitude, "truth_amplitude")
         require_noise_levels(self.delta_w, self.delta_z)
         require_count(self.n_x, "n_x")
         require_count(self.seed, "seed", least=0)
@@ -196,6 +197,7 @@ def synthesize_truth(instance: ProblemInstance, kind="sine", amplitude=0.1):
     """
     triple, grid = instance.triple, instance.grid
     check_truth_kind(kind)
+    require_real(amplitude, "amplitude")
     x = truth_nodes(triple)
     theta = amplitude * np.sin(2.0 * np.pi * x)
     solver = ReducedOperator(instance.problem, triple, grid, policy="newton")

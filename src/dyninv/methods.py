@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple, zero_point
-from .errors import InnerSolveError, SolverError, ValidationError, require_count, require_finite, require_noise_levels
+from .errors import InnerSolveError, SolverError, ValidationError, require_count, require_noise_levels, require_real
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .reduced import ReducedOperator
@@ -59,7 +59,8 @@ class MethodConfig:
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ValidationError(f"unknown method tag {self.tag!r}")
-        require_finite(self, ("mu", "alpha0", "tau_disc", "cg_tol"))
+        for name in ("mu", "alpha0", "q", "tau_disc", "cg_tol"):
+            require_real(getattr(self, name), name)
         if not 0.0 < self.q < 1.0:
             raise ValidationError(f"q must lie in (0,1), got {self.q}")
         if not self.tau_disc > 1.0:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 from .spaces import DiscreteGelfandTriple, apply_stiffness
 
 
@@ -59,6 +59,7 @@ class SemilinearDiffusion:
     """
 
     def __init__(self, triple: DiscreteGelfandTriple, gain: float = 10.0):
+        require_real(gain, "gain")
         self.triple = triple
         self.gain = float(gain)
         self.n_theta = triple.interior_points

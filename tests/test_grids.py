@@ -32,6 +32,9 @@ def test_grid_validation():
         make_time_grid(1.0, 0)
     with pytest.raises(ValidationError):
         make_time_grid(math.inf, 10)  # an infinite tau would make the truth march diverge
+    with pytest.raises(ValidationError):
+        make_time_grid(True, 10)  # a bool is not a real number
+    assert type(make_time_grid(np.float64(0.5), 2).horizon) is float
     # a count is an integer, checked rather than truncated; a bool is not a count
     for count in (6.9, 2.0, True, np.bool_(True)):
         with pytest.raises(ValidationError):

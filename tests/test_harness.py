@@ -515,6 +515,23 @@ def test_every_count_field_is_checked_at_construction(cls):
         assert getattr(cls(**{name: np.int64(3)}), name) == 3
 
 
+@pytest.mark.parametrize("cls", [MethodConfig, ExperimentConfig])
+def test_every_real_field_is_checked_at_construction(cls):
+    """Every field typed float rejects a bool, a string and a non-finite value
+    and accepts a numpy float, so a real field added without its check fails here."""
+    reals = [f.name for f in fields(cls) if f.type is float]
+    assert reals
+    for name in reals:
+        for bad in (True, np.True_, "0.5", float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                cls(**{name: bad})
+        good = np.float64(getattr(cls(), name))
+        assert getattr(cls(**{name: good}), name) == good
+    bools = {MethodConfig: {"mu": True, "alpha0": True}, ExperimentConfig: {"horizon": True, "delta_z": True}}
+    with pytest.raises(ValidationError):
+        cls(**bools[cls])
+
+
 def test_config_loads_numpy_scalars():
     """A config built from numpy scalars writes and loads as plain numbers."""
     raw = ExperimentConfig(n_x=np.int64(8), horizon=np.float64(0.2)).to_dict()

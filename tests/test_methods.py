@@ -615,6 +615,8 @@ def test_method_config_validation():
         MethodConfig(mu=-1.0)
     with pytest.raises(ValidationError):
         MethodConfig(stepsize="adaptive")
+    with pytest.raises(ValidationError):  # a bool is not a real number
+        MethodConfig(mu=True, alpha0=True)
 
 
 class _CountedBasis(np.ndarray):
