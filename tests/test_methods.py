@@ -843,6 +843,19 @@ def test_reduced_basis_products(tag, policy, monkeypatch, cg_counts):
     assert _CountedBasis.counts == {"block": 0, "vector": 0}
 
 
+def test_norm_stepsize_above_the_cut_pairs_by_carried_rows(above_cut):
+    """From the size cut on, the aLW "norm" stepsize, whose power iteration
+    pairs joint vectors by the rows they carry, resolves the mu of the joint
+    maps that pair by inner_state, a Green's solve per pairing, to 1e-12."""
+    inst, (theta, state, y) = above_cut
+    point = AaoPoint(state, 0.5 * theta)
+    mu = _norm_stepsize(MethodConfig(tag="aLW", stepsize="norm"), inst, point, point.state)
+    fwd, adj, inner = nodal_joint_maps(inst.aao, point)
+    start = np.random.default_rng(12345).standard_normal(state.values.size + theta.size)
+    want = 0.95 / estimate_operator_norm(fwd, adj, inner, start) ** 2
+    assert abs(mu - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("size", [(8, 6), (24, 24)])
 def test_modal_joint_cg_equals_nodal_joint_cg(size, rng, cg_counts):
     """The IRGNM step on modal state coefficients and the aLW "norm" stepsize
