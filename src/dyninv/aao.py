@@ -19,13 +19,14 @@ there, and its forward sweep runs all N steps, as the graph product couples the
 whole horizon; past that node its loads stop and it is a decay.  The full
 adjoint is the span (0, N).
 
-The residual carries the nodal rows 1..N of K^{-1} w as well, taken where the
-model row is built by the triple's Green's matrix of K, its one Riesz map, as
-K^{-1} (w - K u) + u, so the solve never cancels K^{-1} K u; the V* norm and
-product and the adjoint read them, so an iteration applies K^{-1} once and
-never through the eigenbasis.  P_j leaves the carried rows out, and
-what reads a restricted residual solves for its own: P_j acts by rows, so they
-are the restricted rows, to rounding.
+The residual and the derivative carry the nodal rows 1..N of K^{-1} w as
+well, taken where the model row is built by the triple's Green's matrix of K,
+its one Riesz map, as K^{-1} (w - K u) + u (K^{-1} (w - K du) + du for the
+derivative), so the solve never cancels K^{-1} K u; the V* norm and product
+and the adjoint read them, so an iteration applies K^{-1} once and never
+through the eigenbasis.  P_j leaves the carried rows out, and what reads a
+restricted residual solves for its own: P_j acts by rows, so they are the
+restricted rows, to rounding.
 
 The adjoint's two sweeps run in the operator's state coordinates, fixed by the
 number of points n alone (:data:`_NODAL_FROM`), and
@@ -37,13 +38,18 @@ lam, and the state direction returns in one :func:`~dyninv.spaces.from_modes`,
 two O(N n^2) products.  From the cut on they are nodal
 (:func:`~dyninv.spaces.march_nodes`): 2N sequential one-vector solves with the
 (I + tau K)^{-1} tables the reduced sweeps read, O(N n * 32) in blocks of at
-most 32 points, K p by the stencil, and no basis at all.
+most 32 points, each march in one set of solve buffers, K p by the stencil,
+and no basis at all.
 So an aLW iteration below the cut is a stencil and a Green's product (residual),
 three dot products (norms), the stacked basis product, two marches and the
 product back (update): no PDE solve, and no object but residual and iterate.
-The joint CG of the IRGNM runs in the same coordinates, through
-:meth:`AllAtOnceOperator.to_nodes`, :meth:`~AllAtOnceOperator.from_nodes` and
-:meth:`~AllAtOnceOperator.inner_coords`.
+The joint CG of the IRGNM runs in the same coordinates on flat vectors the
+operator lays out (:meth:`AllAtOnceOperator.joint_vector`).  From the cut on a
+vector also carries the graph rows g^n = (v^n - v^{n-1})/tau + K v^n of its
+state and their K^{-1} image: the adjoint's forward loads K p^{n-1} + w^n are
+the graph rows of its output and p^{n-1} + K^{-1} w^n their image, CG forms
+only linear combinations, so the graph product pairs two vectors with no solve
+(:meth:`~AllAtOnceOperator.inner_joint`).
 """
 
 import math
@@ -73,8 +79,8 @@ from .spaces import (
 # the smallest n from which the nodal sweeps were no slower than the modal ones, for
 # whole aLW and aIRGNM iterations at every N in {8, 50, 100, 200, 400}, in each of
 # three sweeps (one BLAS thread; the crossover table is in CHANGES.md).  The joint
-# IRGNM at N = 400 sets it (0.93-1.01 at 768 points, 1.00-1.08 at 832): its CG pairs
-# nodal states by a Green's solve of N rows, the modal ones with none
+# IRGNM at N = 400 set it (0.93-1.01 at 768 points, 1.00-1.08 at 832), when its CG
+# paired nodal states by a Green's solve of N rows; it now pairs them by carried rows
 _NODAL_FROM = 832
 
 
@@ -111,7 +117,8 @@ class AllAtOnceOperator:
     """Matrix-free residual map of the joint formulation and its linearizations.
 
     State directions of :meth:`adjoint_coords` and the joint CG are in modal
-    coefficients below :data:`_NODAL_FROM` points and in nodal values from it on.
+    coefficients below :data:`_NODAL_FROM` points and in nodal values from it on,
+    where a joint CG vector carries its graph rows and their K^{-1} image too.
     """
 
     def __init__(

@@ -3,9 +3,11 @@
 Method tags: aLW / aLWK / aIRGNM operate on the joint (state, parameter)
 unknown; rLW / rLWK / rIRGNM operate on the parameter alone.  Both IRGNM
 variants solve the regularized normal equations by conjugate gradients with
-matrix-free operator applications.  The joint CG holds its state part in the
-all-at-once operator's own coordinates, which the operator picks from the size
-(:meth:`~dyninv.aao.AllAtOnceOperator.to_nodes`); this module has one path.
+matrix-free operator applications.  The joint CG runs on flat vectors that the
+all-at-once operator lays out in its own coordinates, which it picks from the
+size (:meth:`~dyninv.aao.AllAtOnceOperator.joint_vector`): from its size cut on
+they carry the graph rows of their state and the rows' K^-1 image, so the
+pairing makes no solve.  This module has one path.
 One loop runs every tag: :func:`run` checks its inputs and resolves the
 formulation and the tag's update before it, and each pass evaluates, records,
 tests the stops and times one update.  Each input rule has one owner, which run
@@ -228,9 +230,11 @@ def _descend(op, point, mu, direction):
 
 
 def step_aao_irgnm(op, point, resid, alpha, prior, cg_tol=1e-8, cg_max=500):
-    """Regularized Gauss-Newton step from the residual at point via CG on the
-    joint normal equations, run in the operator's state coordinates (see
-    :func:`_joint_maps`)."""
+    """Regularized Gauss-Newton step from the residual at point, as
+    :meth:`~dyninv.aao.AllAtOnceOperator.residual` returns it with its carried
+    rows, via CG on the joint normal equations, run on the operator's joint
+    vectors (see :func:`_joint_maps`).  The right-hand side carries
+    lin.riesz - resid.riesz, so its adjoint makes no solve."""
     grid = op.grid
     forward, adjoint, pair_inner = _joint_maps(op, point)
 

@@ -17,9 +17,10 @@ and starts: :func:`march_modes` on modal coefficients, where every mode decays
 alone, and :func:`march_nodes` on nodal rows, one resolvent solve per step.
 Below the all-at-once operator's size cut the n x n DST-I eigenbasis q serves
 its marches and the modal pairing of its joint CG (:func:`inner_state_modes`);
-from the cut on the operator marches on nodes and pairs nodal states
-(:func:`inner_state_nodes`), and no run tabulates q, which is built on its first
-read.  Only :func:`to_modes` and :func:`from_modes` apply q.
+from the cut on the operator marches on nodes, its joint CG pairs nodal states
+by the graph rows it carries (the rows :func:`inner_state_nodes` solves for),
+and no run tabulates q, which is built on its first read.  Only
+:func:`to_modes` and :func:`from_modes` apply q.
 """
 
 import math
