@@ -19,8 +19,9 @@ the sensitivity and the adjoint all solve it with
 :func:`~dyninv.spaces.solve_shifted_stiffness`.
 The resolvent R, of the imex steps and of the Newton initial guesses, is the
 closed-form Green's matrix of I + tau K, which the operator tabulates once
-(:func:`~dyninv.spaces.resolvent_tables`) and applies with
-:func:`~dyninv.spaces.solve_resolvent`: one product per step up to 128 points,
+(:func:`~dyninv.spaces.resolvent_tables`) and applies with the products of
+:func:`~dyninv.spaces.solve_resolvent`, each sweep in one
+:class:`~dyninv.spaces.BlockSolve`: one product per step up to 128 points,
 and beyond, in blocks of at most 32 points, a fixed number of batched products
 per step, whatever the block count.
 
@@ -38,11 +39,11 @@ from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .spaces import (
+    BlockSolve,
     DiscreteGelfandTriple,
     Trajectory,
     check_trajectory,
     resolvent_tables,
-    solve_resolvent,
     solve_shifted_stiffness,
 )
 
@@ -96,16 +97,18 @@ class ReducedOperator:
         out = np.zeros((steps + 1, n))
         u = out[0]
         newton = self.policy == "newton"
+        solve = BlockSolve(self._resolvent, 1)
+        rhs = solve.rows[0]
         for k in range(1, steps + 1):
-            rhs = u + tau * self.problem.reaction(u, theta)
+            np.add(u, tau * self.problem.reaction(u, theta), out=rhs)
             if pvals is not None:
-                rhs = rhs + tau * pvals[k]
-            u_next = solve_resolvent(self._resolvent, rhs)
+                rhs += tau * pvals[k]
+            u_next = solve()[0]
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
                 u_next = self._newton_step(k, base, u_next, theta, tau)
             out[k] = u_next
-            u = u_next
+            u = out[k]
         return Trajectory(self.grid, out, "state")
 
     def _newton_step(self, k, base, guess, theta, tau):
@@ -133,12 +136,14 @@ class ReducedOperator:
         imex = self.policy == "imex"
         slope = tau * self.problem.reaction_slope(self._f_rows(u))
         src = tau * xi
+        solve = BlockSolve(self._resolvent, 1)
         for k in range(1, self.grid.step_count + 1):
             if imex:
-                v = solve_resolvent(self._resolvent, v + slope[k - 1] * v + src)
+                np.add(v + slope[k - 1] * v, src, out=solve.rows[0])
+                out[k] = solve()[0]
             else:
-                v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
-            out[k] = v
+                out[k] = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
+            v = out[k]
         return Trajectory(self.grid, out, "state")
 
     def solve_adjoint(self, state: Trajectory, z_src: Trajectory, nodes=None) -> Trajectory:
@@ -159,14 +164,15 @@ class ReducedOperator:
         load = tau * z_src.values[1 : hi + 1]
         load[:lo] = 0.0
         carry = np.zeros(u.shape[1])
+        solve = BlockSolve(self._resolvent, 1)
         for k in range(hi, 0, -1):
-            rhs = load[k - 1] + carry
             if imex:
-                p = solve_resolvent(self._resolvent, rhs)
+                np.add(load[k - 1], carry, out=solve.rows[0])
+                p = solve()[0]
                 carry = p + slope[k - 1] * p
             else:
                 # the newton step matrix is symmetric: its transpose is itself
-                p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], rhs, k)
+                p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], load[k - 1] + carry, k)
             out[k] = p
         return Trajectory(self.grid, out, "state")
 

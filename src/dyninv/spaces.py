@@ -279,26 +279,27 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
     extra columns, every block's partial sums x_k . lower_k and x_k . upper_k;
     one product with the decay products turns them into every lower carry
     l_k = sum_(j<k) d^(k-j-1) x_j . lower_j and the mirrored upper carry; one
-    more adds l_k upper_k + u_k lower_k to block k (:class:`_BlockSolve`, whose
+    more adds l_k upper_k + u_k lower_k to block k (:class:`BlockSolve`, whose
     buffers this call makes).
     A non-finite entry in a row gives non-finite output in that row only.
     """
     if tables.matrix is not None:
         return rows @ tables.matrix
-    solve = _BlockSolve(tables, rows.size // tables.points)
+    solve = BlockSolve(tables, rows.size // tables.points)
     solve.rows[:] = rows.reshape(solve.rows.shape)
     return solve().reshape(rows.shape)
 
 
-class _BlockSolve:
+class BlockSolve:
     """The products of one solve with ``tables`` on ``height`` rows, on buffers
     made once: write the rows into ``rows``, call, and read the solution from
-    the returned ``out``.  With carries the rows sit zero-padded to nb * B
-    points, and the parts, the carries and their spread into the blocks have
-    buffers of the shapes :func:`solve_resolvent` documents; one block is the
-    product with G.  A march makes one and calls it every step, so each step
-    runs the products of :func:`solve_resolvent` in the same order with no
-    allocation."""
+    the returned ``out``, which the next call overwrites.  With carries the
+    rows sit zero-padded to nb * B points, and the parts, the carries and their
+    spread into the blocks have buffers of the shapes :func:`solve_resolvent`
+    documents; one block is the product with G.  A sweep of one-row solves
+    (:func:`march_nodes`, the reduced imex sweeps) makes one and calls it every
+    step, so each step runs the products of :func:`solve_resolvent` in the
+    same order with no allocation."""
 
     def __init__(self, tables: ResolventTables, height: int):
         n = tables.points
@@ -543,14 +544,14 @@ def march_nodes(tables: ResolventTables, tau: float, start, loads: np.ndarray, s
     ``tables`` from :func:`resolvent_tables`: c^0 = start and
     c^k = (I + tau K)^-1 (c^{k-1} + tau * loads[k-1]) for k = 1..steps, the loads
     zero past their S rows (a decay); steps defaults to S.  The steps share one
-    :class:`_BlockSolve`, so each runs the products of :func:`solve_resolvent`
+    :class:`BlockSolve`, so each runs the products of :func:`solve_resolvent`
     on one row in its buffers."""
     loaded = loads.shape[0]
     steps = loaded if steps is None else steps
     loads = tau * loads
     c = np.empty((steps + 1, tables.points))
     c[0] = start
-    solve = _BlockSolve(tables, 1)
+    solve = BlockSolve(tables, 1)
     row = solve.rows[0]
     for k in range(1, steps + 1):
         if k <= loaded:

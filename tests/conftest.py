@@ -156,15 +156,15 @@ def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
 
 def recorded_block_solves(monkeypatch):
     """(tables, row count) of every blocked Green's solve, a call of
-    :class:`dyninv.spaces._BlockSolve`: one per step of a nodal march, and one
+    :class:`dyninv.spaces.BlockSolve`: one per step of a nodal march, and one
     per :func:`dyninv.spaces.solve_resolvent` beyond one block."""
-    calls, call = [], spaces._BlockSolve.__call__
+    calls, call = [], spaces.BlockSolve.__call__
 
     def recorded(self):
         calls.append((self.tables, self.rows.shape[0]))
         return call(self)
 
-    monkeypatch.setattr(spaces._BlockSolve, "__call__", recorded)
+    monkeypatch.setattr(spaces.BlockSolve, "__call__", recorded)
     return calls
 
 
