@@ -20,10 +20,10 @@ the sensitivity and the adjoint all solve it with
 The resolvent R, of the imex steps and of the Newton initial guesses, is the
 closed-form Green's matrix of I + tau K, which the operator tabulates once
 (:func:`~dyninv.spaces.resolvent_tables`) and applies with the products of
-:func:`~dyninv.spaces.solve_resolvent`, each sweep in one
-:class:`~dyninv.spaces.BlockSolve`: one product per step up to 128 points,
-and beyond, in blocks of at most 32 points, a fixed number of batched products
-per step, whatever the block count.
+:func:`~dyninv.spaces.solve_resolvent`, one :func:`~dyninv.spaces.row_solver`
+per sweep: one product per step up to 128 points, and beyond, in blocks of at
+most 32 points, a fixed number of batched products per step, whatever the
+block count, in one set of buffers.
 
 The adjoint is its exact discrete transpose: a backward sweep with the
 transposed step maps, then tau times the sum of the multipliers of steps
@@ -39,11 +39,11 @@ from .errors import SolverError, ValidationError
 from .grids import KaczmarzPartition, TimeGrid, require_partition
 from .problem import SemilinearDiffusion
 from .spaces import (
-    BlockSolve,
     DiscreteGelfandTriple,
     Trajectory,
     check_trajectory,
     resolvent_tables,
+    row_solver,
     solve_shifted_stiffness,
 )
 
@@ -97,13 +97,12 @@ class ReducedOperator:
         out = np.zeros((steps + 1, n))
         u = out[0]
         newton = self.policy == "newton"
-        solve = BlockSolve(self._resolvent, 1)
-        rhs = solve.rows[0]
+        solve = row_solver(self._resolvent)
         for k in range(1, steps + 1):
-            np.add(u, tau * self.problem.reaction(u, theta), out=rhs)
+            rhs = u + tau * self.problem.reaction(u, theta)
             if pvals is not None:
-                rhs += tau * pvals[k]
-            u_next = solve()[0]
+                rhs = rhs + tau * pvals[k]
+            u_next = solve(rhs)  # the solver's buffer beyond 128 points: out[k] keeps it
             if newton:
                 base = u + (tau * pvals[k] if pvals is not None else 0.0)
                 u_next = self._newton_step(k, base, u_next, theta, tau)
@@ -136,14 +135,13 @@ class ReducedOperator:
         imex = self.policy == "imex"
         slope = tau * self.problem.reaction_slope(self._f_rows(u))
         src = tau * xi
-        solve = BlockSolve(self._resolvent, 1)
+        solve = row_solver(self._resolvent)
         for k in range(1, self.grid.step_count + 1):
             if imex:
-                np.add(v + slope[k - 1] * v, src, out=solve.rows[0])
-                out[k] = solve()[0]
+                v = solve(v + slope[k - 1] * v + src)
             else:
-                out[k] = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
-            v = out[k]
+                v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
+            out[k] = v
         return Trajectory(self.grid, out, "state")
 
     def solve_adjoint(self, state: Trajectory, z_src: Trajectory, nodes=None) -> Trajectory:
@@ -164,15 +162,15 @@ class ReducedOperator:
         load = tau * z_src.values[1 : hi + 1]
         load[:lo] = 0.0
         carry = np.zeros(u.shape[1])
-        solve = BlockSolve(self._resolvent, 1)
+        solve = row_solver(self._resolvent)
         for k in range(hi, 0, -1):
+            rhs = load[k - 1] + carry
             if imex:
-                np.add(load[k - 1], carry, out=solve.rows[0])
-                p = solve()[0]
+                p = solve(rhs)
                 carry = p + slope[k - 1] * p
             else:
                 # the newton step matrix is symmetric: its transpose is itself
-                p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], load[k - 1] + carry, k)
+                p = carry = solve_shifted_stiffness(self.triple, tau, slope[k - 1], rhs, k)
             out[k] = p
         return Trajectory(self.grid, out, "state")
 

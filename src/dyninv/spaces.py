@@ -291,41 +291,53 @@ def solve_resolvent(tables: ResolventTables, rows: np.ndarray) -> np.ndarray:
 
 
 class BlockSolve:
-    """The products of one solve with ``tables`` on ``height`` rows, on buffers
-    made once: write the rows into ``rows``, call, and read the solution from
-    the returned ``out``, which the next call overwrites.  With carries the
+    """The products of one solve with tables that have carries on ``height``
+    rows, on buffers made once: write the rows into ``rows``, call, and read the
+    solution from the returned ``out``, which the next call overwrites.  The
     rows sit zero-padded to nb * B points, and the parts, the carries and their
     spread into the blocks have buffers of the shapes :func:`solve_resolvent`
-    documents; one block is the product with G.  A sweep of one-row solves
-    (:func:`march_nodes`, the reduced imex sweeps) makes one and calls it every
-    step, so each step runs the products of :func:`solve_resolvent` in the
+    documents.  :func:`row_solver` makes one for a whole sweep of one-row
+    solves, so each step runs the products of :func:`solve_resolvent` in the
     same order with no allocation."""
 
     def __init__(self, tables: ResolventTables, height: int):
-        n = tables.points
-        if tables.matrix is not None:
-            x, result = np.zeros((height, n)), np.empty((height, n))
-            self._products, self._sum = ((x, tables.matrix, result),), None
-        else:
-            count, length = tables.blocks.shape[:2]
-            x, result = np.zeros((height, count * length)), np.empty((height, count * length))
-            parts = np.empty((count, height, length + 2))
-            carries = np.empty((2, count, height))
-            spread = np.empty((count, height, length))
-            self._products = (
-                (x.reshape(-1, count, length).transpose(1, 0, 2), tables.blocks, parts),
-                (tables.decay, parts[..., length:].transpose(2, 0, 1), carries),
-                (carries.transpose(1, 2, 0), tables.weights, spread),
-            )
-            self._sum = (parts[..., :length], spread, result.reshape(-1, count, length).transpose(1, 0, 2))
-        self.tables, self.rows, self.out = tables, x[:, :n], result[:, :n]
+        count, length = tables.blocks.shape[:2]
+        x, result = np.zeros((height, count * length)), np.empty((height, count * length))
+        parts = np.empty((count, height, length + 2))
+        carries = np.empty((2, count, height))
+        spread = np.empty((count, height, length))
+        self._products = (
+            (x.reshape(-1, count, length).transpose(1, 0, 2), tables.blocks, parts),
+            (tables.decay, parts[..., length:].transpose(2, 0, 1), carries),
+            (carries.transpose(1, 2, 0), tables.weights, spread),
+        )
+        self._sum = (parts[..., :length], spread, result.reshape(-1, count, length).transpose(1, 0, 2))
+        self.tables, self.rows, self.out = tables, x[:, : tables.points], result[:, : tables.points]
 
     def __call__(self) -> np.ndarray:
         for a, b, out in self._products:
             np.matmul(a, b, out=out)
-        if self._sum is not None:
-            np.add(*self._sum)
+        np.add(*self._sum)
         return self.out
+
+
+def row_solver(tables: ResolventTables):
+    """The one-row solve of a sweep that makes one per step, as
+    :func:`solve_resolvent` makes it: up to 128 points the product with G;
+    beyond, one :class:`BlockSolve` of one row whose buffers every call reuses,
+    so that a result holds only until the next call."""
+    if tables.matrix is not None:
+        matrix = tables.matrix
+        return lambda row: row @ matrix
+    solve = BlockSolve(tables, 1)
+    rows, out = solve.rows[0], solve.out[0]
+
+    def step(row):
+        rows[:] = row
+        solve()
+        return out
+
+    return step
 
 
 def solve_stiffness(triple: DiscreteGelfandTriple, w: np.ndarray) -> np.ndarray:
@@ -544,21 +556,15 @@ def march_nodes(tables: ResolventTables, tau: float, start, loads: np.ndarray, s
     ``tables`` from :func:`resolvent_tables`: c^0 = start and
     c^k = (I + tau K)^-1 (c^{k-1} + tau * loads[k-1]) for k = 1..steps, the loads
     zero past their S rows (a decay); steps defaults to S.  The steps share one
-    :class:`BlockSolve`, so each runs the products of :func:`solve_resolvent`
-    on one row in its buffers."""
+    :func:`row_solver`, so beyond 128 points they run in one set of buffers."""
     loaded = loads.shape[0]
     steps = loaded if steps is None else steps
     loads = tau * loads
     c = np.empty((steps + 1, tables.points))
     c[0] = start
-    solve = BlockSolve(tables, 1)
-    row = solve.rows[0]
+    solve = row_solver(tables)
     for k in range(1, steps + 1):
-        if k <= loaded:
-            np.add(c[k - 1], loads[k - 1], out=row)
-        else:
-            row[:] = c[k - 1]
-        c[k] = solve()[0]
+        c[k] = solve(c[k - 1] + loads[k - 1] if k <= loaded else c[k - 1])
     return c
 
 

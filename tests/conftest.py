@@ -156,8 +156,9 @@ def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
 
 def recorded_block_solves(monkeypatch):
     """(tables, row count) of every blocked Green's solve, a call of
-    :class:`dyninv.spaces.BlockSolve`: one per step of a nodal march, and one
-    per :func:`dyninv.spaces.solve_resolvent` beyond one block."""
+    :class:`dyninv.spaces.BlockSolve`: beyond 128 points one per step of a
+    nodal march or a reduced imex sweep, and one per
+    :func:`dyninv.spaces.solve_resolvent`."""
     calls, call = [], spaces.BlockSolve.__call__
 
     def recorded(self):

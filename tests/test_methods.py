@@ -748,13 +748,19 @@ def _recorded_calls(monkeypatch, module, name):
 def test_reduced_slab_adjoint_sweeps_from_the_slabs_last_node(policy, solve, monkeypatch):
     """The reduced slab adjoint solves one step per node from the slab's last
     node hi down to node 1, hi solves in all; the full adjoint solves N.  The
-    imex sweep runs the resolvent solves in one set of buffers, where they are
-    counted; the newton sweep calls the Thomas solve."""
+    imex sweep solves through its row_solver, the newton sweep by the Thomas
+    solve."""
     inst = make_instance(8, 12, 0.05, gain=10.0, m=3, policy=policy)
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
     op, part = inst.reduced, inst.partition
-    if solve == "solve_resolvent":
-        calls = recorded_block_solves(monkeypatch)
+    if solve == "solve_resolvent":  # the one-row solves of the sweep's row_solver
+        calls, make = [], reduced.row_solver
+
+        def counted(tables):
+            step = make(tables)
+            return lambda row: calls.append(row) or step(row)
+
+        monkeypatch.setattr(reduced, "row_solver", counted)
     else:
         calls = _recorded_calls(monkeypatch, reduced, solve)
     op.adjoint(theta, state, y)
