@@ -137,7 +137,7 @@ class ReducedOperator:
         src = tau * xi
         solve = row_solver(self._resolvent)
         for k in range(1, self.grid.step_count + 1):
-            if imex:
+            if imex:  # v is the solver's buffer beyond 128 points: out[k] keeps it
                 v = solve(v + slope[k - 1] * v + src)
             else:
                 v = solve_shifted_stiffness(self.triple, tau, slope[k - 1], v + src, k)
@@ -165,7 +165,7 @@ class ReducedOperator:
         solve = row_solver(self._resolvent)
         for k in range(hi, 0, -1):
             rhs = load[k - 1] + carry
-            if imex:
+            if imex:  # p is the solver's buffer beyond 128 points: out[k] keeps it
                 p = solve(rhs)
                 carry = p + slope[k - 1] * p
             else:

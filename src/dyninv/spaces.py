@@ -312,7 +312,7 @@ class BlockSolve:
             (carries.transpose(1, 2, 0), tables.weights, spread),
         )
         self._sum = (parts[..., :length], spread, result.reshape(-1, count, length).transpose(1, 0, 2))
-        self.tables, self.rows, self.out = tables, x[:, : tables.points], result[:, : tables.points]
+        self.rows, self.out = x[:, : tables.points], result[:, : tables.points]
 
     def __call__(self) -> np.ndarray:
         for a, b, out in self._products:

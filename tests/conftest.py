@@ -154,18 +154,31 @@ def nodal_irgnm_step(op, point, y, alpha, prior, cg_tol=1e-8, cg_max=500):
     return new, its
 
 
-def recorded_block_solves(monkeypatch):
-    """(tables, row count) of every blocked Green's solve, a call of
-    :class:`dyninv.spaces.BlockSolve`: beyond 128 points one per step of a
-    nodal march or a reduced imex sweep, and one per
-    :func:`dyninv.spaces.solve_resolvent`."""
-    calls, call = [], spaces.BlockSolve.__call__
+def recorded_resolvent_solves(monkeypatch, module=spaces):
+    """(tables, row count) of every resolvent solve ``module`` makes: one per
+    step of a :func:`dyninv.spaces.row_solver` it builds, as a nodal march or a
+    reduced imex sweep does, one block or many, and one per call of its
+    :func:`dyninv.spaces.solve_resolvent` where it binds one."""
+    calls, make = [], module.row_solver
 
-    def recorded(self):
-        calls.append((self.tables, self.rows.shape[0]))
-        return call(self)
+    def row_solver(tables):
+        step = make(tables)
 
-    monkeypatch.setattr(spaces.BlockSolve, "__call__", recorded)
+        def recorded(row):
+            calls.append((tables, 1))
+            return step(row)
+
+        return recorded
+
+    monkeypatch.setattr(module, "row_solver", row_solver)
+    if hasattr(module, "solve_resolvent"):
+        solve = module.solve_resolvent
+
+        def solve_resolvent(tables, rows):
+            calls.append((tables, rows.size // tables.points))
+            return solve(tables, rows)
+
+        monkeypatch.setattr(module, "solve_resolvent", solve_resolvent)
     return calls
 
 

@@ -23,7 +23,7 @@ from dyninv.spaces import (
     zero_trajectory,
 )
 
-from conftest import CubicReaction, positive_theta, recorded_block_solves, refined_dense_solve, spectral_adjoint
+from conftest import CubicReaction, positive_theta, recorded_resolvent_solves, refined_dense_solve, spectral_adjoint
 
 
 def random_point(instance, rng, scale=0.3):
@@ -404,7 +404,8 @@ def test_above_the_cut_the_operator_reads_the_reduced_resolvent(above_cut, tiny_
     below, it builds march tables and its adjoint makes no resolvent solve."""
     built, tabulate = [], aao.march_tables
     monkeypatch.setattr(aao, "march_tables", lambda *args: built.append(args) or tabulate(*args))
-    solves = recorded_block_solves(monkeypatch)
+    # the march solves through the spaces module's bindings, one block or many
+    solves = recorded_resolvent_solves(monkeypatch)
     for inst, nodal in ((above_cut[0], True), (tiny_instance, False)):
         built.clear()
         op = AllAtOnceOperator(inst.problem, inst.triple, inst.grid, inst.partition)

@@ -26,7 +26,7 @@ from dyninv.reduced import ReducedOperator
 from dyninv.grids import make_time_grid
 from dyninv.spaces import Trajectory, inner_observation, inner_state, norm_l2_v, norm_observation
 
-from conftest import flat_point, nodal_irgnm_step, nodal_joint_maps, recorded_block_solves
+from conftest import flat_point, nodal_irgnm_step, nodal_joint_maps, recorded_resolvent_solves
 
 
 @pytest.fixture(scope="module")
@@ -754,13 +754,7 @@ def test_reduced_slab_adjoint_sweeps_from_the_slabs_last_node(policy, solve, mon
     theta, state, y = synthesize_truth(inst, "sine", 0.1)
     op, part = inst.reduced, inst.partition
     if solve == "solve_resolvent":  # the one-row solves of the sweep's row_solver
-        calls, make = [], reduced.row_solver
-
-        def counted(tables):
-            step = make(tables)
-            return lambda row: calls.append(row) or step(row)
-
-        monkeypatch.setattr(reduced, "row_solver", counted)
+        calls = recorded_resolvent_solves(monkeypatch, reduced)
     else:
         calls = _recorded_calls(monkeypatch, reduced, solve)
     op.adjoint(theta, state, y)
@@ -780,7 +774,7 @@ def test_aao_slab_adjoint_above_the_cut_sweeps_from_the_slabs_last_node(above_cu
     op, part, steps = inst.aao, inst.partition, inst.grid.step_count
     point = AaoPoint(state, 0.5 * theta)
     resid = op.residual(point, y)
-    calls = recorded_block_solves(monkeypatch)
+    calls = recorded_resolvent_solves(monkeypatch)
     op.adjoint(point, resid)
     assert [rows for _, rows in calls] == [1] * 2 * steps
     for j in range(part.slab_count):
