@@ -492,23 +492,17 @@ class MarchTables:
 # 1e100 of headroom for loads.  The cap bounds the O(B^2 n) product: up to n = 236 a
 # 64-step block's (B + 1)^2 n stays under OpenBLAS's small-matrix cutoff
 # (M * N * K <= 1e6), and N = 100 takes blocks of 64 and 36 steps, about half the
-# flops of one 100-step block (42 against 62 us per march at n = 100, one BLAS thread).
-# From 175 points on the cap is 32: every march of N = 50, 100 and 400 steps took
-# 1.03-1.8x longer in 64-step blocks at n = 175..640, while at n = 100..150 the two
-# caps were within 0.89-1.11x (one BLAS thread; the sweep is in CHANGES.md)
+# flops of one 100-step block (42 against 62 us per march at n = 100, one BLAS thread)
 _BLOCK_RANGE, _BLOCK_CAP = 1e-200, 64
-_WIDE_FROM, _WIDE_CAP = 175, 32
 
 
 def march_tables(triple: DiscreteGelfandTriple, grid: TimeGrid) -> MarchTables:
     """Tabulate the blocks of :func:`march_modes`.  B is the largest length up to
-    min(N, cap) with d^-B >= 1e-200 for the stiffest mode, and at least 1, where
-    the cap is 64 steps below 175 points and 32 from there on; powers are
-    compared, not logarithms, so a d that rounds to 1 gives the full length.
+    min(N, 64) with d^-B >= 1e-200 for the stiffest mode, and at least 1; powers
+    are compared, not logarithms, so a d that rounds to 1 gives the full length.
     At n_x = N = 100 the tables take 0.14 MB (B = 64)."""
     d = 1.0 + grid.tau * triple.eigenvalues
-    cap = _BLOCK_CAP if triple.interior_points < _WIDE_FROM else _WIDE_CAP
-    k = np.arange(min(grid.node_count - 1, cap) + 1)[:, None]
+    k = np.arange(min(grid.node_count - 1, _BLOCK_CAP) + 1)[:, None]
     shrink = d ** -k
     length = max(1, np.count_nonzero(shrink[:, -1] >= _BLOCK_RANGE) - 1)
     growth = grid.tau * d ** k[:length]

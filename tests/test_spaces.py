@@ -428,20 +428,6 @@ def test_march_modes_equals_row_broadcast_march(n_x, steps, rng):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n_x, length", [(174, spaces._BLOCK_CAP), (175, spaces._WIDE_CAP), (640, spaces._WIDE_CAP)])
-def test_march_cap_shrinks_with_the_width(n_x, length, rng):
-    """Blocks of up to 64 steps below 175 points and of up to 32 from there on,
-    on a horizon short enough for the cap, not the range bound, to set B; the
-    blocked march still reproduces the step-by-step recursion."""
-    triple = build_triple(n_x)
-    grid = make_time_grid(1e-3, 100)
-    tables = march_tables(triple, grid)
-    assert tables.growth.shape[0] == length
-    start, loads = rng.standard_normal(n_x), rng.standard_normal((100, n_x))
-    got, want = march_modes(tables, start, loads), step_by_step_march(triple, grid, start, loads)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 @pytest.mark.parametrize("horizon, length", [(1e-30, spaces._BLOCK_CAP), (2e200, 1)])
 def test_march_block_length_at_the_extremes(horizon, length, rng):
     """A d that rounds to 1 gives the capped length; a d beyond 1e200 gives
