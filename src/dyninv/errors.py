@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
@@ -35,8 +37,13 @@ class SelfTestError(RuntimeError):
 
 
 def require_real(value, name):
-    """Reject a value that is not a finite real number (numpy floats and integers count, bools do not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Reject a value that is not a finite real number in float range (numpy floats
+    and integers count, bools do not)."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        ok = False
+    if not ok:
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -52,3 +59,15 @@ def require_count(value, name, least=1):
     """Reject a count that is not an integer (numpy integers count, bools do not) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def require_str(value, name):
+    """Reject a value that is not a string (numpy strings count)."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+
+
+def require_bool(value, name):
+    """Reject a value that is not a bool (numpy bools count, integers do not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")

@@ -8,19 +8,19 @@ plus JSON summaries.
 
 import csv
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 
 from .aao import AaoPoint, AllAtOnceOperator, ResidualTriple
-from .errors import SelfTestError, ValidationError, require_count, require_noise_levels, require_real
+from .errors import (
+    SelfTestError, ValidationError, require_bool, require_count, require_noise_levels, require_real, require_str,
+)
 from .grids import make_partition, make_time_grid
 from .methods import AAO_TAGS, IterationRow, MethodConfig, ProblemInstance, RunRecord, check_prior, run
 from .problem import SemilinearDiffusion
@@ -75,6 +75,8 @@ class ExperimentConfig:
         require_noise_levels(self.delta_w, self.delta_z)
         require_count(self.n_x, "n_x")
         require_count(self.seed, "seed", least=0)
+        require_str(self.output_dir, "output_dir")
+        require_bool(self.start_at_truth, "start_at_truth")
         check_truth_kind(self.truth_kind)
         check_policy(self.policy)
         grid = make_time_grid(self.horizon, self.n_t)
@@ -84,23 +86,26 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`: a key outside ``CONFIG_LAYOUT`` is rejected,
-        and a missing one takes its dataclass default."""
+        and a missing one takes its dataclass default.  Values load as given
+        (numpy scalars as Python ones) and each field's owner checks its own,
+        as in the Python API: JSON 8.0 is no count, and a JSON array loads as
+        a float array through ``MethodConfig``."""
         _check_keys(raw, CONFIG_LAYOUT, "config")
         values, method = {}, {}
         for key, attr in CONFIG_LAYOUT.items():
             if key not in raw:
                 continue
             if isinstance(attr, str):
-                values[attr] = raw[key]
+                values[attr] = _plain(raw[key])
             else:
                 _check_keys(raw[key], attr, f"config section {key!r}")
                 into = method if key == "method" else values
-                into.update((attr[k], v) for k, v in raw[key].items())
+                into.update((attr[k], _plain(v)) for k, v in raw[key].items())
         try:
             if method.get("mu") == "norm":
                 del method["mu"]
                 method["stepsize"] = "norm"
-            return cls(method=MethodConfig(**_load(MethodConfig, method)), **_load(cls, values))
+            return cls(method=MethodConfig(**method), **values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad config: {exc}") from exc
 
@@ -118,52 +123,9 @@ class ExperimentConfig:
         return out
 
 
-def _load(cls, values: dict) -> dict:
-    """``values`` converted by the type of each named field of ``cls``: int,
-    float, str and bool through :func:`_typed`, arrays through
-    :func:`_number_array`, and None (JSON null) kept for an ``X | None``."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    out = {}
-    for name, value in values.items():
-        kind, *rest = get_args(kinds[name]) or (kinds[name],)
-        if value is None and rest:
-            out[name] = None
-        else:
-            out[name] = _number_array(value) if kind is np.ndarray else _typed(kind, value)
-    return out
-
-
 def _plain(value):
-    """``value`` as plain JSON: numpy scalars as Python numbers, arrays as float lists."""
-    if isinstance(value, np.ndarray):
-        return value.astype(float).tolist()
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _typed(kind, value):
-    """``kind(value)`` for a JSON value of that kind: a str is a string and a
-    bool is true/false; an int or a float is any other real number (numpy
-    scalars included, numeric strings not), and an int has no fractional part."""
-    if kind in (str, bool):
-        ok = isinstance(value, kind)
-    else:
-        ok = _is_number(value) and (kind is float or float(value).is_integer())
-    if not ok:
-        raise ValidationError(f"expected {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number_array(value):
-    """A JSON array of numbers as a float array; strings and booleans are rejected."""
-    entries = np.asarray(value, dtype=object)
-    for entry in entries.flat:
-        if not _is_number(entry):
-            raise ValidationError(f"expected an array of numbers, found {entry!r}")
-    return entries.astype(float)
+    """``value`` as plain JSON: numpy scalars and arrays as Python values and lists."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _check_keys(raw, known, where):
@@ -274,9 +236,11 @@ def _scaled_noise(rng, instance, delta, space_tag, norm):
 class DenseOracle:
     """Explicit matrices for every operator and inner product at tiny sizes.
 
-    Column-by-column assembly through the matrix-free forward applications;
-    adjoints follow as Gram-weighted transposes, so any matrix-free adjoint
-    can be checked against an independent dense realization.
+    Column-by-column assembly through the matrix-free forward applications of
+    the full maps.  P_j keeps or zeroes whole rows, so a slab matrix is the
+    P_j rows of the full one, the row mask read from the operator's own
+    ``slab_restrict``.  Adjoints follow as Gram-weighted transposes, so any
+    matrix-free adjoint can be checked against an independent dense realization.
     """
 
     MAX_NX = 12
@@ -367,35 +331,36 @@ class DenseOracle:
 
     # -- joint operator matrices --------------------------------------------------
 
-    def aao_derivative_matrix(self, point: AaoPoint, slab=None) -> np.ndarray:
+    def aao_derivative_matrix(self, point: AaoPoint, slab=None, jac=None) -> np.ndarray:
+        """The joint derivative matrix ``jac`` (assembled if not given), or its P_j rows."""
         op = self.instance.aao
+        if jac is None:
 
-        def column(unit):
-            probe = self.unflatten_point(unit)
-            if slab is None:
+            def column(unit):
+                probe = self.unflatten_point(unit)
                 return self.flatten_triple(op.derivative(point, probe.state, probe.theta))
-            return self.flatten_triple(op.slab_derivative(point, slab, probe.state, probe.theta))
 
-        return _columns(column, self.dom_dim)
+            jac = _columns(column, self.dom_dim)
+        if slab is None:
+            return jac
+        ones = self.unflatten_triple(np.ones(self.cod_dim))
+        return _kept_rows(jac, self.flatten_triple(op.slab_restrict(ones, slab)))
 
     def aao_adjoint_matrix(self, point: AaoPoint, slab=None, jac=None) -> np.ndarray:
-        """Gram-weighted transpose of ``jac``, the derivative matrix (assembled if not given)."""
-        if jac is None:
-            jac = self.aao_derivative_matrix(point, slab=slab)
+        """Gram-weighted transpose of the (slab) derivative matrix, read from ``jac`` as above."""
+        jac = self.aao_derivative_matrix(point, slab=slab, jac=jac)
         return np.linalg.solve(self.gram_domain, jac.T @ self.gram_codomain)
 
     # -- reduced operator matrices --------------------------------------------------
 
     def reduced_derivative_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
-        """Columns of the reduced derivative of ``op`` (default: the instance's)."""
+        """Columns of the reduced derivative of ``op`` (default: the instance's), or their P_j rows."""
         op = self.instance.reduced if op is None else op
-
-        def column(unit):
-            if slab is None:
-                return self.flatten_obs(op.derivative(theta, state, unit))
-            return self.flatten_obs(op.slab_derivative(theta, state, unit, slab))
-
-        return _columns(column, self.n_theta)
+        jac = _columns(lambda unit: self.flatten_obs(op.derivative(theta, state, unit)), self.n_theta)
+        if slab is None:
+            return jac
+        ones = self.unflatten_obs(np.ones(self.grid.step_count * self.width))
+        return _kept_rows(jac, self.flatten_obs(op.slab_restrict(ones, slab)))
 
     def reduced_adjoint_matrix(self, theta, state, slab=None, op=None) -> np.ndarray:
         jac = self.reduced_derivative_matrix(theta, state, slab=slab, op=op)
@@ -407,11 +372,18 @@ def _columns(column, size) -> np.ndarray:
     return np.column_stack([column(unit) for unit in np.eye(size)])
 
 
+def _kept_rows(jac, mask) -> np.ndarray:
+    """The rows of ``jac`` where the 0/1 ``mask`` is 1 and +0.0 elsewhere, as P_j
+    writes them; a product with the mask would keep the sign of a zeroed -x."""
+    return np.where(mask[:, None] == 1.0, jac, 0.0)
+
+
 # -- self-test gate -----------------------------------------------------------------
 
 
-def selftest(verbose=True) -> bool:
-    """Adjoint, Taylor and oracle checks at small scale; True when all pass."""
+def selftest_checks() -> list:
+    """Adjoint, Taylor and oracle checks at small scale, as (name, value, bound);
+    a check passes when its value is at most its bound."""
     checks = []
     rng = np.random.default_rng(7)
 
@@ -437,8 +409,7 @@ def selftest(verbose=True) -> bool:
     checks.append(("joint derivative/adjoint vs dense", gap, 1e-11))
 
     for j in range(2):
-        jac_j = oracle.aao_derivative_matrix(point, slab=j)
-        adj_j = oracle.aao_adjoint_matrix(point, slab=j, jac=jac_j)
+        adj_j = oracle.aao_adjoint_matrix(point, slab=j, jac=jac)
         rf = rng.standard_normal(oracle.cod_dim)
         ds, dt = inst.aao.slab_adjoint(point, j, oracle.unflatten_triple(rf))
         gap = _relerr(np.concatenate([ds.values.ravel(), dt]), adj_j @ rf)
@@ -452,19 +423,23 @@ def selftest(verbose=True) -> bool:
         gap = _relerr(op.adjoint(theta0, state, oracle.unflatten_obs(zf)), adj_r @ zf)
         checks.append((f"reduced adjoint vs dense ({op.policy})", gap, 1e-11))
 
+    # the loop ends on newton: its state at theta0 is the Taylor base
     xi = 0.1 * rng.standard_normal(inst.problem.n_theta)
-    y0 = newton.solve_state(theta0)
-    lin = newton.derivative(theta0, y0, xi)
+    lin = newton.derivative(theta0, state, xi)
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         y1 = newton.solve_state(theta0 + eps * xi)
-        diff = Trajectory(inst.grid, y1.values - y0.values - eps * lin.values, "observation")
+        diff = Trajectory(inst.grid, y1.values - state.values - eps * lin.values, "observation")
         errs.append(norm_observation(inst.triple, diff))
     order = min(np.log10(errs[i] / errs[i + 1]) for i in range(2))
     checks.append(("reduced Taylor order", -order, -1.9))
+    return checks
 
+
+def selftest(verbose=True) -> bool:
+    """The checks of :func:`selftest_checks`, printed unless not ``verbose``; True when all pass."""
     ok = True
-    for name, value, bound in checks:
+    for name, value, bound in selftest_checks():
         passed = value <= bound
         ok = ok and passed
         if verbose:

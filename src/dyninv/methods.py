@@ -46,7 +46,7 @@ class MethodConfig:
 
     tag: str = "rLW"
     mu: float = 1.0
-    stepsize: str = "fixed"  # or "norm": mu = 0.95 / ||derivative||^2 at the start
+    stepsize: str = "fixed"  # or "norm": mu = 0.95 / ||derivative||^2 at the start (mu stays 1.0)
     alpha0: float = 1.0
     q: float = 2.0 / 3.0
     tau_disc: float = 2.5
@@ -72,11 +72,19 @@ class MethodConfig:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.stepsize not in ("fixed", "norm"):
             raise ValidationError(f"unknown stepsize policy {self.stepsize!r}")
+        if self.stepsize == "norm" and self.mu != MethodConfig.mu:  # a config file's "mu": "norm" holds no mu
+            raise ValidationError(f"the norm stepsize keeps mu at {MethodConfig.mu}, got {self.mu!r}")
         require_count(self.m, "m")
         require_count(self.cg_max, "cg_max")
         require_count(self.k_max, "k_max", least=0)
         if self.k_apriori is not None:
             require_count(self.k_apriori, "k_apriori", least=0)
+        for name in ("prior_theta", "prior_state"):  # entries here, shapes in check_prior
+            if getattr(self, name) is not None:
+                entries = np.asarray(getattr(self, name), dtype=object)
+                for entry in entries.flat:
+                    require_real(entry, f"an entry of {name}")
+                setattr(self, name, entries.astype(float))
 
 
 @dataclass
@@ -355,7 +363,9 @@ def run(
             res_y = norm_observation(triple, z)
             return (0.0, 0.0, res_y, res_y), theta, state, (z, state)
 
-    prior_state, prior_theta = check_prior(config, grid.node_count, width)
+    check_prior(config, grid.node_count, width)  # an unset part of the prior is zero
+    prior_state = np.zeros((grid.node_count, width)) if config.prior_state is None else config.prior_state
+    prior_theta = np.zeros(width) if config.prior_theta is None else config.prior_theta
     prior = AaoPoint(Trajectory(grid, prior_state, "state"), prior_theta)
     evaluated = evaluate(x)
     mu = config.mu if config.stepsize == "fixed" else _norm_stepsize(config, instance, x, evaluated[2])
@@ -422,16 +432,13 @@ def run(
 
 
 def check_prior(config: MethodConfig, node_count: int, width: int):
-    """The IRGNM prior of ``config`` as float arrays (state rows, theta), an unset
-    part zero; ValidationError unless each set part is finite, of shape
-    (node_count, width) and (width,)."""
-    parts = []
+    """ValidationError unless each set part of the IRGNM prior of ``config`` has
+    shape (node_count, width) (state rows) and (width,) (theta).  ``MethodConfig``
+    checks the entries.  No array is built, so a config checks at no cost at any size."""
     for name, shape in (("prior_state", (node_count, width)), ("prior_theta", (width,))):
         value = getattr(config, name)
-        if value is not None and (np.shape(value) != shape or not np.all(np.isfinite(value))):
-            raise ValidationError(f"{name} must be finite of shape {shape}, got {np.shape(value)}")
-        parts.append(np.zeros(shape) if value is None else np.asarray(value, dtype=float))
-    return parts
+        if value is not None and np.shape(value) != shape:
+            raise ValidationError(f"{name} must have shape {shape}, got {np.shape(value)}")
 
 
 def _norm_stepsize(config, instance, start, state):

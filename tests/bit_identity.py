@@ -10,7 +10,9 @@ tags run under both solve policies, imex and newton.
 
 For every run the record keeps k*, the stop reason, a SHA-256 digest of each
 non-timing row column, of ``theta_final`` and of ``state_final``, and a few
-summary values.  Digests of the synthesized data are kept too.  Bit-identity
+summary values.  Digests of the synthesized data are kept too, and so are
+the six values of the self-test gate (``harness.selftest_checks``) at full
+precision.  Bit-identity
 holds only at a fixed BLAS thread count, so the script runs with one thread.
 
     python tests/bit_identity.py            # print the record as JSON
@@ -119,6 +121,7 @@ def compute(arrays=None) -> dict:
     keyed "cell/column"."""
     arrays = {} if arrays is None else arrays
     out = {"fingerprint": fingerprint(), "data": {}, "runs": {}}
+    out["selftest"] = {name: float(value) for name, value, _ in harness.selftest_checks()}
     for name, (n_x, n_t, horizon, m, rel_noise, runs) in INSTANCES.items():
         inst = harness.make_instance(n_x, n_t, horizon, GAIN, m=m)
         theta, state, y = harness.synthesize_truth(inst, "sine", AMPLITUDE)

@@ -2,9 +2,9 @@
 
 ``tests/bit_identity.py`` reruns the reference's runs in one child process with
 one BLAS thread, since bit-identity holds only at a fixed thread count.  On the
-reference's fingerprint every digest, k* and stop reason must match.  On a
-different fingerprint (another numpy, BLAS or CPU) the bits may differ, so the
-test compares the stop reasons, k* to within K_STAR_RTOL (a discrepancy stop
+reference's fingerprint every digest, k*, stop reason and self-test gate value
+must match.  On a different fingerprint (another numpy, BLAS or CPU) the bits
+may differ, so the test compares the stop reasons, k* to within K_STAR_RTOL (a discrepancy stop
 may move by an iteration) and, where k* is equal, the summary values at a
 relative tolerance of SUMMARY_RTOL instead, and warns that it did.
 
@@ -43,6 +43,8 @@ def test_runs_match_the_committed_reference():
     assert sorted(got["runs"]) == sorted(want["runs"])
     if got["fingerprint"] == want["fingerprint"]:
         moved = [f"data {name}" for name in want["data"] if got["data"][name] != want["data"][name]]
+        gate = want["selftest"].items()
+        moved += [f"selftest {name}" for name, value in gate if got["selftest"][name] != value]
         for name, ref in want["runs"].items():
             run = got["runs"][name]
             moved += [f"{name} {key}" for key in ("k_star", "stop_reason") if run[key] != ref[key]]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dyninv import harness
+from dyninv.aao import AaoPoint, AllAtOnceOperator
 from dyninv.cli import main as cli_main
 from dyninv.errors import ValidationError
 from dyninv.harness import (
@@ -22,7 +23,8 @@ from dyninv.harness import (
     sweep,
 )
 from dyninv.methods import MethodConfig
-from dyninv.spaces import norm_dual_load, norm_observation
+from dyninv.reduced import ReducedOperator
+from dyninv.spaces import Trajectory, norm_dual_load, norm_observation
 
 from conftest import positive_theta
 
@@ -135,9 +137,6 @@ def test_dense_oracle_size_guard():
 
 
 def test_dense_oracle_forward_agreement(tiny_instance, rng):
-    from dyninv.aao import AaoPoint
-    from dyninv.spaces import Trajectory
-
     oracle = DenseOracle(tiny_instance)
     op = tiny_instance.aao
     grid = tiny_instance.grid
@@ -431,16 +430,61 @@ def test_sweep_clamps_workers(tmp_path, monkeypatch, workers, seeds, cpus, expec
 
 
 def test_selftest_assembles_each_derivative_matrix_once(monkeypatch):
-    calls = []
-    assemble = DenseOracle.aao_derivative_matrix
+    """One selftest assembles one joint Jacobian (48 columns) and probes it 5
+    times; its slab matrices are rows of that one.  The newton state at theta0
+    is solved once, for the adjoint check and the Taylor base, and three more
+    times for the Taylor steps."""
+    calls = {"derivative": 0, "imex": 0, "newton": 0}
+    derivative, solve_state = AllAtOnceOperator.derivative, ReducedOperator.solve_state
 
-    def counted(self, point, slab=None):
-        calls.append(slab)
-        return assemble(self, point, slab=slab)
+    def counted_derivative(self, *args):
+        calls["derivative"] += 1
+        return derivative(self, *args)
 
-    monkeypatch.setattr(DenseOracle, "aao_derivative_matrix", counted)
+    def counted_solve_state(self, *args, **kw):
+        calls[self.policy] += 1
+        return solve_state(self, *args, **kw)
+
+    monkeypatch.setattr(AllAtOnceOperator, "derivative", counted_derivative)
+    monkeypatch.setattr(ReducedOperator, "solve_state", counted_solve_state)
     assert selftest(verbose=False)
-    assert calls == [None, 0, 1]
+    assert calls == {"derivative": 53, "imex": 1, "newton": 4}
+
+
+def _column_assembled(column, size):
+    return np.column_stack([column(unit) for unit in np.eye(size)])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_oracle_slab_rows_equal_column_assembly_bit_for_bit(m):
+    """The oracle's slab matrices, P_j rows of the full ones, equal the column
+    by column assembly of slab_derivative, signs of zeros included, in both
+    formulations on every slab (the gate's instance, and the same grid with m = 3)."""
+    inst = make_instance(6, 6, 0.05, gain=4.0, m=m)
+    oracle = DenseOracle(inst)
+    rng = np.random.default_rng(3)
+    theta = 0.4 + 0.2 * np.sin(2 * np.pi * truth_nodes(inst.triple))
+    point = AaoPoint(Trajectory(inst.grid, rng.standard_normal((inst.grid.node_count, 6)), "state"), theta)
+    jac = oracle.aao_derivative_matrix(point)
+    newton = ReducedOperator(inst.problem, inst.triple, inst.grid, inst.partition, policy="newton")
+    reduced = [(op, op.solve_state(theta)) for op in (inst.reduced, newton)]
+    for j in range(m):
+        def joint_column(unit):
+            probe = oracle.unflatten_point(unit)
+            return oracle.flatten_triple(inst.aao.slab_derivative(point, j, probe.state, probe.theta))
+
+        pairs = [(oracle.aao_derivative_matrix(point, slab=j, jac=jac),
+                  _column_assembled(joint_column, oracle.dom_dim))]
+        for op, state in reduced:
+            pairs.append((
+                oracle.reduced_derivative_matrix(theta, state, slab=j, op=op),
+                _column_assembled(lambda unit: oracle.flatten_obs(op.slab_derivative(theta, state, unit, j)),
+                                  oracle.n_theta),
+            ))
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(pairs[0][0], oracle.aao_derivative_matrix(point, slab=j))
 
 
 @pytest.mark.parametrize(
@@ -517,12 +561,13 @@ def test_every_count_field_is_checked_at_construction(cls):
 
 @pytest.mark.parametrize("cls", [MethodConfig, ExperimentConfig])
 def test_every_real_field_is_checked_at_construction(cls):
-    """Every field typed float rejects a bool, a string and a non-finite value
-    and accepts a numpy float, so a real field added without its check fails here."""
+    """Every field typed float rejects a bool, a string, a non-finite value and
+    an integer beyond float range, and accepts a numpy float, so a real field
+    added without its check fails here."""
     reals = [f.name for f in fields(cls) if f.type is float]
     assert reals
     for name in reals:
-        for bad in (True, np.True_, "0.5", float("nan"), float("inf")):
+        for bad in (True, np.True_, "0.5", float("nan"), float("inf"), 10**400):
             with pytest.raises(ValidationError):
                 cls(**{name: bad})
         good = np.float64(getattr(cls(), name))
@@ -530,6 +575,21 @@ def test_every_real_field_is_checked_at_construction(cls):
     bools = {MethodConfig: {"mu": True, "alpha0": True}, ExperimentConfig: {"horizon": True, "delta_z": True}}
     with pytest.raises(ValidationError):
         cls(**bools[cls])
+
+
+@pytest.mark.parametrize(
+    "kw", [{"output_dir": 5}, {"output_dir": None}, {"start_at_truth": 1}, {"start_at_truth": "yes"}]
+)
+def test_config_checks_output_dir_and_start_at_truth_at_construction(kw):
+    """A config whose file would not load is not built: "yes" would start the run at the truth."""
+    with pytest.raises(ValidationError):
+        ExperimentConfig(**kw)
+
+
+def test_config_of_any_size_checks_without_building_arrays():
+    """Validation builds no (N + 1) x n array: at this size one would not fit in memory."""
+    cfg = ExperimentConfig(n_x=10**12, n_t=10**12, method=MethodConfig(tag="aIRGNM"))
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_loads_numpy_scalars():

@@ -541,7 +541,8 @@ def _malformed_priors(nodes, n):
 @pytest.mark.parametrize("tag", ["aIRGNM", "rIRGNM"])
 def test_run_rejects_a_malformed_prior_before_any_iteration(tag, newton_setup, monkeypatch):
     """Every prior the config loader rejects raises ValidationError from run
-    too, before the first evaluation; it would otherwise broadcast into the IRGNM steps."""
+    too, before the first evaluation; it would otherwise broadcast into the IRGNM
+    steps.  A NaN entry is rejected earlier still, when MethodConfig is built."""
     inst, (theta, state, y) = newton_setup
     grid, n = inst.grid, inst.triple.interior_points
 
@@ -551,6 +552,10 @@ def test_run_rejects_a_malformed_prior_before_any_iteration(tag, newton_setup, m
     monkeypatch.setattr(AllAtOnceOperator, "residual", evaluated)
     monkeypatch.setattr(ReducedOperator, "solve_state", evaluated)
     for name, prior in _malformed_priors(grid.node_count, n):
+        if "NaN" in name:
+            with pytest.raises(ValidationError):
+                MethodConfig(tag=tag, k_max=2, **prior)
+            continue
         cfg = MethodConfig(tag=tag, k_max=2, **prior)
         with pytest.raises(ValidationError):
             ExperimentConfig(n_x=n, n_t=grid.step_count, horizon=grid.horizon, method=cfg)
@@ -617,6 +622,10 @@ def test_method_config_validation():
         MethodConfig(stepsize="adaptive")
     with pytest.raises(ValidationError):  # a bool is not a real number
         MethodConfig(mu=True, alpha0=True)
+    with pytest.raises(ValidationError):  # nor is it an entry of a prior
+        MethodConfig(prior_theta=[True, 1.0])
+    with pytest.raises(ValidationError):  # the config file's "mu": "norm" holds no mu
+        MethodConfig(stepsize="norm", mu=0.5)
 
 
 class _CountedBasis(np.ndarray):

@@ -28,6 +28,7 @@ ALLOWED = {
     "apply_jac": "perfbench/ wraps it by name; tests check f_u against it",
     "inner_residual": "perfbench/ checks the adjoint identity with it",
     "inner_state": "perfbench/ wraps it by name and checks the adjoint identity with it",
+    "slab_derivative": "tests check the slab maps and the dense oracle's slab rows against it",
 }
 
 # parameters left unread, one reason each

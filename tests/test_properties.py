@@ -1,4 +1,7 @@
-"""Property tests over small random sizes: the spatial kernels and the slab operators."""
+"""Property tests over small random sizes: the spatial kernels, the slab
+operators and the config file's round trip."""
+
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dyninv.aao import AaoPoint, AllAtOnceOperator, ResidualTriple  # noqa: E402
+from dyninv.errors import ValidationError  # noqa: E402
 from dyninv.grids import make_partition, make_time_grid  # noqa: E402
-from dyninv.harness import make_instance  # noqa: E402
-from dyninv.methods import _joint_maps  # noqa: E402
-from dyninv.reduced import ReducedOperator  # noqa: E402
+from dyninv.harness import ExperimentConfig, make_instance  # noqa: E402
+from dyninv.methods import METHOD_TAGS, MethodConfig, _joint_maps  # noqa: E402
+from dyninv.reduced import POLICIES, ReducedOperator  # noqa: E402
 from dyninv.spaces import (  # noqa: E402
     Trajectory,
     apply_stiffness,
@@ -221,3 +225,101 @@ def test_modal_joint_inner_equals_nodal_inner(n_x, n_t, seed):
     aa, bb = nodal(ua, ta, ua, ta), nodal(ub, tb, ub, tb)
     assert abs(pair_inner(a, a) - aa) <= 1e-13 * aa
     assert abs(pair_inner(a, b) - nodal(ua, ta, ub, tb)) <= 1e-13 * np.sqrt(aa * bb)
+
+
+# -- the config file's round trip -----------------------------------------------------
+
+
+def _with_numpy_twin(strategy):
+    """Values of ``strategy``, each also as the numpy scalar of its kind."""
+    twin = {bool: np.bool_, int: np.int64, float: np.float64, str: np.str_}
+    return strategy.flatmap(lambda x: st.sampled_from([x, twin[type(x)](x)]))
+
+
+def _reals(lo, hi):
+    return _with_numpy_twin(st.floats(lo, hi)) | st.floats(lo, hi).map(np.float32)
+
+
+def _counts(lo, hi):
+    return _with_numpy_twin(st.integers(lo, hi))
+
+
+def _array(shape):
+    """None, or finite entries as a flat list, an array of ``shape`` or nested lists of it."""
+    size = int(np.prod(shape))
+    values = st.lists(st.floats(-10, 10), min_size=size, max_size=size)
+    return st.none() | values.flatmap(
+        lambda v: st.sampled_from([v, np.reshape(v, shape), np.reshape(v, shape).tolist()])
+    )
+
+
+# a value of the wrong kind or out of range, for any field
+JUNK = st.one_of(
+    st.none(), _with_numpy_twin(st.booleans()), _with_numpy_twin(st.integers()),
+    _with_numpy_twin(st.floats()), _with_numpy_twin(st.text(max_size=3)),
+    st.sampled_from(["rLW", "norm", "imex", "sine", "0.5", "8"]), st.lists(st.floats(), max_size=3),
+    st.lists(st.booleans() | st.text(max_size=1), min_size=2, max_size=2),
+)
+
+EXPERIMENT_VALUES = {
+    "n_x": _counts(1, 40), "n_t": _counts(1, 40), "horizon": _reals(1e-3, 10.0), "gain": _reals(-20.0, 20.0),
+    "truth_kind": _with_numpy_twin(st.just("sine")), "truth_amplitude": _reals(-1.0, 1.0),
+    "delta_w": _reals(0.0, 1.0), "delta_z": _reals(0.0, 1.0), "seed": _counts(0, 2**40),
+    "output_dir": _with_numpy_twin(st.text(max_size=8)),
+    "policy": _with_numpy_twin(st.sampled_from(POLICIES)),
+    "start_at_truth": _with_numpy_twin(st.booleans()),
+}
+# read with ExperimentConfig(n_x=2, n_t=2), so that the priors are small and m divides n_t
+METHOD_VALUES = {
+    "tag": _with_numpy_twin(st.sampled_from(METHOD_TAGS)), "mu": _reals(1e-3, 10.0),
+    "stepsize": _with_numpy_twin(st.sampled_from(["fixed", "norm"])), "alpha0": _reals(1e-3, 10.0),
+    "q": _reals(0.01, 0.99), "tau_disc": _reals(1.01, 5.0), "k_max": _counts(0, 1000), "m": _counts(1, 2),
+    "cg_tol": _reals(1e-12, 1.0), "cg_max": _counts(1, 1000), "k_apriori": st.none() | _counts(0, 100),
+    "prior_theta": _array((2,)), "prior_state": _array((3, 2)),
+}
+
+
+@st.composite
+def _config_fields(draw, values):
+    """Some fields with values of their kind, and sometimes one field with junk."""
+    kw = draw(st.fixed_dictionaries({}, optional=values))
+    if draw(st.booleans()):
+        kw[draw(st.sampled_from(sorted(values)))] = draw(JUNK)
+    return kw
+
+
+def _assert_same_config(got, want):
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if is_dataclass(b):
+            _assert_same_config(a, b)
+        elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def _assert_round_trip_or_rejected(build):
+    try:
+        config = build()
+    except ValidationError:
+        return
+    _assert_same_config(ExperimentConfig.from_dict(config.to_dict()), config)
+
+
+ROUND_TRIPS = settings(max_examples=300, deadline=None)
+
+
+@ROUND_TRIPS
+@given(kw=_config_fields(EXPERIMENT_VALUES))
+def test_experiment_config_round_trips_or_is_rejected(kw):
+    """Either ExperimentConfig rejects its fields, or its config file loads back as itself."""
+    _assert_round_trip_or_rejected(lambda: ExperimentConfig(**kw))
+
+
+@ROUND_TRIPS
+@given(kw=_config_fields(METHOD_VALUES))
+def test_method_config_round_trips_or_is_rejected(kw):
+    """Either MethodConfig (or the experiment around it) rejects its fields, or
+    the experiment's config file loads back as itself."""
+    _assert_round_trip_or_rejected(lambda: ExperimentConfig(n_x=2, n_t=2, method=MethodConfig(**kw)))
