@@ -124,7 +124,11 @@ class ExperimentConfig:
 
 
 def _plain(value):
-    """``value`` as plain JSON: numpy scalars and arrays as Python values and lists."""
+    """``value`` as plain JSON: numpy scalars and arrays as Python values and lists.
+    A numpy string goes through ``str.__str__``, as its own conversions drop
+    trailing NULs."""
+    if isinstance(value, str):
+        return str.__str__(value)
     return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
