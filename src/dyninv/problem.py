@@ -1,20 +1,21 @@
 """The benchmark problem, semilinear diffusion with an unknown source, and its hooks.
 
 The problem contract: the model is autonomous, so no hook takes a time; theta
-is the source on every interior node, so f_theta is the identity; the state
-is observed in full (the observation is the state) and the evolution starts
-from zero whatever theta is.  The operators state these as arithmetic, not
-hooks.  They call the model ``f(u, theta)``, ``inner_theta``, the
-``reaction(u, theta)`` (f plus K u, integrated explicitly under 'imex') and
-its diagonal slope ``reaction_slope(u)``, which theta, a source, does not
-enter; hooks broadcast over a leading axis of time nodes.  ``f`` checks its
-theta per call (:meth:`SemilinearDiffusion.check_theta`); the other hooks rely
-on ``methods.run`` for shape checks.  The reaction is pointwise, so
+is the source on every interior node, so f_theta is the identity; the state is
+observed in full (the observation is the state) and the evolution starts from
+zero whatever theta is.  The operators state these as arithmetic, not hooks.
+They call the model ``f(u, theta)``, ``inner_theta``, the
+``reaction(u, theta)`` (f plus K u, integrated explicitly under 'imex') and its
+diagonal slope ``reaction_slope(u)``, which theta, a source, does not enter;
+hooks broadcast over a leading axis of time nodes, and the arrays they return
+are the caller's to overwrite.  ``f`` checks its theta per call
+(:meth:`SemilinearDiffusion.check_theta`); the other hooks rely on
+``methods.run`` for shape checks.  The reaction is pointwise, so
 f_u = -K + diag(reaction_slope) is read from the slope of u alone:
 ``apply_jac(u, v)`` applies it (f_u is self-adjoint under the H pairing),
-'imex' is linearized through the slope, and every 'newton' matrix
-I - tau f_u is tridiagonal, solved without forming it (``f_u_matrix(u)``
-assembles f_u densely for tests only).
+'imex' is linearized through the slope, and every 'newton' matrix I - tau f_u
+is tridiagonal, solved without forming it (``f_u_matrix(u)`` assembles f_u
+densely for tests only).
 """
 
 import math
@@ -86,7 +87,9 @@ class SemilinearDiffusion:
         return np.subtract(self.check_theta(theta), out, out=out)
 
     def reaction(self, u, theta):
-        return -signed_square(u, self.gain) + theta
+        # theta - Phi(u) in Phi's buffer rounds as -Phi(u) + theta
+        out = signed_square(u, self.gain)
+        return np.subtract(theta, out, out=out)
 
     def reaction_slope(self, u):
         # the slope of -Phi = signed_square(., -gain); it rounds as -signed_square_slope(u)

@@ -33,6 +33,8 @@ of P_j z.  Its sweep is loaded with z on the slab alone and starts at the slab's
 last node, above which every multiplier is zero; the full adjoint is the span (0, N).
 """
 
+import math
+
 import numpy as np
 
 from .errors import SolverError, ValidationError
@@ -99,7 +101,9 @@ class ReducedOperator:
         newton = self.policy == "newton"
         solve = row_solver(self._resolvent)
         for k in range(1, steps + 1):
-            rhs = u + tau * self.problem.reaction(u, theta)
+            rhs = self.problem.reaction(u, theta)  # the hook's array is ours: u + tau * r in it
+            rhs *= tau
+            rhs += u
             if pvals is not None:
                 rhs = rhs + tau * pvals[k]
             u_next = solve(rhs)  # the solver's buffer beyond 128 points: out[k] keeps it
@@ -111,13 +115,20 @@ class ReducedOperator:
         return Trajectory(self.grid, out, "state")
 
     def _newton_step(self, k, base, guess, theta, tau):
+        """Newton on v - tau f(v, theta) = base from ``guess``.  The residual is
+        formed in f's buffer (-tau f + v - base rounds as v - tau f - base); its
+        max norm is also the finiteness check, made before the tridiagonal solve."""
         v = guess
         for _ in range(_NEWTON_MAX):
-            if not np.all(np.isfinite(v)):
-                raise SolverError(f"Newton diverged at time step {k}", step=k)
-            res = v - tau * self.problem.f(v, theta) - base
-            if np.max(np.abs(res)) <= _NEWTON_TOL:
+            res = self.problem.f(v, theta)
+            res *= -tau
+            res += v
+            res -= base
+            worst = np.abs(res).max()
+            if worst <= _NEWTON_TOL:
                 return v
+            if not math.isfinite(worst):
+                raise SolverError(f"Newton diverged at time step {k}", step=k)
             shift = tau * self.problem.reaction_slope(v)
             v = v - solve_shifted_stiffness(self.triple, tau, shift, res, step=k)
         raise SolverError(f"Newton stalled at time step {k}", step=k)

@@ -24,7 +24,9 @@ holds only at a fixed BLAS thread count, so the script runs with one thread.
 output with the committed reference.  A change that moves bits saves the
 arrays of both trees with ``--npz`` and reports ``--diff``: per cell and
 column, the largest absolute difference and that difference relative to the
-largest magnitude in the first file's column, or "equal" where the arrays are.
+largest magnitude in the first file's column, or "equal" where the arrays are
+equal byte for byte (so -0.0 and +0.0 differ and NaNs with the same bits are
+equal).  ``--diff`` exits 1 when any array differs or is in one file only.
 """
 
 import os
@@ -162,34 +164,42 @@ def compute(arrays=None) -> dict:
     return out
 
 
-def diff(path_a, path_b) -> list[str]:
+def diff(path_a, path_b) -> tuple[list[str], bool]:
     """Lines "cell column abs rel" for every array of two ``--npz`` files, or
-    "equal"; arrays of different shapes (a moved k*) are compared on their
-    common leading rows, and their shapes are named."""
+    "equal" where the bytes match, and whether every array matched; arrays of
+    different shapes (a moved k*) are compared on their common leading rows,
+    their shapes are named, and they count as different."""
     a, b = np.load(path_a), np.load(path_b)
     lines = [f"only in {path}: {key}" for path, mine, other in ((path_a, a, b), (path_b, b, a))
              for key in sorted(set(mine.files) - set(other.files))]
+    equal = not lines
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         cell, col = key.rsplit("/", 1)
         shapes = "" if x.shape == y.shape else f" shapes {x.shape} {y.shape}"
+        equal &= not shapes
         rows = min(len(x), len(y))
         x, y = x[:rows], y[:rows]
-        if np.array_equal(x, y):
-            lines.append(f"{cell} {col} equal{shapes}")
+        if x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes():
+            lines.append(f"{cell} {col} {'leading rows equal' if shapes else 'equal'}{shapes}")
             continue
-        gap = float(np.max(np.abs(x.astype(float) - y.astype(float))))
-        scale = float(np.max(np.abs(x.astype(float))))
+        equal = False
+        x, y = x.astype(float), y.astype(float)
+        gaps = np.abs(x - y)
+        gaps[np.isnan(x) & np.isnan(y)] = 0.0
+        gap = float(np.max(gaps, initial=0.0))
+        scale = float(np.max(np.abs(x), initial=0.0))
         rel = gap / scale if scale else float("inf")
         lines.append(f"{cell} {col} {gap:.2e} {rel:.2e}{shapes}")
-    return lines
+    return lines, equal
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--diff":
-        print("\n".join(diff(*argv[1:])))
-        return
+        lines, equal = diff(*argv[1:])
+        print("\n".join(lines))
+        sys.exit(0 if equal else 1)
     if len(argv) == 2 and argv[0] == "--npz":
         arrays = {}
         compute(arrays)

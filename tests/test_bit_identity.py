@@ -19,6 +19,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -63,3 +64,24 @@ def test_runs_match_the_committed_reference():
         if run["k_star"] == ref["k_star"]:
             for key, value in ref["summary"].items():
                 assert run["summary"][key] == pytest.approx(value, rel=SUMMARY_RTOL), f"{name} {key}"
+
+
+def test_diff_compares_bytes_and_exits_nonzero_on_a_difference(tmp_path):
+    """``--diff`` tells -0.0 from +0.0, reads equal NaNs as equal and exits 1
+    when any array differs, 0 when every one matches."""
+    paths = {}
+    for name, zero in (("a", 0.0), ("b", -0.0), ("c", 0.0)):
+        paths[name] = tmp_path / f"{name}.npz"
+        np.savez(paths[name], **{"c/nan": [np.nan, 1.0], "c/zero": [zero, 2.0]})
+
+    def run(x, y):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--diff", str(paths[x]), str(paths[y])],
+            capture_output=True, text=True, timeout=60,
+        )
+        return proc.returncode, proc.stdout.splitlines()
+
+    code, lines = run("a", "b")
+    assert code == 1
+    assert lines == ["c nan equal", "c zero 0.00e+00 0.00e+00"]
+    assert run("a", "c") == (0, ["c nan equal", "c zero equal"])

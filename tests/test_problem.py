@@ -33,6 +33,28 @@ def test_signed_square_rounds_like_the_sign_form(gain, rng):
     assert np.array_equal(new, old, equal_nan=True)
 
 
+def _mixed(rng, shape, scale):
+    """Entries drawn among +0, -0, unit normals and normals of magnitude ``scale``."""
+    kind = rng.integers(0, 4, shape)
+    x = rng.standard_normal(shape) * np.where(kind == 3, scale, 1.0)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    return x
+
+
+def test_reaction_rounds_as_the_negated_square_plus_theta(rng):
+    """reaction(u, theta), theta - Phi(u) in one subtraction, equals
+    -Phi(u) + theta byte for byte (signed zeros count), on one node row and on
+    a block of rows, with Phi(u) and theta of either sign up to about 1e150."""
+    n = 64
+    prob = SemilinearDiffusion(build_triple(n), gain=10.0)
+    for _ in range(20):
+        theta = _mixed(rng, n, 1e150)
+        for u in (_mixed(rng, n, 1e74), _mixed(rng, (5, n), 1e74)):
+            want = -signed_square(u, 10.0) + theta
+            assert prob.reaction(u, theta).tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def bench():
     triple = build_triple(8)

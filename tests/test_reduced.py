@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dyninv import reduced
 from dyninv.errors import SolverError, ValidationError
 from dyninv.grids import make_time_grid
 from dyninv.harness import DenseOracle, add_noise, make_instance, synthesize_truth, truth_nodes
@@ -13,6 +14,7 @@ from dyninv.spaces import (
     inner_observation,
     inner_state,
     norm_observation,
+    solve_shifted_stiffness,
     to_modes,
 )
 
@@ -67,9 +69,32 @@ def test_newton_failure_carries_step_index():
     prob = SemilinearDiffusion(triple, gain=-200.0)
     op = ReducedOperator(prob, triple, grid, policy="newton")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SolverError) as exc:
+        with pytest.raises(SolverError, match="Newton stalled") as exc:
             op.solve_state(20.0 * np.ones(4))
     assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("theta", [1e200, np.nan])
+def test_a_non_finite_residual_ends_newton_before_any_tridiagonal_solve(theta, monkeypatch):
+    """theta = 1e200 overflows f at the first Newton iterate and a NaN theta
+    makes every iterate NaN: both stop as a divergence at step 1, and no
+    tridiagonal solve gets a non-finite right-hand side.  The finiteness check
+    is the residual's max norm, so it must come before the first solve."""
+    triple = build_triple(4)
+    prob = SemilinearDiffusion(triple, gain=10.0)
+    op = ReducedOperator(prob, triple, make_time_grid(5.0, 2), policy="newton")
+    loads = []
+
+    def recorded(triple, tau, shift, rhs, step=None):
+        loads.append(rhs.copy())
+        return solve_shifted_stiffness(triple, tau, shift, rhs, step)
+
+    monkeypatch.setattr(reduced, "solve_shifted_stiffness", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="Newton diverged") as exc:
+            op.solve_state(np.full(4, theta))
+    assert exc.value.step == 1
+    assert [np.all(np.isfinite(rhs)) for rhs in loads] == [True] * len(loads)
 
 
 def test_sensitivity_zero_direction(bench_op):

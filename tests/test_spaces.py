@@ -672,13 +672,18 @@ def _batches(rng, n):
 
 @pytest.mark.parametrize("n_x", [1, 2, 3, 30, 1600])
 def test_stencil_matches_dense_stiffness(n_x, rng):
+    """The stencil against the dense matrix; every row of a batch is, byte for
+    byte, the one-row stencil of that row, which skips the row fix-ups."""
     triple = build_triple(n_x)
     a = triple.stiffness
-    for v in _batches(rng, n_x):
+    signed_zeros = rng.choice([0.0, -0.0, 1.0, -2.0], size=(3, n_x))
+    for v in [*_batches(rng, n_x), signed_zeros]:
         ref = v @ a
         got = apply_stiffness(triple, v)
         assert got.shape == v.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for row, got_row in zip(v.reshape(-1, n_x), got.reshape(-1, n_x)):
+            assert apply_stiffness(triple, row).tobytes() == got_row.tobytes()
 
 
 def test_stencil_does_not_touch_its_input(rng):
