@@ -13,20 +13,20 @@ pairs the adjoint state at the left node of each step.
 
 A slab map is the full map followed by the slab restriction P_j of
 :meth:`AllAtOnceOperator.slab_restrict`: F_j = P_j F.  P_j is self-adjoint
-and idempotent, so the slab adjoint is the full adjoint of P_j r.  It reads r
-on the slab alone: its backward sweep, zero above the slab's last node, starts
-there, and its forward sweep runs all N steps, as the graph product couples the
-whole horizon; past that node its loads stop and it is a decay.  The full
-adjoint is the span (0, N).
+and idempotent, so the slab adjoint is the full adjoint of P_j r, and
+:meth:`~AllAtOnceOperator.slab_adjoint` is :meth:`~AllAtOnceOperator.adjoint`
+over the slab's node range.  It reads r on the slab alone: its backward sweep,
+zero above the slab's last node, starts there, and its forward sweep runs all N
+steps, as the graph product couples the whole horizon; past that node its loads
+stop and it is a decay.  The full adjoint is the span (0, N).
 
-The residual and the derivative carry the nodal rows 1..N of K^{-1} w as
-well, taken where the model row is built by the triple's Green's matrix of K,
-its one Riesz map, as K^{-1} (w - K u) + u (K^{-1} (w - K du) + du for the
-derivative), so the solve never cancels K^{-1} K u; the V* norm and product
-and the adjoint read them, so an iteration applies K^{-1} once and never
-through the eigenbasis.  P_j leaves the carried rows out, and what reads a
-restricted residual solves for its own: P_j acts by rows, so they are the
-restricted rows, to rounding.
+The residual, the derivative and the joint CG vector build their model rows
+in one place, :meth:`~AllAtOnceOperator._stack`, which also carries the nodal
+rows 1..N of K^{-1} w by the triple's Green's matrix of K, its one Riesz map;
+the V* norm and product and the adjoint read them, so an iteration applies
+K^{-1} once and never through the eigenbasis.  P_j leaves the carried rows
+out, and what reads a restricted residual solves for its own: P_j acts by
+rows, so they are the restricted rows, to rounding.
 
 The adjoint's two sweeps run in the operator's state coordinates, fixed by the
 number of points n alone (:data:`_NODAL_FROM`), and
@@ -156,16 +156,12 @@ class AllAtOnceOperator:
     def joint_vector(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The flat joint CG vector of nodal state rows u and theta: the state in
         the operator's coordinates, from the cut on followed by its graph rows
-        g^n = (u^n - u^{n-1})/tau + K u^n, n = 1..N, and their K^{-1} image
-        K^{-1} (u^n - u^{n-1})/tau + u^n, one stencil and one Green's solve
-        (K^{-1} of g itself would cancel K^{-1} K u in rounding); theta last."""
+        g^n = (u^n - u^{n-1})/tau + K u^n, n = 1..N, and their K^{-1} image,
+        the model rows :meth:`_stack` builds with no terms; theta last."""
         if not self._nodal:
             return np.concatenate((to_modes(self.triple, u).ravel(), theta))
-        step = (u[1:] - u[:-1]) / self.grid.tau
-        riesz = solve_resolvent(self.triple.green, step)
-        riesz += u[1:]
-        rows = step + apply_stiffness(self.triple, u[1:])
-        return np.concatenate((u.ravel(), rows.ravel(), riesz.ravel(), theta))
+        graph = self._stack(u, (), u)
+        return np.concatenate((u.ravel(), graph.model.values[1:].ravel(), graph.riesz.ravel(), theta))
 
     def joint_split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodal state rows and theta of a joint CG vector; theta is a view."""
@@ -201,32 +197,39 @@ class AllAtOnceOperator:
 
     # -- forward --------------------------------------------------------------
 
-    def residual(self, point: AaoPoint, y: Trajectory) -> ResidualTriple:
-        """Stacked residual against the data (0, 0, y): the problem contract puts
-        all data in the observation row, so no arithmetic touches the other two.
-
-        Model row at the right endpoint of each step:
-        w^n = (u^n - u^{n-1})/tau - f(u^n, theta) for n = 1..N (w^0 = 0),
-        formed as (du/tau - reaction) + K u since f = reaction - K u;
-        initial row u^0 and observation row u - y.  The carried rows are
-        K^{-1} (du/tau - reaction) + u, one Green's solve that never meets K u:
-        K^{-1} of the whole row would cancel K^{-1} K u in rounding, up to
-        3.1e-12 relative at n = 1600 (against a refined dense solve of the row
-        formed in extended precision; the carried rows agree to 1e-15)."""
-        u = point.state.values
+    def _stack(self, u: np.ndarray, terms, observation: np.ndarray) -> ResidualTriple:
+        """The residual triple of state rows u: model rows w^n = ((u^n - u^{n-1})/tau
+        - terms) + K u^n for n = 1..N, the terms taken off in turn (w^0 = 0),
+        initial row u^0 and observation row ``observation``.  The carried rows
+        K^{-1} w are K^{-1} ((u^n - u^{n-1})/tau - terms) + u^n, one Green's solve
+        that never meets K u: K^{-1} of the whole row would cancel K^{-1} K u in
+        rounding, up to 3.1e-12 relative at n = 1600 (against a refined dense
+        solve of the row formed in extended precision; the carried rows agree to
+        1e-15)."""
         w = np.zeros(u.shape)
         rows = np.subtract(u[1:], u[:-1], out=w[1:])
         rows /= self.grid.tau
-        rows -= self.problem.reaction(u[1:], point.theta)
+        for term in terms:
+            rows -= term
         riesz = solve_resolvent(self.triple.green, rows)
         riesz += u[1:]
         rows += apply_stiffness(self.triple, u[1:])
         return ResidualTriple(
             Trajectory(self.grid, w, "dual_load"),
             u[0].copy(),
-            Trajectory(self.grid, u - y.values, "observation"),
+            Trajectory(self.grid, observation, "observation"),
             riesz,
         )
+
+    def residual(self, point: AaoPoint, y: Trajectory) -> ResidualTriple:
+        """Stacked residual against the data (0, 0, y): the problem contract puts
+        all data in the observation row, so no arithmetic touches the other two.
+
+        Model row w^n = (u^n - u^{n-1})/tau - f(u^n, theta) at the right endpoint
+        of each step, n = 1..N, which :meth:`_stack` forms as (du/tau - reaction)
+        + K u since f = reaction - K u; initial row u^0 and observation row u - y."""
+        u = point.state.values
+        return self._stack(u, (self.problem.reaction(u[1:], point.theta),), u - y.values)
 
     def _riesz(self, resid: ResidualTriple) -> np.ndarray:
         """Nodal rows 1..N of K^{-1} w: carried, or one Green's solve."""
@@ -238,35 +241,20 @@ class AllAtOnceOperator:
         """Directional derivative applied to (dstate, dtheta); exactly linear.
 
         Model row w^n = (du^n - du^{n-1})/tau - f_u(u^n) du^n - dtheta, theta
-        being the nodal source, formed as :meth:`residual` forms its row: f_u =
-        -K + diag(r_u), so w = (ddu/tau - r_u du - dtheta) + K du, and the
-        carried rows are K^{-1} (ddu/tau - r_u du - dtheta) + du, one Green's
-        solve that never meets K du.  The initial and observation rows copy
-        du^0 and du, which may view a CG vector."""
-        u = point.state.values
+        being the nodal source; f_u = -K + diag(r_u), so :meth:`_stack` forms it
+        as ((ddu/tau - r_u du) - dtheta) + K du.  The initial and observation
+        rows copy du^0 and du, which may view a CG vector."""
         du = dstate.values
         dtheta = self.problem.check_theta(dtheta, "parameter direction")
-        w = np.zeros(du.shape)
-        rows = np.subtract(du[1:], du[:-1], out=w[1:])
-        rows /= self.grid.tau
-        rows -= self.problem.reaction_slope(u[1:]) * du[1:]
-        rows -= dtheta
-        riesz = solve_resolvent(self.triple.green, rows)
-        riesz += du[1:]
-        rows += apply_stiffness(self.triple, du[1:])
-        return ResidualTriple(
-            Trajectory(self.grid, w, "dual_load"),
-            du[0].copy(),
-            Trajectory(self.grid, du.copy(), "observation"),
-            riesz,
-        )
+        slope = self.problem.reaction_slope(point.state.values[1:]) * du[1:]
+        return self._stack(du, (slope, dtheta), du.copy())
 
     # -- adjoint ----------------------------------------------------------------
 
-    def adjoint(self, point: AaoPoint, resid: ResidualTriple) -> tuple[Trajectory, np.ndarray]:
+    def adjoint(self, point: AaoPoint, resid: ResidualTriple, nodes=None) -> tuple[Trajectory, np.ndarray]:
         """Exact discrete adjoint of :meth:`derivative`: :meth:`adjoint_coords`
-        with the state direction taken to nodes."""
-        dh, dtheta = self.adjoint_coords(point, resid)
+        over ``nodes`` with the state direction taken to nodes."""
+        dh, dtheta = self.adjoint_coords(point, resid, nodes)
         return Trajectory(self.grid, self.to_nodes(dh), "state"), dtheta
 
     def adjoint_coords(self, point: AaoPoint, resid: ResidualTriple, nodes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -337,17 +325,10 @@ class AllAtOnceOperator:
         return self.slab_restrict(self.derivative(point, dstate, dtheta), j)
 
     def slab_adjoint(self, point, j, resid) -> tuple[Trajectory, np.ndarray]:
-        """Adjoint of the slab derivative: the full adjoint of P_j resid.
-
-        :meth:`adjoint_coords` over the slab's node range reads resid on the
-        slab alone, with no copy of P_j resid.  The backward sweep starts at the
-        slab's last node, above which it is zero; the forward sweep runs over the
-        whole horizon, where the graph product couples every step, and is a
-        decay past the slab's last node.
-        """
-        nodes = require_partition(self.partition).node_range(j)
-        dh, dtheta = self.adjoint_coords(point, resid, nodes)
-        return Trajectory(self.grid, self.to_nodes(dh), "state"), dtheta
+        """Adjoint of the slab derivative, the full adjoint of P_j resid: :meth:`adjoint`
+        over the slab's node range, which reads resid on the slab alone, with no
+        copy of P_j resid (the module docstring describes both sweeps)."""
+        return self.adjoint(point, resid, require_partition(self.partition).node_range(j))
 
     # -- norms -------------------------------------------------------------------
 
@@ -355,7 +336,7 @@ class AllAtOnceOperator:
         """Channel norms (model, initial, observation) and the total norm."""
         tau, dx = self.grid.tau, self.triple.dx
         h, z = resid.initial, resid.observation.values[1:]
-        nw = math.sqrt(max(tau * (dx * float(np.vdot(self._riesz(resid), resid.model.values[1:]))), 0.0))
+        nw = math.sqrt(max(self._inner_model(resid, resid), 0.0))
         nh = math.sqrt(dx * float(h @ h))
         ny = math.sqrt(max(tau * dx * float(np.vdot(z, z)), 0.0))
         return nw, nh, ny, math.sqrt(nw**2 + nh**2 + ny**2)

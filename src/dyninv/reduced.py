@@ -93,8 +93,8 @@ class ReducedOperator:
         optional model ``perturbation`` (noisy-data synthesis only) joins f.
         The state is also the observation."""
         theta = self.problem.check_theta(theta)
-        pvals = perturbation.values if perturbation is not None else None
         n = self.triple.interior_points
+        pvals = None if perturbation is None else check_trajectory(perturbation, self.grid, n, "perturbation").values
         steps, tau = self.grid.step_count, self.grid.tau
         out = np.zeros((steps + 1, n))
         u = out[0]
@@ -164,6 +164,7 @@ class ReducedOperator:
         load z on nodes lo+1..hi and start the sweep at node hi; the default is (0, N).
         """
         check_trajectory(state, self.grid, self.triple.interior_points, "state")
+        check_trajectory(z_src, self.grid, self.triple.interior_points, "residual")
         lo, hi = nodes or (0, self.grid.step_count)
         u = state.values
         tau = self.grid.tau

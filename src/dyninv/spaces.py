@@ -18,8 +18,8 @@ alone, and :func:`march_nodes` on nodal rows, one resolvent solve per step.
 Below the all-at-once operator's size cut the n x n DST-I eigenbasis q serves
 its marches and the modal pairing of its joint CG (:func:`inner_state_modes`);
 from the cut on the operator marches on nodes, its joint CG pairs nodal states
-by the graph rows it carries (the rows :func:`inner_state_nodes` solves for),
-and no run tabulates q, which is built on its first read.  Only
+by the graph rows it carries (the rows :func:`inner_state` solves for), and no
+run tabulates q, which is built on its first read.  Only
 :func:`to_modes` and :func:`from_modes` apply q.
 """
 
@@ -462,18 +462,14 @@ def evolve_backward(
 
     One step reads (I + tau*K) p^n = p^{n+1} + tau * s^n; the source is
     sampled at the left node (its node-N value is unused).  This is the exact
-    time-reversed transpose of the one-step map of :func:`evolve_forward`.
+    time-reversed transpose of the one-step map of :func:`evolve_forward`, and
+    it runs as that map on the time-reversed nodes, reversed back.
     """
-    v_final = np.asarray(v_final, dtype=float)
-    _check_width(triple, v_final, "terminal value")
-    loads = np.empty((0, triple.interior_points))
+    _check_width(triple, np.asarray(v_final), "terminal value")
     if source is not None:
         check_trajectory(source, grid, triple.interior_points, "source")
-        loads = to_modes(triple, source.values[-2::-1])
-    # the backward march is a forward one on the time-reversed nodes
-    tables = march_tables(triple, grid)
-    out = march_modes(tables, to_modes(triple, v_final), loads, grid.step_count)[::-1]
-    return Trajectory(grid, from_modes(triple, out), "state")
+        source = Trajectory(grid, source.values[::-1], source.space_tag)
+    return Trajectory(grid, evolve_forward(triple, grid, v_final, source).values[::-1], "state")
 
 
 @dataclass(frozen=True)
@@ -573,27 +569,20 @@ def inner_state_modes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
     return tau * pairing + triple.dx * float(a[0] @ b[0])
 
 
-def inner_state_nodes(triple: DiscreteGelfandTriple, tau: float, a, b) -> float:
-    """:func:`inner_state` of two states given by their nodal rows: the graph rows
-    (v^{n+1} - v^n)/tau + K v^{n+1} of b by the stencil, paired with their K^-1
-    image for a, K^-1 (u^{n+1} - u^n)/tau + u^{n+1}, in one Green's solve, and the
-    initial term dx u^0 . v^0.  K^-1 of a's whole graph rows would cancel K^-1 K u
-    in rounding, up to 2.1e-12 relative at n = 896."""
+def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
+    """Graph inner product on state trajectories, the Hilbert structure in which
+    the all-at-once adjoint is taken: the sum of tau * (du + Ku, dv + Kv)_{V*}
+    over steps plus the H product of the initial values.  The graph rows of v
+    by the stencil pair with their K^-1 image for u, K^-1 (u^{n+1} - u^n)/tau +
+    u^{n+1}, one Green's solve: K^-1 of u's whole graph rows would cancel
+    K^-1 K u in rounding, up to 2.1e-12 relative at n = 896.
+    """
+    _same_grid(u, v)
+    tau, a, b = u.grid.tau, u.values, v.values
     rows = (b[1:] - b[:-1]) / tau + apply_stiffness(triple, b[1:])
     riesz = solve_resolvent(triple.green, (a[1:] - a[:-1]) / tau) + a[1:]
     pairing = triple.dx * float(np.vdot(riesz, rows))
     return tau * pairing + triple.dx * float(a[0] @ b[0])
-
-
-def inner_state(triple: DiscreteGelfandTriple, u: Trajectory, v: Trajectory) -> float:
-    """Graph inner product on state trajectories.
-
-    Sum of tau * (du + Ku, dv + Kv)_{V*} over steps plus the H product of the
-    initial values; this is the Hilbert structure in which the all-at-once
-    adjoint is taken (:func:`inner_state_nodes`).
-    """
-    _same_grid(u, v)
-    return inner_state_nodes(triple, u.grid.tau, u.values, v.values)
 
 
 def inner_dual_load(triple: DiscreteGelfandTriple, w: Trajectory, v: Trajectory) -> float:

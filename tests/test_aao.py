@@ -107,26 +107,29 @@ def test_model_channel_pairs_through_the_one_riesz_map(n_x, n_t, horizon, rng):
 
 @pytest.mark.parametrize("n_x", [896, 1600])
 def test_carried_rows_match_refined_dense_solve(n_x):
-    """The residual's carried rows K^-1 (du/tau - reaction) + u agree to 1e-13
-    with the refined dense solve of the model rows formed in extended precision,
-    at N = 8 over six random states and parameters near the truth.  The rows
-    hold K u: rounded to double they carry an error of order eps |K u|, and a
-    Green's solve of them cancels K^-1 K u, up to 3.1e-12 relative at n = 1600."""
+    """The residual's carried rows K^-1 (du/tau - reaction) + u, and the joint
+    CG vector's K^-1 (du/tau) + u, agree to 1e-13 with the refined dense solve
+    of their rows formed in extended precision, at N = 8 over six random states
+    and parameters near the truth.  The rows hold K u: rounded to double they
+    carry an error of order eps |K u|, and a Green's solve of them cancels
+    K^-1 K u, up to 3.1e-12 relative at n = 1600."""
     inst = make_instance(n_x, 8, 0.1, 10.0)
     theta, _, y = synthesize_truth(inst, "sine", 0.1)
     stiffness, tau = inst.triple.stiffness, inst.grid.tau
-    rows, resids = [], []
+    rows, carried = [], []
     for seed in range(6):
         rng = np.random.default_rng(seed)
         u, th = rng.standard_normal((9, n_x)), theta + 0.1 * rng.standard_normal(n_x)
-        resids.append(inst.aao.residual(AaoPoint(Trajectory(inst.grid, u, "state"), th), y))
-        rest = (u[1:] - u[:-1]) / tau - inst.problem.reaction(u[1:], th)
-        rows.append(rest.astype(np.longdouble) + u[1:].astype(np.longdouble) @ stiffness.astype(np.longdouble))
+        carried.append(inst.aao.residual(AaoPoint(Trajectory(inst.grid, u, "state"), th), y).riesz)
+        carried.append(inst.aao.joint_vector(u, th)[9 * n_x + 8 * n_x : -n_x].reshape(8, n_x))
+        stiff_u = u[1:].astype(np.longdouble) @ stiffness.astype(np.longdouble)
+        step = (u[1:] - u[:-1]) / tau
+        rows += [(step - inst.problem.reaction(u[1:], th)).astype(np.longdouble) + stiff_u, step + stiff_u]
     # one refined solve for every seed: each solve refactors the dense K
     want = refined_dense_solve(stiffness, np.concatenate(rows))
-    for seed, resid in enumerate(resids):
-        ref = want[8 * seed : 8 * seed + 8]
-        assert np.max(np.abs(resid.riesz - ref)) <= 1e-13 * np.max(np.abs(ref)), seed
+    for i, got in enumerate(carried):
+        ref = want[8 * i : 8 * i + 8]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), i
 
 
 @pytest.mark.parametrize("n_x", [896, 1600])

@@ -10,6 +10,7 @@ names it.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,6 @@ ENTRY_POINTS = {"cli.main", "cli._Parser.error"}
 
 # read only from outside the package, one reason each
 ALLOWED = {
-    "evolve_forward": "perfbench/ wraps it by name (spaces layer)",
     "evolve_backward": "perfbench/ wraps it by name (spaces layer)",
     "solve_stiffness": "perfbench/ wraps it by name (spaces layer)",
     "f_u_matrix": "perfbench/ wraps it by name; tests assemble f_u densely with it",
@@ -161,4 +161,27 @@ def test_every_unread_parameter_allowance_names_a_call_perfbench_still_makes():
         node = defined[qualname]
         if "perfbench" in why and filled[node.name] <= _parameters(node).index(name):
             stale.append((qualname, name))
+    assert stale == []
+
+
+def test_every_docstring_cross_reference_names_a_package_definition():
+    """A ``:func:``, ``:meth:``, ``:class:``, ``:data:`` or ``:attr:`` reference
+    in the package names a function, method, class or module-level name the
+    package defines, by the last part of its dotted path (``~`` ignored): a
+    reference to a name that was deleted or renamed is stale."""
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        for ref in re.findall(r":(?:func|meth|class|data|attr):`~?([^`]+)`", path.read_text()):
+            if ref.split(".")[-1] not in defined:
+                stale.append(f"{path.stem}: {ref}")
     assert stale == []

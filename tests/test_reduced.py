@@ -322,6 +322,24 @@ def test_state_grid_mismatch():
     state = Trajectory(other, np.zeros((7, 5)), "state")
     with pytest.raises(ValidationError):
         op.solve_sensitivity(state, np.zeros(5))
+    # a residual or a perturbation of another width, on another grid with the
+    # same node count, or a bare array: a width-1 one would broadcast
+    inst = make_instance(6, 4, 0.1, 10.0, m=2)
+    op, grid = inst.reduced, inst.grid
+    theta = np.full(6, 0.1)
+    state = op.solve_state(theta)
+    bad = (
+        Trajectory(grid, np.ones((5, 1)), "observation"),
+        Trajectory(make_time_grid(0.2, 4), np.ones((5, 6)), "observation"),
+        np.ones((5, 6)),
+    )
+    for z in bad:
+        with pytest.raises(ValidationError):
+            op.adjoint(theta, state, z)
+        with pytest.raises(ValidationError):
+            op.slab_adjoint(theta, state, z, 1)
+        with pytest.raises(ValidationError):
+            op.solve_state(theta, perturbation=z)
 
 
 def test_perturbation_field_used_as_default(rng):

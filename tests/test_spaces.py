@@ -294,6 +294,23 @@ def test_forward_backward_duality_identity(rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_evolutions_reject_a_bad_source():
+    """Both evolutions take a source trajectory of the state width on their
+    own grid: one on another grid with the same node count, one of another
+    width and a bare array are refused."""
+    triple = build_triple(5)
+    grid = make_time_grid(0.3, 6)
+    bad = (
+        Trajectory(make_time_grid(0.6, 6), np.ones((7, 5)), "dual_load"),
+        Trajectory(grid, np.ones((7, 4)), "dual_load"),
+        np.ones((7, 5)),
+    )
+    for evolve in (evolve_forward, evolve_backward):
+        for source in bad:
+            with pytest.raises(ValidationError):
+                evolve(triple, grid, np.zeros(5), source)
+
+
 def test_evolutions_dense_transpose():
     """Dense block assembly: the backward solve is the forward solve's transpose.
 
@@ -743,7 +760,7 @@ def test_nodal_state_pairing_matches_refined_dense_pairing(n_x):
         for other, other_rows in ((b, graph[1]), (a, graph[0])):
             pairing = np.sum(riesz[8 * seed : 8 * seed + 8] * other_rows)
             want = grid.tau * triple.dx * pairing + triple.dx * (a.values[0] @ other.values[0])
-            got = spaces.inner_state_nodes(triple, grid.tau, a.values, other.values)
+            got = inner_state(triple, a, other)
             assert abs(got - want) <= 1e-13 * abs(want), seed
 
 
